@@ -33,10 +33,8 @@ from repro.bdd.backends.protocol import (
     generic_load_nodes,
     missing_ops,
 )
+from repro.eqn.config import BACKEND_CHOICES
 from repro.errors import BddError
-
-#: The backend names the CLI surfaces (``--backend {python,buddy}``).
-BACKEND_CHOICES = ("python", "buddy")
 
 #: Name of the always-available reference backend.
 DEFAULT_BACKEND = "python"

@@ -3,8 +3,9 @@
 The paper evaluates on ISCAS'89 netlists (s208...s526), which are not
 redistributable here; these generators produce deterministic multi-level
 sequential circuits of comparable shape (inputs/outputs/latches) so the
-latch-splitting experiment of Section 4 can be reproduced.  See DESIGN.md
-§5 for the substitution argument.
+latch-splitting experiment of Section 4 can be reproduced: the paper's
+claim is a ratio between two flows on the same instance, which depends
+on the instance's shape and size, not on its provenance.
 
 Every function returns a validated :class:`~repro.network.netlist.Network`.
 """

@@ -2,12 +2,11 @@
 
 Runs the BDD-kernel microbenchmarks and the Table 1 solver benchmarks and
 writes two JSON artifacts (wall time, peak live node count, computed-table
-hit rate, GC activity per workload).  Invoke through the console script or
-the thin repo-root shim::
+hit rate, GC activity per workload).  Invoke through the console script::
 
+    repro bench                                 # full run
     repro bench --smoke                         # fast CI variant
     repro bench --list                          # list workloads, run nothing
-    python benchmarks/run_all.py                # full run (deprecated shim)
     repro bench --baseline BENCH_kernel.json --tolerance 1.4
 
 Outputs (written to ``--out-dir``, default: the repository root):
@@ -35,12 +34,21 @@ import subprocess
 import sys
 import time
 from collections.abc import Callable
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from repro._version import __version__
 from repro.bdd.manager import BddManager
 from repro.bdd.policy import GcPolicy, ReorderPolicy
 from repro.bench import circuits
+from repro.eqn.config import (
+    BENCH_COLUMNS,
+    BENCH_FLAGS,
+    DEFAULT,
+    SolveConfig,
+    add_config_flags,
+)
 from repro.network.bddbuild import build_network_bdds
 from repro.obs.trace import current_tracer, install_tracer, uninstall_tracer
 from repro.symb.reach import network_reachable_states
@@ -50,52 +58,53 @@ REPO_ROOT = Path(__file__).resolve().parents[3]
 SCHEMA_KERNEL = "repro-bench-kernel/4"
 SCHEMA_TABLE1 = "repro-bench-table1/9"
 
-#: Table 1 cases re-run with ``--reorder auto`` as dedicated ``@auto``
-#: rows: the paper-scale instances where dynamic reordering is the
-#: difference between CNC and completion.
-TABLE1_REORDER_VARIANTS = ("rand14", "rand15")
-
-#: Table 1 cases re-run on the sharded runtime as ``@shards2`` rows
-#: (partitioned flow only — the monolithic baseline cannot shard).
-#: Wall-clock deltas vs the base row are only interpretable together
-#: with the recorded ``meta.cpu_count``: on a single-core runner the
-#: worker processes time-slice and the transfer overhead dominates.
-TABLE1_SHARD_VARIANTS = ("johnson12",)
-
-#: Table 1 cases re-run through the frontier-batched subset engine as
-#: ``@batch8`` rows (partitioned flow only): BFS frontier order groups
-#: sibling subsets, batches of 8 flow through ``expand_batch``, and the
-#: incremental completion memo deduplicates their ``Q_ψ`` work.
-TABLE1_BATCH_VARIANTS = ("johnson12", "rand20")
-
-#: Table 1 cases re-run with the interleaved product order as
-#: ``@interleave`` rows (the per-latch ``F.cs/F.ns/S.cs/S.ns`` grouping
-#: instead of the stacked all-F-above-all-S layout).  Results are
-#: byte-identical to the base row; only node counts and wall clock
-#: differ — the ordering effect the coupled-split cases live and die by.
-TABLE1_INTERLEAVE_VARIANTS = ("johnson12",)
-
-#: Table 1 cases re-run on the native BuDDy kernel as ``@buddy`` rows —
-#: recorded only when the shared library is actually loadable
-#: (:func:`repro.bdd.backends.backend_available`), never via the
-#: silent pure-Python fallback, so a ``@buddy`` row always measured the
-#: native adapter.  Results are identical by the conformance contract;
-#: only wall clock differs.
-TABLE1_BACKEND_VARIANTS = ("s27", "johnson8")
-
-#: Bench-only cases re-run under a resident-node budget as ``@budget``
-#: rows (partitioned flow only): the same BFS/batch-8 engine as the
-#: ``@batch8`` row, but with :class:`repro.eqn.residency.ResidencyManager`
-#: evicting cold ψ handles to the spill store once the resident set
-#: exceeds :data:`TABLE1_RESIDENT_BUDGET` nodes.  Results are
-#: byte-identical to the unbounded row; the row records the price
-#: (spills/reloads, wall clock) of the bounded peak.
-TABLE1_BUDGET_VARIANTS = ("twin16x4",)
-
-#: Resident ψ node budget for the ``@budget`` rows — far below the
-#: unbounded resident peak of the twin-ring cases, so the row genuinely
-#: exercises the evict/reload path instead of recording a no-op.
-TABLE1_RESIDENT_BUDGET = 2_048
+#: Table 1 variant rows, declared once as data: ``(suffix, cases,
+#: config overrides)``.  A full run records each listed case again as
+#: ``<case><suffix>`` under the run's config with the overrides merged
+#: in; ``table1_row_names``, ``run_table1_bench`` and ``list_workloads``
+#: all walk this table.  A variant is skipped when the run itself
+#: already sets its first overridden field (an explicit ``--reorder``
+#: run covers the ``@auto`` rows, an interleaved run the
+#: ``@interleave`` ones, a ``--backend buddy`` run the ``@buddy`` ones),
+#: and a ``@buddy`` row is planned only where the native library loads
+#: (never measured on the silent fallback under a ``buddy`` label).
+#: ``@batch8`` appears twice so that the suite rows precede the
+#: ``@interleave`` row in the artifact.
+#:
+#: * ``@auto`` — the paper-scale instances where GC-triggered dynamic
+#:   reordering is the difference between CNC and completion.
+#: * ``@shards2`` — the sharded runtime; read wall-clock deltas together
+#:   with ``meta.cpu_count`` (on one core the workers time-slice).
+#: * ``@batch8`` — BFS frontier, batches of 8: the sibling grouping that
+#:   makes the incremental completion memo pay.
+#: * ``@interleave`` — the per-latch ``F.cs/F.ns/S.cs/S.ns`` product
+#:   order; byte-identical results, only node counts and wall differ.
+#:   On the committed artifact twin16x4@batch8 is flat between the two
+#:   orders (19.66 s stacked, 19.62 s interleaved), while on twin12_8 the
+#:   order decides the outcome: stacked is CNC, interleaved completes in
+#:   222.6 s.
+#: * ``@budget`` — the ``@batch8`` engine with the resident ψ set capped
+#:   far below the twin rings' unbounded peak, so the row prices real
+#:   spills/reloads against byte-identical results.
+#: * ``@compose`` — cases whose restricted U alphabet leaves a
+#:   conforming letter-free component, solved via the decomposition.
+#: * ``@buddy`` — the native BuDDy kernel, only where it loads.
+BATCH8 = {"frontier": "bfs", "batch": 8}
+VARIANTS = (
+    ("@auto", ("rand14", "rand15"), {"reorder": "auto", "gc": "adaptive"}),
+    ("@shards2", ("johnson12",), {"shards": 2}),
+    ("@batch8", ("johnson12", "rand20"), BATCH8),
+    ("@interleave", ("johnson12",), {"product_order": "interleaved"}),
+    ("@batch8", ("twin16x4", "twin12_8"), BATCH8),
+    (
+        "@interleave+batch8",
+        ("twin16x4", "twin12_8"),
+        {"product_order": "interleaved", **BATCH8},
+    ),
+    ("@budget", ("twin16x4",), {**BATCH8, "resident_budget": 2_048}),
+    ("@compose", ("twin20_4",), {"compose": True}),
+    ("@buddy", ("s27", "johnson8"), {"backend": "buddy"}),
+)
 
 
 # --------------------------------------------------------------------- #
@@ -405,52 +414,27 @@ def wl_indep_images_shards2(n: int) -> BddManager:
     return _indep_images(n, 2)
 
 
-def _solve_batched(
-    n: int,
-    batch: int,
-    backend: str = "python",
-    product_order: str = "stacked",
-) -> BddManager:
-    """A partitioned solve through the frontier-batched subset engine.
+def _solve_johnson(n: int, config: SolveConfig) -> BddManager:
+    """A partitioned Johnson-counter solve under ``config``.
 
-    The ``@batch1``/``@batch8`` pair isolates the cost/benefit of
-    batching on one manager: same instance, same flow, only the
-    frontier batch size (and the BFS sibling grouping that makes the
-    completion memo hit) differs.  The ``@buddy`` variant runs the same
-    ``batch=1`` solve on the native kernel — its twin is ``@batch1``.
-    The ``@interleave`` variant runs the ``batch=1`` solve under the
-    interleaved product order — its twin is also ``@batch1``, isolating
-    the pure ordering effect on one instance.
+    The ``solve@*`` rows share one instance and differ only in config:
+    the ``@batch1``/``@batch8`` pair isolates the cost/benefit of
+    batching (and the BFS sibling grouping that makes the completion
+    memo hit); ``@interleave`` and ``@buddy`` run the ``@batch1`` solve
+    under the interleaved product order and on the native kernel.
     """
     from repro.eqn.problem import build_latch_split_problem
     from repro.eqn.solver import solve_equation
 
-    net = circuits.johnson(n)
     x_latches = [f"j{k}" for k in range(1, n, 2)]
-    problem = build_latch_split_problem(
-        net, x_latches, backend=backend, product_order=product_order
-    )
-    result = solve_equation(
-        problem, method="partitioned", frontier="bfs", batch=batch
-    )
+    problem = build_latch_split_problem(circuits.johnson(n), x_latches, config)
+    result = solve_equation(problem, config)
     assert result.csf_states > 0
     return problem.manager
 
 
-def wl_solve_batch1(n: int) -> BddManager:
-    return _solve_batched(n, 1)
-
-
-def wl_solve_batch8(n: int) -> BddManager:
-    return _solve_batched(n, 8)
-
-
-def wl_solve_buddy(n: int):
-    return _solve_batched(n, 1, backend="buddy")
-
-
-def wl_solve_interleave(n: int) -> BddManager:
-    return _solve_batched(n, 1, product_order="interleaved")
+def _solve_workload(**overrides) -> Callable[[int], BddManager]:
+    return partial(_solve_johnson, config=SolveConfig(frontier="bfs", **overrides))
 
 
 KERNEL_WORKLOADS = [
@@ -474,16 +458,16 @@ KERNEL_WORKLOADS = [
     ("indep_images@shards1", wl_indep_images_shards1, 16, 10),
     ("indep_images@shards2", wl_indep_images_shards2, 16, 10),
     # Frontier-batched subset-engine pair: same solve, batch sizes 1/8.
-    ("solve@batch1", wl_solve_batch1, 10, 8),
-    ("solve@batch8", wl_solve_batch8, 10, 8),
+    ("solve@batch1", _solve_workload(), 10, 8),
+    ("solve@batch8", _solve_workload(batch=8), 10, 8),
     # Product-order pair: the @batch1 solve under the interleaved
     # product order (identical result bytes; ordering cost only).
-    ("solve@interleave", wl_solve_interleave, 10, 8),
+    ("solve@interleave", _solve_workload(product_order="interleaved"), 10, 8),
     # Backend pair: the @batch1 solve on the native BuDDy kernel.  Runs
     # only where the shared library loads (see _workload_available);
     # elsewhere the row is skipped, never silently measured on the
     # pure-Python fallback.
-    ("solve@buddy", wl_solve_buddy, 10, 8),
+    ("solve@buddy", _solve_workload(backend="buddy"), 10, 8),
 ]
 
 
@@ -635,20 +619,7 @@ def run_kernel(
 # --------------------------------------------------------------------- #
 
 
-def _run_table1_case(
-    case,
-    *,
-    reorder: str,
-    gc_mode: str,
-    row_name: str,
-    shards: int = 1,
-    frontier: str = "dfs",
-    batch: int = 1,
-    backend: str = "python",
-    product_order: str = "stacked",
-    resident_budget: int | None = None,
-    compose: bool = False,
-) -> dict:
+def _run_table1_case(case, config: SolveConfig, row_name: str) -> dict:
     from repro.eqn.problem import build_latch_split_problem
     from repro.eqn.solver import solve_equation
     from repro.errors import ReproError
@@ -661,43 +632,27 @@ def _run_table1_case(
         "name": row_name,
         "io_cs": net.stats(),
         "paper_row": case.paper_row,
-        "reorder": reorder,
-        "gc": gc_mode,
-        "shards": shards,
-        "frontier": frontier,
-        "batch": batch,
-        "backend": backend,
-        "product_order": product_order,
-        "resident_budget": resident_budget,
-        "compose": compose,
+        **{name: getattr(config, name) for name in BENCH_COLUMNS},
         "methods": {},
     }
     # Only the partitioned flow shards, spills, and composes; those
     # variant rows skip the monolithic baseline (on the budget/compose
     # cases it is an expected CNC anyway — burning the whole time budget
     # to record a foregone conclusion).
-    partitioned_only = shards > 1 or resident_budget is not None or compose
+    partitioned_only = (
+        config.shards > 1 or config.resident_budget is not None or config.compose
+    )
     methods = ("partitioned",) if partitioned_only else ("partitioned", "monolithic")
     for method in methods:
+        method_config = replace(config, method=method)
         # The same canonical problem hash the serve cache keys on: a row
-        # and a served solve of the identical (circuit, split, flags)
+        # and a served solve of the identical (circuit, split, config)
         # combination carry the same key, making cached-vs-cold latency
-        # comparisons attributable row by row.
-        # ``backend`` is passed so the spec validates it, but it never
-        # reaches the hash: a @buddy row and its base row carry the
-        # same cache_key, because they produce the same bytes.
+        # comparisons attributable row by row.  Excluded fields (the
+        # backend, the resident budget) never reach the hash: a @buddy
+        # row and its base row carry the same key.
         key = solve_cache_key(
-            net,
-            list(case.x_latches),
-            u_signals=u_signals,
-            method=method,
-            reorder=reorder,
-            gc=gc_mode,
-            shards=shards if method == "partitioned" else 1,
-            frontier=frontier,
-            batch=batch,
-            backend=backend,
-            product_order=product_order,
+            net, list(case.x_latches), u_signals=u_signals, config=method_config
         )
         limit = ResourceLimit(max_seconds=case.max_seconds, max_nodes=case.max_nodes)
         gc.collect()
@@ -707,23 +662,11 @@ def _run_table1_case(
             problem = build_latch_split_problem(
                 net,
                 list(case.x_latches),
+                method_config,
                 u_signals=u_signals,
                 max_nodes=case.max_nodes,
-                reorder=reorder,
-                gc=gc_mode,
-                backend=backend,
-                product_order=product_order,
             )
-            result = solve_equation(
-                problem,
-                method=method,
-                limit=limit,
-                shards=shards,
-                frontier=frontier,
-                batch=batch,
-                resident_budget=resident_budget,
-                compose=compose,
-            )
+            result = solve_equation(problem, method_config, limit=limit)
         except ReproError:
             row["methods"][method] = {"cnc": True, "cache_key": key}
             print(f"  table1/{row_name:14s} {method:12s} CNC", flush=True)
@@ -792,267 +735,56 @@ def _table1_base_cases(smoke: bool) -> list:
     return [c for c in TABLE1_CASES if not c.expect_mono_cnc][:3]
 
 
-def table1_row_names(
-    smoke: bool,
-    *,
-    reorder: str = "off",
-    backend: str = "python",
-    product_order: str = "stacked",
-) -> list[str]:
-    """Every row name a run with these settings would emit.
+def plan_table1(smoke: bool, run: SolveConfig = DEFAULT) -> list[tuple]:
+    """Every ``(row name, case, config)`` a run with this config records.
 
-    This is the single source of truth the ``--only``/``--skip``
-    nothing-matched guard checks against: a variant row that a smoke
-    run (or an explicit ``--reorder`` run) suppresses must not count as
-    selectable, or a filtered run could write an empty artifact with a
-    success exit code.  ``@buddy`` rows count only where the native
-    library is loadable (and ``backend`` is left at the default — an
-    explicit ``--backend buddy`` run already covers every base row).
-    ``@interleave`` rows likewise count only under the default
-    ``product_order`` — an explicit ``--product-order interleaved`` run
-    already records every base row interleaved.
+    The one planner behind :func:`table1_row_names` (which the
+    ``--only``/``--skip`` nothing-matched guard checks against) and
+    :func:`run_table1_bench`: a variant row that a smoke run (or an
+    explicit ``--reorder`` run) suppresses is never selectable, so a
+    filtered run cannot write an empty artifact with a success exit
+    code.
     """
+    from repro.bdd.backends import backend_available
     from repro.bench.suite import (
         TABLE1_BENCH_ONLY_CASES,
         TABLE1_CASES,
         TABLE1_COMPOSE_CASES,
     )
 
-    names = [case.name for case in _table1_base_cases(smoke)]
-    if not smoke:
-        in_suite = {c.name for c in TABLE1_CASES}
-        if reorder == "off":
-            names += [
-                f"{n}@auto" for n in TABLE1_REORDER_VARIANTS if n in in_suite
-            ]
-        names += [f"{n}@shards2" for n in TABLE1_SHARD_VARIANTS if n in in_suite]
-        names += [f"{n}@batch8" for n in TABLE1_BATCH_VARIANTS if n in in_suite]
-        if product_order == "stacked":
-            names += [
-                f"{n}@interleave"
-                for n in TABLE1_INTERLEAVE_VARIANTS
-                if n in in_suite
-            ]
-        names += [f"{case.name}@batch8" for case in TABLE1_BENCH_ONLY_CASES]
-        if product_order == "stacked":
-            names += [
-                f"{case.name}@interleave+batch8"
-                for case in TABLE1_BENCH_ONLY_CASES
-            ]
-        bench_only = {c.name for c in TABLE1_BENCH_ONLY_CASES}
-        names += [
-            f"{n}@budget" for n in TABLE1_BUDGET_VARIANTS if n in bench_only
-        ]
-        names += [f"{case.name}@compose" for case in TABLE1_COMPOSE_CASES]
-        if backend == "python" and _workload_available("@buddy"):
-            names += [
-                f"{n}@buddy" for n in TABLE1_BACKEND_VARIANTS if n in in_suite
-            ]
-    return names
+    rows = [(case.name, case, run) for case in _table1_base_cases(smoke)]
+    if smoke:
+        return rows
+    cases = {
+        case.name: case
+        for case in (*TABLE1_CASES, *TABLE1_BENCH_ONLY_CASES, *TABLE1_COMPOSE_CASES)
+    }
+    for suffix, names, overrides in VARIANTS:
+        headline = next(iter(overrides))
+        if getattr(run, headline) != getattr(DEFAULT, headline):
+            continue
+        config = replace(run, **overrides)
+        if "backend" in overrides and not backend_available(config.backend):
+            continue
+        rows += [(f"{name}{suffix}", cases[name], config) for name in names]
+    return rows
+
+
+def table1_row_names(smoke: bool, **run) -> list[str]:
+    """Every row name a run with these config fields would emit."""
+    return [name for name, _, _ in plan_table1(smoke, SolveConfig(**run))]
 
 
 def run_table1_bench(
     smoke: bool,
-    *,
-    reorder: str = "off",
-    gc_mode: str = "static",
-    backend: str = "python",
-    product_order: str = "stacked",
+    run: SolveConfig = DEFAULT,
     select: Callable[[str, str], bool] = _accept_all,
 ) -> list[dict]:
-    from repro.bench.suite import TABLE1_CASES
-
-    cases = _table1_base_cases(smoke)
-    rows = [
-        _run_table1_case(
-            case,
-            reorder=reorder,
-            gc_mode=gc_mode,
-            row_name=case.name,
-            backend=backend,
-            product_order=product_order,
-        )
-        for case in cases
-        if select("table1", case.name)
+    return [
+        _run_table1_case(case, config, name)
+        for name, case, config in plan_table1(smoke, run)
+        if select("table1", name)
     ]
-    if not smoke:
-        # Paper-scale @auto rows: the same instances with GC-triggered
-        # dynamic reordering, recorded alongside the base rows so the
-        # CNC-vs-completes effect of reordering is part of the artifact.
-        by_name = {c.name: c for c in TABLE1_CASES}
-        for name in TABLE1_REORDER_VARIANTS:
-            case = by_name.get(name)
-            row_name = f"{name}@auto"
-            if case is None or reorder != "off":
-                continue  # an explicit --reorder run already covers these
-            if not select("table1", row_name):
-                continue
-            rows.append(
-                _run_table1_case(
-                    case,
-                    reorder="auto",
-                    gc_mode="adaptive",
-                    row_name=row_name,
-                    product_order=product_order,
-                )
-            )
-        # Sharded-runtime rows: the partitioned flow on a 2-worker pool,
-        # interpretable against the base row via meta.cpu_count.
-        for name in TABLE1_SHARD_VARIANTS:
-            case = by_name.get(name)
-            row_name = f"{name}@shards2"
-            if case is None or not select("table1", row_name):
-                continue
-            rows.append(
-                _run_table1_case(
-                    case,
-                    reorder=reorder,
-                    gc_mode=gc_mode,
-                    row_name=row_name,
-                    shards=2,
-                    product_order=product_order,
-                )
-            )
-        # Frontier-batched rows: BFS order, batches of 8 — the sibling
-        # grouping that makes the incremental completion memo pay.
-        for name in TABLE1_BATCH_VARIANTS:
-            case = by_name.get(name)
-            row_name = f"{name}@batch8"
-            if case is None or not select("table1", row_name):
-                continue
-            rows.append(
-                _run_table1_case(
-                    case,
-                    reorder=reorder,
-                    gc_mode=gc_mode,
-                    row_name=row_name,
-                    frontier="bfs",
-                    batch=8,
-                    product_order=product_order,
-                )
-            )
-        # Interleaved-product-order rows: the same instance with each
-        # S latch grouped next to its F twin.  Recorded only under the
-        # default product order (an explicit --product-order interleaved
-        # run already covers every base row interleaved).
-        if product_order == "stacked":
-            for name in TABLE1_INTERLEAVE_VARIANTS:
-                case = by_name.get(name)
-                row_name = f"{name}@interleave"
-                if case is None or not select("table1", row_name):
-                    continue
-                rows.append(
-                    _run_table1_case(
-                        case,
-                        reorder=reorder,
-                        gc_mode=gc_mode,
-                        row_name=row_name,
-                        product_order="interleaved",
-                    )
-                )
-        # Bench-only rows (too slow for the per-case identity tests):
-        # recorded through the batched engine, which is what makes their
-        # completion-memo structure visible in the artifact.  Each case
-        # is recorded stacked *and* interleaved — the pair is the
-        # measurement: the coupled twin-ring rows are where the layouts
-        # genuinely diverge (twin16x4 favours interleaved by ~20% wall;
-        # subset-dominated twin12_8 is near-indifferent), and the
-        # artifact should show both sides on the same machine.
-        from repro.bench.suite import TABLE1_BENCH_ONLY_CASES
-
-        for case in TABLE1_BENCH_ONLY_CASES:
-            row_name = f"{case.name}@batch8"
-            if select("table1", row_name):
-                rows.append(
-                    _run_table1_case(
-                        case,
-                        reorder=reorder,
-                        gc_mode=gc_mode,
-                        row_name=row_name,
-                        frontier="bfs",
-                        batch=8,
-                        product_order=product_order,
-                    )
-                )
-            row_name = f"{case.name}@interleave+batch8"
-            if product_order == "stacked" and select("table1", row_name):
-                rows.append(
-                    _run_table1_case(
-                        case,
-                        reorder=reorder,
-                        gc_mode=gc_mode,
-                        row_name=row_name,
-                        frontier="bfs",
-                        batch=8,
-                        product_order="interleaved",
-                    )
-                )
-        # Memory-bounded rows: the same bench-only case through the same
-        # BFS/batch-8 engine, but with the resident ψ set capped — the
-        # row's spill/reload counters price the bounded peak against the
-        # unbounded @batch8 row next to it (the results themselves are
-        # byte-identical).
-        bench_only_by_name = {c.name: c for c in TABLE1_BENCH_ONLY_CASES}
-        for name in TABLE1_BUDGET_VARIANTS:
-            case = bench_only_by_name.get(name)
-            row_name = f"{name}@budget"
-            if case is None or not select("table1", row_name):
-                continue
-            rows.append(
-                _run_table1_case(
-                    case,
-                    reorder=reorder,
-                    gc_mode=gc_mode,
-                    row_name=row_name,
-                    frontier="bfs",
-                    batch=8,
-                    product_order=product_order,
-                    resident_budget=TABLE1_RESIDENT_BUDGET,
-                )
-            )
-        # Compositional rows: cases whose restricted U alphabet leaves a
-        # conforming letter-free component, solved via the component
-        # decomposition instead of the full product.  The same case
-        # would be recorded CNC (or tens of seconds) solved directly;
-        # the compose columns record what the decomposition skipped.
-        from repro.bench.suite import TABLE1_COMPOSE_CASES
-
-        for case in TABLE1_COMPOSE_CASES:
-            row_name = f"{case.name}@compose"
-            if not select("table1", row_name):
-                continue
-            rows.append(
-                _run_table1_case(
-                    case,
-                    reorder=reorder,
-                    gc_mode=gc_mode,
-                    row_name=row_name,
-                    product_order=product_order,
-                    compose=True,
-                )
-            )
-        # Native-kernel rows: the same case on the BuDDy adapter, only
-        # where the library actually loads (never the silent fallback),
-        # and only when the run's own backend is the default — an
-        # explicit --backend buddy run already records every base row
-        # natively.
-        if backend == "python" and _workload_available("@buddy"):
-            for name in TABLE1_BACKEND_VARIANTS:
-                case = by_name.get(name)
-                row_name = f"{name}@buddy"
-                if case is None or not select("table1", row_name):
-                    continue
-                rows.append(
-                    _run_table1_case(
-                        case,
-                        reorder=reorder,
-                        gc_mode=gc_mode,
-                        row_name=row_name,
-                        backend="buddy",
-                        product_order=product_order,
-                    )
-                )
-    return rows
 
 
 # --------------------------------------------------------------------- #
@@ -1066,17 +798,19 @@ def list_workloads(
     """Human-readable listing of every workload and variant, unrun.
 
     ``repro bench --list`` prints this: kernel workloads with their full
-    and smoke sizes, and Table 1 cases with the ``@auto`` (dynamic
-    reordering), ``@shards2`` (sharded runtime), ``@batch8``
-    (frontier-batched engine), ``@interleave`` (interleaved product
-    order), ``@budget`` (resident-ψ node budget with LRU spill),
-    ``@compose`` (component-decomposed solve) and ``@buddy`` (native
-    BDD kernel, only run where the library loads) variant rows the full
-    run records alongside them.
-    ``select`` (built from ``--only``/``--skip``) restricts the listing
-    the same way it restricts a run.
+    and smoke sizes, Table 1 cases with their :data:`VARIANTS`
+    rows, and the bench-only and compose cases, which exist only as
+    variant rows.  ``select`` (built from ``--only``/``--skip``)
+    restricts the listing the same way it restricts a run.
     """
-    from repro.bench.suite import TABLE1_CASES
+    from repro.bench.suite import (
+        TABLE1_BENCH_ONLY_CASES,
+        TABLE1_CASES,
+        TABLE1_COMPOSE_CASES,
+    )
+
+    def variants(name: str) -> list[str]:
+        return [f"{name}{suffix}" for suffix, names, _ in VARIANTS if name in names]
 
     lines = ["kernel workloads (name, full n, smoke n):"]
     for name, _fn, full_n, smoke_n in KERNEL_WORKLOADS:
@@ -1088,38 +822,15 @@ def list_workloads(
     for case in TABLE1_CASES:
         if not select("table1", case.name):
             continue
-        variants = []
-        if case.name in TABLE1_REORDER_VARIANTS:
-            variants.append(f"{case.name}@auto")
-        if case.name in TABLE1_SHARD_VARIANTS:
-            variants.append(f"{case.name}@shards2")
-        if case.name in TABLE1_BATCH_VARIANTS:
-            variants.append(f"{case.name}@batch8")
-        if case.name in TABLE1_INTERLEAVE_VARIANTS:
-            variants.append(f"{case.name}@interleave")
-        if case.name in TABLE1_BACKEND_VARIANTS:
-            variants.append(f"{case.name}@buddy")
-        suffix = f"  (+ variants: {', '.join(variants)})" if variants else ""
+        rows = variants(case.name)
+        suffix = f"  (+ variants: {', '.join(rows)})" if rows else ""
         cnc = "  [mono expected CNC]" if case.expect_mono_cnc else ""
         lines.append(f"  table1/{case.name:14s} {case.paper_row}{cnc}{suffix}")
-    from repro.bench.suite import TABLE1_BENCH_ONLY_CASES, TABLE1_COMPOSE_CASES
-
-    for case in TABLE1_BENCH_ONLY_CASES:
-        row_names = [f"{case.name}@batch8", f"{case.name}@interleave+batch8"]
-        if case.name in TABLE1_BUDGET_VARIANTS:
-            row_names.append(f"{case.name}@budget")
-        for row_name in row_names:
-            if not select("table1", row_name):
-                continue
-            lines.append(
-                f"  table1/{row_name:24s} {case.paper_row}  [bench-only row]"
-            )
-    for case in TABLE1_COMPOSE_CASES:
-        row_name = f"{case.name}@compose"
-        if select("table1", row_name):
-            lines.append(
-                f"  table1/{row_name:24s} {case.paper_row}  [compose row]"
-            )
+    for case in (*TABLE1_BENCH_ONLY_CASES, *TABLE1_COMPOSE_CASES):
+        tag = "[compose row]" if case in TABLE1_COMPOSE_CASES else "[bench-only row]"
+        for row_name in variants(case.name):
+            if select("table1", row_name):
+                lines.append(f"  table1/{row_name:24s} {case.paper_row}  {tag}")
     return "\n".join(lines)
 
 
@@ -1413,39 +1124,10 @@ def main(argv: list[str] | None = None) -> int:
         default=1.5,
         help="max allowed slowdown factor vs the baseline (default 1.5)",
     )
-    parser.add_argument(
-        "--reorder",
-        default="off",
-        choices=("off", "auto", "sift"),
-        help="dynamic-reordering mode for the table1 solver runs",
-    )
-    parser.add_argument(
-        "--gc",
-        default="static",
-        choices=("static", "adaptive"),
-        help="GC tuning mode for the table1 solver runs",
-    )
-    parser.add_argument(
-        "--backend",
-        default="python",
-        choices=("python", "buddy"),
-        help=(
-            "BDD kernel for the table1 solver runs (kernel workloads "
-            "pin their own managers; @buddy variant rows run only "
-            "where the native library loads)"
-        ),
-    )
-    parser.add_argument(
-        "--product-order",
-        default="stacked",
-        choices=("stacked", "interleaved"),
-        help=(
-            "product variable order for the table1 solver runs "
-            "(@interleave variant rows are recorded only under the "
-            "default stacked order)"
-        ),
-    )
+    # The table1 run config; kernel workloads pin their own managers.
+    add_config_flags(parser, BENCH_FLAGS)
     args = parser.parse_args(argv)
+    run = SolveConfig.from_args(args)
     select = make_workload_filter(args.only, args.skip)
     if args.list:
         print(list_workloads(select))
@@ -1493,34 +1175,18 @@ def main(argv: list[str] | None = None) -> int:
                 rc = 1
 
     run_table1_suite = any(
-        select("table1", name)
-        for name in table1_row_names(
-            args.smoke,
-            reorder=args.reorder,
-            backend=args.backend,
-            product_order=args.product_order,
-        )
+        select("table1", name) for name, _, _ in plan_table1(args.smoke, run)
     )
     if run_table1_suite:
         if current_tracer() is None:
             install_tracer()  # table1 rows are ungated; record phases
         print("== table1 benchmarks ==", flush=True)
-        table1_rows = run_table1_bench(
-            args.smoke,
-            reorder=args.reorder,
-            gc_mode=args.gc,
-            backend=args.backend,
-            product_order=args.product_order,
-            select=select,
-        )
+        table1_rows = run_table1_bench(args.smoke, run, select)
         payload = {
             "schema": SCHEMA_TABLE1,
             "meta": meta(
                 args.smoke,
-                reorder=args.reorder,
-                gc=args.gc,
-                backend=args.backend,
-                product_order=args.product_order,
+                **{name: getattr(run, name) for name in BENCH_FLAGS},
                 filtered=filtered,
             ),
             "results": table1_rows,

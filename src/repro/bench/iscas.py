@@ -3,7 +3,7 @@
 Only ``s27`` — the canonical tiny ISCAS'89 circuit, reproduced in many
 textbooks — is embedded verbatim; the larger s-series netlists used in
 the paper's Table 1 are not redistributable offline, and are substituted
-by the synthetic circuits in :mod:`repro.bench.circuits` (see DESIGN.md).
+by the synthetic circuits in :mod:`repro.bench.circuits`.
 """
 
 from __future__ import annotations

@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from repro._version import __version__
+from repro.eqn.config import REACH_FLAGS, ConfigError, SolveConfig, add_config_flags
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,116 +62,34 @@ def _build_parser() -> argparse.ArgumentParser:
             help="emit structured logs as JSON lines",
         )
 
+    def add_problem_flags(cmd: argparse.ArgumentParser) -> None:
+        """The problem (circuit, split, budgets) plus every solver knob."""
+        cmd.add_argument("--blif", required=True, help="input circuit (BLIF)")
+        cmd.add_argument(
+            "--x-latches",
+            required=True,
+            help="comma-separated latch output names moved to the unknown",
+        )
+        cmd.add_argument(
+            "--u-signals",
+            help=(
+                "comma-separated original signals exposed to the unknown on "
+                "the u wires (default: all inputs plus all kept latches)"
+            ),
+        )
+        cmd.add_argument("--max-seconds", type=float, default=None)
+        cmd.add_argument("--max-nodes", type=int, default=None)
+        add_config_flags(cmd)
+
     solve = sub.add_parser("solve", help="compute the CSF of a latch split")
     add_obs_flags(solve)
-    solve.add_argument("--blif", required=True, help="input circuit (BLIF)")
-    solve.add_argument(
-        "--x-latches",
-        required=True,
-        help="comma-separated latch output names moved to the unknown",
-    )
-    solve.add_argument(
-        "--method",
-        default="partitioned",
-        choices=("partitioned", "monolithic", "explicit"),
-    )
-    solve.add_argument("--max-seconds", type=float, default=None)
-    solve.add_argument("--max-nodes", type=int, default=None)
-    solve.add_argument(
-        "--reorder",
-        default="off",
-        choices=("off", "auto", "sift"),
-        help="GC-triggered in-place dynamic variable reordering",
-    )
-    solve.add_argument(
-        "--gc",
-        default="static",
-        choices=("static", "adaptive"),
-        help="garbage-collection tuning (adaptive backs off unprofitable sweeps)",
-    )
-    solve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for the partitioned flow's image computations "
-            "(1 = in-process; N≥2 shards the partition clusters)"
-        ),
-    )
-    solve.add_argument(
-        "--frontier",
-        default="dfs",
-        # Literal (not repro.eqn.subset.STRATEGIES) to keep the parser
-        # import-light; test_cli pins the two in lockstep.
-        choices=("dfs", "bfs", "size"),
-        help="frontier ordering strategy of the subset construction",
-    )
-    solve.add_argument(
-        "--batch",
-        type=int,
-        default=1,
-        help=(
-            "subset states expanded per batch (1 = classic worklist; "
-            "larger batches pipeline sharded image computations and "
-            "share completion work between sibling subsets)"
-        ),
-    )
-    solve.add_argument(
-        "--product-order",
-        default="stacked",
-        choices=("stacked", "interleaved"),
-        help=(
-            "product variable-order policy: stacked keeps all F latch "
-            "pairs above all S pairs; interleaved groups each latch's "
-            "F/S copies together (a node-count lever for tightly "
-            "coupled splits); results are identical"
-        ),
-    )
-    solve.add_argument(
-        "--backend",
-        default="python",
-        # Literal (not repro.bdd.backends.BACKEND_CHOICES) to keep the
-        # parser import-light; test_backends pins the two in lockstep.
-        choices=("python", "buddy"),
-        help=(
-            "BDD kernel (python = pure-Python reference; buddy = native "
-            "ctypes adapter, falls back to python with a warning when "
-            "the shared library is absent); results are identical"
-        ),
-    )
-    solve.add_argument(
-        "--u-signals",
-        help=(
-            "comma-separated original signals exposed to the unknown on "
-            "the u wires (default: all inputs plus all kept latches)"
-        ),
-    )
-    solve.add_argument(
-        "--resident-budget",
-        type=int,
-        default=None,
-        help=(
-            "bounded-memory residency: node budget for resident subset "
-            "states; cold expanded states spill to a content-addressed "
-            "store and the result stays byte-identical"
-        ),
-    )
+    add_problem_flags(solve)
     solve.add_argument(
         "--spill-dir",
         default=None,
         help=(
             "directory for spilled subset states (default: a private "
             "temporary directory, removed after the solve)"
-        ),
-    )
-    solve.add_argument(
-        "--compose",
-        action="store_true",
-        help=(
-            "compositional solving: when the split decomposes into "
-            "independent components with all (u,v) letters in one of "
-            "them, solve only that sub-equation (language-identical; "
-            "falls back to the direct solve otherwise)"
         ),
     )
     solve.add_argument("--no-verify", action="store_true", help="skip formal checks")
@@ -192,45 +112,14 @@ def _build_parser() -> argparse.ArgumentParser:
     reach = sub.add_parser("reach", help="symbolic reachability analysis")
     add_obs_flags(reach)
     reach.add_argument("--blif", required=True)
-    reach.add_argument(
-        "--no-schedule",
-        action="store_true",
-        help="disable early-quantification scheduling",
-    )
-    reach.add_argument(
-        "--reorder",
-        default="off",
-        choices=("off", "auto", "sift"),
-        help="GC-triggered in-place dynamic variable reordering",
-    )
-    reach.add_argument(
-        "--gc",
-        default="static",
-        choices=("static", "adaptive"),
-        help="garbage-collection tuning (adaptive backs off unprofitable sweeps)",
-    )
-    reach.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for the image steps "
-            "(1 = in-process; N≥2 shards the relation parts)"
-        ),
-    )
-    reach.add_argument(
-        "--backend",
-        default="python",
-        choices=("python", "buddy"),
-        help="BDD kernel (see `solve --help`); results are identical",
-    )
+    add_config_flags(reach, REACH_FLAGS)
 
     # ``bench`` forwards everything to repro.bench.driver's own parser
     # (main() intercepts it before this parser runs; registering it here
     # keeps it in the --help subcommand listing).
     sub.add_parser(
         "bench",
-        help="run the benchmark suites (wraps benchmarks/run_all.py)",
+        help="run the benchmark suites (repro.bench.driver)",
         add_help=False,
     )
 
@@ -265,39 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     submit = sub.add_parser("submit", help="submit a solve to a running server")
     submit.add_argument("--url", default="http://127.0.0.1:8642")
-    submit.add_argument("--blif", required=True, help="input circuit (BLIF)")
-    submit.add_argument(
-        "--x-latches",
-        required=True,
-        help="comma-separated latch output names moved to the unknown",
-    )
-    submit.add_argument(
-        "--method",
-        default="partitioned",
-        choices=("partitioned", "monolithic"),
-    )
-    submit.add_argument("--max-seconds", type=float, default=None)
-    submit.add_argument("--max-nodes", type=int, default=None)
-    submit.add_argument("--reorder", default="off", choices=("off", "auto", "sift"))
-    submit.add_argument("--gc", default="static", choices=("static", "adaptive"))
-    submit.add_argument("--shards", type=int, default=1)
-    submit.add_argument("--frontier", default="dfs", choices=("dfs", "bfs", "size"))
-    submit.add_argument("--batch", type=int, default=1)
-    submit.add_argument(
-        "--product-order",
-        default="stacked",
-        choices=("stacked", "interleaved"),
-        help="product variable-order policy (part of the cache key)",
-    )
-    submit.add_argument(
-        "--backend",
-        default="python",
-        choices=("python", "buddy"),
-        help=(
-            "BDD kernel the server solves on (a runtime knob: it never "
-            "changes the result or the cache key)"
-        ),
-    )
+    add_problem_flags(submit)
     submit.add_argument(
         "--checkpoint-every",
         type=int,
@@ -311,15 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "also checkpoint every S seconds of wall clock (whichever "
             "cadence fires first; 0 disables)"
-        ),
-    )
-    submit.add_argument(
-        "--resident-budget",
-        type=int,
-        default=None,
-        help=(
-            "bounded-memory residency on the server (a runtime knob: "
-            "it never changes the result or the cache key)"
         ),
     )
     submit.add_argument(
@@ -380,42 +228,41 @@ def _export_trace(tracer, path: str) -> None:
     print(f"  trace written to {path} ({len(tracer)} events)")
 
 
+def _config(args: argparse.Namespace) -> SolveConfig | None:
+    """The command line's solver config, or ``None`` after reporting why
+    it is invalid."""
+    try:
+        return SolveConfig.from_args(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def _names(csv: str | None) -> list[str] | None:
+    """A comma-separated name list (``None`` when not given)."""
+    return [name for name in csv.split(",") if name] if csv else None
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     from repro.network.blif import read_blif
     from repro.eqn.solver import solve_latch_split, verify_solution
     from repro.util.limits import ResourceLimit
 
+    config = _config(args)
+    if config is None:
+        return 2
     tracer = _setup_obs(args)
     net = read_blif(args.blif)
-    x_latches = [name for name in args.x_latches.split(",") if name]
-    if args.shards > 1 and args.method != "partitioned":
-        print(
-            f"error: --shards requires --method partitioned (got {args.method})",
-            file=sys.stderr,
-        )
-        return 2
     limit = None
     if args.max_seconds is not None or args.max_nodes is not None:
         limit = ResourceLimit(max_seconds=args.max_seconds, max_nodes=args.max_nodes)
-    u_signals = None
-    if args.u_signals:
-        u_signals = [name for name in args.u_signals.split(",") if name]
     result = solve_latch_split(
         net,
-        x_latches,
-        method=args.method,
-        u_signals=u_signals,
+        _names(args.x_latches),
+        config,
+        u_signals=_names(args.u_signals),
         limit=limit,
-        reorder=args.reorder,
-        gc=args.gc,
-        backend=args.backend,
-        product_order=args.product_order,
-        shards=args.shards,
-        frontier=args.frontier,
-        batch=args.batch,
-        resident_budget=args.resident_budget,
         spill_dir=args.spill_dir,
-        compose=args.compose,
     )
     print(result.summary())
     if result.stats is not None:
@@ -452,7 +299,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 f"solved_latches={extra.get('compose_solved_latches')} "
                 f"skipped_latches={extra.get('compose_skipped_latches')}"
             )
-        elif args.compose:
+        elif config.compose:
             print("  compose: not applicable (solved directly)")
     mgr_stats = result.problem.manager.stats
     if mgr_stats["gc_runs"] or mgr_stats["reorder_runs"]:
@@ -536,12 +383,15 @@ def _cmd_reach(args: argparse.Namespace) -> int:
     from repro.network.blif import read_blif
     from repro.symb.reach import network_reachable_states
 
+    config = _config(args)
+    if config is None:
+        return 2
     tracer = _setup_obs(args)
     net = read_blif(args.blif)
     mgr = create_manager(
-        args.backend,
-        gc_policy=GcPolicy(mode=args.gc),
-        reorder_policy=ReorderPolicy(mode=args.reorder),
+        config.backend,
+        gc_policy=GcPolicy(mode=config.gc),
+        reorder_policy=ReorderPolicy(mode=config.reorder),
     )
     input_vars = {name: mgr.add_var(name) for name in net.inputs}
     cs, ns = {}, {}
@@ -550,7 +400,7 @@ def _cmd_reach(args: argparse.Namespace) -> int:
         ns[name] = mgr.add_var(f"{name}'")
     bdds = build_network_bdds(net, mgr, input_vars, cs)
     result = network_reachable_states(
-        bdds, ns_vars=ns, schedule=not args.no_schedule, shards=args.shards
+        bdds, ns_vars=ns, schedule=config.schedule, shards=config.shards
     )
     stats = mgr.stats
     print(f"model:            {net.name} ({net.stats()})")
@@ -585,22 +435,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.serve.client import ServeClient
 
+    config = _config(args)
+    if config is None:
+        return 2
     with open(args.blif, encoding="utf-8") as handle:
         blif_text = handle.read()
     body = {
         "blif": blif_text,
-        "x_latches": [name for name in args.x_latches.split(",") if name],
-        "method": args.method,
-        "reorder": args.reorder,
-        "gc": args.gc,
-        "shards": args.shards,
-        "frontier": args.frontier,
-        "batch": args.batch,
+        "x_latches": _names(args.x_latches),
+        **asdict(config),
     }
-    if args.product_order != "stacked":
-        body["product_order"] = args.product_order
-    if args.backend != "python":
-        body["backend"] = args.backend
+    if args.u_signals:
+        body["u_signals"] = _names(args.u_signals)
     if args.max_seconds is not None:
         body["max_seconds"] = args.max_seconds
     if args.max_nodes is not None:
@@ -609,8 +455,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         body["checkpoint_every"] = args.checkpoint_every
     if args.checkpoint_seconds:
         body["checkpoint_seconds"] = args.checkpoint_seconds
-    if args.resident_budget is not None:
-        body["resident_budget"] = args.resident_budget
     if args.no_resume:
         body["resume"] = False
     client = ServeClient(args.url)

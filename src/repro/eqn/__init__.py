@@ -7,88 +7,60 @@ Public surface:
 * :class:`EquationProblem` / :func:`build_problem` — problem instances.
 * :func:`verify_solution` — the paper's formal checks.
 * :func:`extract_csf` — prefix-closed input-progressive trimming.
+* :class:`SolveConfig` — every solver knob, declared once.
+
+The names resolve lazily (on first attribute access), so importing
+:mod:`repro.eqn.config` — which every CLI parser and the job server do
+— loads neither the BDD kernel nor the solver modules.
 """
 
-from repro.eqn.compose import (
-    ComposePlan,
-    conjoin_solutions,
-    plan_components,
-    solve_compositional,
-)
-from repro.eqn.csf import csf_state_count, extract_csf
-from repro.eqn.implement import (
-    Implementation,
-    extract_fsm,
-    fsm_to_network,
-    implement_csf,
-    recompose_with_implementation,
-)
-from repro.eqn.explicit_solver import (
-    fixed_automaton,
-    solve_explicit,
-    specification_automaton,
-)
-from repro.eqn.monolithic import MonolithicOracle
-from repro.eqn.partitioned import PartitionedOracle
-from repro.eqn.problem import (
-    EquationProblem,
-    build_latch_split_problem,
-    build_problem,
-)
-from repro.eqn.residency import ResidencyManager, SpillStore
-from repro.eqn.solver import (
-    METHODS,
-    SolveResult,
-    solve_equation,
-    solve_latch_split,
-)
-from repro.eqn.subset import (
-    STRATEGIES,
-    FrontierScheduler,
-    SubsetEdge,
-    SubsetStats,
-    subset_construct,
-)
-from repro.eqn.verify import (
-    VerificationReport,
-    compose_with_fixed,
-    particular_solution_automaton,
-    verify_solution,
-)
+import importlib
 
-__all__ = [
-    "ComposePlan",
-    "EquationProblem",
-    "FrontierScheduler",
-    "Implementation",
-    "METHODS",
-    "STRATEGIES",
-    "MonolithicOracle",
-    "PartitionedOracle",
-    "ResidencyManager",
-    "SolveResult",
-    "SpillStore",
-    "SubsetEdge",
-    "SubsetStats",
-    "VerificationReport",
-    "build_latch_split_problem",
-    "build_problem",
-    "compose_with_fixed",
-    "conjoin_solutions",
-    "csf_state_count",
-    "extract_csf",
-    "extract_fsm",
-    "fixed_automaton",
-    "fsm_to_network",
-    "implement_csf",
-    "particular_solution_automaton",
-    "plan_components",
-    "recompose_with_implementation",
-    "solve_compositional",
-    "solve_equation",
-    "solve_explicit",
-    "solve_latch_split",
-    "specification_automaton",
-    "subset_construct",
-    "verify_solution",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "ComposePlan": "compose",
+    "conjoin_solutions": "compose",
+    "plan_components": "compose",
+    "solve_compositional": "compose",
+    "METHODS": "config",
+    "STRATEGIES": "config",
+    "ConfigError": "config",
+    "SolveConfig": "config",
+    "csf_state_count": "csf",
+    "extract_csf": "csf",
+    "Implementation": "implement",
+    "extract_fsm": "implement",
+    "fsm_to_network": "implement",
+    "implement_csf": "implement",
+    "recompose_with_implementation": "implement",
+    "fixed_automaton": "explicit_solver",
+    "solve_explicit": "explicit_solver",
+    "specification_automaton": "explicit_solver",
+    "MonolithicOracle": "monolithic",
+    "PartitionedOracle": "partitioned",
+    "EquationProblem": "problem",
+    "build_latch_split_problem": "problem",
+    "build_problem": "problem",
+    "ResidencyManager": "residency",
+    "SpillStore": "residency",
+    "SolveResult": "solver",
+    "solve_equation": "solver",
+    "solve_latch_split": "solver",
+    "FrontierScheduler": "subset",
+    "SubsetEdge": "subset",
+    "SubsetStats": "subset",
+    "subset_construct": "subset",
+    "VerificationReport": "verify",
+    "compose_with_fixed": "verify",
+    "particular_solution_automaton": "verify",
+    "verify_solution": "verify",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.eqn' has no attribute {name!r}")
+    return getattr(importlib.import_module(f"repro.eqn.{module}"), name)

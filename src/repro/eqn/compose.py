@@ -38,10 +38,11 @@ solutions with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.bdd.manager import FALSE
 from repro.automata.automaton import Automaton
+from repro.eqn.config import FIELD_NAMES, SolveConfig
 from repro.eqn.problem import EquationProblem
 from repro.obs.trace import span as obs_span
 from repro.util.limits import ResourceLimit
@@ -283,26 +284,27 @@ def conjoin_solutions(solutions: list[Automaton]) -> Automaton:
 
 def solve_compositional(
     problem: EquationProblem,
+    config: SolveConfig | None = None,
     *,
     limit: ResourceLimit | None = None,
-    schedule: bool = True,
-    shards: int = 1,
-    shard_opts: dict | None = None,
-    frontier: str = "dfs",
-    batch: int = 1,
-    resident_budget: int | None = None,
-    spill_dir: str | None = None,
+    **kwargs,
 ):
     """Solve ``problem`` compositionally, or ``None`` when the gate fails.
 
-    See the module docstring for the gate.  On success, returns a
-    :class:`~repro.eqn.solver.SolveResult` whose solution has exactly
-    the language of the direct solve (state counts differ — that is the
-    point), carrying the original problem, ``compose: True`` options
-    and per-component statistics in ``stats.extra``.
+    See the module docstring for the gate.  ``config`` and per-field
+    keywords (see :class:`~repro.eqn.config.SolveConfig`) drive the
+    partitioned solve of the letterful sub-equation; every other keyword
+    is a per-call hook forwarded to
+    :func:`~repro.eqn.solver.solve_equation`.  On success,
+    returns a :class:`~repro.eqn.solver.SolveResult` whose solution has
+    exactly the language of the direct solve (state counts differ —
+    that is the point), carrying the original problem, ``compose: True``
+    options and per-component statistics in ``stats.extra``.
     """
     from repro.eqn.solver import SolveResult, solve_equation
 
+    knobs = {name: kwargs.pop(name) for name in FIELD_NAMES if name in kwargs}
+    config = SolveConfig.from_mapping(knobs, config)
     watch = Stopwatch()
     with obs_span("compose_plan") as plan_span:
         plan = plan_components(problem)
@@ -327,17 +329,7 @@ def solve_compositional(
     mgr.ref(sub.init_cube)
     try:
         result = solve_equation(
-            sub,
-            method="partitioned",
-            limit=limit,
-            schedule=schedule,
-            trim=True,
-            shards=shards,
-            shard_opts=shard_opts,
-            frontier=frontier,
-            batch=batch,
-            resident_budget=resident_budget,
-            spill_dir=spill_dir,
+            sub, replace(config, compose=False), limit=limit, **kwargs
         )
     finally:
         mgr.deref(sub.init_cube)
@@ -351,7 +343,6 @@ def solve_compositional(
         stats.extra["compose_solved_latches"] = plan.letterful.num_latches
     options = dict(result.options)
     options["compose"] = True
-    options["resident_budget"] = resident_budget
     return SolveResult(
         problem=problem,
         method=result.method,

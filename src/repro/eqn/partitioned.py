@@ -65,8 +65,6 @@ of one ψ at a time.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from repro.bdd.cube import split_by_vars
 from repro.bdd.io import dump_nodes, load_nodes
 from repro.bdd.backends.protocol import BddBackend
@@ -74,6 +72,7 @@ from repro.bdd.manager import FALSE
 from repro.errors import EquationError
 from repro.obs.trace import span as obs_span
 from repro.symb.image import image_partitioned, image_with_plan, plan_image
+from repro.eqn.config import SolveConfig
 from repro.eqn.problem import EquationProblem
 from repro.eqn.subset import SubsetEdge, expand_batch_pinned
 
@@ -84,16 +83,18 @@ class PartitionedOracle:
     def __init__(
         self,
         problem: EquationProblem,
+        config: SolveConfig | None = None,
         *,
-        schedule: bool = True,
-        trim: bool = True,
-        shards: int = 1,
-        shard_opts: Mapping[str, object] | None = None,
         pool: "object | None" = None,
+        spill_dir: str | None = None,
+        sift_parts: bool = False,
+        **knobs,
     ) -> None:
+        config = SolveConfig.from_mapping(knobs, config)
         self.problem = problem
-        self.schedule = schedule
-        self.trim = trim
+        self.config = config
+        self.schedule = config.schedule
+        self.trim = config.trim
         mgr: BddBackend = problem.manager
         self.mgr = mgr
 
@@ -176,35 +177,20 @@ class PartitionedOracle:
         # jobs, resetting it between solves) is borrowed, not owned:
         # ``close`` leaves it running for the next job.
         self._owns_pool = pool is None
-        # Oracle-level shard options are popped before the rest is used
-        # as pool config: ``steal`` (default on) enables the
-        # work-stealing dispatcher for split-mode P batches,
-        # ``sift_parts`` lets each worker sift its resident partition
-        # into its own order profile after plan setup.
-        shard_opts = dict(shard_opts or {})
-        self._steal = bool(shard_opts.pop("steal", True))
-        sift_parts = bool(shard_opts.pop("sift_parts", False))
-        self._shard_opts = shard_opts
+        shards = config.shards
         if shards > 1:
             from repro.shard import ShardPool, ShardedImage
             from repro.shard.plan import load_parts, make_plan
+            from repro.shard.pool import pool_opts
 
             self.p_plan = None
             self.q_plans = None
             if pool is None:
-                # Workers inherit the coordinator's node budget and
-                # runtime policies unless shard_opts overrides them: the
-                # CNC mechanism (max_nodes) must bound the shard managers
-                # too, or an exploding conjunction would grow unchecked
-                # in a worker the resource limit cannot see.
-                opts = {
-                    "max_nodes": mgr.max_nodes,
-                    "gc": mgr.gc_policy.mode,
-                    "reorder": mgr.reorder_policy.mode,
-                    "backend": getattr(mgr, "backend_name", "python"),
-                }
-                opts.update(shard_opts)
-                pool = ShardPool(shards, mgr.var_order(), **opts)
+                pool = ShardPool(
+                    shards,
+                    mgr.var_order(),
+                    **pool_opts(mgr, config, spill_dir=spill_dir),
+                )
             elif pool.num_shards != shards:
                 raise EquationError(
                     f"external pool has {pool.num_shards} shards, "
@@ -319,7 +305,7 @@ class PartitionedOracle:
                     stats["join_race"] = dict(self._p_sharded.race_outcome)
             if self._pool.profiles:
                 stats["shard_order_profiles"] = len(self._pool.profiles)
-            if self._shard_opts.get("resident_budget"):
+            if self.config.resident_budget:
                 spills = reloads = 0
                 for shard_stats in self._pool.stats():
                     spills += shard_stats.get("psi_spills", 0)
@@ -513,8 +499,8 @@ class PartitionedOracle:
         garbage collection can run in here (none of the joins collect),
         so the per-ψ intermediates are safe as plain locals.
 
-        When the P image is a split-mode join with stealing enabled
-        (the default), the P phase instead runs through the blocking
+        When the P image is a split-mode join, the P phase instead runs
+        through the blocking
         work-stealing dispatcher
         (:meth:`~repro.shard.plan.ShardedImage.run_resident_batch`),
         which needs the pipes to itself: the retain acks are collected
@@ -526,7 +512,7 @@ class PartitionedOracle:
         pool = self._pool
         nshards = pool.num_shards
         n_out = len(self.nonconf)
-        stealing = self._steal and self._p_sharded.mode == "split"
+        stealing = self._p_sharded.mode == "split"
 
         # 1. Residency: each new ψ is serialized exactly once and
         #    retained in every worker's resident registry.

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 from repro.bdd.backends.protocol import BddBackend
 from repro.bdd.policy import GcPolicy, ReorderPolicy
+from repro.eqn.config import SolveConfig
 from repro.errors import EquationError
 from repro.network.bddbuild import build_network_bdds
 from repro.network.transform import LatchSplit, latch_split
@@ -146,14 +147,16 @@ class EquationProblem:
 
 def build_problem(
     split: LatchSplit,
+    config: SolveConfig | None = None,
     *,
     max_nodes: int | None = None,
-    reorder: str = "off",
-    gc: str = "static",
-    backend: str = "python",
-    product_order: str = "stacked",
+    **knobs,
 ) -> EquationProblem:
     """Build an :class:`EquationProblem` from a latch split.
+
+    ``config`` with per-field keywords merged on top (see
+    :class:`~repro.eqn.config.SolveConfig`) supplies the manager
+    settings; the solve-time fields are ignored here.
 
     ``reorder`` (``"off"`` / ``"auto"`` / ``"sift"``) and ``gc``
     (``"static"`` / ``"adaptive"``) configure the manager's adaptive
@@ -178,18 +181,15 @@ def build_problem(
     """
     from repro.bdd.backends import create_manager
 
-    if product_order not in ("stacked", "interleaved"):
-        raise EquationError(
-            f"unknown product_order: {product_order!r} "
-            "(expected 'stacked' or 'interleaved')"
-        )
+    config = SolveConfig.from_mapping(knobs, config)
+    product_order = config.product_order
     original = split.original
     fixed = split.fixed
     mgr = create_manager(
-        backend,
+        config.backend,
         max_nodes=max_nodes,
-        gc_policy=GcPolicy(mode=gc),
-        reorder_policy=ReorderPolicy(mode=reorder),
+        gc_policy=GcPolicy(mode=config.gc),
+        reorder_policy=ReorderPolicy(mode=config.reorder),
     )
 
     # ---- declare letter variables (top of the order) ---- #
@@ -307,21 +307,12 @@ def build_problem(
 def build_latch_split_problem(
     net: Network,
     x_latches,
+    config: SolveConfig | None = None,
     *,
     u_signals=None,
     max_nodes: int | None = None,
-    reorder: str = "off",
-    gc: str = "static",
-    backend: str = "python",
-    product_order: str = "stacked",
+    **knobs,
 ) -> EquationProblem:
     """Latch-split ``net`` and build the equation problem in one call."""
     split = latch_split(net, x_latches, u_signals=u_signals)
-    return build_problem(
-        split,
-        max_nodes=max_nodes,
-        reorder=reorder,
-        gc=gc,
-        backend=backend,
-        product_order=product_order,
-    )
+    return build_problem(split, config, max_nodes=max_nodes, **knobs)

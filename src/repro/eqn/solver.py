@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.errors import EquationError
 from repro.automata.automaton import Automaton
+from repro.eqn.config import FIELD_NAMES, RESULT_OPTIONS, SolveConfig
 from repro.eqn.csf import csf_state_count, extract_csf
 from repro.eqn.explicit_solver import ExplicitTrace, solve_explicit
 from repro.eqn.monolithic import MonolithicOracle
@@ -25,9 +25,6 @@ from repro.network.transform import LatchSplit, latch_split
 from repro.obs.trace import span as obs_span
 from repro.util.limits import ResourceLimit
 from repro.util.timer import Stopwatch
-
-#: Flow names accepted by the solver entry points.
-METHODS = ("partitioned", "monolithic", "explicit")
 
 
 @dataclass
@@ -62,15 +59,9 @@ class SolveResult:
 
 def solve_equation(
     problem: EquationProblem,
+    config: SolveConfig | None = None,
     *,
-    method: str = "partitioned",
     limit: ResourceLimit | None = None,
-    schedule: bool = True,
-    trim: bool = True,
-    shards: int = 1,
-    shard_opts: dict | None = None,
-    frontier: str = "dfs",
-    batch: int = 1,
     pool=None,
     progress=None,
     cancel=None,
@@ -78,47 +69,26 @@ def solve_equation(
     checkpoint_every: int = 0,
     checkpoint_seconds: float = 0.0,
     resume: dict | None = None,
-    resident_budget: int | None = None,
     spill_dir: str | None = None,
-    compose: bool = False,
+    sift_parts: bool = False,
+    **knobs,
 ) -> SolveResult:
     """Solve a built problem with the chosen flow.
 
     Parameters
     ----------
-    method:
-        ``"partitioned"`` (the paper's contribution), ``"monolithic"``
-        (the baseline), or ``"explicit"`` (Algorithm 1 on explicit
-        automata — reference only).
+    config / knobs:
+        The solver settings (:class:`~repro.eqn.config.SolveConfig`,
+        which documents every field): ``config`` (default: all
+        defaults) with any per-field keywords — ``method=``,
+        ``shards=``, ``frontier=``, ``batch=``, ``compose=``, ... —
+        merged on top.  The manager settings (``reorder``, ``gc``,
+        ``backend``, ``product_order``) took effect when the problem was
+        built; ``SolveResult.options`` records the problem's own
+        ``product_order``.
     limit:
         Optional wall-clock budget; BDD-node budgets are configured when
         *building* the problem (``max_nodes``).
-    schedule:
-        Early-quantification scheduling (partitioned flow only; the E5
-        ablation switches it off).
-    trim:
-        The DCN subset-trimming shortcut (both symbolic flows; the E6
-        ablation switches it off).
-    shards:
-        ``1`` (default) keeps the in-process path bit-identically;
-        ``N ≥ 2`` runs the partitioned oracle's image computations on a
-        pool of ``N`` worker processes (:mod:`repro.shard`), joining the
-        transferred partial results in the problem manager.  The result
-        is identical to ``shards=1``; only the partitioned flow shards.
-    shard_opts:
-        Worker-manager knobs forwarded to the pool (``gc``, ``reorder``,
-        ``max_nodes``).
-    frontier:
-        Frontier ordering strategy of the subset driver (``"dfs"`` —
-        the classic worklist, ``"bfs"``, ``"size"``; see
-        :class:`repro.eqn.subset.FrontierScheduler`).
-    batch:
-        Subset states expanded per ``expand_batch`` call (``1`` — the
-        classic one-ψ-at-a-time loop).  Larger batches pipeline the
-        sharded oracle's image computations across the pool and let the
-        completion memo deduplicate sibling subsets; the solved language
-        (and the CSF) is identical for every setting, only subset
-        discovery order can differ.
     pool:
         Optional pre-warmed :class:`~repro.shard.pool.ShardPool` to
         borrow instead of forking a fresh one (the job server reuses one
@@ -132,56 +102,38 @@ def solve_equation(
         events, cooperative cancellation, resumable frontier
         checkpoints on a batch-count and/or wall-clock cadence —
         whichever fires first).  Symbolic flows only.
-    resident_budget / spill_dir:
-        Bounded-memory residency (:mod:`repro.eqn.residency`): with a
-        node-count budget set, cold expanded subset states are spilled
-        to a content-addressed store — ``spill_dir`` when given, a
-        private temporary directory otherwise — and the solve is
-        byte-identical to the unbounded run at a bounded peak.  With
-        ``shards > 1`` the workers share the same store and budget for
-        their resident registries.
-    compose:
-        Compositional solving (:mod:`repro.eqn.compose`): when the
-        split's support graph decomposes into independent latch
-        components with all the ``(u, v)`` letters in one of them (and
-        the letter-free rest verified conformant), solve only the
-        letterful sub-equation — language-identical to the direct
-        solve, typically far smaller.  Falls back to the direct solve
-        when the decomposition does not apply.  Partitioned flow with
-        trimming only.
+    spill_dir:
+        Where a ``resident_budget`` solve spills cold expanded subset
+        states (:mod:`repro.eqn.residency`): a private temporary
+        directory when not given.  With ``shards > 1`` the workers share
+        the same store and budget for their resident registries.
+    sift_parts:
+        Sharded flow only: every worker sifts its resident partition
+        into its own order profile after plan setup.
     """
-    if method not in METHODS:
-        raise EquationError(f"unknown method {method!r}; choose from {METHODS}")
-    if shards > 1 and method != "partitioned":
-        raise EquationError(
-            f"--shards requires the partitioned flow, not {method!r}"
-        )
-    if method == "explicit" and (resident_budget is not None or compose):
-        raise EquationError(
-            "--resident-budget/--compose apply to the symbolic flows only"
-        )
-    if compose:
-        if method != "partitioned" or not trim:
-            raise EquationError(
-                "--compose requires the partitioned flow with trimming"
-            )
+    config = SolveConfig.from_mapping(knobs, config)
+    if config.compose:
         from repro.eqn.compose import solve_compositional
 
         result = solve_compositional(
             problem,
+            config,
             limit=limit,
-            schedule=schedule,
-            shards=shards,
-            shard_opts=shard_opts,
-            frontier=frontier,
-            batch=batch,
-            resident_budget=resident_budget,
+            pool=pool,
+            progress=progress,
+            cancel=cancel,
+            checkpoint=checkpoint,
+            checkpoint_every=checkpoint_every,
+            checkpoint_seconds=checkpoint_seconds,
+            resume=resume,
             spill_dir=spill_dir,
+            sift_parts=sift_parts,
         )
         if result is not None:
             return result
         # The decomposition does not apply — fall through to the
         # direct solve (recorded in the options so callers can tell).
+    method = config.method
     watch = Stopwatch()
     if limit is not None:
         limit.restart()
@@ -195,50 +147,46 @@ def solve_equation(
             csf=csf,
             seconds=watch.elapsed(),
             explicit_trace=trace,
-            options={"schedule": schedule, "trim": trim},
+            options={"schedule": config.schedule, "trim": config.trim},
         )
     residency = None
-    if resident_budget is not None:
+    if config.resident_budget is not None:
         from repro.eqn.residency import ResidencyManager
 
         residency = ResidencyManager(
-            problem.manager, resident_budget, spill_dir=spill_dir
+            problem.manager, config.resident_budget, spill_dir=spill_dir
         )
-        if shards > 1:
-            # Workers run the same discipline over their resident
-            # registries, sharing the coordinator's store (content
-            # addressing makes concurrent writers idempotent).
-            shard_opts = dict(shard_opts or {})
-            shard_opts.setdefault("resident_budget", resident_budget)
-            shard_opts.setdefault("spill_dir", residency.store.root)
+        # Workers run the same discipline over their resident registries,
+        # sharing the coordinator's store (content addressing makes
+        # concurrent writers idempotent).
+        spill_dir = residency.store.root
     try:
         with obs_span(
             "solve",
             method=method,
-            shards=shards,
-            batch=batch,
-            frontier=frontier,
+            shards=config.shards,
+            batch=config.batch,
+            frontier=config.frontier,
         ) as solve_span:
             if method == "partitioned":
-                with obs_span("oracle_setup", shards=shards):
+                with obs_span("oracle_setup", shards=config.shards):
                     oracle = PartitionedOracle(
                         problem,
-                        schedule=schedule,
-                        trim=trim,
-                        shards=shards,
-                        shard_opts=shard_opts,
+                        config,
                         pool=pool,
+                        spill_dir=spill_dir,
+                        sift_parts=sift_parts,
                     )
             else:
                 with obs_span("oracle_setup", shards=0):
-                    oracle = MonolithicOracle(problem, trim=trim)
+                    oracle = MonolithicOracle(problem, trim=config.trim)
             try:
                 solution, stats = subset_construct(
                     oracle,
                     problem,
                     limit=limit,
-                    strategy=frontier,
-                    batch_size=batch,
+                    strategy=config.frontier,
+                    batch_size=config.batch,
                     progress=progress,
                     cancel=cancel,
                     checkpoint=checkpoint,
@@ -259,6 +207,9 @@ def solve_equation(
             # After the oracle (and its pool) is down: a worker must
             # never outlive the spill store it shares.
             residency.close()
+    options = {name: getattr(config, name) for name in RESULT_OPTIONS}
+    options["product_order"] = problem.product_order
+    options["compose"] = False
     return SolveResult(
         problem=problem,
         method=method,
@@ -266,46 +217,18 @@ def solve_equation(
         csf=csf,
         seconds=watch.elapsed(),
         stats=stats,
-        options={
-            "schedule": schedule,
-            "trim": trim,
-            "shards": shards,
-            "frontier": frontier,
-            "batch": batch,
-            "product_order": getattr(problem, "product_order", "stacked"),
-            "resident_budget": resident_budget,
-            "compose": False,
-        },
+        options=options,
     )
 
 
 def solve_latch_split(
     net: Network,
     x_latches: Sequence[str],
+    config: SolveConfig | None = None,
     *,
-    method: str = "partitioned",
     u_signals: Sequence[str] | None = None,
     limit: ResourceLimit | None = None,
-    schedule: bool = True,
-    trim: bool = True,
-    reorder: str = "off",
-    gc: str = "static",
-    backend: str = "python",
-    product_order: str = "stacked",
-    shards: int = 1,
-    shard_opts: dict | None = None,
-    frontier: str = "dfs",
-    batch: int = 1,
-    pool=None,
-    progress=None,
-    cancel=None,
-    checkpoint=None,
-    checkpoint_every: int = 0,
-    checkpoint_seconds: float = 0.0,
-    resume: dict | None = None,
-    resident_budget: int | None = None,
-    spill_dir: str | None = None,
-    compose: bool = False,
+    **kwargs,
 ) -> SolveResult:
     """Split ``net``, then solve for the CSF of the moved latches.
 
@@ -314,54 +237,21 @@ def solve_latch_split(
     latches *not* in ``x_latches`` is ``F``, and the computed ``X`` is
     the complete sequential flexibility of the moved part.
 
-    ``reorder`` / ``gc`` select the manager's adaptive runtime (see
-    :func:`repro.eqn.problem.build_problem`): with ``reorder="auto"``
-    long subset constructions sift their state variables in place when
-    garbage collections stop reclaiming, without invalidating any of the
-    pinned subset/edge BDDs.
-
-    ``backend`` picks the BDD kernel (see
-    :func:`repro.bdd.backends.create_manager`); results are identical on
-    every backend — only wall-clock changes — and shard workers inherit
-    the same backend choice through the pool options.
-
-    ``product_order`` picks the product variable-order policy
-    (``"stacked"`` / ``"interleaved"``, see
-    :func:`repro.eqn.problem.build_problem`); results are identical for
-    both — interleaving is a node-count lever for coupled splits.
+    ``config`` and per-field keywords select every solver setting (see
+    :class:`~repro.eqn.config.SolveConfig`): the manager settings
+    (``reorder``, ``gc``, ``backend``, ``product_order``) build the
+    problem, the rest drive :func:`solve_equation`.  Every other keyword
+    (``pool``, ``progress``, ``cancel``, ``checkpoint*``, ``resume``,
+    ``spill_dir``) is a per-call hook forwarded to
+    :func:`solve_equation`.
     """
+    knobs = {name: kwargs.pop(name) for name in FIELD_NAMES if name in kwargs}
+    config = SolveConfig.from_mapping(knobs, config)
     split = latch_split(net, x_latches, u_signals=u_signals)
     max_nodes = limit.max_nodes if limit is not None else None
-    with obs_span("build_problem", network=net.name, backend=backend):
-        problem = build_problem(
-            split,
-            max_nodes=max_nodes,
-            reorder=reorder,
-            gc=gc,
-            backend=backend,
-            product_order=product_order,
-        )
-    return solve_equation(
-        problem,
-        method=method,
-        limit=limit,
-        schedule=schedule,
-        trim=trim,
-        shards=shards,
-        shard_opts=shard_opts,
-        frontier=frontier,
-        batch=batch,
-        pool=pool,
-        progress=progress,
-        cancel=cancel,
-        checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
-        checkpoint_seconds=checkpoint_seconds,
-        resume=resume,
-        resident_budget=resident_budget,
-        spill_dir=spill_dir,
-        compose=compose,
-    )
+    with obs_span("build_problem", network=net.name, backend=config.backend):
+        problem = build_problem(split, config, max_nodes=max_nodes)
+    return solve_equation(problem, config, limit=limit, **kwargs)
 
 
 def verify_solution(result: SolveResult, **kwargs):

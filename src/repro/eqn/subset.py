@@ -52,12 +52,10 @@ from repro.bdd.io import dump_nodes, load_nodes
 from repro.bdd.manager import FALSE, TRUE, BddManager
 from repro.errors import EquationError, SolveCancelled
 from repro.automata.automaton import Automaton
+from repro.eqn.config import STRATEGIES
 from repro.eqn.problem import EquationProblem
 from repro.obs.trace import span as obs_span
 from repro.util.limits import ResourceLimit
-
-#: Frontier orderings accepted by :class:`FrontierScheduler`.
-STRATEGIES = ("dfs", "bfs", "size")
 
 #: Version tag of the subset-construction checkpoint snapshot format.
 CHECKPOINT_FORMAT = "repro-subset-ckpt/1"

@@ -234,19 +234,12 @@ class SolveExecutor:
         from repro.network.transform import latch_split
         from repro.util.limits import ResourceLimit
 
-        spec, options = job.spec, job.options
+        spec, config, options = job.spec, job.config, job.options
         net = parse_blif(spec["blif"])
         split = latch_split(net, spec["x_latches"], u_signals=spec["u_signals"])
         max_nodes = options.get("max_nodes")
         with obs_span("build_problem", network=net.name, job=job.id):
-            problem = build_problem(
-                split,
-                max_nodes=max_nodes,
-                reorder=spec["reorder"],
-                gc=spec["gc"],
-                backend=options.get("backend", "python"),
-                product_order=spec.get("product_order", "stacked"),
-            )
+            problem = build_problem(split, config, max_nodes=max_nodes)
         limit = None
         if options.get("max_seconds") is not None or max_nodes is not None:
             limit = ResourceLimit(
@@ -284,21 +277,12 @@ class SolveExecutor:
                     },
                 )
         pool = None
-        if spec["method"] == "partitioned" and spec["shards"] > 1:
-            pool = self._ensure_pool(
-                problem.manager,
-                spec["shards"],
-                resident_budget=options.get("resident_budget"),
-            )
+        if config.shards > 1:
+            pool = self._ensure_pool(problem.manager, config)
         result = solve_equation(
             problem,
-            method=spec["method"],
+            config,
             limit=limit,
-            schedule=spec["schedule"],
-            trim=spec["trim"],
-            shards=spec["shards"],
-            frontier=spec["frontier"],
-            batch=spec["batch"],
             pool=pool,
             progress=on_progress,
             cancel=job.cancel_event.is_set,
@@ -311,24 +295,20 @@ class SolveExecutor:
             checkpoint_every=int(options.get("checkpoint_every") or 0),
             checkpoint_seconds=float(options.get("checkpoint_seconds") or 0.0),
             resume=resume,
-            resident_budget=options.get("resident_budget"),
         )
         return dump_result(result, cache_key=job.key)
 
-    def _ensure_pool(self, mgr, shards: int, *, resident_budget=None):
-        """Reset the warm pool for this problem, re-forking when needed."""
-        from repro.shard.pool import ShardError, ShardPool
+    def _ensure_pool(self, mgr, config):
+        """Reset the warm pool for this problem, re-forking when needed.
 
-        opts = {
-            "max_nodes": mgr.max_nodes,
-            "gc": mgr.gc_policy.mode,
-            "reorder": mgr.reorder_policy.mode,
-            "backend": getattr(mgr, "backend_name", "python"),
-            # A runtime knob like the rest: workers spill their resident
-            # registries to private stores under this budget (and the
-            # next job's reset clears it again when unset).
-            "resident_budget": resident_budget,
-        }
+        Workers spill their resident registries to private stores under
+        the job's budget (and the next job's reset clears it again when
+        unset).
+        """
+        from repro.shard.pool import ShardError, ShardPool, pool_opts
+
+        shards = config.shards
+        opts = pool_opts(mgr, config)
         if self._pool is not None and self._pool.num_shards == shards:
             try:
                 self._pool.reset(mgr.var_order(), **opts)

@@ -24,6 +24,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.eqn.config import SolveConfig
 from repro.errors import ServeError
 
 #: Legal job states.
@@ -40,6 +41,7 @@ class Job:
     id: str
     spec: dict
     key: str
+    config: SolveConfig = field(default_factory=SolveConfig)
     options: dict = field(default_factory=dict)  # budgets, checkpointing
     status: str = "queued"
     cached: bool = False

@@ -13,9 +13,10 @@ What is part of the key
   and re-emitted by :func:`repro.network.blif.write_blif`, so
   whitespace, cover-row order and comment differences between
   textually distinct but structurally identical netlists vanish;
-* the split (``x_latches``, ``u_signals``) and the flow (``method``);
-* every solver flag: ``schedule``, ``trim``, ``reorder``, ``gc``,
-  ``shards``, ``frontier``, ``batch``, ``product_order``.
+* the split (``x_latches``, ``u_signals``);
+* every ``hashed`` field of :class:`~repro.eqn.config.SolveConfig`:
+  ``method``, ``schedule``, ``trim``, ``reorder``, ``gc``, ``shards``,
+  ``frontier``, ``batch``, ``product_order``, ``compose``.
 
 Flags like ``--reorder`` or ``--shards`` provably do not change the
 solved language — but they are hashed anyway, for three reasons.
@@ -29,22 +30,26 @@ transfer counts); attributing a ``--shards 4`` stats block to a
 Third, the bench driver tags every BENCH_table1 row with its
 ``cache_key``, and cached-vs-cold latency comparisons are only
 attributable when variant rows (which differ exactly in these flags)
-get distinct keys.
+get distinct keys.  ``compose`` changes the produced automaton itself
+(the composed CSF is language-identical to the direct one, not
+byte-identical), so it must separate the two solves.
 
 What is *not* part of the key
 -----------------------------
 
 Resource budgets (``max_seconds``, ``max_nodes``) and serving knobs
 (``checkpoint_every``, resume requests) — they bound *whether* a solve
-completes, never what it produces.  The BDD ``backend`` is excluded for
-the same reason, deliberately and in the *opposite* direction from
+completes, never what it produces.  The ``excluded`` config fields are
+left out for the same reason: ``resident_budget`` bounds memory with
+byte-identical results, and the BDD ``backend`` is excluded
+deliberately and in the *opposite* direction from
 ``reorder``/``shards``: backends are required to be byte-identical on
 the wire (the conformance kit enforces canonical snapshots, and the
 differential suite checks byte-identical KISS output per backend), so
 hashing the backend would only split one result across two cache
-entries.  :func:`job_spec` still *validates* the flag — a misspelled
-backend must fail loudly, not alias onto the default — and then drops
-it before hashing.
+entries.  :func:`job_spec` still *validates* the excluded fields — a
+misspelled backend must fail loudly, not alias onto the default — and
+then drops them before hashing.
 """
 
 from __future__ import annotations
@@ -53,33 +58,11 @@ import hashlib
 import json
 from collections.abc import Sequence
 
+from repro.eqn.config import ConfigError, SolveConfig
 from repro.errors import ServeError
 
 #: Version tag of the canonical spec layout (bump on field changes).
-SPEC_FORMAT = "repro-serve-spec/2"
-
-#: Solver-flag fields of a spec, with their defaults.  ``product_order``
-#: is hashed for the same reason ``reorder``/``shards`` are: the
-#: identity tests prove the produced KISS bytes are order-independent,
-#: but the cached stats block (peak nodes, wall time, sift counters) is
-#: not, and the bench driver's ``@interleave`` variant rows need
-#: distinct keys to stay attributable.
-FLAG_DEFAULTS = {
-    "method": "partitioned",
-    "schedule": True,
-    "trim": True,
-    "reorder": "off",
-    "gc": "static",
-    "shards": 1,
-    "frontier": "dfs",
-    "batch": 1,
-    "product_order": "stacked",
-}
-
-#: Flags a spec accepts (and validates) but never hashes: they are
-#: guaranteed not to change the produced bytes.  ``backend`` picks the
-#: BDD kernel — a pure speed knob under the conformance contract.
-EXCLUDED_FLAGS = ("backend",)
+SPEC_FORMAT = "repro-serve-spec/3"
 
 
 def canonical_blif(blif: "str | object") -> str:
@@ -101,39 +84,29 @@ def job_spec(
     x_latches: Sequence[str],
     *,
     u_signals: Sequence[str] | None = None,
+    config: SolveConfig | None = None,
     **flags,
 ) -> dict:
     """Build the canonical spec dict for one solve.
 
-    ``blif`` may be BLIF text or a parsed ``Network``.  Unknown flag
-    names raise :class:`~repro.errors.ServeError` (a misspelled flag
-    silently falling back to its default would alias distinct problems
-    onto one cache entry).  ``backend`` is accepted and validated but
-    **excluded** from the spec: two submissions differing only in
-    backend are the same problem and must collide on the cache.
+    ``blif`` may be BLIF text or a parsed ``Network``; ``config`` with
+    per-field ``flags`` merged on top selects the solver settings.
+    Invalid or unknown flags raise :class:`~repro.errors.ServeError` (a
+    misspelled flag silently falling back to its default would alias
+    distinct problems onto one cache entry).  Only the ``hashed`` fields
+    reach the spec, every one with an explicit value.
     """
-    flags = dict(flags)
-    backend = flags.pop("backend", None)
-    if backend is not None:
-        from repro.bdd.backends import BACKEND_CHOICES
-
-        if backend not in BACKEND_CHOICES:
-            raise ServeError(
-                f"unknown BDD backend {backend!r}; "
-                f"choose from {BACKEND_CHOICES}"
-            )
-    unknown = set(flags) - set(FLAG_DEFAULTS)
-    if unknown:
-        raise ServeError(f"unknown solver flags in job spec: {sorted(unknown)}")
-    spec = {
+    try:
+        config = SolveConfig.from_mapping(flags, config)
+    except ConfigError as exc:
+        raise ServeError(str(exc)) from exc
+    return {
         "format": SPEC_FORMAT,
         "blif": canonical_blif(blif),
         "x_latches": sorted(x_latches),
         "u_signals": sorted(u_signals) if u_signals is not None else None,
+        **config.hashed(),
     }
-    for name, default in FLAG_DEFAULTS.items():
-        spec[name] = flags.get(name, default)
-    return spec
 
 
 def cache_key(spec: dict) -> str:
@@ -153,7 +126,10 @@ def solve_cache_key(
     x_latches: Sequence[str],
     *,
     u_signals: Sequence[str] | None = None,
+    config: SolveConfig | None = None,
     **flags,
 ) -> str:
     """One-call spec + hash (what the bench driver tags its rows with)."""
-    return cache_key(job_spec(blif, x_latches, u_signals=u_signals, **flags))
+    return cache_key(
+        job_spec(blif, x_latches, u_signals=u_signals, config=config, **flags)
+    )

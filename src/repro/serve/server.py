@@ -38,7 +38,8 @@ from repro.errors import ServeError
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.executor import SolveExecutor, _result_summary
 from repro.serve.jobs import JobRegistry
-from repro.serve.keys import FLAG_DEFAULTS, cache_key, job_spec
+from repro.eqn.config import FIELD_NAMES, ConfigError, SolveConfig
+from repro.serve.keys import cache_key, job_spec
 from repro.serve.payload import load_result, result_kiss
 from repro.serve.store import ResultStore
 from repro.util.timer import Stopwatch
@@ -47,18 +48,15 @@ from repro.util.timer import Stopwatch
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8642
 
-#: Per-job runtime options accepted alongside the spec fields (none of
-#: these participate in the cache key; ``backend`` is validated by
-#: :func:`~repro.serve.keys.job_spec` and then excluded — backends are
-#: byte-identical, so it is a runtime knob, not part of the problem).
+#: Per-job runtime options accepted alongside the split and the
+#: :class:`~repro.eqn.config.SolveConfig` fields (none of these
+#: participate in the cache key).
 OPTION_FIELDS = (
     "max_seconds",
     "max_nodes",
     "checkpoint_every",
     "checkpoint_seconds",
     "resume",
-    "backend",
-    "resident_budget",
 )
 
 
@@ -94,31 +92,35 @@ class ServeApp:
         for required in ("blif", "x_latches"):
             if required not in body:
                 raise ServeError(f"submit body is missing {required!r}")
-        known = {"blif", "x_latches", "u_signals", *FLAG_DEFAULTS, *OPTION_FIELDS}
+        known = {"blif", "x_latches", "u_signals", *FIELD_NAMES, *OPTION_FIELDS}
         unknown = set(body) - known
         if unknown:
             # A typo'd flag must not silently alias onto its default.
             raise ServeError(f"unknown solver flags in job spec: {sorted(unknown)}")
-        # ``backend`` rides along so job_spec validates it, then drops
-        # it from the spec (and therefore from the cache key).
-        flags = {k: body[k] for k in (*FLAG_DEFAULTS, "backend") if k in body}
+        # Validated here, in the submit path: a malformed config is a
+        # 400 with no job registered, never a queued job that fails.
+        config = SolveConfig.from_mapping(
+            {k: body[k] for k in FIELD_NAMES if k in body}
+        )
         spec = job_spec(
             body["blif"],
             body["x_latches"],
             u_signals=body.get("u_signals"),
-            **flags,
+            config=config,
         )
         key = cache_key(spec)
         options = {k: body[k] for k in OPTION_FIELDS if k in body}
         cached = self.store.get(key)
         if cached is not None:
-            job = self.registry.create(spec, key, options=options, cached=True)
+            job = self.registry.create(
+                spec, key, config=config, options=options, cached=True
+            )
             job.summary = _result_summary(cached, cached=True)
             self.registry.add_event(job, {"type": "cache_hit", "cache_key": key})
             self.registry.set_status(job, "done")
             self.metrics.counter("repro_cache_hits_total", "").inc()
             return job
-        job = self.registry.create(spec, key, options=options)
+        job = self.registry.create(spec, key, config=config, options=options)
         self.registry.add_event(job, {"type": "queued", "cache_key": key})
         self.executor.enqueue(job)
         return job
@@ -228,7 +230,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply({"error": f"no route {method} {url.path}"}, 404)
                 return
             self._reply(handler(parse_qs(url.query)))
-        except ServeError as exc:
+        except (ServeError, ConfigError) as exc:
             self._reply({"error": str(exc)}, 400)
         except Exception as exc:  # pragma: no cover - handler bug
             self._reply({"error": f"{type(exc).__name__}: {exc}"}, 500)

@@ -29,6 +29,26 @@ class ShardError(ReproError):
     """A shard worker failed or died mid-command."""
 
 
+def pool_opts(mgr, config=None, *, spill_dir: str | None = None) -> dict:
+    """:class:`ShardPool` settings for workers serving ``mgr``'s problem.
+
+    Workers inherit the coordinator's node budget and runtime policies:
+    the CNC mechanism (``max_nodes``) must bound the shard managers too,
+    or an exploding conjunction would grow unchecked in a worker the
+    resource limit cannot see.  ``config`` (a
+    :class:`~repro.eqn.config.SolveConfig`) contributes the resident
+    budget of the workers' ψ registries.
+    """
+    return {
+        "max_nodes": mgr.max_nodes,
+        "gc": mgr.gc_policy.mode,
+        "reorder": mgr.reorder_policy.mode,
+        "backend": getattr(mgr, "backend_name", "python"),
+        "resident_budget": config.resident_budget if config is not None else None,
+        "spill_dir": spill_dir,
+    }
+
+
 class ShardPool:
     """A set of persistent shard workers, addressed by index.
 

@@ -38,7 +38,6 @@ def reachable_states(
     *,
     schedule: bool = True,
     shards: int = 1,
-    shard_opts: Mapping[str, object] | None = None,
 ) -> ReachabilityResult:
     """Forward reachability from ``init`` under a partitioned relation.
 
@@ -51,8 +50,8 @@ def reachable_states(
     transferred per-shard partial images in this manager — the frontier
     sequence, the reached set and the iteration count are identical to
     the in-process path (the sharded image computes the same function,
-    and BDDs are canonical).  ``shard_opts`` forwards worker-manager
-    knobs (``gc``, ``reorder``, ``max_nodes``) to the pool.
+    and BDDs are canonical).  The workers inherit the manager's node
+    budget and runtime policies (:func:`repro.shard.pool.pool_opts`).
     """
     rename = dict(zip(ns_vars, cs_vars))
     quantify = list(input_vars) + list(cs_vars)
@@ -67,17 +66,9 @@ def reachable_states(
     pool = sharded = None
     if shards > 1:
         from repro.shard import ShardPool, ShardedImage
+        from repro.shard.pool import pool_opts
 
-        # Workers inherit the coordinator's node budget and runtime
-        # policies unless shard_opts overrides them.
-        opts = {
-            "max_nodes": mgr.max_nodes,
-            "gc": mgr.gc_policy.mode,
-            "reorder": mgr.reorder_policy.mode,
-            "backend": getattr(mgr, "backend_name", "python"),
-        }
-        opts.update(shard_opts or {})
-        pool = ShardPool(shards, mgr.var_order(), **opts)
+        pool = ShardPool(shards, mgr.var_order(), **pool_opts(mgr))
         try:
             sharded = ShardedImage(pool, mgr, parts, quantify, set(cs_vars))
         except BaseException:
@@ -138,7 +129,6 @@ def network_reachable_states(
     ns_vars: Mapping[str, int] | None = None,
     schedule: bool = True,
     shards: int = 1,
-    shard_opts: Mapping[str, object] | None = None,
 ) -> ReachabilityResult:
     """Reachable-state fixed point of a network from its initial state.
 
@@ -177,7 +167,6 @@ def network_reachable_states(
             bdds.all_input_vars(),
             schedule=schedule,
             shards=shards,
-            shard_opts=shard_opts,
         )
     finally:
         for f in pinned:

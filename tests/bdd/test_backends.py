@@ -76,19 +76,6 @@ class TestRegistry:
 
             backends._REGISTRY.pop(name, None)
 
-    def test_cli_choices_track_the_registry(self) -> None:
-        """The CLI's literal --backend choices must track BACKEND_CHOICES."""
-        from repro.cli import _build_parser
-
-        parser = _build_parser()
-        subparsers = parser._subparsers._group_actions[0]
-        for command in ("solve", "reach", "submit"):
-            sub = subparsers.choices[command]
-            (action,) = [
-                a for a in sub._actions if "--backend" in a.option_strings
-            ]
-            assert tuple(action.choices) == BACKEND_CHOICES
-
     def test_bench_driver_accepts_every_registered_backend(
         self, capsys
     ) -> None:

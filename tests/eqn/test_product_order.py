@@ -126,6 +126,6 @@ def test_interleaved_matches_stacked_sharded_with_sifting(name) -> None:
             order,
             shards=2,
             frontier="size",
-            shard_opts={"sift_parts": True},
+            sift_parts=True,
         )
         assert sharded == reference

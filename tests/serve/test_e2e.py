@@ -96,6 +96,65 @@ class TestSubmitToResult:
             )
 
 
+class TestSubmitValidation:
+    """A malformed solver config is rejected in the submit path: HTTP 400
+    and no job registered, never a queued job that fails later."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            {"shards": "2"},
+            {"frontier": "xyz"},
+            {"batch": 0},
+            {"method": "bogus"},
+            {"method": "monolithic", "shards": 2},
+            {"shards": True},
+            {"shards": 1.0},
+        ],
+        ids=repr,
+    )
+    def test_bad_config_is_a_400_with_no_job(self, served, flags) -> None:
+        import json
+        import urllib.error
+        import urllib.request
+
+        request = urllib.request.Request(
+            f"{served.client.base_url}/jobs",
+            data=json.dumps({"blif": S27_BLIF, "x_latches": X, **flags}).encode(),
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"]
+        assert served.client.jobs() == []
+
+    def test_compose_is_served_and_hashed(self, served) -> None:
+        """``compose`` is a hashed service field: it gets its own key,
+        and the composed job finishes."""
+        from repro.bench.suite import TABLE1_COMPOSE_CASES
+        from repro.network.blif import write_blif
+        from repro.serve.keys import solve_cache_key
+
+        (case,) = TABLE1_COMPOSE_CASES
+        body = {
+            "blif": write_blif(case.network()),
+            "x_latches": list(case.x_latches),
+            "u_signals": list(case.u_signals),
+            "compose": True,
+        }
+        job = served.client.submit(body)
+        done = served.client.wait(job["id"], timeout=120)
+        assert done["status"] == "done", done.get("error")
+        result = served.client.result(job["id"])
+        assert result["options"]["compose"] is True
+        assert result["stats"]["extra"]["compose_skipped_latches"] > 0
+        direct = solve_cache_key(
+            body["blif"], body["x_latches"], u_signals=body["u_signals"]
+        )
+        assert direct != job["cache_key"]
+
+
 class TestCacheHit:
     def test_repeat_solve_hits_cache_with_zero_shard_ops(self, served) -> None:
         first = served.client.submit(SHARDED)

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import pytest
 
+import json
+from dataclasses import fields
+
 from repro.bench import S27_BLIF
+from repro.bench.suite import TABLE1_COMPOSE_CASES
+from repro.eqn.config import DEFAULT, EXCLUDED, SolveConfig
 from repro.errors import ServeError
 from repro.network.blif import parse_blif
 from repro.serve.keys import (
-    FLAG_DEFAULTS,
     cache_key,
     canonical_blif,
     job_spec,
@@ -64,6 +68,7 @@ def test_different_split_separates() -> None:
         ("frontier", "bfs"),
         ("batch", 8),
         ("product_order", "interleaved"),
+        ("compose", True),
     ],
 )
 def test_every_solver_flag_separates(flag: str, value) -> None:
@@ -74,7 +79,7 @@ def test_every_solver_flag_separates(flag: str, value) -> None:
 
 def test_defaults_are_explicit_in_the_spec() -> None:
     spec = job_spec(S27_BLIF, X)
-    for name, default in FLAG_DEFAULTS.items():
+    for name, default in DEFAULT.hashed().items():
         assert spec[name] == default
     assert spec["u_signals"] is None
     # An explicitly-defaulted flag hashes like an omitted one.
@@ -109,11 +114,86 @@ class TestBackendExclusion:
         assert spec == job_spec(S27_BLIF, X)
 
     def test_excluded_flags_are_declared(self) -> None:
-        from repro.serve.keys import EXCLUDED_FLAGS
-
-        assert "backend" in EXCLUDED_FLAGS
-        assert not set(EXCLUDED_FLAGS) & set(FLAG_DEFAULTS)
+        excluded = {
+            f.name for f in fields(SolveConfig) if f.metadata["kind"] == EXCLUDED
+        }
+        assert excluded == {"backend", "resident_budget"}
+        assert not excluded & set(job_spec(S27_BLIF, X, resident_budget=4))
 
     def test_misspelled_backend_is_rejected(self) -> None:
         with pytest.raises(ServeError, match="unknown BDD backend"):
             job_spec(S27_BLIF, X, backend="cudd")
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1"])
+def test_one_problem_has_one_spelling(value) -> None:
+    """Integer fields reject bool, float and str, so ``shards: 1``,
+    ``1.0`` and ``true`` cannot hash to three different cache keys."""
+    with pytest.raises(ServeError, match="shards must be int"):
+        job_spec(S27_BLIF, X, shards=value)
+
+
+(TWIN20_4,) = TABLE1_COMPOSE_CASES
+
+#: name -> (circuit, split, u_signals, flags, spec without its BLIF, key).
+#: Each spec differs from its ``repro-serve-spec/2`` predecessor only in
+#: ``format`` and the ``compose`` field.
+GOLDEN = {
+    "default": (
+        S27_BLIF, X, None, {},
+        '{"batch": 1, "compose": false, "format": "repro-serve-spec/3", '
+        '"frontier": "dfs", "gc": "static", "method": "partitioned", '
+        '"product_order": "stacked", "reorder": "off", "schedule": true, '
+        '"shards": 1, "trim": true, "u_signals": null, "x_latches": ["G6", "G7"]}',
+        "a51b425558194121b5ee540b06eb2005fc4553335b04a678fa0755e3f134f5ff",
+    ),
+    "monolithic": (
+        S27_BLIF, X, None, {"method": "monolithic"},
+        '{"batch": 1, "compose": false, "format": "repro-serve-spec/3", '
+        '"frontier": "dfs", "gc": "static", "method": "monolithic", '
+        '"product_order": "stacked", "reorder": "off", "schedule": true, '
+        '"shards": 1, "trim": true, "u_signals": null, "x_latches": ["G6", "G7"]}',
+        "24f5290e94572783774a818c2ecb8d5d4570dec43dfebf681ec187b405766190",
+    ),
+    "bfs8_shards2_interleaved": (
+        S27_BLIF, X, None,
+        {"frontier": "bfs", "batch": 8, "shards": 2, "product_order": "interleaved"},
+        '{"batch": 8, "compose": false, "format": "repro-serve-spec/3", '
+        '"frontier": "bfs", "gc": "static", "method": "partitioned", '
+        '"product_order": "interleaved", "reorder": "off", "schedule": true, '
+        '"shards": 2, "trim": true, "u_signals": null, "x_latches": ["G6", "G7"]}',
+        "4b6127a14629e730f6ddbed9cef9a86e27ab833074fc44f7b3710057dca9a95c",
+    ),
+    "compose_u_signals": (
+        TWIN20_4.network(), list(TWIN20_4.x_latches), list(TWIN20_4.u_signals),
+        {"compose": True},
+        '{"batch": 1, "compose": true, "format": "repro-serve-spec/3", '
+        '"frontier": "dfs", "gc": "static", "method": "partitioned", '
+        '"product_order": "stacked", "reorder": "off", "schedule": true, '
+        '"shards": 1, "trim": true, "u_signals": ["b0", "b2", "enb"], '
+        '"x_latches": ["b1", "b3"]}',
+        "1b1e7c8784cf49cfcd79de0abc1cdd173b9af25c5c4bfadb4222b7cb6dda6087",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_specs(name: str) -> None:
+    """The canonical spec JSON and its SHA-256 are pinned: a change to
+    either must come with a deliberate ``SPEC_FORMAT`` bump."""
+    blif, x_latches, u_signals, flags, pinned, key = GOLDEN[name]
+    spec = job_spec(blif, x_latches, u_signals=u_signals, **flags)
+    assert spec["blif"] == canonical_blif(blif)
+    rest = {k: v for k, v in spec.items() if k != "blif"}
+    assert json.dumps(rest, sort_keys=True) == pinned
+    assert cache_key(spec) == key
+
+
+def test_compose_row_key_differs_from_the_direct_key() -> None:
+    """A composed CSF is language-identical to the direct one, not
+    byte-identical, so the two solves must not share a cache entry."""
+    net, x_latches = TWIN20_4.network(), list(TWIN20_4.x_latches)
+    u_signals = list(TWIN20_4.u_signals)
+    direct = solve_cache_key(net, x_latches, u_signals=u_signals)
+    composed = solve_cache_key(net, x_latches, u_signals=u_signals, compose=True)
+    assert composed != direct

@@ -1,8 +1,8 @@
-"""Bench-driver surface tests: --list, run metadata, the shim warning."""
+"""Bench-driver surface tests: --list, the row planner, run metadata."""
 
 from __future__ import annotations
 
-import importlib.util
+import importlib
 import json
 import warnings
 
@@ -329,29 +329,6 @@ class TestDiffEnvironmentLine:
 
 
 class TestShimDeprecation:
-    def _load_shim(self):
-        import pathlib
-
-        repo = pathlib.Path(__file__).resolve().parent.parent
-        spec = importlib.util.spec_from_file_location(
-            "bench_run_all_depr", repo / "benchmarks" / "run_all.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_shim_warns_and_points_at_repro_bench(self) -> None:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            module = self._load_shim()
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert deprecations, "shim must emit a DeprecationWarning"
-        assert "repro bench" in str(deprecations[0].message)
-        # The shim still re-exports the driver surface.
-        assert module.main is driver.main
-
     def test_package_driver_does_not_warn(self) -> None:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

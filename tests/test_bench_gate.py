@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import pathlib
 
-REPO = pathlib.Path(__file__).resolve().parent.parent
+from repro.bench import driver
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_run_all", REPO / "benchmarks" / "run_all.py"
-)
-run_all = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(run_all)
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 BASELINE = REPO / "benchmarks" / "baselines" / "BENCH_kernel_smoke.json"
 
@@ -37,7 +32,7 @@ def test_smoke_baseline_is_committed_and_wellformed() -> None:
 def test_identical_run_passes(tmp_path) -> None:
     results = _baseline_results()
     base = _write_baseline(tmp_path, results)
-    assert run_all.check_regression(results, base, 1.5) == []
+    assert driver.check_regression(results, base, 1.5) == []
 
 
 def test_uniformly_slower_machine_passes(tmp_path) -> None:
@@ -45,7 +40,7 @@ def test_uniformly_slower_machine_passes(tmp_path) -> None:
     results = _baseline_results()
     base = _write_baseline(tmp_path, results)
     slow = [dict(r, wall_s=r["wall_s"] * 3) for r in results]
-    assert run_all.check_regression(slow, base, 1.5) == []
+    assert driver.check_regression(slow, base, 1.5) == []
 
 
 def test_single_workload_regression_fails(tmp_path) -> None:
@@ -55,7 +50,7 @@ def test_single_workload_regression_fails(tmp_path) -> None:
         dict(r, wall_s=r["wall_s"] * (4 if r["name"] == "gc_reachability" else 1))
         for r in results
     ]
-    failures = run_all.check_regression(mixed, base, 2.5)
+    failures = driver.check_regression(mixed, base, 2.5)
     assert len(failures) == 1
     assert failures[0].startswith("gc_reachability:")
 
@@ -67,7 +62,7 @@ def test_sub_millisecond_noise_ignored(tmp_path) -> None:
         dict(r, wall_s=r["wall_s"] * (10 if r["wall_s"] < 0.001 else 1))
         for r in results
     ]
-    assert run_all.check_regression(noisy, base, 2.5) == []
+    assert driver.check_regression(noisy, base, 2.5) == []
 
 
 def test_size_mismatch_skipped(tmp_path) -> None:
@@ -75,14 +70,14 @@ def test_size_mismatch_skipped(tmp_path) -> None:
     results = _baseline_results()
     base = _write_baseline(tmp_path, results)
     resized = [dict(r, size=r["size"] + 1, wall_s=r["wall_s"] * 100) for r in results]
-    assert run_all.check_regression(resized, base, 1.5) == []
+    assert driver.check_regression(resized, base, 1.5) == []
 
 
 def test_markdown_diff_lists_every_workload(tmp_path) -> None:
     """The diff table shows the whole perf picture, not just failures."""
     results = _baseline_results()
     base = _write_baseline(tmp_path, results)
-    md = run_all.format_markdown_diff(results, base, 2.5)
+    md = driver.format_markdown_diff(results, base, 2.5)
     for r in results:
         assert f"| {r['name']} |" in md
     assert "| workload |" in md
@@ -97,7 +92,7 @@ def test_markdown_diff_flags_regressions_and_new_workloads(tmp_path) -> None:
         for r in results
     ]
     mixed.append(dict(results[0], name="brand_new_workload"))
-    md = run_all.format_markdown_diff(mixed, base, 2.5)
+    md = driver.format_markdown_diff(mixed, base, 2.5)
     gc_line = next(line for line in md.splitlines() if "| gc_reachability |" in line)
     assert "🔴" in gc_line
     new_line = next(line for line in md.splitlines() if "brand_new_workload" in line)
@@ -108,7 +103,7 @@ def test_markdown_diff_marks_sub_ms_noise(tmp_path) -> None:
     results = _baseline_results()
     base = _write_baseline(tmp_path, results)
     sub_ms = [r["name"] for r in results if r["wall_s"] < 0.001]
-    md = run_all.format_markdown_diff(results, base, 2.5)
+    md = driver.format_markdown_diff(results, base, 2.5)
     for name in sub_ms:
         line = next(line for line in md.splitlines() if f"| {name} |" in line)
         assert "sub-ms" in line
@@ -118,9 +113,9 @@ def test_driver_writes_diff_artifact(tmp_path) -> None:
     """--baseline produces BENCH_diff.md next to the JSON artifacts."""
     results = _baseline_results()
     base = _write_baseline(tmp_path, results)
-    rows = run_all.compare_to_baseline(results, {"results": results})
+    rows = driver.compare_to_baseline(results, {"results": results})
     assert all(row["status"] in {"compared", "sub-ms"} for row in rows)
-    md = run_all.format_markdown_diff(results, base, 2.5)
+    md = driver.format_markdown_diff(results, base, 2.5)
     out = tmp_path / "BENCH_diff.md"
     out.write_text(md)
     assert out.read_text().startswith("## Kernel benchmark diff")

@@ -256,19 +256,6 @@ class TestSolve:
             if line.startswith("{"):
                 json_mod.loads(line)  # any emitted log lines are JSON
 
-    def test_frontier_choices_match_strategies(self) -> None:
-        """The CLI's literal --frontier choices must track STRATEGIES."""
-        from repro.cli import _build_parser
-        from repro.eqn.subset import STRATEGIES
-
-        parser = _build_parser()
-        subparsers = parser._subparsers._group_actions[0]
-        solve = subparsers.choices["solve"]
-        (action,) = [
-            a for a in solve._actions if "--frontier" in a.option_strings
-        ]
-        assert tuple(action.choices) == STRATEGIES
-
     def test_version_flag(self, capsys) -> None:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])

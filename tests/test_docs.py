@@ -83,6 +83,7 @@ def test_api_reference_pages_cover_automata_and_eqn() -> None:
     ):
         assert directive in automata
     for directive in (
+        "::: repro.eqn.config",
         "::: repro.eqn.problem",
         "::: repro.eqn.solver",
         "::: repro.eqn.subset",
