@@ -355,7 +355,10 @@ def _indep_images(n: int, shards: int) -> BddManager:
     *complete* images of different constraints against the same relation
     — embarrassingly parallel, so the sharded variant's only overhead is
     the snapshot traffic.  This is the best case for multi-core scaling
-    (each shard owns the full relation and serves whole images).
+    (each shard owns the full relation and serves whole images).  The
+    sharded variant speaks the oracle's protocol: each shard ``retain``s
+    its constraints, images them in one ``expand_batch`` and
+    ``release``s them.
     """
     from repro.symb.image import image_with_plan, plan_image
     from repro.symb.relation import transition_relation
@@ -388,20 +391,24 @@ def _indep_images(n: int, shards: int) -> BddManager:
         from repro.shard.plan import load_parts, make_plan
 
         with ShardPool(shards, mgr.var_order()) as pool:
-            plan_ids = []
+            dealt: list[list[int]] = [[] for _ in range(pool.num_shards)]
             for k in range(pool.num_shards):
-                handles = load_parts(pool, k, mgr, parts)
-                plan_ids.append(
-                    make_plan(pool, k, mgr, handles, quantify, cs_vars)
+                plan_id = make_plan(
+                    pool, k, mgr, load_parts(pool, k, mgr, parts), quantify, cs_vars
                 )
-            submitted = []
-            for i, c in enumerate(constraints):
-                k = i % pool.num_shards
-                pool.submit(k, ("image", plan_ids[k], dump_nodes(mgr, [c])))
-                submitted.append(k)
-            for k in submitted:
-                (img,) = load_nodes(mgr, pool.collect(k))
-                out = mgr.apply_or(out, img)
+                handles = dealt[k]
+                for c in constraints[k :: pool.num_shards]:
+                    handles.append(pool.new_handle())
+                    pool.submit(k, ("retain", handles[-1], dump_nodes(mgr, [c])))
+                pool.submit(k, ("expand_batch", plan_id, handles))
+                pool.submit(k, ("release", handles))
+            for k, handles in enumerate(dealt):
+                for _ in handles:
+                    pool.collect(k)
+                for snap in pool.collect(k):
+                    (img,) = load_nodes(mgr, snap)
+                    out = mgr.apply_or(out, img)
+                pool.collect(k)
     assert out != 0
     return mgr
 

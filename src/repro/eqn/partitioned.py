@@ -44,23 +44,23 @@ Sharded batching
 
 ``shards=N`` (N ≥ 2) distributes the oracle's image computations over a
 :class:`~repro.shard.pool.ShardPool` of worker processes, each owning
-its own shard manager: the ``P_ψ`` image runs as a cluster-sharded
-:class:`~repro.shard.plan.ShardedImage` (partition clusters assigned to
-shards, partial images joined in this manager), and the per-output
-``Q_ψ`` images — independent of one another — are dealt round-robin
-across the shards and OR-joined.  Both joins are exact, so the sharded
-oracle is result-identical to ``shards=1`` (which keeps today's
-in-process path, bit for bit).
+its own shard manager: the ``P_ψ`` image runs as a
+:class:`~repro.shard.plan.ShardedImage` (every shard holds all parts;
+ψ is cut into cofactor slices, imaged with work stealing and OR-joined
+in this manager), and the per-output ``Q_ψ`` images — independent of
+one another — are dealt round-robin across the shards and OR-joined.
+Both joins are exact, so the sharded oracle is result-identical to
+``shards=1`` (which keeps the in-process path, bit for bit).
 
 Subset states are **shard-resident**: when a frontier batch arrives
 (:meth:`PartitionedOracle.expand_batch`), each new ψ is serialized
 exactly once and ``retain``-ed in every worker's resident registry;
 every P/Q image of the batch then names ψ by its coordinator-keyed
 handle, and the handles are ``release``-d when the batch completes.
-All commands of a batch are submitted before any reply is collected
-(the :class:`~repro.shard.pool.ShardPool` pipelining contract), so the
-workers overlap their image computations across the whole batch instead
-of one ψ at a time.
+The P images of a whole batch go through one work-stealing dispatch,
+and the Q images of the batch are pipelined behind it, so the workers
+overlap their image computations across the whole batch instead of one
+ψ at a time.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ class PartitionedOracle:
         *,
         pool: "object | None" = None,
         spill_dir: str | None = None,
-        sift_parts: bool = False,
         **knobs,
     ) -> None:
         config = SolveConfig.from_mapping(knobs, config)
@@ -198,7 +197,7 @@ class PartitionedOracle:
                 )
             self._pool = pool
             try:
-                # P_ψ: partition clusters across the shards, joined here.
+                # P_ψ: cofactor slices across the shards, OR-joined here.
                 self._p_sharded = ShardedImage(
                     pool,
                     mgr,
@@ -225,17 +224,6 @@ class PartitionedOracle:
                         cs_support,
                     )
                     self._q_remote.append((k, plan_id))
-                if self._p_sharded.mode == "race":
-                    # Settle the speculative join before any pipelined
-                    # batch traffic: race the two joins on the initial
-                    # subset state and commit the winner.
-                    self._p_sharded.resolve_race(self.init_cube)
-                if sift_parts:
-                    # Per-shard order autonomy: every worker sifts its
-                    # resident partition (parts + plans keep their
-                    # edges) and the pool records the per-shard order
-                    # profiles for reuse across ``reset``.
-                    pool.sift_profiles()
             except BaseException:
                 # Setup failed: reap the workers deterministically
                 # instead of leaving them to __del__ timing.
@@ -299,12 +287,7 @@ class PartitionedOracle:
             # Snapshot the command counters *before* the stats broadcast
             # below bumps them — callers assert on exact op counts.
             stats["pool_op_counts"] = dict(self._pool.op_counts)
-            if self._p_sharded is not None:
-                stats["work_steals"] = self._p_sharded.steals
-                if self._p_sharded.race_outcome is not None:
-                    stats["join_race"] = dict(self._p_sharded.race_outcome)
-            if self._pool.profiles:
-                stats["shard_order_profiles"] = len(self._pool.profiles)
+            stats["work_steals"] = self._p_sharded.steals
             if self.config.resident_budget:
                 spills = reloads = 0
                 for shard_stats in self._pool.stats():
@@ -350,24 +333,9 @@ class PartitionedOracle:
         return self._q_insert(j, key, img)
 
     def non_conformance(self, psi: int) -> int:
-        """``Q_ψ(u,v)``, computed one output at a time."""
+        """``Q_ψ(u,v)``, computed one output at a time (in-process)."""
         mgr = self.mgr
         q = FALSE
-        if self._pool is not None:
-            if not self._q_remote:
-                return FALSE
-            # Submit every per-output image before collecting anything:
-            # the shards compute their outputs' images concurrently.
-            # (Direct calls ship a snapshot; the batched expansion path
-            # uses the resident-handle protocol instead.)
-            blob = dump_nodes(mgr, [psi])
-            for shard, plan_id in self._q_remote:
-                self._pool.submit(shard, ("image", plan_id, blob))
-            for shard, _ in self._q_remote:
-                snapshot = self._pool.collect(shard)
-                (q_j,) = load_nodes(mgr, snapshot)
-                q = mgr.apply_or(q, q_j)
-            return q
         if self.q_plans is not None:
             for j in range(len(self.nonconf)):
                 # The accumulator must survive collections triggered
@@ -411,9 +379,7 @@ class PartitionedOracle:
             self._psi_handles.clear()
 
     def successor_image(self, psi: int) -> int:
-        """``P_ψ(u,v,ns)`` — the partitioned image of ψ."""
-        if self._p_sharded is not None:
-            return self._p_sharded.run(psi)
+        """``P_ψ(u,v,ns)`` — the partitioned image of ψ (in-process)."""
         if self.p_plan is not None:
             plan, leftover = self.p_plan
             return image_with_plan(self.mgr, plan, leftover, psi, gc=True)
@@ -490,29 +456,20 @@ class PartitionedOracle:
     ) -> list[tuple[list[SubsetEdge], int]]:
         """Expand a batch on the shard pool with resident ψ handles.
 
-        Wire discipline (per shard pipe, strictly FIFO): ``retain`` the
-        batch's new subset states, submit every P image, submit every
-        deduplicated Q image, submit the ``release`` — *then* collect
-        the replies in the same order.  The coordinator never collects
-        before the whole batch is submitted, so all workers compute
-        concurrently across the entire batch; and no coordinator-side
-        garbage collection can run in here (none of the joins collect),
-        so the per-ψ intermediates are safe as plain locals.
-
-        When the P image is a split-mode join, the P phase instead runs
-        through the blocking
+        Wire discipline: ``retain`` the batch's new subset states and
+        collect the acks; run every P image through the blocking
         work-stealing dispatcher
         (:meth:`~repro.shard.plan.ShardedImage.run_resident_batch`),
-        which needs the pipes to itself: the retain acks are collected
-        up front, and the Q/release traffic is pipelined after the P
-        results are in.  The Q dedup, the release discipline and the
-        assembled results are identical either way.
+        which needs the pipes to itself; then submit every deduplicated
+        Q image and the ``release`` before collecting their replies in
+        per-pipe FIFO order.  No coordinator-side garbage collection can
+        run in here (none of the joins collect), so the per-ψ
+        intermediates are safe as plain locals.
         """
         mgr = self.mgr
         pool = self._pool
         nshards = pool.num_shards
         n_out = len(self.nonconf)
-        stealing = self._p_sharded.mode == "split"
 
         # 1. Residency: each new ψ is serialized exactly once and
         #    retained in every worker's resident registry.
@@ -534,21 +491,14 @@ class PartitionedOracle:
         self._resident_peak = max(self._resident_peak, len(self._psi_handles))
         handles = [self._psi_handles[psi] for psi in psis]
 
-        # 2. P images.  Stealing: drain the retain acks, then let the
+        # 2. P images: drain the retain acks, then let the
         #    work-stealing dispatcher own the pipes until every P image
-        #    is joined.  Static: submit and collect later, in FIFO order.
-        p_results: list[int] | None = None
-        collect_p = None
-        if stealing:
-            with obs_span("p_images", mode="steal", batch=len(psis)):
-                for _handle in retained:
-                    for k in range(nshards):
-                        pool.collect(k)
-                p_results = self._p_sharded.run_resident_batch(
-                    list(zip(handles, psis))
-                )
-        else:
-            collect_p = self._p_sharded.submit_resident(
+        #    is joined.
+        with obs_span("p_images", batch=len(psis)):
+            for _handle in retained:
+                for k in range(nshards):
+                    pool.collect(k)
+            p_results = self._p_sharded.run_resident_batch(
                 list(zip(handles, psis))
             )
 
@@ -597,12 +547,6 @@ class PartitionedOracle:
             del self._psi_handles[psi]
 
         # -- collect, in per-pipe submission order ---------------------- #
-        if not stealing:
-            with obs_span("p_images", mode="static", batch=len(psis)):
-                for _handle in retained:
-                    for k in range(nshards):
-                        pool.collect(k)
-                p_results = collect_p()
         with obs_span("q_images", outputs=len(q_submitted)):
             for j, misses in q_submitted:
                 shard, _plan_id = self._q_remote[j]

@@ -70,7 +70,6 @@ def solve_equation(
     checkpoint_seconds: float = 0.0,
     resume: dict | None = None,
     spill_dir: str | None = None,
-    sift_parts: bool = False,
     **knobs,
 ) -> SolveResult:
     """Solve a built problem with the chosen flow.
@@ -107,9 +106,6 @@ def solve_equation(
         states (:mod:`repro.eqn.residency`): a private temporary
         directory when not given.  With ``shards > 1`` the workers share
         the same store and budget for their resident registries.
-    sift_parts:
-        Sharded flow only: every worker sifts its resident partition
-        into its own order profile after plan setup.
     """
     config = SolveConfig.from_mapping(knobs, config)
     if config.compose:
@@ -127,7 +123,6 @@ def solve_equation(
             checkpoint_seconds=checkpoint_seconds,
             resume=resume,
             spill_dir=spill_dir,
-            sift_parts=sift_parts,
         )
         if result is not None:
             return result
@@ -175,7 +170,6 @@ def solve_equation(
                         config,
                         pool=pool,
                         spill_dir=spill_dir,
-                        sift_parts=sift_parts,
                     )
             else:
                 with obs_span("oracle_setup", shards=0):

@@ -9,7 +9,7 @@ visible without changing it:
     ``chrome://tracing`` or Perfetto).  Shard workers stamp per-command
     timing records into their replies and the pool merges them into the
     coordinator trace as pid-tagged per-worker tracks, so work stealing
-    and the speculative cluster-vs-split race are visible end-to-end.
+    is visible end-to-end.
 
 :mod:`repro.obs.metrics`
     Counters, gauges and histograms federating the runtime's previously

@@ -29,7 +29,6 @@ POST   ``/shutdown``              graceful stop (drain executor, exit)
 from __future__ import annotations
 
 import json
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -225,6 +224,9 @@ class _Handler(BaseHTTPRequestHandler):
                     self.app.render_metrics(), "text/plain; version=0.0.4"
                 )
                 return
+            if method == "POST" and parts == ["shutdown"]:
+                self._shutdown()
+                return
             handler = self._route(method, parts)
             if handler is None:
                 self._reply({"error": f"no route {method} {url.path}"}, 404)
@@ -234,6 +236,20 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply({"error": str(exc)}, 400)
         except Exception as exc:  # pragma: no cover - handler bug
             self._reply({"error": f"{type(exc).__name__}: {exc}"}, 500)
+
+    def _shutdown(self) -> None:
+        """Reply to ``POST /shutdown``, then stop the server.
+
+        The stop is triggered only after the reply is flushed: handler
+        threads are daemonic, so once ``serve_forever`` returns the
+        process may exit before an unsent reply reaches the client.
+        """
+        self.close_connection = True
+        try:
+            self._reply({"ok": True, "shutting_down": True})
+            self.wfile.flush()
+        finally:
+            self.server.shutdown()
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         self._dispatch("GET")
@@ -271,14 +287,6 @@ class _Handler(BaseHTTPRequestHandler):
                 return lambda q: app.submit(body).summary_dict()
             if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
                 return lambda q: app.cancel(parts[1])
-            if parts == ["shutdown"]:
-                def shutdown(q):
-                    threading.Thread(
-                        target=self.server.shutdown, daemon=True
-                    ).start()
-                    return {"ok": True, "shutting_down": True}
-
-                return shutdown
         return None
 
 

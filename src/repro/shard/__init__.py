@@ -3,7 +3,7 @@
 The paper's partitioned representations keep the per-component BDDs
 small — but a single :class:`~repro.bdd.manager.BddManager` is
 single-threaded, so partitioning alone buys memory locality and never
-buys cores.  This package runs partition *clusters* in separate worker
+buys cores.  This package runs image computations in separate worker
 processes, each owning its own shard manager (with its own computed
 table, garbage collector and reorder policy), and joins the per-shard
 results in the coordinator manager through serialized transfers
@@ -18,13 +18,10 @@ Layers
 * :mod:`repro.shard.pool` — :class:`ShardPool`, the coordinator-side
   handle to a set of persistent workers (spawn, submit/collect,
   broadcast, shutdown).
-* :mod:`repro.shard.plan` — the join-tree scheduler:
-  :func:`partition_clusters` assigns partition clusters to shards with
-  the :mod:`repro.symb.schedule` affinity heuristic and computes which
-  quantified variables are *local* to each shard (retired in-shard,
-  sound by the early-quantification argument);
-  :class:`ShardedImage` folds the transferred per-shard images back
-  together in the coordinator.
+* :mod:`repro.shard.plan` — the image join: :class:`ShardedImage`
+  cuts each constraint into cofactor slices, images them on the shards
+  (every shard holds all parts and the full early-quantification plan)
+  with work stealing, and ORs the slice images in the coordinator.
 
 ``--shards 1`` everywhere selects the unsharded in-process path
 bit-identically; ``--shards N`` (N ≥ 2) is result-identical by
@@ -32,12 +29,11 @@ construction (all transfers are exact and BDDs are canonical).  See
 ``docs/sharding.md`` for the architecture and when shards pay.
 """
 
-from repro.shard.plan import ShardedImage, partition_clusters
+from repro.shard.plan import ShardedImage
 from repro.shard.pool import ShardError, ShardPool
 
 __all__ = [
     "ShardError",
     "ShardPool",
     "ShardedImage",
-    "partition_clusters",
 ]

@@ -1,187 +1,47 @@
-"""Join-tree scheduling for the sharded runtime.
+"""The sharded image join.
 
-The conjunctive decomposition used here is the early-quantification
-argument of the paper, distributed across processes.  Write an image as
-
-.. math::
-
-    \\exists Q .\\; (\\psi \\wedge \\Pi_k C_k)
-
-where the :math:`C_k` are *clusters* of relation parts.  Ship ψ to every
-shard; shard *k* computes the partial image
-
-.. math::
-
-    p_k = \\exists L_k .\\; (\\psi \\wedge C_k)
-
-where :math:`L_k \\subseteq Q` are the variables **local** to cluster
-*k*: they appear in no other cluster and not in the support of ψ.  Since
-conjunction is idempotent (:math:`\\psi \\wedge \\psi = \\psi`) and each
-:math:`L_k` is absent from every other factor,
-
-.. math::
-
-    \\exists Q .\\; (\\psi \\wedge \\Pi_k C_k)
-    \\;=\\; \\exists (Q - \\cup_k L_k) .\\; \\Pi_k p_k
-
-— the coordinator joins the transferred partials with the ordinary
-scheduled ``and_exists`` fold over the remaining shared variables.
-Every step is exact, so the sharded image is *function-identical* to the
-in-process one (and therefore edge-identical in the coordinator manager,
-by BDD canonicity).
-
-:func:`partition_clusters` builds the cluster assignment with the
-:func:`repro.symb.schedule.schedule_supports` affinity heuristic;
-:class:`ShardedImage` owns the worker-side plans and runs the
-transfer-based join per constraint.
-
-Two decompositions, one join protocol
--------------------------------------
-
-The conjunctive *cluster* mode above shines when the quantified
-variables split cleanly across clusters (each shard retires its own).
-When they do not — image computation over a transition relation shares
-the input and current-state variables across *every* part, so the local
-sets come out empty and each shard would just build an unquantified
-product — the dual *split* mode is used instead: image distributes over
-disjunction,
+The successor image of the paper is one partitioned image with early
+quantification, :math:`\\exists Q .\\; (\\psi \\wedge \\Pi)`.  It is
+spread over the shard workers with the fact that image distributes
+over disjunction:
 
 .. math::
 
     \\exists Q . ((\\psi_1 \\vee \\psi_2) \\wedge \\Pi) =
     (\\exists Q . \\psi_1 \\wedge \\Pi) \\vee (\\exists Q . \\psi_2 \\wedge \\Pi)
 
-so every shard holds *all* parts with a full early-quantification plan,
-the constraint is split into cofactor slices on its top variables, each
-shard images its slices, and the join is a cheap OR.  ``mode="auto"``
-(the default) picks cluster mode when in-shard retirement dominates,
-split mode when no retirement is possible — and when the heuristic is
-genuinely unsure (some but not most quantified variables retire
-in-shard) it **races**: both setups are loaded (worker-manager
-canonicity dedups the shared part nodes, so the double load is cheap),
-the first constraint runs through *both* joins, the results are checked
-identical, and the faster join wins the rest of the run
-(:meth:`ShardedImage.resolve_race`).
+Every shard holds *all* relation parts with the full
+early-quantification plan; each constraint is cut into disjoint
+cofactor slices on its topmost variables, the slices are imaged on
+whichever shard is free, and the coordinator ORs the slice images.
+Every step is exact, so the sharded image is *function-identical* to
+the in-process one (and therefore edge-identical in the coordinator
+manager, by BDD canonicity).
 
 Work stealing
 -------------
 
-The disjunctive split join is embarrassingly parallel but statically
-dealt slices can still leave a shard idle while a peer grinds through a
-heavy slice.  :meth:`ShardedImage.run_resident_batch` replaces the
-static deal with a **work-stealing dispatcher**: each shard keeps a
-small window of single-slice commands in flight, and whenever its own
-queue drains it steals pending slices from the most-loaded peer.
-Because every subset state is shard-resident on *every* worker
-(the retain protocol), re-dispatching a slice is just a cheap
-``(handle, bits)`` spec — no BDD crosses the wire.  OR is commutative
-and associative and BDDs are canonical, so the joined image is
-identical whatever the final placement and completion order.
+Statically dealt slices can leave a shard idle while a peer grinds
+through a heavy slice.  :meth:`ShardedImage.run_resident_batch` is a
+**work-stealing dispatcher**: each shard keeps a small window of
+single-slice commands in flight, and whenever its own queue drains it
+steals pending slices from the most-loaded peer.  Because every
+constraint is shard-resident on *every* worker (the retain protocol),
+re-dispatching a slice is just a cheap ``(handle, bits)`` spec — no BDD
+crosses the wire.  OR is commutative and associative and BDDs are
+canonical, so the joined image is identical whatever the final
+placement and completion order.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 
 from repro.bdd.io import dump_nodes, load_nodes
 from repro.bdd.manager import FALSE, BddManager
-from repro.obs.trace import instant as obs_instant
 from repro.obs.trace import span as obs_span
-from repro.shard.pool import ShardError, ShardPool
-from repro.symb.image import image_partitioned
-from repro.symb.schedule import schedule_supports
-
-
-@dataclass
-class ClusterAssignment:
-    """Which parts each shard owns, and which variables it may retire."""
-
-    clusters: list[list[int]]  # part indices per shard (affinity-ordered)
-    local_vars: list[list[int]]  # quantify vars retired inside each shard
-    shared_vars: list[int]  # quantify vars left for the coordinator join
-
-    @property
-    def num_clusters(self) -> int:
-        return len(self.clusters)
-
-
-def partition_clusters(
-    mgr: BddManager,
-    parts: Sequence[int],
-    num_shards: int,
-    quantify: Iterable[int],
-    constraint_support: Iterable[int] = (),
-) -> ClusterAssignment:
-    """Assign ``parts`` to (at most) ``num_shards`` affinity clusters.
-
-    The parts are first ordered by the early-quantification heuristic
-    (:func:`~repro.symb.schedule.schedule_supports`): parts adjacent in
-    that order share support variables and retire quantified variables
-    together.  The ordered list is then cut into contiguous chunks of
-    balanced total BDD size, one per shard — contiguity preserves the
-    affinity, balance keeps the shard workloads comparable.
-
-    For each cluster the *local* variable set is computed: quantified
-    variables mentioned by that cluster only — not by any other cluster
-    and not by ``constraint_support`` (the support bound of every future
-    constraint).  Those are sound to retire entirely inside the shard;
-    everything else stays shared and is quantified at the join.
-    """
-    qset = set(quantify)
-    csupp = set(constraint_support)
-    supports = [mgr.support(p) for p in parts]
-    ordered = [
-        idx
-        for idx, _ in schedule_supports(
-            supports, qset, constraint_support=csupp
-        )
-    ]
-    num = max(1, min(num_shards, len(ordered)))
-    sizes = [mgr.size(p) for p in parts]
-    total = sum(sizes[i] for i in ordered)
-
-    clusters: list[list[int]] = []
-    chunk: list[int] = []
-    acc = 0
-    done = 0
-    for pos, idx in enumerate(ordered):
-        chunk.append(idx)
-        acc += sizes[idx]
-        remaining_parts = len(ordered) - pos - 1
-        remaining_chunks = num - len(clusters) - 1
-        if remaining_chunks == 0:
-            continue
-        # Close the chunk once it reaches its proportional share of what
-        # is left, but always keep at least one part per remaining chunk.
-        target = (total - done) / (remaining_chunks + 1)
-        if acc >= target or remaining_parts <= remaining_chunks:
-            clusters.append(chunk)
-            done += acc
-            chunk = []
-            acc = 0
-    if chunk:
-        clusters.append(chunk)
-
-    cluster_supports = [
-        set().union(*(supports[i] for i in cluster)) for cluster in clusters
-    ]
-    local_vars: list[list[int]] = []
-    claimed: set[int] = set()
-    for k, supp in enumerate(cluster_supports):
-        others: set[int] = set(csupp)
-        for j, other in enumerate(cluster_supports):
-            if j != k:
-                others |= other
-        local = sorted((supp & qset) - others)
-        local_vars.append(local)
-        claimed.update(local)
-    shared = sorted(qset - claimed)
-    return ClusterAssignment(
-        clusters=clusters, local_vars=local_vars, shared_vars=shared
-    )
+from repro.shard.pool import ShardPool
 
 
 def load_parts(
@@ -228,13 +88,10 @@ def make_plan(
 class ShardedImage:
     """A partitioned image computation distributed over a worker pool.
 
-    Construction assigns partition clusters to shards
-    (:func:`partition_clusters`), transfers each cluster into its
-    worker's manager once, and precomputes a worker-side image plan that
-    retires the cluster's local variables.  Every :meth:`run` then costs
-    one constraint broadcast plus one partial-image transfer per shard,
-    folded in the coordinator with the ordinary scheduled ``and_exists``
-    join over the shared variables.
+    Construction transfers every part into every worker once and
+    precomputes a worker-side image plan there.  Images then run over
+    shard-resident constraints (:meth:`run_resident_batch`); :meth:`run`
+    wraps one non-resident constraint in a retain/release round trip.
 
     The object holds only variable *indices* and worker handles, so it
     stays valid across coordinator-side garbage collection and in-place
@@ -249,212 +106,38 @@ class ShardedImage:
         parts: Sequence[int],
         quantify: Iterable[int],
         constraint_support: Iterable[int],
-        *,
-        mode: str = "auto",
     ) -> None:
-        if mode not in ("auto", "cluster", "split", "race"):
-            raise ShardError(
-                f"unknown sharded-image mode {mode!r}; "
-                "choose from 'auto', 'cluster', 'split', 'race'"
-            )
         self.pool = pool
         self.mgr = mgr
         qvars = list(quantify)
         csupp = list(constraint_support)
-        self.assignment = partition_clusters(
-            mgr, parts, pool.num_shards, qvars, csupp
-        )
         #: Slices re-dispatched by the work-stealing batch dispatcher.
         self.steals = 0
-        #: Timing record of a resolved speculative race (or None).
-        self.race_outcome: dict | None = None
-        if mode == "auto":
-            # Cluster mode only pays when shards can retire variables
-            # in-shard; otherwise every shard would just build an
-            # unquantified ψ ∧ cluster product and leave all the real
-            # work (and more) to the join.  In between — some variables
-            # retire but most stay shared — neither decomposition
-            # dominates on paper, so race them on the first constraint.
-            retirable = sum(len(lv) for lv in self.assignment.local_vars)
-            part_supp: set[int] = set()
-            for p in parts:
-                part_supp |= mgr.support(p)
-            contested = (set(qvars) & part_supp) - set(csupp)
-            if retirable == 0:
-                mode = "split"
-            elif retirable >= 0.5 * len(contested):
-                mode = "cluster"
-            else:
-                mode = "race"
-        self.mode = mode
-        self._plan_ids: list[int] = []
-        self._shards: list[int] = []
-        self._race_setups: dict[str, dict] = {}
-        if mode in ("cluster", "race"):
-            self._race_setups["cluster"] = self._setup_cluster(parts, csupp)
-        if mode in ("split", "race"):
-            self._race_setups["split"] = self._setup_split(parts, qvars, csupp)
-        if mode in ("cluster", "split"):
-            self._adopt(mode)
-
-    def _setup_cluster(self, parts: Sequence[int], csupp: list[int]) -> dict:
-        pool, mgr = self.pool, self.mgr
-        plan_ids: list[int] = []
-        shards: list[int] = []
-        handles_by_shard: dict[int, list[int]] = {}
-        for k, cluster in enumerate(self.assignment.clusters):
-            handles = load_parts(pool, k, mgr, [parts[i] for i in cluster])
-            plan_id = make_plan(
-                pool, k, mgr, handles, self.assignment.local_vars[k], csupp
-            )
-            plan_ids.append(plan_id)
-            shards.append(k)
-            handles_by_shard[k] = handles
-        return {
-            "plan_ids": plan_ids,
-            "shards": shards,
-            "shared": list(self.assignment.shared_vars),
-            "handles": handles_by_shard,
-        }
-
-    def _setup_split(
-        self, parts: Sequence[int], qvars: list[int], csupp: list[int]
-    ) -> dict:
-        # Split mode: every shard owns all parts + the full plan;
-        # run() deals constraint slices across them.
-        pool, mgr = self.pool, self.mgr
-        plan_ids: list[int] = []
-        shards: list[int] = []
-        handles_by_shard: dict[int, list[int]] = {}
-        for k in range(pool.num_shards):
-            handles = load_parts(pool, k, mgr, parts)
-            plan_id = make_plan(pool, k, mgr, handles, qvars, csupp)
-            plan_ids.append(plan_id)
-            shards.append(k)
-            handles_by_shard[k] = handles
-        return {
-            "plan_ids": plan_ids,
-            "shards": shards,
-            # Constraint variables eligible as slice splitters, topmost
-            # level first (indices, so reordering keeps this valid).
-            "candidates": list(csupp),
-            "handles": handles_by_shard,
-        }
-
-    def _adopt(self, which: str) -> None:
-        """Point the active-join attributes at one of the loaded setups."""
-        setup = self._race_setups[which]
-        self._plan_ids = setup["plan_ids"]
-        self._shards = setup["shards"]
-        if which == "cluster":
-            self._shared = setup["shared"]
-        else:
-            self._split_candidates = setup["candidates"]
-
-    def _commit(self, winner: str) -> None:
-        """End a race: adopt ``winner`` and free the loser's parts."""
-        loser = "split" if winner == "cluster" else "cluster"
-        self._adopt(winner)
-        self.mode = winner
-        setup = self._race_setups.pop(loser, None)
-        if setup is not None:
-            # The loser's plans are never run again; freeing its part
-            # handles releases the (canonically shared) nodes its refs
-            # were keeping alive.
-            for shard, handles in setup["handles"].items():
-                self.pool.call(shard, ("free", handles))
-
-    def resolve_race(self, constraint: int) -> int:
-        """Run ``constraint`` through both joins and commit the winner.
-
-        Times the conjunctive cluster join against the disjunctive
-        split join on one real constraint, verifies the two images are
-        edge-identical (they must be — both are exact — so a mismatch
-        raises :class:`ShardError`), commits to the faster one for every
-        subsequent :meth:`run`, and frees the loser's worker-side parts.
-        Returns the image of ``constraint``.
-
-        Call this standalone (no pending pipe traffic): both runs are
-        blocking round trips.
-        """
-        if self.mode != "race":
-            raise ShardError(f"resolve_race: mode is {self.mode!r}, not 'race'")
-        if constraint == FALSE:
-            # Nothing to learn from an empty constraint; stay racing.
-            return FALSE
-        self._adopt("cluster")
-        with obs_span("race_cluster_leg"):
-            t0 = time.perf_counter()
-            r_cluster = self._run_cluster(constraint)
-            t_cluster = time.perf_counter() - t0
-        self._adopt("split")
-        with obs_span("race_split_leg"):
-            t0 = time.perf_counter()
-            r_split = self._run_split(constraint)
-            t_split = time.perf_counter() - t0
-        if r_cluster != r_split:
-            raise ShardError(
-                "speculative join race: cluster and split joins disagree "
-                "(both are exact; this is a sharding bug)"
-            )
-        winner = "cluster" if t_cluster <= t_split else "split"
-        self.race_outcome = {
-            "winner": winner,
-            "cluster_seconds": t_cluster,
-            "split_seconds": t_split,
-        }
-        obs_instant(
-            "race_resolved",
-            winner=winner,
-            cluster_seconds=t_cluster,
-            split_seconds=t_split,
-        )
-        self._commit(winner)
-        return r_cluster
-
-    # ------------------------------------------------------------------ #
+        # Constraint variables eligible as slice splitters (indices, so
+        # reordering keeps this valid).
+        self._candidates = csupp
+        self._plan_ids = [
+            make_plan(pool, k, mgr, load_parts(pool, k, mgr, parts), qvars, csupp)
+            for k in range(pool.num_shards)
+        ]
 
     def run(self, constraint: int) -> int:
         """``∃ quantify . (constraint ∧ Π parts)`` via the shard pool.
 
         Result-identical to the in-process
-        :func:`~repro.symb.image.image_partitioned`: cluster mode joins
-        the per-shard partials with a scheduled ``and_exists`` fold,
-        split mode ORs the per-slice images.
+        :func:`~repro.symb.image.image_partitioned`.  The constraint is
+        retained on every shard for the duration of one
+        :meth:`run_resident_batch` call.
         """
         if constraint == FALSE:
             return FALSE
-        if self.mode == "race":
-            return self.resolve_race(constraint)
-        if self.mode == "cluster":
-            return self._run_cluster(constraint)
-        return self._run_split(constraint)
-
-    def _run_cluster(self, constraint: int) -> int:
-        mgr = self.mgr
-        with obs_span("image_cluster", shards=len(self._shards)):
-            blob = dump_nodes(mgr, [constraint])
-            for shard, plan_id in zip(self._shards, self._plan_ids):
-                self.pool.submit(shard, ("image", plan_id, blob))
-            partials = []
-            dead = False
-            for shard in self._shards:
-                snapshot = self.pool.collect(shard)
-                if dead:
-                    continue
-                (partial,) = load_nodes(mgr, snapshot)
-                if partial == FALSE:
-                    dead = True
-                    continue
-                partials.append(partial)
-            if dead:
-                return FALSE
-            # The join: each partial already contains ψ (idempotent ∧), so
-            # the fold's constraint is TRUE and only the shared variables
-            # remain to quantify.
-            return image_partitioned(
-                mgr, partials, 1, self._shared, schedule=True
-            )
+        pool = self.pool
+        handle = pool.new_handle()
+        blob = dump_nodes(self.mgr, [constraint])
+        pool.broadcast(("retain", handle, blob))
+        (result,) = self.run_resident_batch([(handle, constraint)])
+        pool.broadcast(("release", [handle]))
+        return result
 
     def _slice_pairs(self, constraint: int) -> list[tuple[int, dict[str, int]]]:
         """Disjoint cofactor slices of ``constraint``, one per shard.
@@ -470,7 +153,7 @@ class ShardedImage:
         mgr = self.mgr
         support = mgr.support(constraint)
         splitters = sorted(
-            (v for v in self._split_candidates if v in support),
+            (v for v in self._candidates if v in support),
             key=mgr.var_level,
         )
         slices: list[tuple[int, dict[str, int]]] = [(constraint, {})]
@@ -490,163 +173,34 @@ class ShardedImage:
             slices = nxt
         return slices
 
-    def _slices(self, constraint: int) -> list[int]:
-        """The slice BDDs alone (the snapshot-shipping split path)."""
-        return [edge for edge, _ in self._slice_pairs(constraint)]
-
-    def _run_split(self, constraint: int) -> int:
-        mgr = self.mgr
-        with obs_span("image_split", shards=len(self._shards)) as split_span:
-            slices = self._slices(constraint)
-            split_span.set(slices=len(slices))
-            submitted: list[int] = []
-            for i, s in enumerate(slices):
-                shard = i % len(self._shards)
-                self.pool.submit(
-                    shard,
-                    ("image", self._plan_ids[shard], dump_nodes(mgr, [s])),
-                )
-                submitted.append(shard)
-            result = FALSE
-            for shard in submitted:
-                (img,) = load_nodes(mgr, self.pool.collect(shard))
-                result = mgr.apply_or(result, img)
-            return result
-
-    # -- the resident-handle batched protocol --------------------------- #
-
-    def submit_resident(
-        self, items: Sequence[tuple[int, int]]
-    ) -> Callable[[], list[int]]:
-        """Submit a batch of images over **shard-resident** constraints.
+    def run_resident_batch(
+        self, items: Sequence[tuple[int, int]], *, window: int = 2
+    ) -> list[int]:
+        """Image a batch of **shard-resident** constraints (blocking).
 
         ``items`` is a list of ``(handle, constraint)`` pairs: the
         handle names the constraint in every worker's resident registry
         (the caller must have ``retain``-ed it there first), and the
         coordinator-side edge is used only for slice planning — no
-        snapshot is shipped.  Every worker command is submitted
-        immediately; the returned closure collects the replies (in the
-        ShardPool FIFO order) and joins them, one result per item.
-        Splitting submit from collect lets callers pipeline further
-        commands — e.g. the per-output ``Q_ψ`` images of the same batch
-        — behind these before blocking on any reply.
-
-        The join math is identical to :meth:`run`, so the batched
-        resident path is result-identical to the in-process image.
-        """
-        if self.mode == "race":
-            # The batched protocol pipelines further commands behind
-            # these submissions, so there is no safe point to run two
-            # blocking timed joins here; commit to the cluster setup
-            # (the heuristic found real in-shard retirement, or the
-            # race would not have been armed).
-            self._commit("cluster")
-        if self.mode == "cluster":
-            return self._submit_resident_cluster(items)
-        return self._submit_resident_split(items)
-
-    def _submit_resident_cluster(
-        self, items: Sequence[tuple[int, int]]
-    ) -> Callable[[], list[int]]:
-        handles = [handle for handle, _ in items]
-        for shard, plan_id in zip(self._shards, self._plan_ids):
-            self.pool.submit(shard, ("expand_batch", plan_id, handles))
-
-        def collect() -> list[int]:
-            mgr = self.mgr
-            per_shard = [self.pool.collect(shard) for shard in self._shards]
-            results: list[int] = []
-            for i in range(len(items)):
-                partials = []
-                dead = False
-                for snaps in per_shard:
-                    (partial,) = load_nodes(mgr, snaps[i])
-                    if partial == FALSE:
-                        dead = True
-                        break
-                    partials.append(partial)
-                if dead:
-                    results.append(FALSE)
-                    continue
-                results.append(
-                    image_partitioned(
-                        mgr, partials, 1, self._shared, schedule=True
-                    )
-                )
-            return results
-
-        return collect
-
-    def _submit_resident_split(
-        self, items: Sequence[tuple[int, int]]
-    ) -> Callable[[], list[int]]:
-        num = len(self._shards)
-        per_shard_items: list[list[tuple[int, dict[str, int]]]] = [
-            [] for _ in range(num)
-        ]
-        owners: list[list[int]] = [[] for _ in range(num)]
-        cursor = 0
-        for i, (handle, constraint) in enumerate(items):
-            for _, spec in self._slice_pairs(constraint):
-                pos = cursor % num
-                cursor += 1
-                per_shard_items[pos].append((handle, spec))
-                owners[pos].append(i)
-        submitted: list[int] = []
-        for pos in range(num):
-            if not per_shard_items[pos]:
-                continue
-            self.pool.submit(
-                self._shards[pos],
-                ("expand_batch", self._plan_ids[pos], per_shard_items[pos]),
-            )
-            submitted.append(pos)
-
-        def collect() -> list[int]:
-            mgr = self.mgr
-            results = [FALSE] * len(items)
-            for pos in submitted:
-                snaps = self.pool.collect(self._shards[pos])
-                for i, snap in zip(owners[pos], snaps):
-                    (img,) = load_nodes(mgr, snap)
-                    results[i] = mgr.apply_or(results[i], img)
-            return results
-
-        return collect
-
-    # -- the work-stealing batch dispatcher ------------------------------ #
-
-    def run_resident_batch(
-        self, items: Sequence[tuple[int, int]], *, window: int = 2
-    ) -> list[int]:
-        """Image a resident batch with dynamic work stealing (blocking).
-
-        Split mode only (any other mode falls back to
-        :meth:`submit_resident` + collect, which is already optimal for
-        the cluster join).  The batch's cofactor slices are dealt
+        snapshot is shipped.  The batch's cofactor slices are dealt
         round-robin into per-shard queues, each shard keeps up to
         ``window`` single-slice ``expand_batch`` commands in flight, and
         the coordinator collects from whichever worker finishes first
         (:meth:`~repro.shard.pool.ShardPool.wait_any`).  A shard whose
         own queue drains **steals** the tail of the most-loaded peer's
-        queue — a resident ψ is named by the same handle on every
-        worker, so the stolen slice is re-dispatched as a ``(handle,
-        bits)`` spec with no BDD transfer.  :attr:`steals` counts the
-        re-dispatched slices.
+        queue, re-dispatched as a ``(handle, bits)`` spec with no BDD
+        transfer.  :attr:`steals` counts the re-dispatched slices.
 
         The per-item result is the OR of its slice images; OR is
         commutative and associative and BDDs are canonical, so the
-        result is identical to the statically dealt join whatever
-        placement and completion order the stealing produced.
+        result is identical whatever placement and completion order the
+        stealing produced.
 
         Must be called with no other traffic pending on the pool: the
         dispatcher owns every watched pipe until the batch completes.
         """
-        if self.mode != "split":
-            collect = self.submit_resident(items)
-            return collect()
         pool, mgr = self.pool, self.mgr
-        num = len(self._shards)
+        num = pool.num_shards
         steal_span = obs_span(
             "steal_batch", items=len(items), shards=num, window=window
         )
@@ -660,10 +214,10 @@ class ShardedImage:
         results = [FALSE] * len(items)
         inflight: list[deque] = [deque() for _ in range(num)]
 
-        def top_up(pos: int) -> None:
-            while len(inflight[pos]) < window:
-                if queues[pos]:
-                    i, handle, spec = queues[pos].popleft()
+        def top_up(shard: int) -> None:
+            while len(inflight[shard]) < window:
+                if queues[shard]:
+                    i, handle, spec = queues[shard].popleft()
                 else:
                     donor = max(range(num), key=lambda p: len(queues[p]))
                     if not queues[donor]:
@@ -673,27 +227,21 @@ class ShardedImage:
                     i, handle, spec = queues[donor].pop()
                     self.steals += 1
                 pool.submit(
-                    self._shards[pos],
-                    ("expand_batch", self._plan_ids[pos], [(handle, spec)]),
+                    shard,
+                    ("expand_batch", self._plan_ids[shard], [(handle, spec)]),
                 )
-                inflight[pos].append(i)
+                inflight[shard].append(i)
 
         with steal_span:
-            for pos in range(num):
-                top_up(pos)
-            shard_pos = {shard: pos for pos, shard in enumerate(self._shards)}
+            for shard in range(num):
+                top_up(shard)
             while any(inflight):
-                busy = [self._shards[p] for p in range(num) if inflight[p]]
+                busy = [shard for shard in range(num) if inflight[shard]]
                 for shard in pool.wait_any(busy):
-                    pos = shard_pos[shard]
                     (snap,) = pool.collect(shard)
-                    i = inflight[pos].popleft()
+                    i = inflight[shard].popleft()
                     (img,) = load_nodes(mgr, snap)
                     results[i] = mgr.apply_or(results[i], img)
-                    top_up(pos)
+                    top_up(shard)
             steal_span.set(slices=cursor, steals=self.steals - steals_before)
         return results
-
-    def worker_stats(self) -> list[dict]:
-        """Per-shard manager statistics for the shards this image uses."""
-        return self.pool.stats()

@@ -118,11 +118,6 @@ class ShardPool:
         self._pending = [0] * num_shards
         self._next_handle = 0
         self._closed = False
-        #: Per-shard order profiles recorded by :meth:`sift_profiles`
-        #: (shard index -> variable order, top to bottom).  ``reset(...,
-        #: reuse_profiles=True)`` re-declares each worker's variables in
-        #: its recorded order.
-        self.profiles: dict[int, list[str]] = {}
         #: Commands submitted so far, keyed by op name.  The transfer
         #: accounting of the batched subset engine asserts on these
         #: (e.g. one ``retain`` per shard per subset state and not one
@@ -230,29 +225,7 @@ class ShardPool:
         """Per-shard manager statistics (live nodes, GC runs, ...)."""
         return self.broadcast(("stats",))
 
-    def sift_profiles(self) -> list[dict]:
-        """Ask every worker to sift independently and record its order.
-
-        Broadcasts ``("sift_profile",)`` — each worker runs one in-place
-        sifting pass over whatever it currently holds (its resident
-        partition, plans and handles all keep their edges) and reports
-        the resulting variable order.  The per-shard orders are stored
-        in :attr:`profiles` for reuse by ``reset(...,
-        reuse_profiles=True)``.  Returns the per-shard reply dicts
-        (``swaps`` / ``size_before`` / ``size_after`` / ``order``).
-        """
-        replies = self.broadcast(("sift_profile",))
-        for shard, reply in enumerate(replies):
-            self.profiles[shard] = list(reply["order"])
-        return replies
-
-    def reset(
-        self,
-        var_names: Sequence[str],
-        *,
-        reuse_profiles: bool = False,
-        **config,
-    ) -> None:
+    def reset(self, var_names: Sequence[str], **config) -> None:
         """Reset every worker for a new job without restarting processes.
 
         Each worker rebuilds its manager from its spawn config with
@@ -262,13 +235,6 @@ class ShardPool:
         drained first so a reset after a failed or cancelled job cannot
         interleave with stale traffic.  The op counters keep
         accumulating across jobs (callers snapshot-and-diff them).
-
-        With ``reuse_profiles=True`` a shard whose recorded
-        :attr:`profiles` entry is a permutation of ``var_names`` (same
-        problem shape, e.g. a re-solve or resume) is re-declared in its
-        own sifted order instead of the coordinator's — carrying each
-        worker's order autonomy across jobs.  Profiles that do not match
-        the new variable set are ignored and dropped.
         """
         if self._closed:
             raise ShardError("ShardPool is closed")
@@ -282,24 +248,7 @@ class ShardPool:
                     ) from exc
                 self._pending[shard] -= 1
         self.broadcast(("reset", dict(config)))
-        names = list(var_names)
-        name_set = set(names)
-        orders: list[list[str]] = []
-        for shard in range(self.num_shards):
-            profile = self.profiles.get(shard) if reuse_profiles else None
-            if profile is not None and (
-                len(profile) != len(names) or set(profile) != name_set
-            ):
-                self.profiles.pop(shard, None)
-                profile = None
-            orders.append(profile if profile is not None else names)
-        if all(order is names for order in orders):
-            self.broadcast(("vars", names))
-        else:
-            for shard, order in enumerate(orders):
-                self.submit(shard, ("vars", list(order)))
-            for shard in range(self.num_shards):
-                self.collect(shard)
+        self.broadcast(("vars", list(var_names)))
 
     # ------------------------------------------------------------------ #
 

@@ -64,20 +64,13 @@ Commands
     the list of result snapshots.  Each item is either a resident
     handle (the constraint itself) or a ``(handle, spec)`` pair, where
     ``spec`` maps variable *names* to 0/1 — the worker then images the
-    cofactor slice ``resident ∧ cube(spec)`` (split-mode sharding
+    cofactor slice ``resident ∧ cube(spec)`` (the sharded image join
     without re-shipping the constraint).
-``("conjoin", handle, handles)``
-    Store the conjunction of the named functions under ``handle``.
-``("and_exists", handle, h1, h2, var_names)``
-    Store the fused relational product under ``handle``.
 ``("plan", plan_id, part_handles, quantify_names, support_names)``
     Precompute a reusable image plan over the named parts
     (:func:`repro.symb.image.plan_image`), quantifying
     ``quantify_names``; ``support_names`` bounds every future
     constraint's support.
-``("image", plan_id, snapshot)``
-    Run the plan against the constraint in ``snapshot`` (with
-    opportunistic GC) and reply with the result snapshot.
 ``("reset", overrides)``
     Tear down the shard manager and rebuild it from the spawn config
     (with ``overrides`` merged on top): all handles, resident entries
@@ -92,16 +85,6 @@ Commands
 ``("sift",)``
     Force one in-place sifting pass (handles, resident entries and
     plans all keep their edges); reply with swap/size counters.
-``("sift_profile",)``
-    Force one in-place sifting pass **and** reply with the resulting
-    variable order (the worker's *order profile*) alongside the swap
-    counters.  This is per-shard order autonomy: each worker sifts its
-    own resident partition independently of the coordinator and its
-    peers — the name-keyed ``dump_nodes`` wire format makes transfers
-    between differently-ordered managers sound, and image plans hold
-    variable indices, which in-place sifting never invalidates.  The
-    pool records profiles so a ``reset`` can re-declare each worker's
-    variables in its own proven order.
 ``("shutdown",)``
     Acknowledge and exit the loop.
 """
@@ -307,7 +290,7 @@ class _WorkerState:
 
     def op_expand_batch(self, plan_id: int, items: list) -> list[dict]:
         mgr = self.mgr
-        plan, leftover, _parts = self.plans[plan_id]
+        plan, leftover = self.plans[plan_id]
         out: list[dict] = []
         for item in items:
             if isinstance(item, (tuple, list)):
@@ -346,22 +329,6 @@ class _WorkerState:
                 spilled += 1
         return spilled
 
-    def op_conjoin(self, handle: int, handles: list[int]) -> None:
-        mgr = self.mgr
-        result = 1
-        for h in handles:
-            result = mgr.apply_and(result, self.handles[h])
-        self._store(handle, result)
-
-    def op_and_exists(
-        self, handle: int, h1: int, h2: int, var_names: list[str]
-    ) -> None:
-        mgr = self.mgr
-        variables = [mgr.var_index(n) for n in var_names]
-        self._store(
-            handle, mgr.and_exists(self.handles[h1], self.handles[h2], variables)
-        )
-
     def op_plan(
         self,
         plan_id: int,
@@ -373,22 +340,9 @@ class _WorkerState:
         parts = [self.handles[h] for h in part_handles]
         quantify = [mgr.var_index(n) for n in quantify_names]
         support = {mgr.var_index(n) for n in support_names}
-        self.plans[plan_id] = (
-            *plan_image(mgr, parts, quantify, support),
-            parts,
-        )
-
-    def op_image(self, plan_id: int, snapshot: dict) -> dict:
-        mgr = self.mgr
-        plan, leftover, parts = self.plans[plan_id]
-        (constraint,) = mgr.load_nodes(snapshot)
-        with mgr.protect(constraint):
-            result = image_with_plan(mgr, plan, leftover, constraint, gc=True)
-        out = mgr.dump_nodes([result])
-        # The result (and the constraint) are per-call intermediates: let
-        # the next growth-armed collection reclaim them.
-        mgr.maybe_collect_garbage([*parts, result])
-        return out
+        # The plan's parts are the registry's pinned handles, so the
+        # plan needs no pins of its own.
+        self.plans[plan_id] = plan_image(mgr, parts, quantify, support)
 
     def op_reset(self, overrides: dict | None = None) -> int:
         """Rebuild the manager from the spawn config (+ overrides).
@@ -420,7 +374,6 @@ class _WorkerState:
             "psi_spills": self.psi_spills,
             "psi_reloads": self.psi_reloads,
             "plans": len(self.plans),
-            "order_profile": self.mgr.var_order(),
         }
 
     def op_gc(self) -> int:
@@ -434,11 +387,6 @@ class _WorkerState:
             "size_after": result.size_after,
             "vars_sifted": result.vars_sifted,
         }
-
-    def op_sift_profile(self) -> dict:
-        out = self.op_sift()
-        out["order"] = self.mgr.var_order()
-        return out
 
 
 def _command_meta(op: str, t0: float) -> dict:
@@ -471,15 +419,11 @@ def worker_main(conn, config: dict) -> None:
         "release": state.op_release,
         "expand_batch": state.op_expand_batch,
         "spill": state.op_spill,
-        "conjoin": state.op_conjoin,
-        "and_exists": state.op_and_exists,
         "plan": state.op_plan,
-        "image": state.op_image,
         "reset": state.op_reset,
         "stats": state.op_stats,
         "gc": state.op_gc,
         "sift": state.op_sift,
-        "sift_profile": state.op_sift_profile,
     }
     while True:
         try:

@@ -45,9 +45,10 @@ def reachable_states(
     image is computed over ``ns`` then renamed back to ``cs``.
 
     ``shards=1`` (the default) runs entirely in-process.  With
-    ``shards=N`` (N ≥ 2) the relation parts are clustered across ``N``
-    worker processes (:mod:`repro.shard`) and each image step joins the
-    transferred per-shard partial images in this manager — the frontier
+    ``shards=N`` (N ≥ 2) every one of ``N`` worker processes
+    (:mod:`repro.shard`) holds all relation parts, and each image step
+    ORs the transferred images of the frontier's cofactor slices in this
+    manager (:class:`~repro.shard.plan.ShardedImage`) — the frontier
     sequence, the reached set and the iteration count are identical to
     the in-process path (the sharded image computes the same function,
     and BDDs are canonical).  The workers inherit the manager's node

@@ -27,11 +27,7 @@ def schedule_supports(
     """Support-set core of :func:`schedule_parts`.
 
     Takes the per-part support sets directly (no manager, no BDDs) and
-    returns ``[(part_index, vars_quantifiable_after_it), ...]``.  The
-    sharded runtime (:mod:`repro.shard.plan`) reuses this as its
-    *affinity* heuristic: parts adjacent in the returned order share
-    support and retire variables together, so contiguous chunks of it
-    make good per-shard clusters.
+    returns ``[(part_index, vars_quantifiable_after_it), ...]``.
 
     The greedy metric picks, at each step, the part minimising the
     estimated live support of the accumulated product:

@@ -116,16 +116,10 @@ def test_interleaved_matches_stacked_across_the_suite(case) -> None:
 
 
 @pytest.mark.parametrize("name", ["count6", "johnson8"])
-def test_interleaved_matches_stacked_sharded_with_sifting(name) -> None:
-    """Sharded runs with independent per-worker sifting stay identical."""
+def test_interleaved_matches_stacked_sharded(name) -> None:
+    """Sharded size-frontier runs stay identical under both orders."""
     case = next(c for c in TABLE1_CASES if c.name == name)
     reference = _solve_kiss(case, "stacked")
     for order in ("stacked", "interleaved"):
-        sharded = _solve_kiss(
-            case,
-            order,
-            shards=2,
-            frontier="size",
-            sift_parts=True,
-        )
+        sharded = _solve_kiss(case, order, shards=2, frontier="size")
         assert sharded == reference

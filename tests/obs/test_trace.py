@@ -87,12 +87,12 @@ class TestSpans:
 
     def test_instant_event(self) -> None:
         tracer = install_tracer()
-        instant("race_resolved", winner="split")
+        instant("marker", label="here")
         data = tracer.to_dict()
         assert validate_trace(data) == []
         (ev,) = [e for e in data["traceEvents"] if e.get("ph") == "i"]
         assert ev["s"] == "p"
-        assert ev["args"]["winner"] == "split"
+        assert ev["args"]["label"] == "here"
 
     def test_threads_get_separate_tracks(self) -> None:
         tracer = install_tracer()

@@ -10,14 +10,16 @@ on ``ShardPool.op_counts``.
 
 from __future__ import annotations
 
+import re
 import threading
+import time
 
 import pytest
 
 from repro.bench import S27_BLIF
 from repro.errors import ServeError
 from repro.serve import ServeApp, ServeClient
-from repro.serve.server import make_server
+from repro.serve.server import make_server, serve
 
 X = ["G6", "G7"]
 SHARDED = {"blif": S27_BLIF, "x_latches": X, "shards": 2, "batch": 4}
@@ -398,3 +400,27 @@ class TestResidencyOptions:
         )
         assert second["cached"] is True
         assert second["cache_key"] == first["cache_key"]
+
+
+class TestShutdown:
+    def test_shutdown_replies_then_serve_returns(self, tmp_path, capsys) -> None:
+        """The ``POST /shutdown`` reply reaches the client, and only
+        then does ``serve()`` return 0."""
+        outcome: dict = {}
+
+        def run() -> None:
+            outcome["rc"] = serve("127.0.0.1", 0, cache_dir=str(tmp_path / "c"))
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        printed = ""
+        deadline = time.monotonic() + 30
+        while (match := re.search(r"listening on (\S+)", printed)) is None:
+            assert time.monotonic() < deadline, "serve() never came up"
+            time.sleep(0.02)
+            printed += capsys.readouterr().out
+        reply = ServeClient(match.group(1), timeout=30).shutdown()
+        assert reply == {"ok": True, "shutting_down": True}
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert outcome["rc"] == 0

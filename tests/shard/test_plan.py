@@ -1,4 +1,12 @@
-"""Join-tree scheduler tests: clustering soundness + sharded images."""
+"""The sharded image join: slices, work stealing and the OR join.
+
+The split join is placement-independent: OR is commutative and
+associative and BDDs are canonical, so however the work-stealing
+dispatcher re-routes cofactor slices, the joined image must be
+edge-identical to the in-process reference.  The stealing tests force
+steals deterministically by pinning the dispatcher's ``wait_any`` to
+one shard.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bdd import BddManager
-from repro.shard import ShardPool, ShardedImage, partition_clusters
-from repro.shard.pool import ShardError
+from repro.bdd import BddManager, dump_nodes
+from repro.shard import ShardPool, ShardedImage
 from repro.symb.image import image_partitioned
 
 N_VARS = 8
@@ -35,58 +42,27 @@ def make_parts(mgr, xs, ys, spec):
     return parts
 
 
-class TestPartitionClusters:
-    def test_covers_every_part_once(self) -> None:
-        mgr, xs, ys = relation_manager()
-        parts = make_parts(mgr, xs, ys, [(i, [i]) for i in range(6)])
-        asg = partition_clusters(mgr, parts, 3, xs, set())
-        flat = sorted(i for cluster in asg.clusters for i in cluster)
-        assert flat == list(range(6))
-        assert 1 <= asg.num_clusters <= 3
+def retain_everywhere(pool, mgr, handle, edge):
+    pool.broadcast(("retain", handle, dump_nodes(mgr, [edge])))
 
-    def test_never_more_clusters_than_parts(self) -> None:
-        mgr, xs, ys = relation_manager()
-        parts = make_parts(mgr, xs, ys, [(0, [0]), (1, [1])])
-        asg = partition_clusters(mgr, parts, 8, xs, set())
-        assert asg.num_clusters == 2
 
-    def test_local_vars_are_exclusive_and_sound(self) -> None:
-        mgr, xs, ys = relation_manager()
-        # Part i depends on x_i only → every quantified x_i is local.
-        parts = make_parts(mgr, xs, ys, [(i, [i]) for i in range(6)])
-        asg = partition_clusters(mgr, parts, 2, xs[:6], set())
-        seen: set[int] = set()
-        for k, local in enumerate(asg.local_vars):
-            cluster_support = set()
-            for i in asg.clusters[k]:
-                cluster_support |= mgr.support(parts[i])
-            for v in local:
-                assert v not in seen
-                seen.add(v)
-                assert v in cluster_support
-        assert sorted(seen | set(asg.shared_vars)) == sorted(xs[:6])
-
-    def test_constraint_support_blocks_locality(self) -> None:
-        mgr, xs, ys = relation_manager()
-        parts = make_parts(mgr, xs, ys, [(i, [i]) for i in range(4)])
-        # Constraint mentions every x: nothing may retire in-shard.
-        asg = partition_clusters(mgr, parts, 2, xs[:4], set(xs[:4]))
-        assert all(not local for local in asg.local_vars)
-        assert asg.shared_vars == sorted(xs[:4])
-
-    def test_shared_vars_include_cross_cluster_vars(self) -> None:
-        mgr, xs, ys = relation_manager()
-        # x0 appears in every part → never local.
-        parts = make_parts(mgr, xs, ys, [(i, [0, i]) for i in range(4)])
-        asg = partition_clusters(mgr, parts, 2, xs[:4], set())
-        for local in asg.local_vars:
-            assert xs[0] not in local
+def constraints_with_slices(mgr, xs):
+    """Constraints whose support spans several split candidates."""
+    out = []
+    for k in range(3):
+        psi = 1
+        for v in xs[k : k + 3]:
+            psi = mgr.apply_or(mgr.var_node(v), psi ^ 1) ^ (k & 1)
+        psi = mgr.apply_or(psi, mgr.var_node(xs[(k + 4) % 4]))
+        if psi not in (0, 1):
+            out.append(psi)
+    assert out
+    return out
 
 
 class TestShardedImage:
-    @pytest.mark.parametrize("mode", ["cluster", "split", "auto"])
     @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_matches_in_process_image(self, mode, shards) -> None:
+    def test_matches_in_process_image(self, shards) -> None:
         mgr, xs, ys = relation_manager()
         parts = make_parts(
             mgr, xs, ys, [(0, [0]), (1, [0, 1]), (2, [2, 3]), (3, [3])]
@@ -98,42 +74,71 @@ class TestShardedImage:
         )
         expected = image_partitioned(mgr, parts, psi, quantify)
         with ShardPool(shards, mgr.var_order()) as pool:
-            img = ShardedImage(
-                pool, mgr, parts, quantify, set(xs[:4]), mode=mode
-            )
+            img = ShardedImage(pool, mgr, parts, quantify, set(xs[:4]))
             assert img.run(psi) == expected
+            # run() releases the constraint it retained.
+            assert all(s["resident"] == 0 for s in pool.stats())
             # FALSE constraint short-circuits without worker traffic.
             assert img.run(0) == 0
 
-    def test_auto_picks_split_when_nothing_local(self) -> None:
+
+class TestWorkStealing:
+    def _batch(self, pool, mgr, xs):
+        items = []
+        for psi in constraints_with_slices(mgr, xs):
+            handle = pool.new_handle()
+            retain_everywhere(pool, mgr, handle, psi)
+            items.append((handle, psi))
+        return items
+
+    def _parts(self, mgr, xs, ys):
+        return make_parts(
+            mgr, xs, ys, [(0, [0]), (1, [0, 1]), (2, [2, 3]), (3, [3])]
+        )
+
+    def test_batch_matches_in_process_image(self) -> None:
         mgr, xs, ys = relation_manager()
-        parts = make_parts(mgr, xs, ys, [(i, [i]) for i in range(4)])
+        parts = self._parts(mgr, xs, ys)
         with ShardPool(2, mgr.var_order()) as pool:
             img = ShardedImage(pool, mgr, parts, xs[:4], set(xs[:4]))
-            assert img.mode == "split"
+            items = self._batch(pool, mgr, xs)
+            results = img.run_resident_batch(items)
+            for (_, psi), got in zip(items, results):
+                assert got == image_partitioned(mgr, parts, psi, xs[:4])
 
-    def test_auto_picks_cluster_when_retirement_possible(self) -> None:
+    def test_forced_steals_produce_identical_images(self) -> None:
+        """Pin the dispatcher to shard 0: it drains its own queue, then
+        must steal shard 1's pending slices — and the OR-join must not
+        notice the re-placement."""
         mgr, xs, ys = relation_manager()
-        parts = make_parts(mgr, xs, ys, [(i, [i]) for i in range(4)])
-        # Constraint over y-space only: every quantified x is local.
+        parts = self._parts(mgr, xs, ys)
         with ShardPool(2, mgr.var_order()) as pool:
-            img = ShardedImage(pool, mgr, parts, xs[:4], set())
-            assert img.mode == "cluster"
-            psi = 1
-            assert img.run(psi) == image_partitioned(mgr, parts, psi, xs[:4])
+            img = ShardedImage(pool, mgr, parts, xs[:4], set(xs[:4]))
+            items = self._batch(pool, mgr, xs)
+            # Always service the first busy shard; collect() still
+            # blocks on that shard's FIFO, so this only skews routing.
+            original = pool.wait_any
+            pool.wait_any = lambda shards: [shards[0]]
+            try:
+                results = img.run_resident_batch(items, window=1)
+            finally:
+                pool.wait_any = original
+            assert img.steals > 0
+            for (_, psi), got in zip(items, results):
+                assert got == image_partitioned(mgr, parts, psi, xs[:4])
 
-    def test_rejects_unknown_mode(self) -> None:
+    def test_steal_counter_starts_at_zero(self) -> None:
         mgr, xs, ys = relation_manager()
         parts = make_parts(mgr, xs, ys, [(0, [0])])
         with ShardPool(1, mgr.var_order()) as pool:
-            with pytest.raises(ShardError, match="unknown sharded-image mode"):
-                ShardedImage(pool, mgr, parts, xs[:1], set(), mode="bogus")
+            img = ShardedImage(pool, mgr, parts, xs[:4], set(xs[:4]))
+            assert img.steals == 0
 
 
 @given(st.data())
 @settings(max_examples=15, deadline=None)
 def test_sharded_image_random_relations(data) -> None:
-    """Random dependency structure, both modes, vs the in-process image."""
+    """Random dependency structure vs the in-process image."""
     mgr, xs, ys = relation_manager()
     n_parts = data.draw(st.integers(2, 5))
     spec = [
@@ -147,7 +152,6 @@ def test_sharded_image_random_relations(data) -> None:
     for v in cube:
         psi = mgr.apply_and(psi, mgr.var_node(v))
     expected = image_partitioned(mgr, parts, psi, quantify)
-    mode = data.draw(st.sampled_from(["cluster", "split"]))
     with ShardPool(2, mgr.var_order()) as pool:
-        img = ShardedImage(pool, mgr, parts, quantify, set(xs[:6]), mode=mode)
+        img = ShardedImage(pool, mgr, parts, quantify, set(xs[:6]))
         assert img.run(psi) == expected

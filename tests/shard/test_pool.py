@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bdd import BddManager, dump_nodes, load_nodes
+from repro.bdd import BddManager, dump_nodes
 from repro.shard import ShardError, ShardPool
 
 VARS = ["a", "b", "c", "d"]
@@ -36,41 +36,6 @@ def test_pool_context_manager(mgr) -> None:
 def test_pool_rejects_zero_shards() -> None:
     with pytest.raises(ShardError):
         ShardPool(0, VARS)
-
-
-def test_load_conjoin_and_exists_roundtrip(mgr) -> None:
-    a, b = mgr.var_index("a"), mgr.var_index("b")
-    f = mgr.apply_or(mgr.var_node(a), mgr.var_node(b))
-    g = mgr.apply_iff(mgr.var_node(a), mgr.var_node(b))
-    with ShardPool(1, VARS) as pool:
-        hf, hg, hout = pool.new_handle(), pool.new_handle(), pool.new_handle()
-        pool.call(0, ("load", hf, dump_nodes(mgr, [f])))
-        pool.call(0, ("load", hg, dump_nodes(mgr, [g])))
-        pool.call(0, ("conjoin", hout, [hf, hg]))
-        hq = pool.new_handle()
-        pool.call(0, ("and_exists", hq, hf, hg, ["a"]))
-        assert pool.stats()[0]["handles"] == 4
-        # Pull both worker-side results back; edges must coincide with
-        # the in-process kernel's (same order, canonical BDDs).
-        (got_and,) = load_nodes(mgr, pool.call(0, ("dump", hout)))
-        (got_q,) = load_nodes(mgr, pool.call(0, ("dump", hq)))
-        assert got_and == mgr.apply_and(f, g)
-        assert got_q == mgr.and_exists(f, g, [a])
-
-
-def test_image_command_runs_plan(mgr) -> None:
-    a, b, c = (mgr.var_index(n) for n in "abc")
-    # Relation: b' ≡ a with b' played by c; quantify a.
-    part = mgr.apply_iff(mgr.var_node(c), mgr.var_node(a))
-    psi = mgr.var_node(a)
-    with ShardPool(1, VARS) as pool:
-        h = pool.new_handle()
-        pool.call(0, ("load", h, dump_nodes(mgr, [part])))
-        plan_id = pool.new_handle()
-        pool.call(0, ("plan", plan_id, [h], ["a"], ["a", "b"]))
-        snapshot = pool.call(0, ("image", plan_id, dump_nodes(mgr, [psi])))
-        (img,) = load_nodes(mgr, snapshot)
-        assert img == mgr.and_exists(psi, part, [a])
 
 
 def test_worker_error_propagates_and_worker_survives(mgr) -> None:
@@ -126,51 +91,3 @@ def test_worker_own_policies() -> None:
         stats = pool.stats()[0]
         assert stats["gc_runs"] == 0
         assert pool.call(0, ("gc",)) == 0  # nothing to reclaim yet
-
-
-class TestOrderProfiles:
-    """Per-shard order autonomy: sift_profile, stats, reset reuse."""
-
-    def test_sift_profiles_record_per_shard_orders(self, mgr) -> None:
-        f = mgr.apply_iff(
-            mgr.var_node(mgr.var_index("a")), mgr.var_node(mgr.var_index("d"))
-        )
-        with ShardPool(2, VARS) as pool:
-            h = pool.new_handle()
-            pool.call(0, ("load", h, dump_nodes(mgr, [f])))
-            replies = pool.sift_profiles()
-            assert len(replies) == 2
-            for shard, reply in enumerate(replies):
-                assert sorted(reply["order"]) == sorted(VARS)
-                assert pool.profiles[shard] == reply["order"]
-                assert reply["swaps"] >= 0
-
-    def test_stats_report_order_profile(self, mgr) -> None:
-        with ShardPool(1, VARS) as pool:
-            assert pool.stats()[0]["order_profile"] == VARS
-
-    def test_reset_reuses_matching_profiles(self, mgr) -> None:
-        with ShardPool(1, VARS) as pool:
-            pool.profiles[0] = ["d", "c", "b", "a"]
-            pool.reset(VARS, reuse_profiles=True)
-            assert pool.stats()[0]["order_profile"] == ["d", "c", "b", "a"]
-            # A plain reset restores the coordinator's order.
-            pool.reset(VARS)
-            assert pool.stats()[0]["order_profile"] == VARS
-
-    def test_reset_drops_mismatched_profiles(self, mgr) -> None:
-        with ShardPool(1, VARS) as pool:
-            pool.profiles[0] = ["z", "c", "b", "a"]  # not a permutation
-            pool.reset(VARS, reuse_profiles=True)
-            assert pool.stats()[0]["order_profile"] == VARS
-            assert 0 not in pool.profiles
-
-    def test_resident_functions_survive_profile_sift(self, mgr) -> None:
-        a, d = mgr.var_index("a"), mgr.var_index("d")
-        f = mgr.apply_xor(mgr.var_node(a), mgr.var_node(d))
-        with ShardPool(1, VARS) as pool:
-            h = pool.new_handle()
-            pool.call(0, ("retain", h, dump_nodes(mgr, [f])))
-            pool.sift_profiles()
-            (back,) = load_nodes(mgr, pool.call(0, ("dump", h)))
-            assert back == f
