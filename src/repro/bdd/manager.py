@@ -89,6 +89,10 @@ _TERMINAL_LEVEL = 1 << 60
 #: ``_var`` sentinel marking a reclaimed node slot awaiting reuse.
 _FREE = -2
 
+#: Computed-table entry count at which a GC safe point flushes the table
+#: (see :meth:`BddManager.should_collect`).
+COMPUTED_TABLE_CAP = 150_000
+
 #: Width of one packed key lane.  Edges, variable indices and interned
 #: quantification-suffix ids must stay below ``2**38`` — that is ~137
 #: billion edges, far beyond anything a pure-Python kernel can hold.
@@ -1913,7 +1917,14 @@ class BddManager:
         factor since the last collection.  Adaptive policy: same test,
         but the floor backs off after consecutive unprofitable sweeps
         (see :class:`~repro.bdd.policy.GcPolicy`).
+
+        This is the kernel's GC safe point (no operator is on the stack),
+        so it also bounds the computed table: once the table holds
+        :data:`COMPUTED_TABLE_CAP` entries it is flushed.  Sweeps trim
+        the table too, but only as often as dead nodes pile up.
         """
+        if len(self._computed) >= COMPUTED_TABLE_CAP:
+            self.clear_caches()
         return self.gc_policy.should_collect(self._nb[0], self._gc_baseline)
 
     def collect_garbage(self, roots: Iterable[int] = ()) -> int:

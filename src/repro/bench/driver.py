@@ -79,10 +79,9 @@ SCHEMA_TABLE1 = "repro-bench-table1/9"
 #:   makes the incremental completion memo pay.
 #: * ``@interleave`` — the per-latch ``F.cs/F.ns/S.cs/S.ns`` product
 #:   order; byte-identical results, only node counts and wall differ.
-#:   On the committed artifact twin16x4@batch8 is flat between the two
-#:   orders (19.66 s stacked, 19.62 s interleaved), while on twin12_8 the
-#:   order decides the outcome: stacked is CNC, interleaved completes in
-#:   222.6 s.
+#:   On the committed artifact twin16x4@batch8 is close between the two
+#:   orders (5.78 s stacked, 5.13 s interleaved), and on twin12_8 stacked
+#:   is now the faster one (34.3 s vs 51.6 s).
 #: * ``@budget`` — the ``@batch8`` engine with the resident ψ set capped
 #:   far below the twin rings' unbounded peak, so the row prices real
 #:   spills/reloads against byte-identical results.

@@ -71,7 +71,12 @@ from repro.bdd.backends.protocol import BddBackend
 from repro.bdd.manager import FALSE
 from repro.errors import EquationError
 from repro.obs.trace import span as obs_span
-from repro.symb.image import image_partitioned, image_with_plan, plan_image
+from repro.symb.image import (
+    image_partitioned,
+    image_with_plan,
+    plan_image,
+    release_plan,
+)
 from repro.eqn.config import SolveConfig
 from repro.eqn.problem import EquationProblem
 from repro.eqn.subset import SubsetEdge, expand_batch_pinned
@@ -249,16 +254,12 @@ class PartitionedOracle:
         The subset driver pins these, which also makes them safe across
         GC-triggered in-place reordering: sifting preserves all pinned
         edges, and the reusable image plans stay valid because their
-        retire sets are variable indices, not levels.  Completion-memo
-        entries are created later and pin themselves as they are
-        inserted.
+        retire sets are variable indices, not levels.  The plans' own
+        (clustered) parts are pinned by :func:`plan_image` until
+        :meth:`close`; completion-memo entries are created later and pin
+        themselves as they are inserted.
         """
         roots = [*self.u_parts, *self.t_parts, *self.nonconf, self.init_cube]
-        if self.p_plan is not None:
-            plan, _ = self.p_plan
-            roots.extend(part for part, _ in plan)
-            for plan, _ in self.q_plans:
-                roots.extend(part for part, _ in plan)
         if not self.trim:
             roots.append(self.dc_part)
         return roots
@@ -358,13 +359,17 @@ class PartitionedOracle:
         return q
 
     def close(self) -> None:
-        """Release memo pins and shut down the shard pool (idempotent).
+        """Release plan and memo pins, shut down the shard pool (idempotent).
 
         A borrowed pool (``pool=`` passed at construction) is left
         running: its owner resets it (clearing worker-side plans and
         resident registries) before the next solve.
         """
         mgr = self.mgr
+        if self.p_plan is not None:
+            for plan, _ in [self.p_plan, *self.q_plans]:
+                release_plan(mgr, plan)
+            self.p_plan = self.q_plans = None
         for memo in self._q_memo:
             for key, value in memo.items():
                 mgr.deref(key)

@@ -340,8 +340,9 @@ class _WorkerState:
         parts = [self.handles[h] for h in part_handles]
         quantify = [mgr.var_index(n) for n in quantify_names]
         support = {mgr.var_index(n) for n in support_names}
-        # The plan's parts are the registry's pinned handles, so the
-        # plan needs no pins of its own.
+        # plan_image pins the plan's (clustered) parts itself.  Plan ids
+        # are never reused, so the pins live as long as the manager,
+        # which ``reset`` replaces wholesale.
         self.plans[plan_id] = plan_image(mgr, parts, quantify, support)
 
     def op_reset(self, overrides: dict | None = None) -> int:

@@ -17,12 +17,11 @@ from repro.symb.relation import (
     output_relation,
     transition_relation,
 )
-from repro.symb.schedule import cluster_parts, schedule_parts
+from repro.symb.schedule import schedule_parts
 
 __all__ = [
     "PartitionedRelation",
     "ReachabilityResult",
-    "cluster_parts",
     "constrain_parts",
     "functions_to_relation",
     "image_monolithic",

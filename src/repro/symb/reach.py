@@ -116,6 +116,8 @@ def reachable_states(
     finally:
         if pool is not None:
             pool.close()
+        if plan is not None:
+            image_mod.release_plan(mgr, plan)
         for part in parts:
             mgr.deref(part)
         mgr.deref(reached)

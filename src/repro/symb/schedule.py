@@ -89,26 +89,3 @@ def schedule_parts(
         constraint_support=constraint_support,
     )
     return [(parts[idx], retire) for idx, retire in ordered]
-
-
-def cluster_parts(
-    mgr: BddManager,
-    parts: Sequence[int],
-    *,
-    max_nodes: int = 2000,
-) -> list[int]:
-    """Greedy clustering: conjoin adjacent parts while the BDD stays small.
-
-    A lightweight version of the cluster-size threshold used by
-    partitioned image computation packages: merging tiny parts reduces
-    scheduling overhead without materialising the monolithic relation.
-    """
-    clusters: list[int] = []
-    for part in parts:
-        if clusters:
-            candidate = mgr.apply_and(clusters[-1], part)
-            if mgr.size(candidate) <= max_nodes:
-                clusters[-1] = candidate
-                continue
-        clusters.append(part)
-    return clusters

@@ -11,6 +11,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 
 from repro.bdd import FALSE, TRUE, BddManager, Function
+from repro.bdd import manager as manager_mod
 from tests.strategies import (
     DEFAULT_VARS,
     all_assignments,
@@ -169,6 +170,89 @@ class TestComputedTable:
         assert 0.0 < mgr.cache_hit_rate() <= 1.0
         stats = mgr.stats
         assert stats["cache_hits"] + stats["cache_misses"] > 0
+
+
+class TestComputedTableBound:
+    """The computed table is flushed at GC safe points once it holds
+    ``COMPUTED_TABLE_CAP`` entries, and never inside an operator."""
+
+    @staticmethod
+    def churn(mgr: BddManager, rounds: int = 6, start: int = 0) -> None:
+        """Fresh computed-table entries: junk around distinct functions."""
+        n = len(DEFAULT_VARS)
+        for k in range(start, start + rounds):
+            a, b = mgr.var_node(k % n), mgr.var_node(k // n % n)
+            make_garbage(mgr, mgr.apply_xor(a, mgr.apply_not(b)))
+
+    def test_safe_points_bound_the_table(self, monkeypatch) -> None:
+        monkeypatch.setattr(manager_mod, "COMPUTED_TABLE_CAP", 8)
+        mgr = BddManager(gc_min_live=10**9)
+        mgr.add_vars(DEFAULT_VARS)
+        safe_points = (mgr.should_collect, mgr.maybe_collect_garbage) * 3
+        for k, safe_point in enumerate(safe_points):
+            self.churn(mgr, 2, start=2 * k)
+            assert mgr.computed_table_size() >= 8
+            safe_point()
+            assert mgr.computed_table_size() <= 8
+        assert mgr.stats["gc_runs"] == 0
+
+    def test_operators_never_flush(self, monkeypatch) -> None:
+        monkeypatch.setattr(manager_mod, "COMPUTED_TABLE_CAP", 1)
+        for core in ("recursive", "iterative"):
+            mgr = BddManager(apply_core=core)
+            mgr.add_vars(DEFAULT_VARS)
+            self.churn(mgr)
+            assert mgr.computed_table_size() > 1
+            mgr.should_collect()
+            assert mgr.computed_table_size() == 0
+
+    def test_flush_keeps_miss_accounting(self, monkeypatch) -> None:
+        monkeypatch.setattr(manager_mod, "COMPUTED_TABLE_CAP", 16)
+        mgr = BddManager(gc_min_live=10**9)
+        mgr.add_vars(DEFAULT_VARS)
+        seen = mgr.stats
+        flushes = 0
+        for k in range(8):
+            self.churn(mgr, 1, start=k)
+            before = mgr.stats
+            assert before["cache_misses"] == before["recursive_calls"]
+            size = mgr.computed_table_size()
+            mgr.should_collect()
+            flushes += mgr.computed_table_size() < size
+            after = mgr.stats
+            assert after["cache_misses"] == after["recursive_calls"]
+            # A flush forgets entries, not the misses that made them.
+            assert after["cache_misses"] == before["cache_misses"]
+            for key in ("cache_hits", "cache_misses", "recursive_calls"):
+                assert seen[key] <= before[key] <= after[key]
+            seen = after
+        assert flushes > 0
+
+    def test_tiny_cap_changes_no_result(self, monkeypatch) -> None:
+        from repro.bench import circuits
+        from repro.network.bddbuild import build_network_bdds
+        from repro.symb.reach import network_reachable_states
+
+        def reach():
+            net = circuits.random_network(4, 8, 4, seed=5, n_nodes=60)
+            mgr = BddManager(gc_min_live=0, gc_growth=1.0)
+            inputs = {name: mgr.add_var(name) for name in net.inputs}
+            cs = {name: mgr.add_var(name) for name in net.latches}
+            ns = {name: mgr.add_var(f"{name}'") for name in net.latches}
+            bdds = build_network_bdds(net, mgr, inputs, cs)
+            result = network_reachable_states(bdds, ns_vars=ns)
+            return mgr, result
+
+        _, want = reach()
+        monkeypatch.setattr(manager_mod, "COMPUTED_TABLE_CAP", 1)
+        mgr, got = reach()
+        assert (got.states, got.iterations, got.state_count) == (
+            want.states,
+            want.iterations,
+            want.state_count,
+        )
+        stats = mgr.stats
+        assert stats["cache_misses"] == stats["recursive_calls"]
 
 
 class TestComplementEdges:

@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdd import BddManager
+from repro.symb import image as image_mod
 from repro.symb import (
     PartitionedRelation,
-    cluster_parts,
     constrain_parts,
     functions_to_relation,
     image_monolithic,
     image_partitioned,
     schedule_parts,
 )
+from repro.symb.image import plan_image, release_plan
 from tests.strategies import DEFAULT_VARS, expressions
 
 
@@ -119,7 +120,7 @@ def test_transition_image_matches_explicit_successors() -> None:
     assert models == {(0, 0), (1, 0)}
 
 
-def test_cluster_parts_preserves_conjunction() -> None:
+def test_plan_image_clusters_preserve_conjunction(monkeypatch) -> None:
     mgr = BddManager()
     mgr.add_vars(DEFAULT_VARS)
     parts = [
@@ -127,13 +128,18 @@ def test_cluster_parts_preserves_conjunction() -> None:
         mgr.apply_or(mgr.var_node(1), mgr.var_node(2)),
         mgr.apply_xor(mgr.var_node(3), mgr.var_node(4)),
     ]
-    for budget in (1, 10, 10_000):
-        clusters = cluster_parts(mgr, parts, max_nodes=budget)
-        assert PartitionedRelation(mgr, clusters).monolithic() == PartitionedRelation(
-            mgr, parts
-        ).monolithic()
-    assert len(cluster_parts(mgr, parts, max_nodes=10_000)) == 1
-    assert len(cluster_parts(mgr, parts, max_nodes=1)) == 3
+    whole = PartitionedRelation(mgr, parts).monolithic()
+    sizes = {}
+    for threshold in (0, 2, 10_000):
+        monkeypatch.setattr(image_mod, "CLUSTER_MAX_NODES", threshold)
+        plan, leftover = plan_image(mgr, parts, [0, 3], set())
+        clusters = [part for part, _ in plan]
+        assert PartitionedRelation(mgr, clusters).monolithic() == whole
+        assert sorted(v for _, r in plan for v in r) + list(leftover) == [0, 3]
+        sizes[threshold] = len(plan)
+        release_plan(mgr, plan)
+    assert sizes[10_000] == 1
+    assert sizes[0] == 3
 
 
 def test_constrain_parts_injects_into_smallest() -> None:
