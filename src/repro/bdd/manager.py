@@ -41,7 +41,8 @@ separate production kernels from toys:
   hold with :meth:`~BddManager.ref` / :meth:`~BddManager.deref` or the
   ``with mgr.protect(...)`` context manager, and
   :meth:`~BddManager.collect_garbage` reclaims everything unreachable,
-  sweeping dead entries out of the subtables and computed table.  Freed
+  sweeping dead entries out of the subtables and flushing the computed
+  table.  Freed
   slots are recycled through a free list, so long fixpoint computations
   (image, reachability, subset construction) no longer grow without bound.
 
@@ -74,7 +75,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 
 from repro.bdd.policy import GcPolicy, ReorderPolicy
-from repro.errors import BddError, BddNodeLimit, BddOrderError
+from repro.errors import BddError, BddNodeLimit
 from repro.obs.trace import span as obs_span
 
 #: Edge of the constant FALSE function (terminal node, positive polarity).
@@ -126,32 +127,6 @@ _OP_COMPOSE = 5
 _OP_RENAME = 6
 _OP_RESTRICT = 7
 _OP_CONSTRAIN = 8
-
-
-def _key_mentions_dead(key: int, marked: bytearray) -> bool:
-    """Whether a computed-table key references a reclaimed node.
-
-    The garbage collector uses this to sweep entries that mention a dead
-    edge (stale entries must go before slots are reused, or a recycled
-    index could produce false cache hits).  Non-edge fields (suffix ids,
-    variable indices, rename-map ids, restrict values) are skipped.
-    """
-    op = key & 15
-    key >>= 4
-    if op <= _OP_XOR or op == _OP_CONSTRAIN:  # AND, XOR, CONSTRAIN: (f, g)
-        return not marked[key >> _EDGE_SHIFT] or not marked[key & _EDGE_MASK]
-    if op == _OP_ITE:
-        if not marked[key & _EDGE_MASK]:
-            return True
-        key >>= _EDGE_SHIFT
-        return not marked[key >> _EDGE_SHIFT] or not marked[key & _EDGE_MASK]
-    if op == _OP_EXISTS or op == _OP_RENAME:  # (f, non-edge)
-        return not marked[key >> _EDGE_SHIFT]
-    if op == _OP_ANDEX or op == _OP_COMPOSE:  # (f, g, non-edge)
-        key >>= _EDGE_SHIFT
-        return not marked[key >> _EDGE_SHIFT] or not marked[key & _EDGE_MASK]
-    # RESTRICT: (f, var, val) with val in an extra low bit.
-    return not marked[key >> (_EDGE_SHIFT + 1)]
 
 
 class QuantSet:
@@ -354,8 +329,8 @@ class BddManager:
         # shared cell): [cache_hits, miss_compensation, unique_hits].
         # Cache misses are *derived* — every miss stores exactly one
         # computed-table entry, so ``misses = compensation +
-        # len(_computed)`` with the compensation cell absorbing sweeps,
-        # flushes and stat resets.  That keeps one list-increment off the
+        # len(_computed)`` with the compensation cell absorbing flushes
+        # and stat resets.  That keeps one list-increment off the
         # hot miss path.
         self._counters = [0, 0, 0]
         self._gc_runs = 0
@@ -482,7 +457,8 @@ class BddManager:
             raise BddError("set_order requires an empty manager; use reorder()")
         if sorted(names) != sorted(self._var_names):
             raise BddError("set_order must mention every declared variable once")
-        self._level2var = [self._name_to_var[n] for n in names]
+        # In place: the operator closures hold this very list.
+        self._level2var[:] = [self._name_to_var[n] for n in names]
         for level, var in enumerate(self._level2var):
             self._var2level[var] = level
         self._order_epoch += 1
@@ -1782,10 +1758,14 @@ class BddManager:
     def rename(self, f: int, var_map: Mapping[int, int]) -> int:
         """Rename variables of ``f`` according to ``var_map`` (old -> new).
 
-        Uses a fast structural rebuild when the mapping preserves the
-        variable order; otherwise falls back to the quantification-based
-        method (which requires the new variables to be absent from the
-        support of ``f``).  Both paths are iterative.
+        One iterative structural rebuild of ``f``: each node is rebuilt
+        directly under its new variable where that respects the order,
+        and through :meth:`ite` on the new variable's literal where it
+        does not.  An order-preserving map (the ``ns -> cs`` rename of a
+        paired or blocked order) thus costs one pass over ``f``, and a
+        map that a reorder has scrambled costs small ``ite`` calls only
+        at the nodes it moves.  The substitution is simultaneous, so a
+        map may swap variables.
         """
         relevant = {old: new for old, new in var_map.items() if old != new}
         if not relevant or f < 2:
@@ -1803,26 +1783,12 @@ class BddManager:
         if r is not None:
             self._counters[0] += 1
             return r ^ sign
-        olds = sorted(relevant, key=lambda v: self._var2level[v])
-        news = [relevant[v] for v in olds]
-        new_levels = [self._var2level[v] for v in news]
-        order_ok = all(new_levels[i] < new_levels[i + 1] for i in range(len(news) - 1))
-        if order_ok:
-            try:
-                r = self._rename_struct(f, relevant)
-            except BddOrderError:
-                r = self._rename_general(f, relevant)
-        else:
-            r = self._rename_general(f, relevant)
+        r = self._rename_struct(f, relevant)
         self._computed[key] = r
         return r ^ sign
 
     def _rename_struct(self, f: int, var_map: Mapping[int, int]) -> int:
-        """Structural rebuild rename (iterative postorder with memo).
-
-        Raises :class:`~repro.errors.BddOrderError` as soon as a rebuilt
-        node would violate the variable order.
-        """
+        """Structural rebuild rename (iterative postorder with memo)."""
         var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
         var2level = self._var2level
         memo: dict[int, int] = {}
@@ -1847,24 +1813,12 @@ class BddManager:
                 var = var_map.get(var_arr[e], var_arr[e])
                 level = var2level[var]
                 if min(self.level(lo), self.level(hi)) <= level:
-                    raise BddOrderError("rename does not preserve the variable order")
-                r = self._mk(var, lo, hi)
+                    r = self.ite(self.var_node(var), hi, lo)
+                else:
+                    r = self._mk(var, lo, hi)
                 memo[e] = r
                 rstack.append(r)
         return rstack[0]
-
-    def _rename_general(self, f: int, var_map: Mapping[int, int]) -> int:
-        support = self.support(f)
-        if any(new in support for new in var_map.values()):
-            raise BddOrderError(
-                "general rename requires target variables absent from the support"
-            )
-        eq = TRUE
-        for old, new in var_map.items():
-            eq = self.apply_and(
-                eq, self.apply_iff(self.var_node(old), self.var_node(new))
-            )
-        return self.and_exists(f, eq, list(var_map))
 
     # ------------------------------------------------------------------ #
     # Garbage collection
@@ -1920,8 +1874,8 @@ class BddManager:
 
         This is the kernel's GC safe point (no operator is on the stack),
         so it also bounds the computed table: once the table holds
-        :data:`COMPUTED_TABLE_CAP` entries it is flushed.  Sweeps trim
-        the table too, but only as often as dead nodes pile up.
+        :data:`COMPUTED_TABLE_CAP` entries it is flushed.  Sweeps flush
+        it too, but only as often as dead nodes pile up.
         """
         if len(self._computed) >= COMPUTED_TABLE_CAP:
             self.clear_caches()
@@ -1934,9 +1888,9 @@ class BddManager:
         are stable (freed slots are recycled by later ``_mk`` calls), so
         held edges of *live* functions remain valid.  The sweep is
         **level-local**: each per-level subtable is scanned over its live
-        entries only (dead slots are never touched), and computed-table
-        entries mentioning a dead node are swept before any slot can be
-        reused — stale hits are impossible.  Variable literal nodes are
+        entries only (dead slots are never touched), and a sweep that
+        reclaims anything flushes the computed table before any slot can
+        be reused — stale hits are impossible.  Variable literal nodes are
         always kept, so literal edges held by callers can never dangle.
 
         Every sweep reports its reclaim ratio to :attr:`gc_policy` (which
@@ -1994,16 +1948,7 @@ class BddManager:
             reclaimed += len(dead)
         if reclaimed:
             nb[0] = live_before - reclaimed
-            computed = self._computed
-            dead_keys = [
-                key
-                for key, val in computed.items()
-                if not marked[val] or _key_mentions_dead(key, marked)
-            ]
-            # Swept entries stay counted as past misses (see _counters).
-            self._counters[1] += len(dead_keys)
-            for key in dead_keys:
-                del computed[key]
+            self.clear_caches()
         self._gc_runs += 1
         self._gc_reclaimed += reclaimed
         self._gc_baseline = nb[0]

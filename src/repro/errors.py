@@ -29,10 +29,6 @@ class BddNodeLimit(BddError):
         self.limit = limit
 
 
-class BddOrderError(BddError):
-    """Raised when a variable rename would violate the variable order."""
-
-
 class TimeLimit(ReproError):
     """Raised when a computation exceeds its wall-clock budget."""
 

@@ -196,6 +196,18 @@ class TestComputedTableBound:
             assert mgr.computed_table_size() <= 8
         assert mgr.stats["gc_runs"] == 0
 
+    def test_reclaiming_sweep_flushes_the_table(self) -> None:
+        mgr = fresh()
+        keep = mgr.ref(mgr.apply_and(mgr.var_node(0), mgr.var_node(1)))
+        mgr.collect_garbage()
+        self.churn(mgr)
+        assert mgr.computed_table_size() > 0
+        assert mgr.collect_garbage() > 0
+        assert mgr.computed_table_size() == 0
+        stats = mgr.stats
+        assert stats["cache_misses"] == stats["recursive_calls"]
+        assert mgr.apply_and(mgr.var_node(0), mgr.var_node(1)) == keep
+
     def test_operators_never_flush(self, monkeypatch) -> None:
         monkeypatch.setattr(manager_mod, "COMPUTED_TABLE_CAP", 1)
         for core in ("recursive", "iterative"):

@@ -37,6 +37,16 @@ class TestVariables:
         assert m.var_order() == ["y", "x"]
         assert m.var_level(m.var_index("y")) == 0
 
+    def test_operators_follow_a_set_order(self) -> None:
+        m = BddManager()
+        a, b, c = m.add_vars(["a", "b", "c"])
+        m.set_order(["b", "a", "c"])
+        A, B, C = m.var_node(a), m.var_node(b), m.var_node(c)
+        assert m.ite(C, m.apply_not(A), A) == m.apply_xor(A, C)
+        f = m.apply_and(m.apply_xor(A, B), C)
+        assert m.and_exists(f, m.apply_or(A, C), [a]) == C
+        assert m.and_exists(f, C, [c]) == m.apply_xor(A, B)
+
     def test_set_order_rejects_partial_lists(self) -> None:
         m = BddManager()
         m.add_vars(["x", "y"])

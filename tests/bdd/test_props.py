@@ -79,6 +79,29 @@ def test_compose_matches_semantics(expr, name, sub) -> None:
         assert mgr.eval(r, env) == expr.evaluate(substituted)
 
 
+@given(
+    expressions(),
+    st.permutations(DEFAULT_VARS),
+    st.permutations(DEFAULT_VARS),
+)
+@settings(max_examples=75, deadline=None)
+def test_rename_matches_semantics_under_any_order(expr, targets, order) -> None:
+    """Simultaneous renaming by any permutation, swaps included, on any
+    variable order: the order-breaking nodes go through ``ite``."""
+    mgr = BddManager()
+    mgr.add_vars(DEFAULT_VARS)
+    mgr.set_order(order)
+    node = expr.to_bdd(mgr)
+    mapping = dict(zip(DEFAULT_VARS, targets))
+    r = mgr.rename(
+        node, {mgr.var_index(old): mgr.var_index(new) for old, new in mapping.items()}
+    )
+    for env in all_assignments(DEFAULT_VARS):
+        assert mgr.eval(r, env) == expr.evaluate(
+            {old: env[new] for old, new in mapping.items()}
+        )
+
+
 @given(expressions())
 @settings(max_examples=100, deadline=None)
 def test_canonicity_syntactic_variants_share_nodes(expr) -> None:
