@@ -42,9 +42,9 @@ separate production kernels from toys:
   ``with mgr.protect(...)`` context manager, and
   :meth:`~BddManager.collect_garbage` reclaims everything unreachable,
   sweeping dead entries out of the subtables and flushing the computed
-  table.  Freed
-  slots are recycled through a free list, so long fixpoint computations
-  (image, reachability, subset construction) no longer grow without bound.
+  table.  Freed slots are recycled through a free list, so long fixpoint
+  computations (image, reachability, subset construction) no longer grow
+  without bound.
 
 The node attribute arrays are **edge-indexed**: slot ``2n`` holds node
 ``n``'s children as stored, slot ``2n+1`` holds them with the complement

@@ -79,9 +79,8 @@ SCHEMA_TABLE1 = "repro-bench-table1/9"
 #:   makes the incremental completion memo pay.
 #: * ``@interleave`` — the per-latch ``F.cs/F.ns/S.cs/S.ns`` product
 #:   order; byte-identical results, only node counts and wall differ.
-#:   On the committed artifact twin16x4@batch8 is close between the two
-#:   orders (5.78 s stacked, 5.13 s interleaved), and on twin12_8 stacked
-#:   is now the faster one (34.3 s vs 51.6 s).
+#:   On the committed artifact (one run per row) twin16x4@batch8 takes
+#:   5.38 s stacked and 6.96 s interleaved, twin12_8 41.9 s and 54.4 s.
 #: * ``@budget`` — the ``@batch8`` engine with the resident ψ set capped
 #:   far below the twin rings' unbounded peak, so the row prices real
 #:   spills/reloads against byte-identical results.
