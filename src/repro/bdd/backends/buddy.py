@@ -518,10 +518,12 @@ class BuddyManager:
         lit = self.var_node(var) if value else self.nvar_node(var)
         return self._own(self._lib.bdd_restrict(f, lit))
 
-    def cofactor_cube(self, f: int, assignment: Mapping[int, bool | int]) -> int:
-        for var, val in sorted(assignment.items()):
-            f = self.restrict(f, var, val)
-        return f
+    def cofactor_cube(self, f: int, cube: int | Mapping[int, bool | int]) -> int:
+        if not isinstance(cube, int):
+            cube = self.cube(cube)
+        if cube == 0:
+            raise BddError("cofactor by the FALSE cube")
+        return self._own(self._lib.bdd_restrict(f, cube))
 
     def constrain(self, f: int, c: int) -> int:
         if c == 0:

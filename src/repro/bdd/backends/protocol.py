@@ -91,7 +91,7 @@ class BddBackend(Protocol):
     def forall(self, f: int, variables: Any) -> int: ...
     def and_exists(self, f: int, g: int, variables: Any) -> int: ...
     def restrict(self, f: int, var: int, value: bool | int) -> int: ...
-    def cofactor_cube(self, f: int, assignment: Mapping[int, bool | int]) -> int: ...
+    def cofactor_cube(self, f: int, cube: int | Mapping[int, bool | int]) -> int: ...
     def constrain(self, f: int, c: int) -> int: ...
     def compose(self, f: int, var: int, g: int) -> int: ...
     def vector_compose(self, f: int, substitution: Mapping[int, int]) -> int: ...

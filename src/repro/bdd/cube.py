@@ -137,6 +137,32 @@ def pick_cube(mgr: BddManager, f: int) -> dict[int, int]:
     return cube
 
 
+def cube_assignment(mgr: BddManager, f: int) -> dict[int, int] | None:
+    """The ``var -> 0/1`` bindings of ``f`` when ``f`` is a cube, else None.
+
+    A cube is a conjunction of literals; TRUE is the empty cube and
+    FALSE is none.  Walks the one path of ``f`` with protocol calls only
+    (``node_var``/``node_lo``/``node_hi``), so every backend can answer:
+    ``f`` is a cube exactly when one child of each node on the path is
+    FALSE.
+    """
+    if f == FALSE:
+        return None
+    bound: dict[int, int] = {}
+    node = f
+    while node != TRUE:
+        lo = mgr.node_lo(node)
+        if lo == FALSE:
+            bound[mgr.node_var(node)] = 1
+            node = mgr.node_hi(node)
+        elif mgr.node_hi(node) == FALSE:
+            bound[mgr.node_var(node)] = 0
+            node = lo
+        else:
+            return None
+    return bound
+
+
 def split_by_vars(
     mgr: BddManager, f: int, split_vars: Sequence[int]
 ) -> dict[int, int]:

@@ -117,6 +117,7 @@ _EDGE_MASK = (1 << _EDGE_SHIFT) - 1
 # RENAME     ``((f << S | map_id) << 4) | tag``
 # RESTRICT   ``(((f << S | var) << 1 | val) << 4) | tag``
 # CONSTRAIN  ``((f << S | c) << 4) | tag``
+# COFACTOR   ``((f << S | cube) << 4) | tag``
 # =========  ====================================================
 _OP_AND = 0
 _OP_XOR = 1
@@ -127,6 +128,7 @@ _OP_COMPOSE = 5
 _OP_RENAME = 6
 _OP_RESTRICT = 7
 _OP_CONSTRAIN = 8
+_OP_COFACTOR = 9
 
 
 class QuantSet:
@@ -1608,11 +1610,78 @@ class BddManager:
                 rstack.append(r ^ fr[3])
         return rstack[0]
 
-    def cofactor_cube(self, f: int, assignment: Mapping[int, bool | int]) -> int:
-        """Cofactor with respect to several ``var -> value`` bindings."""
-        for var, val in sorted(assignment.items(), key=lambda kv: self._var2level[kv[0]]):
-            f = self.restrict(f, var, val)
-        return f
+    def cofactor_cube(self, f: int, cube: int | Mapping[int, bool | int]) -> int:
+        """Cofactor of ``f`` by a cube: every variable the cube binds is fixed.
+
+        ``cube`` is a conjunction of literals, given as its edge or as a
+        ``var -> value`` mapping (built with :meth:`cube`); TRUE binds
+        nothing.  One iterative pass over ``f`` walks the cube alongside
+        it: a node on a bound variable is skipped for its bound child, any
+        other node is rebuilt from its two cofactors.  Each frame is
+        cached under ``f`` and the rest of the cube below ``f``'s top
+        variable, so callers that first project the cube onto ``f``'s
+        support share entries across cubes that agree there.
+        Cofactoring commutes with negation, so both polarities of ``f``
+        share one entry.  Safe at any BDD depth.
+        """
+        if not isinstance(cube, int):
+            cube = self.cube(cube)
+        if cube == FALSE:
+            raise BddError("cofactor by the FALSE cube")
+        computed = self._computed
+        counters = self._counters
+        var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
+        var2level = self._var2level
+        stack: list[tuple] = [(0, f, cube)]
+        rstack: list[int] = []
+        while stack:
+            fr = stack.pop()
+            tag = fr[0]
+            if tag == 0:
+                f = fr[1]
+                if f < 2:
+                    rstack.append(f)
+                    continue
+                c = fr[2]
+                top = var2level[var_arr[f]]
+                # Drop the cube's variables above f's top: f does not
+                # depend on them.
+                while c > TRUE and var2level[var_arr[c]] < top:
+                    lo = lo_arr[c]
+                    c = hi_arr[c] if lo == FALSE else lo
+                if c == TRUE:
+                    rstack.append(f)
+                    continue
+                sign = f & 1
+                f ^= sign
+                key = (f << _EDGE_SHIFT | c) << 4 | _OP_COFACTOR
+                r = computed.get(key)
+                if r is not None:
+                    counters[0] += 1
+                    rstack.append(r ^ sign)
+                    continue
+                if var_arr[c] == var_arr[f]:
+                    lo = lo_arr[c]
+                    stack.append((2, key, sign))
+                    if lo == FALSE:
+                        stack.append((0, hi_arr[f], hi_arr[c]))
+                    else:
+                        stack.append((0, lo_arr[f], lo))
+                else:
+                    stack.append((1, key, var_arr[f], sign))
+                    stack.append((0, hi_arr[f], c))
+                    stack.append((0, lo_arr[f], c))
+            elif tag == 1:
+                hi = rstack.pop()
+                lo = rstack.pop()
+                r = self._mk(fr[2], lo, hi)
+                computed[fr[1]] = r
+                rstack.append(r ^ fr[3])
+            else:
+                r = rstack.pop()
+                computed[fr[1]] = r
+                rstack.append(r ^ fr[2])
+        return rstack[0]
 
     def constrain(self, f: int, c: int) -> int:
         """Generalised cofactor (Coudert-Madre constrain operator).
@@ -2043,8 +2112,7 @@ class BddManager:
         for var, val in sorted(
             assignment.items(), key=lambda kv: self._var2level[kv[0]], reverse=True
         ):
-            lit = self.var_node(var) if val else self.nvar_node(var)
-            f = self.apply_and(lit, f)
+            f = self._mk(var, FALSE, f) if val else self._mk(var, f, FALSE)
         return f
 
     # ------------------------------------------------------------------ #

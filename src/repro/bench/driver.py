@@ -380,9 +380,9 @@ def _indep_images(n: int, shards: int) -> BddManager:
     constraints = [c for c in constraints if c != 0] or [bdds.init_cube]
     out = 0
     if shards <= 1:
-        plan, leftover = plan_image(mgr, parts, quantify, set(cs_vars))
+        plan = plan_image(mgr, parts, quantify, set(cs_vars))
         for c in constraints:
-            out = mgr.apply_or(out, image_with_plan(mgr, plan, leftover, c))
+            out = mgr.apply_or(out, image_with_plan(mgr, plan, c))
     else:
         from repro.bdd.io import dump_nodes, load_nodes
         from repro.shard import ShardPool

@@ -325,12 +325,12 @@ class PartitionedOracle:
             self.memo_hits += 1
             return hit
         self.memo_misses += 1
-        plan, leftover = self.q_plans[j]
+        plan = self.q_plans[j]
         # Imaging the projection rather than ψ itself is the incremental
         # step: the irrelevant latches are already gone from the
         # constraint, and the result is identical by construction.
         with mgr.protect(key):
-            img = image_with_plan(mgr, plan, leftover, key, gc=True)
+            img = image_with_plan(mgr, plan, key, gc=True)
         return self._q_insert(j, key, img)
 
     def non_conformance(self, psi: int) -> int:
@@ -367,7 +367,7 @@ class PartitionedOracle:
         """
         mgr = self.mgr
         if self.p_plan is not None:
-            for plan, _ in [self.p_plan, *self.q_plans]:
+            for plan in [self.p_plan, *self.q_plans]:
                 release_plan(mgr, plan)
             self.p_plan = self.q_plans = None
         for memo in self._q_memo:
@@ -386,8 +386,7 @@ class PartitionedOracle:
     def successor_image(self, psi: int) -> int:
         """``P_ψ(u,v,ns)`` — the partitioned image of ψ (in-process)."""
         if self.p_plan is not None:
-            plan, leftover = self.p_plan
-            return image_with_plan(self.mgr, plan, leftover, psi, gc=True)
+            return image_with_plan(self.mgr, self.p_plan, psi, gc=True)
         return image_partitioned(
             self.mgr,
             self.u_parts + self.t_parts,

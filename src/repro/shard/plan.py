@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Sequence
 
+from repro.bdd.cube import cube_assignment
 from repro.bdd.io import dump_nodes, load_nodes
 from repro.bdd.manager import FALSE, BddManager
 from repro.obs.trace import span as obs_span
@@ -149,8 +150,13 @@ class ShardedImage:
         its defining assignment (variable *name* -> 0/1), so a worker
         holding the constraint can rebuild the slice without the slice
         BDD ever crossing the wire (the resident-handle protocol).
+
+        A cube constraint (one product state) is not sliced: it stays
+        one slice, which the worker images by cofactoring its plan.
         """
         mgr = self.mgr
+        if cube_assignment(mgr, constraint) is not None:
+            return [(constraint, {})]
         support = mgr.support(constraint)
         splitters = sorted(
             (v for v in self._candidates if v in support),

@@ -290,7 +290,7 @@ class _WorkerState:
 
     def op_expand_batch(self, plan_id: int, items: list) -> list[dict]:
         mgr = self.mgr
-        plan, leftover = self.plans[plan_id]
+        plan = self.plans[plan_id]
         out: list[dict] = []
         for item in items:
             if isinstance(item, (tuple, list)):
@@ -304,7 +304,7 @@ class _WorkerState:
             else:
                 constraint = self._touch_resident(item)
             with mgr.protect(constraint):
-                result = image_with_plan(mgr, plan, leftover, constraint, gc=True)
+                result = image_with_plan(mgr, plan, constraint, gc=True)
             # Snapshot immediately: the result edge itself is a per-call
             # intermediate that the next collection may reclaim.
             out.append(mgr.dump_nodes([result]))

@@ -17,7 +17,9 @@ precisely the paper's claim (and the E5 ablation benchmark).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
+from repro.bdd.cube import cube_assignment
 from repro.bdd.manager import FALSE, TRUE, BddManager, QuantSet
 from repro.obs.trace import span as obs_span
 from repro.symb.schedule import schedule_parts
@@ -100,19 +102,32 @@ def image_partitioned(
     return result
 
 
+class ImagePlan(NamedTuple):
+    """A reusable image plan for a fixed part list (see :func:`plan_image`)."""
+
+    #: ``(cluster, retire, project)`` per fold step: the cluster, the
+    #: variables quantified right after it, and the constraint variables
+    #: outside its support.
+    steps: list[tuple[int, QuantSet, QuantSet]]
+    #: Quantified variables no step retires (quantified at the end).
+    leftover: QuantSet
+    #: Every variable the plan quantifies.
+    quantified: frozenset[int]
+
+
 def plan_image(
     mgr: BddManager,
     parts: Sequence[int],
     quantify: Iterable[int],
     constraint_support: Iterable[int],
-) -> tuple[list[tuple[int, QuantSet]], QuantSet]:
+) -> ImagePlan:
     """Precompute a reusable image plan for a fixed part list.
 
     The subset construction computes thousands of images against the
     *same* partitioned relation with only the constraint ψ changing; as
     long as every constraint's support stays within
     ``constraint_support``, the schedule can be computed once and reused
-    via :func:`image_with_plan`.  Returns ``(plan, leftover_vars)``.
+    via :func:`image_with_plan`.
 
     Consecutive scheduled steps are merged into clusters while their
     conjunction stays within :data:`CLUSTER_MAX_NODES` nodes (the
@@ -123,18 +138,17 @@ def plan_image(
     so every plan part is pinned here; the plan's holder hands it back
     to :func:`release_plan` when done.
 
-    Every retire set (and the leftover set) is interned as a
-    :class:`~repro.bdd.manager.QuantSet`, so the thousands of
-    ``and_exists`` fold steps the plan will drive skip the per-call
-    sort/dedup/intern pass.  Quant sets hold variable *indices* and
-    revalidate their level caches lazily, so a plan stays valid across
-    GC-triggered in-place reordering.
+    Every retire set, projection set and the leftover set is interned as
+    a :class:`~repro.bdd.manager.QuantSet`, so the thousands of fold
+    steps the plan will drive skip the per-call sort/dedup/intern pass.
+    Quant sets hold variable *indices* and revalidate their level caches
+    lazily, so a plan stays valid across GC-triggered in-place
+    reordering.
     """
     with obs_span("plan_image", parts=len(parts)) as plan_span:
         qvars = list(quantify)
-        steps = schedule_parts(
-            mgr, parts, qvars, constraint_support=constraint_support
-        )
+        csupp = set(constraint_support)
+        steps = schedule_parts(mgr, parts, qvars, constraint_support=csupp)
         clusters: list[tuple[int, list[int]]] = []
         for part, retire in steps:
             if clusters:
@@ -145,21 +159,27 @@ def plan_image(
             clusters.append((part, list(retire)))
         planned = {v for _, retire in clusters for v in retire}
         leftover = [v for v in qvars if v not in planned]
-        plan = [(mgr.ref(part), mgr.quant_set(retire)) for part, retire in clusters]
+        plan = [
+            (
+                mgr.ref(part),
+                mgr.quant_set(retire),
+                mgr.quant_set(sorted(csupp - mgr.support(part))),
+            )
+            for part, retire in clusters
+        ]
         plan_span.set(steps=len(steps), clusters=len(plan), leftover=len(leftover))
-        return plan, mgr.quant_set(leftover)
+        return ImagePlan(plan, mgr.quant_set(leftover), frozenset(qvars))
 
 
-def release_plan(mgr: BddManager, plan: Sequence[tuple[int, QuantSet]]) -> None:
+def release_plan(mgr: BddManager, plan: ImagePlan) -> None:
     """Drop the pins :func:`plan_image` took on ``plan``'s parts."""
-    for part, _ in plan:
+    for part, _, _ in plan.steps:
         mgr.deref(part)
 
 
 def image_with_plan(
     mgr: BddManager,
-    plan: Sequence[tuple[int, QuantSet | list[int]]],
-    leftover: QuantSet | Sequence[int],
+    plan: ImagePlan,
     constraint: int,
     *,
     gc: bool = False,
@@ -169,21 +189,43 @@ def image_with_plan(
     Each fold step is one fused ``and_exists`` — the conjunction with
     the next part quantifies its retired variables on the fly and
     short-circuits to FALSE the moment the product dies, so the
-    monolithic conjunction is never materialised.  ``gc=True`` allows
-    opportunistic garbage collection between fold steps (see
-    :func:`image_partitioned` for the rooting contract).
+    monolithic conjunction is never materialised.
+
+    A constraint that is a cube whose variables the plan all quantifies
+    (every subset state of the paper's construction is one product
+    state) is not folded through at all: ``∃Q.(ψ ∧ Π C_k) =
+    ∃(Q∖vars ψ).Π (C_k|ψ)``.  Each cluster is cofactored by ψ projected
+    onto its support, so the kernel's cofactor cache serves every ψ
+    that agrees with an earlier one there, and the cofactors are folded
+    from TRUE with the same retire sets; those stay exact when a
+    cluster's support shrinks.  Any other constraint takes the fold.
+
+    ``gc=True`` allows opportunistic garbage collection between fold
+    steps (see :func:`image_partitioned` for the rooting contract).
     """
-    result = constraint
-    if result == FALSE:
+    if constraint == FALSE:
         return FALSE
-    for i, (part, retire) in enumerate(plan):
-        result = mgr.and_exists(result, part, retire)
+    steps = plan.steps
+    bound = cube_assignment(mgr, constraint)
+    if bound is not None and plan.quantified.issuperset(bound):
+        parts = []
+        for cluster, _, project in steps:
+            part = mgr.cofactor_cube(cluster, mgr.exists(constraint, project))
+            if part == FALSE:
+                return FALSE
+            parts.append(part)
+        result = TRUE
+    else:
+        parts = [cluster for cluster, _, _ in steps]
+        result = constraint
+    for i, (_, retire, _) in enumerate(steps):
+        result = mgr.and_exists(result, parts[i], retire)
         if result == FALSE:
             return FALSE
         if gc and mgr.should_collect():
-            mgr.collect_garbage([result, *(p for p, _ in plan[i + 1 :])])
-    if leftover:
-        result = mgr.exists(result, leftover)
+            mgr.collect_garbage([result, *parts[i + 1 :]])
+    if plan.leftover:
+        result = mgr.exists(result, plan.leftover)
     return result
 
 

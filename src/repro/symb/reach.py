@@ -63,7 +63,7 @@ def reachable_states(
     # the pure and_exists fold (interned quant sets, no rescheduling).
     # The plan's retire sets hold variable indices, so a GC-triggered
     # in-place sift mid-fixpoint leaves it valid.
-    plan = leftover = None
+    plan = None
     pool = sharded = None
     if shards > 1:
         from repro.shard import ShardPool, ShardedImage
@@ -76,7 +76,7 @@ def reachable_states(
             pool.close()
             raise
     elif schedule:
-        plan, leftover = image_mod.plan_image(
+        plan = image_mod.plan_image(
             mgr, parts, quantify, constraint_support=set(cs_vars)
         )
     reached = init
@@ -99,9 +99,7 @@ def reachable_states(
                 if sharded is not None:
                     img_ns = sharded.run(frontier)
                 elif plan is not None:
-                    img_ns = image_mod.image_with_plan(
-                        mgr, plan, leftover, frontier, gc=True
-                    )
+                    img_ns = image_mod.image_with_plan(mgr, plan, frontier, gc=True)
                 else:
                     img_ns = image_partitioned(
                         mgr, parts, frontier, quantify, schedule=False, gc=True

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bdd import BddManager
+from repro.bdd import FALSE, TRUE, BddManager
+from repro.bdd.cube import cube_assignment
+from repro.errors import BddError
 from repro.symb import image as image_mod
 from repro.symb import (
     PartitionedRelation,
@@ -17,7 +20,7 @@ from repro.symb import (
     image_partitioned,
     schedule_parts,
 )
-from repro.symb.image import plan_image, release_plan
+from repro.symb.image import image_with_plan, plan_image, release_plan
 from tests.strategies import DEFAULT_VARS, expressions
 
 
@@ -132,11 +135,12 @@ def test_plan_image_clusters_preserve_conjunction(monkeypatch) -> None:
     sizes = {}
     for threshold in (0, 2, 10_000):
         monkeypatch.setattr(image_mod, "CLUSTER_MAX_NODES", threshold)
-        plan, leftover = plan_image(mgr, parts, [0, 3], set())
-        clusters = [part for part, _ in plan]
+        plan = plan_image(mgr, parts, [0, 3], set())
+        clusters = [part for part, _, _ in plan.steps]
         assert PartitionedRelation(mgr, clusters).monolithic() == whole
-        assert sorted(v for _, r in plan for v in r) + list(leftover) == [0, 3]
-        sizes[threshold] = len(plan)
+        retired = sorted(v for _, r, _ in plan.steps for v in r)
+        assert retired + list(plan.leftover) == [0, 3]
+        sizes[threshold] = len(plan.steps)
         release_plan(mgr, plan)
     assert sizes[10_000] == 1
     assert sizes[0] == 3
@@ -153,3 +157,86 @@ def test_constrain_parts_injects_into_smallest() -> None:
     # Empty part list: constraint becomes the only part.
     assert constrain_parts(mgr, [], mgr.var_node(a)) == [mgr.var_node(a)]
     assert constrain_parts(mgr, [], 1) == []
+
+
+# -- cube constraints ------------------------------------------------- #
+
+bindings = st.dictionaries(st.sampled_from(DEFAULT_VARS), st.booleans())
+
+
+class CountingManager(BddManager):
+    """Records the edges :meth:`cofactor_cube` is called on."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.cofactored: list[int] = []
+
+    def cofactor_cube(self, f, cube):
+        self.cofactored.append(f)
+        return super().cofactor_cube(f, cube)
+
+
+def _cube_images_agree(exprs, quantify_names, assignment) -> list[int]:
+    """Image one cube with a plan and unscheduled; returns the cofactored edges."""
+    mgr = CountingManager()
+    mgr.add_vars(DEFAULT_VARS)
+    parts = [e.to_bdd(mgr) for e in exprs]
+    quantify = [mgr.var_index(n) for n in sorted(quantify_names)]
+    psi = mgr.cube({mgr.var_index(n): b for n, b in assignment.items()})
+    want = image_partitioned(mgr, parts, psi, quantify, schedule=False)
+    plan = plan_image(mgr, parts, quantify, range(len(DEFAULT_VARS)))
+    assert image_with_plan(mgr, plan, psi) == want
+    release_plan(mgr, plan)
+    return mgr.cofactored
+
+
+@given(part_lists, var_subsets, bindings)
+@settings(max_examples=80, deadline=None)
+def test_plan_images_full_and_partial_cubes_by_cofactoring(exprs, names, bits) -> None:
+    full = {n: bits.get(n, False) for n in names}
+    partial = {n: b for n, b in bits.items() if n in names}
+    for assignment in (full, partial):
+        assert _cube_images_agree(exprs, names, assignment)
+
+
+@given(part_lists, var_subsets, bindings)
+@settings(max_examples=60, deadline=None)
+def test_plan_folds_a_cube_that_binds_a_kept_variable(exprs, names, bits) -> None:
+    kept = next(n for n in DEFAULT_VARS if n not in names)
+    assert _cube_images_agree(exprs, names, {kept: True, **bits}) == []
+
+
+def test_cube_assignment_reads_cubes_only() -> None:
+    mgr = BddManager()
+    a, b, c = mgr.add_vars(["a", "b", "c"])
+    lit_a, lit_b, lit_c = (mgr.var_node(v) for v in (a, b, c))
+    assert cube_assignment(mgr, FALSE) is None
+    assert cube_assignment(mgr, TRUE) == {}
+    assert cube_assignment(mgr, lit_b) == {b: 1}
+    assert cube_assignment(mgr, mgr.apply_not(lit_b)) == {b: 0}
+    cube = mgr.apply_and(mgr.apply_and(lit_a, mgr.apply_not(lit_b)), lit_c)
+    assert cube_assignment(mgr, cube) == {a: 1, b: 0, c: 1}
+    assert cube_assignment(mgr, mgr.apply_or(lit_a, lit_c)) is None
+    assert cube_assignment(mgr, mgr.apply_and(lit_a, mgr.apply_xor(lit_b, lit_c))) is None
+
+
+@given(expressions(), st.dictionaries(st.sampled_from([*DEFAULT_VARS, "z"]), st.booleans()))
+@settings(max_examples=100, deadline=None)
+def test_one_pass_cofactor_matches_sequential_restrict(expr, bits) -> None:
+    mgr = BddManager()
+    mgr.add_vars([*DEFAULT_VARS, "z"])
+    f = expr.to_bdd(mgr)
+    assignment = {mgr.var_index(n): b for n, b in bits.items()}
+    want = f
+    for var, val in assignment.items():
+        want = mgr.restrict(want, var, val)
+    assert mgr.cofactor_cube(f, assignment) == want
+    assert mgr.cofactor_cube(f, mgr.cube(assignment)) == want
+    assert mgr.cofactor_cube(mgr.apply_not(f), assignment) == mgr.apply_not(want)
+
+
+def test_cofactor_by_false_cube_raises() -> None:
+    mgr = BddManager()
+    (a,) = mgr.add_vars(["a"])
+    with pytest.raises(BddError):
+        mgr.cofactor_cube(mgr.var_node(a), FALSE)

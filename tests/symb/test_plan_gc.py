@@ -6,12 +6,18 @@ built now must survive a forced collection and an in-place sift before
 it runs, in-process, inside ``reachable_states`` and inside a shard
 worker (``op_plan``).  Every result is checked against the unscheduled
 fold, ``image_partitioned(..., schedule=False)``.
+
+A cube constraint is imaged by cofactoring the plan's clusters; those
+cofactors are unpinned intermediates cached in the computed table, so
+they must survive collections between fold steps and be recomputed
+after a sweep has flushed the table.
 """
 
 from __future__ import annotations
 
 from repro.bdd.io import dump_nodes, load_nodes
-from repro.bdd.manager import FALSE, BddManager
+from repro.bdd.cube import iter_minterms
+from repro.bdd.manager import _OP_COFACTOR, FALSE, BddManager
 from repro.bench import circuits
 from repro.network.bddbuild import build_network_bdds
 from repro.shard import ShardPool
@@ -67,12 +73,13 @@ def _unscheduled(mgr, parts, constraints, quantify):
 
 def test_plan_merges_steps_and_retires_exactly() -> None:
     mgr, parts, quantify, cs_vars, _ = _relation()
-    plan, leftover = plan_image(mgr, parts, quantify, set(cs_vars))
-    assert len(plan) < len(parts)
-    retired = [v for _, retire in plan for v in retire] + list(leftover)
+    plan = plan_image(mgr, parts, quantify, set(cs_vars))
+    steps = plan.steps
+    assert len(steps) < len(parts)
+    retired = [v for _, retire, _ in steps for v in retire] + list(plan.leftover)
     assert sorted(retired) == sorted(quantify)
-    for k, (_, retire) in enumerate(plan):
-        later = set().union(*(mgr.support(p) for p, _ in plan[k + 1 :]))
+    for k, (_, retire, _) in enumerate(steps):
+        later = set().union(*(mgr.support(p) for p, _, _ in steps[k + 1 :]))
         assert not set(retire) & later
     release_plan(mgr, plan)
 
@@ -80,7 +87,7 @@ def test_plan_merges_steps_and_retires_exactly() -> None:
 def test_release_plan_drops_every_pin() -> None:
     mgr, parts, quantify, cs_vars, _ = _relation()
     pins = dict(mgr._extref)
-    plan, _ = plan_image(mgr, parts, quantify, set(cs_vars))
+    plan = plan_image(mgr, parts, quantify, set(cs_vars))
     assert mgr._extref != pins
     release_plan(mgr, plan)
     assert mgr._extref == pins
@@ -89,12 +96,70 @@ def test_release_plan_drops_every_pin() -> None:
 def test_in_process_plan_survives_gc_and_sift() -> None:
     mgr, parts, quantify, cs_vars, constraints = _relation()
     want = _unscheduled(mgr, parts, constraints, quantify)
-    plan, leftover = plan_image(mgr, parts, quantify, set(cs_vars))
+    plan = plan_image(mgr, parts, quantify, set(cs_vars))
     assert mgr.collect_garbage() > 0
     mgr.sift_now()
     mgr.check()
     for c, w in zip(constraints, want):
-        assert image_with_plan(mgr, plan, leftover, c, gc=True) == w
+        assert image_with_plan(mgr, plan, c, gc=True) == w
+    release_plan(mgr, plan)
+
+
+def _cube_constraints(mgr, cs_vars, constraints):
+    """Full and partial cs cubes: minterms of the given constraints."""
+    cubes = []
+    for c in constraints:
+        for bits in list(iter_minterms(mgr, c, cs_vars))[:3]:
+            cubes.append(mgr.cube(dict(zip(cs_vars, bits))))
+            cubes.append(mgr.cube(dict(zip(cs_vars[1::2], bits[1::2]))))
+    for f in cubes:
+        mgr.ref(f)
+    return cubes
+
+
+def _cofactor_entries(mgr) -> int:
+    return sum(1 for key in mgr._computed if key & 15 == _OP_COFACTOR)
+
+
+def test_cube_image_survives_gc_between_fold_steps(monkeypatch) -> None:
+    mgr, parts, quantify, cs_vars, constraints = _relation()
+    cubes = _cube_constraints(mgr, cs_vars, constraints)
+    want = _unscheduled(mgr, parts, cubes, quantify)
+    plan = plan_image(mgr, parts, quantify, set(cs_vars))
+    assert len(plan.steps) > 1
+    sweeps = []
+    collect = BddManager.collect_garbage
+
+    def sweep(self, roots=()):
+        sweeps.append(collect(self, roots))
+        return sweeps[-1]
+
+    # Collect at every safe point the fold offers.
+    monkeypatch.setattr(BddManager, "should_collect", lambda self: True)
+    monkeypatch.setattr(BddManager, "collect_garbage", sweep)
+    for c, w in zip(cubes, want):
+        assert image_with_plan(mgr, plan, c, gc=True) == w
+    assert sweeps and max(sweeps) > 0
+    mgr.check()
+    release_plan(mgr, plan)
+
+
+def test_cube_image_after_sift_and_sweep_recomputes_cofactors() -> None:
+    mgr, parts, quantify, cs_vars, constraints = _relation()
+    cubes = _cube_constraints(mgr, cs_vars, constraints)
+    want = _unscheduled(mgr, parts, cubes, quantify)
+    plan = plan_image(mgr, parts, quantify, set(cs_vars))
+    mgr.collect_garbage()
+    mgr.sift_now()
+    mgr.check()
+    for c, w in zip(cubes, want):
+        assert image_with_plan(mgr, plan, c) == w
+    assert _cofactor_entries(mgr) > 0
+    assert mgr.collect_garbage() > 0
+    assert mgr.computed_table_size() == 0
+    for c, w in zip(cubes, want):
+        assert image_with_plan(mgr, plan, c) == w
+    assert _cofactor_entries(mgr) > 0
     release_plan(mgr, plan)
 
 
@@ -110,12 +175,12 @@ def test_reach_plan_survives_gc_and_sift(monkeypatch) -> None:
     original = image_mod.image_with_plan
     forced = []
 
-    def gc_then_image(mgr, plan, leftover, constraint, **kwargs):
+    def gc_then_image(mgr, plan, constraint, **kwargs):
         # ``reachable_states`` pins the frontier; nothing pins the plan's
         # clusters but the plan itself.
         forced.append(mgr.collect_garbage())
         mgr.sift_now()
-        return original(mgr, plan, leftover, constraint, **kwargs)
+        return original(mgr, plan, constraint, **kwargs)
 
     monkeypatch.setattr(image_mod, "image_with_plan", gc_then_image)
     got = network_reachable_states(bdds, ns_vars=ns)
