@@ -170,7 +170,7 @@ TABLE1_BENCH_ONLY_CASES: list[SplitCase] = [
         notes=(
             "run with frontier=bfs batch=8: four extracted latches from "
             "the 8-ring leave 3072 subset states; both product orders "
-            "complete within the time budget (41.9 s stacked, 54.4 s "
+            "complete within the time budget (11.1 s stacked, 14.3 s "
             "interleaved committed)"
         ),
     ),
