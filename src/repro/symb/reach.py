@@ -60,7 +60,8 @@ def reachable_states(
     # Every frontier is a function of the cs variables, so the
     # early-quantification schedule can be computed once for the whole
     # fixpoint and reused via image_with_plan: each iteration then runs
-    # the pure and_exists fold (interned quant sets, no rescheduling).
+    # the plan's fold with interned quant sets and no rescheduling (a
+    # frontier that is one state, a cube, folds the clusters' cofactors).
     # The plan's retire sets hold variable indices, so a GC-triggered
     # in-place sift mid-fixpoint leaves it valid.
     plan = None
