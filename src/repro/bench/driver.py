@@ -6,6 +6,7 @@ hit rate, GC activity per workload).  Invoke through the console script::
 
     repro bench                                 # full run
     repro bench --smoke                         # fast CI variant
+    repro bench --only table1                   # the paper's Table 1
     repro bench --list                          # list workloads, run nothing
     repro bench --baseline BENCH_kernel.json --tolerance 1.4
 
@@ -15,6 +16,9 @@ Outputs (written to ``--out-dir``, default: the repository root):
 * ``BENCH_table1.json``  — end-to-end solver runs over the Table 1 cases
 * ``BENCH_diff.md``      — with ``--baseline``: a markdown diff table of
   **all** workloads vs the baseline (CI appends it to the job summary)
+
+A run that records Table 1 rows also prints them in the paper's columns
+(:func:`render_table1`), with ``CNC`` where a flow hit its budget.
 
 With ``--baseline`` the kernel results are compared against a previous
 ``BENCH_kernel.json``; any workload slower than ``tolerance ×`` the
@@ -33,10 +37,11 @@ import platform
 import subprocess
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro._version import __version__
 from repro.bdd.manager import BddManager
@@ -52,6 +57,10 @@ from repro.eqn.config import (
 from repro.network.bddbuild import build_network_bdds
 from repro.obs.trace import current_tracer, install_tracer, uninstall_tracer
 from repro.symb.reach import network_reachable_states
+from repro.util.tables import format_table
+
+if TYPE_CHECKING:
+    from repro.bench.suite import SplitCase
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
@@ -63,16 +72,17 @@ SCHEMA_TABLE1 = "repro-bench-table1/9"
 #: ``<case><suffix>`` under the run's config with the overrides merged
 #: in; ``table1_row_names``, ``run_table1_bench`` and ``list_workloads``
 #: all walk this table.  A variant is skipped when the run itself
-#: already sets its first overridden field (an explicit ``--reorder``
-#: run covers the ``@auto`` rows, an interleaved run the
-#: ``@interleave`` ones, a ``--backend buddy`` run the ``@buddy`` ones),
-#: and a ``@buddy`` row is planned only where the native library loads
-#: (never measured on the silent fallback under a ``buddy`` label).
-#: ``@batch8`` appears twice so that the suite rows precede the
-#: ``@interleave`` row in the artifact.
+#: already sets its first overridden field (an interleaved run covers
+#: the ``@interleave`` rows, a ``--backend buddy`` run the ``@buddy``
+#: ones), and a ``@buddy`` row is planned only where the native library
+#: loads (never measured on the silent fallback under a ``buddy``
+#: label).  ``@batch8`` appears twice so that the suite rows precede the
+#: ``@interleave`` row in the artifact.  The adaptive GC and reorder
+#: policies are priced by the kernel pairs (``*_reorder``,
+#: ``gc_reachability``) rather than by Table 1 variants: the partitioned
+#: solves of the Table 1 cases stay below the collection floor, so an
+#: adaptive twin of a row repeats its base row's work.
 #:
-#: * ``@auto`` — the paper-scale instances where GC-triggered dynamic
-#:   reordering is the difference between CNC and completion.
 #: * ``@shards2`` — the sharded runtime; read wall-clock deltas together
 #:   with ``meta.cpu_count`` (on one core the workers time-slice).
 #: * ``@batch8`` — BFS frontier, batches of 8: the sibling grouping that
@@ -89,7 +99,6 @@ SCHEMA_TABLE1 = "repro-bench-table1/9"
 #: * ``@buddy`` — the native BuDDy kernel, only where it loads.
 BATCH8 = {"frontier": "bfs", "batch": 8}
 VARIANTS = (
-    ("@auto", ("rand14", "rand15"), {"reorder": "auto", "gc": "adaptive"}),
     ("@shards2", ("johnson12",), {"shards": 2}),
     ("@batch8", ("johnson12", "rand20"), BATCH8),
     ("@interleave", ("johnson12",), {"product_order": "interleaved"}),
@@ -728,6 +737,11 @@ def _run_table1_case(case, config: SolveConfig, row_name: str) -> dict:
     part = row["methods"].get("partitioned", {})
     mono = row["methods"].get("monolithic", {})
     if not part.get("cnc", True) and not mono.get("cnc", True):
+        if part["csf_states"] != mono["csf_states"]:
+            raise ReproError(
+                f"table1/{row_name}: flows disagree ({part['csf_states']} "
+                f"partitioned vs {mono['csf_states']} monolithic CSF states)"
+            )
         row["ratio_mono_over_part"] = round(mono["wall_s"] / part["wall_s"], 2)
     return row
 
@@ -745,10 +759,10 @@ def plan_table1(smoke: bool, run: SolveConfig = DEFAULT) -> list[tuple]:
 
     The one planner behind :func:`table1_row_names` (which the
     ``--only``/``--skip`` nothing-matched guard checks against) and
-    :func:`run_table1_bench`: a variant row that a smoke run (or an
-    explicit ``--reorder`` run) suppresses is never selectable, so a
-    filtered run cannot write an empty artifact with a success exit
-    code.
+    :func:`run_table1_bench`: a variant row that a smoke run (or a run
+    that already sets the variant's field) suppresses is never
+    selectable, so a filtered run cannot write an empty artifact with a
+    success exit code.
     """
     from repro.bdd.backends import backend_available
     from repro.bench.suite import (
@@ -790,6 +804,44 @@ def run_table1_bench(
         for name, case, config in plan_table1(smoke, run)
         if select("table1", name)
     ]
+
+
+TABLE1_HEADERS = ["Name", "i/o/cs", "Fcs/Xcs", "States(X)", "Part,s", "Mono,s", "Ratio"]
+
+
+def render_table1(rows: list[dict], cases: Mapping[str, SplitCase]) -> str:
+    """Recorded Table 1 rows in the paper's columns.
+
+    ``cases`` maps each row name to its planned case, which supplies the
+    ``Fcs/Xcs`` split.  A flow that hit its budget reads ``CNC``, as in
+    the paper; a flow the row does not run reads ``-``.
+    """
+
+    def time_cell(flow: dict | None) -> str:
+        if flow is None:
+            return "-"
+        return "CNC" if flow["cnc"] else f"{flow['wall_s']:.2f}"
+
+    cells = []
+    for row in rows:
+        part = row["methods"].get("partitioned")
+        mono = row["methods"].get("monolithic")
+        done = [flow for flow in (part, mono) if flow is not None and not flow["cnc"]]
+        xcs = len(cases[row["name"]].x_latches)
+        fcs = int(row["io_cs"].rsplit("/", 1)[1]) - xcs
+        ratio = row.get("ratio_mono_over_part")
+        cells.append(
+            [
+                row["name"],
+                row["io_cs"],
+                f"{fcs}/{xcs}",
+                done[0]["csf_states"] if done else "CNC",
+                time_cell(part),
+                time_cell(mono),
+                f"{ratio:.1f}" if ratio is not None else "-",
+            ]
+        )
+    return format_table(TABLE1_HEADERS, cells)
 
 
 # --------------------------------------------------------------------- #
@@ -1179,9 +1231,8 @@ def main(argv: list[str] | None = None) -> int:
             if failures:
                 rc = 1
 
-    run_table1_suite = any(
-        select("table1", name) for name, _, _ in plan_table1(args.smoke, run)
-    )
+    table1_plan = plan_table1(args.smoke, run)
+    run_table1_suite = any(select("table1", name) for name, _, _ in table1_plan)
     if run_table1_suite:
         if current_tracer() is None:
             install_tracer()  # table1 rows are ungated; record phases
@@ -1199,6 +1250,9 @@ def main(argv: list[str] | None = None) -> int:
         out = args.out_dir / "BENCH_table1.json"
         out.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {out}")
+        cases = {name: case for name, case, _ in table1_plan}
+        print()
+        print(render_table1(table1_rows, cases))
 
     if not run_kernel_suite and not run_table1_suite:
         uninstall_tracer()

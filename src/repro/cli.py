@@ -3,7 +3,6 @@
 Subcommands::
 
     repro-lang-eqn solve  --blif FILE --x-latches a,b [--method ...]
-    repro-lang-eqn table1 [--rows s27,count6] [--paper]
     repro-lang-eqn info   --blif FILE
     repro-lang-eqn reach  --blif FILE
     repro-lang-eqn bench  [--smoke] [--baseline F] [...]
@@ -14,13 +13,14 @@ Subcommands::
 
 ``solve`` computes the CSF of the selected latches of a BLIF circuit
 (optionally synthesising a replacement circuit with ``--implement-out``)
-and can export the result as KISS2/DOT; ``table1`` reproduces the
-paper's experiment; ``info`` prints circuit statistics; ``reach`` runs
-symbolic reachability; ``bench`` runs the recorded benchmark suites
-(all flags forwarded to :mod:`repro.bench.driver`); ``stg`` extracts
-the state transition graph; ``serve`` runs the persistent job server
-(:mod:`repro.serve`) with its content-addressed solve cache, and
-``submit`` / ``jobs`` are its clients.
+and can export the result as KISS2/DOT; ``info`` prints circuit
+statistics; ``reach`` runs symbolic reachability; ``bench`` runs the
+recorded benchmark suites (all flags forwarded to
+:mod:`repro.bench.driver`; ``bench --only table1`` reproduces the
+paper's Table 1); ``stg`` extracts the state transition graph;
+``serve`` runs the persistent job server (:mod:`repro.serve`) with its
+content-addressed solve cache, and ``submit`` / ``jobs`` are its
+clients.
 """
 
 from __future__ import annotations
@@ -98,12 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--implement-out",
         help="extract a sub-solution FSM and write its circuit (BLIF)",
-    )
-
-    table1 = sub.add_parser("table1", help="reproduce the paper's Table 1")
-    table1.add_argument("--rows", help="comma-separated case names (default: all)")
-    table1.add_argument(
-        "--paper", action="store_true", help="also print the paper's numbers"
     )
 
     info = sub.add_parser("info", help="print circuit statistics")
@@ -346,23 +340,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.bench.suite import TABLE1_CASES, case_by_name
-    from repro.eqn.table1 import PAPER_TABLE1, render_table1, run_table1
-
-    if args.rows:
-        cases = [case_by_name(name) for name in args.rows.split(",") if name]
-    else:
-        cases = TABLE1_CASES
-    rows = run_table1(cases, verbose=True)
-    print()
-    print(render_table1(rows))
-    if args.paper:
-        print()
-        print(PAPER_TABLE1)
-    return 0
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
     from repro.network.blif import read_blif
 
@@ -587,7 +564,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
         "solve": _cmd_solve,
-        "table1": _cmd_table1,
         "info": _cmd_info,
         "reach": _cmd_reach,
         "serve": _cmd_serve,

@@ -111,9 +111,20 @@ class SpillStore:
         return key, True
 
     def get(self, key: str) -> bytes:
-        """Read a blob back by its content key."""
+        """Read a blob back by its content key.
+
+        The bytes are hashed again on the way out: a truncated or
+        bit-flipped blob raises :class:`EquationError` instead of
+        loading as some other function.
+        """
         with open(self._path(key), "rb") as fh:
-            return fh.read()
+            blob = fh.read()
+        if hashlib.sha256(blob).hexdigest() != key:
+            raise EquationError(
+                f"spill blob {key[:12]}… in {self.root} is corrupt "
+                f"({len(blob)} bytes do not hash to their key)"
+            )
+        return blob
 
     def __contains__(self, key: str) -> bool:
         return os.path.exists(self._path(key))

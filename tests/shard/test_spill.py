@@ -138,6 +138,30 @@ class TestSpillStore:
         assert not os.path.exists(root)
         store.close()  # idempotent
 
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_corrupt_blob_rejected_on_read(self, damage) -> None:
+        import os
+
+        store = SpillStore()
+        key, _ = store.put(b"a packed psi blob")
+        _corrupt(store._path(key), damage)
+        with pytest.raises(EquationError, match="corrupt"):
+            store.get(key)
+        store.close()
+        assert not os.path.exists(store.root)
+
+
+def _corrupt(path: str, damage: str) -> None:
+    """Truncate a stored blob to half, or flip one bit of its last byte."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if damage == "truncate":
+        blob = blob[: len(blob) // 2]
+    else:
+        blob = blob[:-1] + bytes([blob[-1] ^ 0x01])
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
 
 # --------------------------------------------------------------------- #
 # The coordinator-side LRU policy
@@ -430,6 +454,36 @@ def test_sharded_budgeted_solve_spills_and_reloads() -> None:
     assert extra["psi_spills"] > 0
     assert extra["psi_reloads"] > 0
     assert extra["resident_evictions"] > 0
+
+
+@pytest.mark.parametrize("damage", ["truncate", "flip"])
+def test_corrupt_spill_fails_the_solve_cleanly(damage, tmp_path, monkeypatch) -> None:
+    """A ψ blob damaged on disk fails the reload with EquationError, and
+    the solve still removes its owned spill directory."""
+    import tempfile
+
+    real_put = SpillStore.put
+
+    def damaging_put(store, blob):
+        key, written = real_put(store, blob)
+        if written:
+            _corrupt(store._path(key), damage)
+        return key, written
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(SpillStore, "put", damaging_put)
+    prob = build_latch_split_problem(circuits.johnson(8), ["j1", "j3", "j5", "j7"])
+    with pytest.raises(EquationError, match="corrupt"):
+        # Each checkpoint reloads every spilled ψ, so the first one reads
+        # a damaged blob back.
+        solve_equation(
+            prob,
+            method="partitioned",
+            resident_budget=20,
+            checkpoint=lambda snapshot: None,
+            checkpoint_every=1,
+        )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_budget_rejected_for_explicit_method() -> None:

@@ -21,7 +21,6 @@ class TestListWorkloads:
 
     def test_lists_variants_without_running(self) -> None:
         listing = driver.list_workloads()
-        assert "rand14@auto" in listing
         assert "johnson12@shards2" in listing
         assert "reach@shards2" in listing
         assert "johnson12@batch8" in listing
@@ -131,7 +130,7 @@ class TestFilteredRuns:
     def test_smoke_suppressed_variant_rows_are_not_selectable(
         self, tmp_path, capsys
     ) -> None:
-        """A smoke run never emits @batch8/@auto/@shards2 rows, so
+        """A smoke run never emits @batch8/@shards2 rows, so
         selecting only one of them must error instead of writing an
         empty artifact with exit 0."""
         rc = driver.main(
@@ -143,11 +142,17 @@ class TestFilteredRuns:
         assert "rand20@batch8" in driver.table1_row_names(False)
         assert "rand20@batch8" not in driver.table1_row_names(True)
 
-    def test_reorder_run_suppresses_auto_variants(self) -> None:
-        names_off = driver.table1_row_names(False, reorder="off")
-        names_auto = driver.table1_row_names(False, reorder="auto")
-        assert "rand14@auto" in names_off
-        assert "rand14@auto" not in names_auto
+    def test_interleaved_run_suppresses_only_interleave_variants(self) -> None:
+        """A run that already sets a variant's field plans none of that
+        variant's rows, and every other row stays planned."""
+        stacked = driver.table1_row_names(False)
+        inter = driver.table1_row_names(False, product_order="interleaved")
+        assert set(stacked) - set(inter) == {
+            "johnson12@interleave",
+            "twin16x4@interleave+batch8",
+            "twin12_8@interleave+batch8",
+        }
+        assert set(inter) <= set(stacked)
 
     def test_row_names_match_listing(self) -> None:
         """Every planned full-run row appears in the --list output."""

@@ -336,20 +336,14 @@ class TestImplementOut:
 
 
 class TestTable1:
-    def test_single_row(self, capsys) -> None:
-        assert main(["table1", "--rows", "s27"]) == 0
-        out = capsys.readouterr().out
-        assert "States(X)" in out
-        assert "s27" in out
-
-    def test_row_with_paper_reference(self, capsys) -> None:
-        assert main(["table1", "--rows", "s27", "--paper"]) == 0
-        out = capsys.readouterr().out
-        assert "s510" in out  # the paper table is printed
-
-    def test_unknown_row_rejected(self) -> None:
-        with pytest.raises(KeyError):
-            main(["table1", "--rows", "sDoesNotExist"])
+    def test_single_row(self, tmp_path, capsys) -> None:
+        """``repro bench --only table1/...`` prints the paper-style table."""
+        args = ["bench", "--only", "table1/s27", "--out-dir", str(tmp_path)]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines) if "States(X)" in line)
+        assert lines[header].split()[-3:] == ["Part,s", "Mono,s", "Ratio"]
+        assert lines[header + 2].split()[:4] == ["s27", "4/1/3", "2/1", "7"]
 
 
 class TestBench:
