@@ -90,7 +90,7 @@ SCHEMA_TABLE1 = "repro-bench-table1/9"
 #: * ``@interleave`` — the per-latch ``F.cs/F.ns/S.cs/S.ns`` product
 #:   order; byte-identical results, only node counts and wall differ.
 #:   On the committed artifact (one run per row) twin16x4@batch8 takes
-#:   1.65 s stacked and 1.21 s interleaved, twin12_8 11.1 s and 14.3 s.
+#:   1.09 s stacked and 1.17 s interleaved, twin12_8 8.7 s and 11.8 s.
 #: * ``@budget`` — the ``@batch8`` engine with the resident ψ set capped
 #:   far below the twin rings' unbounded peak, so the row prices real
 #:   spills/reloads against byte-identical results.

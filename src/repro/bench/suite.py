@@ -170,7 +170,7 @@ TABLE1_BENCH_ONLY_CASES: list[SplitCase] = [
         notes=(
             "run with frontier=bfs batch=8: four extracted latches from "
             "the 8-ring leave 3072 subset states; both product orders "
-            "complete within the time budget (11.1 s stacked, 14.3 s "
+            "complete within the time budget (8.7 s stacked, 11.8 s "
             "interleaved committed)"
         ),
     ),
