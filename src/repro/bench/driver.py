@@ -41,12 +41,12 @@ from collections.abc import Callable, Mapping
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro._version import __version__
 from repro.bdd.manager import BddManager
 from repro.bdd.policy import GcPolicy, ReorderPolicy
 from repro.bench import circuits
+from repro.bench.suite import SplitCase
 from repro.eqn.config import (
     BENCH_COLUMNS,
     BENCH_FLAGS,
@@ -58,9 +58,6 @@ from repro.network.bddbuild import build_network_bdds
 from repro.obs.trace import current_tracer, install_tracer, uninstall_tracer
 from repro.symb.reach import network_reachable_states
 from repro.util.tables import format_table
-
-if TYPE_CHECKING:
-    from repro.bench.suite import SplitCase
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
@@ -1250,9 +1247,8 @@ def main(argv: list[str] | None = None) -> int:
         out = args.out_dir / "BENCH_table1.json"
         out.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {out}")
-        cases = {name: case for name, case, _ in table1_plan}
         print()
-        print(render_table1(table1_rows, cases))
+        print(render_table1(table1_rows, {name: case for name, case, _ in table1_plan}))
 
     if not run_kernel_suite and not run_table1_suite:
         uninstall_tracer()

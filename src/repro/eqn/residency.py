@@ -121,7 +121,7 @@ class SpillStore:
             blob = fh.read()
         if hashlib.sha256(blob).hexdigest() != key:
             raise EquationError(
-                f"spill blob {key[:12]}… in {self.root} is corrupt "
+                f"spill blob {key[:12]} in {self.root} is corrupt "
                 f"({len(blob)} bytes do not hash to their key)"
             )
         return blob
