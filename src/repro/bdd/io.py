@@ -15,8 +15,12 @@
   (:mod:`repro.shard`): snapshots pickle to a few bytes per node (vs
   tens for the nested-list JSON form), variables travel by *name* so
   managers with different orders and indices interoperate, and loading
-  recombines children with ITE, so it is safe under any destination
-  order and at any BDD depth (no recursion on either side).
+  is safe under any destination order and at any BDD depth (no
+  recursion on either side).  A snapshot node whose variable lies above
+  the top variables of both rebuilt children in the destination order
+  is created directly by the unique table (``_mk``); any other node is
+  recombined with ITE.  Under a preserved order every node takes the
+  first path, and both give the same canonical edge.
 """
 
 from __future__ import annotations
@@ -250,9 +254,9 @@ def dump_function_packed(mgr: BddManager, f: int) -> bytes:
 def load_function_packed(mgr: BddManager, blob: bytes) -> int:
     """Rebuild a function serialised by :func:`dump_function_packed`.
 
-    Like :func:`load_nodes`, children are recombined with ITE, so the
-    destination manager may hold any variable order; with a preserved
-    order the rebuild degenerates to pure unique-table lookups.
+    Goes through the manager's ``load_nodes``, so the destination may
+    hold any variable order; on the reference kernel a preserved order
+    rebuilds every node straight through the unique table.
     """
     if not blob.startswith(FUNCTION_MAGIC):
         raise BddError("unknown packed-function blob (bad magic)")
@@ -284,11 +288,14 @@ def load_function_packed(mgr: BddManager, blob: bytes) -> int:
 def load_nodes(mgr: BddManager, data: Mapping) -> list[int]:
     """Rebuild the functions serialised by :func:`dump_nodes`.
 
-    Variables are matched by name (declared on demand when absent).
-    Children are recombined with ITE, so the destination order may
-    differ arbitrarily from the order the snapshot was taken under; with
-    a preserved order the rebuild degenerates to pure unique-table
-    lookups.  Returns the root edges aligned with the dumped roots.
+    Variables are matched by name (declared on demand when absent).  A
+    node whose variable sits above the top levels of both rebuilt
+    children in ``mgr``'s order is made directly with ``mgr._mk`` —
+    that is exactly the canonical node ITE would return.  Any other
+    node (the destination order moved its variable below a child's top)
+    is recombined with ITE, so the destination order may differ
+    arbitrarily from the order the snapshot was taken under.  Returns
+    the root edges aligned with the dumped roots.
     """
     if data.get("format") != NODES_FORMAT:
         raise BddError(f"unknown BDD snapshot format: {data.get('format')!r}")
@@ -298,16 +305,25 @@ def load_nodes(mgr: BddManager, data: Mapping) -> list[int]:
             vars_local.append(mgr.var_index(name))
         except KeyError:
             vars_local.append(mgr.add_var(name))
-    built = array("q")
+    levels_local = [mgr.var_level(var) for var in vars_local]
+    # Indexed by ``ref >> 1``: slot 0 stands for both terminals (the
+    # sign bit picks FALSE or TRUE), slot ``pos + 1`` for node ``pos``.
+    # ``tops`` holds the destination level of each rebuilt edge's top
+    # variable; terminals sort below every variable.
+    built = array("q", [FALSE])
+    tops = array("q", [mgr.level(FALSE)])
+    mk = mgr._mk
     ite = mgr.ite
-
-    def unpack(ref: int) -> int:
-        if ref < 2:
-            return ref
-        return built[(ref >> 1) - 1] ^ (ref & 1)
-
     for vid, lo_ref, hi_ref in zip(data["var"], data["lo"], data["hi"]):
-        built.append(
-            ite(mgr.var_node(vars_local[vid]), unpack(hi_ref), unpack(lo_ref))
-        )
-    return [unpack(r) for r in data["roots"]]
+        var = vars_local[vid]
+        level = levels_local[vid]
+        lo = built[lo_ref >> 1] ^ (lo_ref & 1)
+        hi = built[hi_ref >> 1] ^ (hi_ref & 1)
+        if level < tops[lo_ref >> 1] and level < tops[hi_ref >> 1]:
+            built.append(mk(var, lo, hi))
+            tops.append(level)
+        else:
+            edge = ite(mgr.var_node(var), hi, lo)
+            built.append(edge)
+            tops.append(mgr.level(edge))
+    return [built[r >> 1] ^ (r & 1) for r in data["roots"]]

@@ -165,6 +165,9 @@ class ResidencyManager:
     * :meth:`enforce` — batch boundary: evict least-recently-touched
       expanded states until the resident node estimate fits the budget.
       Returns the evicted edges so the driver can drop its pins.
+    * :meth:`sweep_if_due` — after dropping the pins of what
+      :meth:`enforce` returned: collect once the ψ evicted since the
+      last sweep reach a budget's worth of nodes.
     * :meth:`restore_all` — reload every evicted ψ (a checkpoint
       snapshot needs the full table); the driver re-admits them.
 
@@ -196,6 +199,8 @@ class ResidencyManager:
         self._sid: dict[int, int] = {}  # every resident ψ edge -> sid
         self._sizes: dict[int, int] = {}  # ψ edge -> admit-time node count
         self._resident_nodes = 0
+        # Admit-time sizes of the ψ evicted since the last explicit sweep.
+        self._unswept_nodes = 0
         self._evicted: dict[int, str] = {}  # sid -> content key
         self._evicted_by_key: dict[str, int] = {}
         self._token = _order_token(mgr)
@@ -303,12 +308,31 @@ class ResidencyManager:
                 self.spills += 1
             self._evicted[sid] = key
             self._evicted_by_key[key] = sid
-            self._resident_nodes -= self._sizes.pop(psi)
+            size = self._sizes.pop(psi)
+            self._resident_nodes -= size
+            self._unswept_nodes += size
             del self._sid[psi]
             evicted.append(psi)
         self.evictions += len(evicted)
         self.evicted_peak = max(self.evicted_peak, len(self._evicted))
         return evicted
+
+    def sweep_if_due(self) -> bool:
+        """Collect once the evicted-but-unswept ψ reach the budget.
+
+        Eviction only pays off if the nodes actually go away, and the
+        adaptive GC policy's growth floors may never arm at budget-sized
+        scales.  A sweep per evicting batch would be a full
+        mark-and-sweep (and a computed-table flush) for a handful of ψ;
+        sweeping once their admit-time sizes sum to the budget keeps
+        resident ψ within the budget and unswept evicted ψ below it.
+        Returns whether a sweep ran.
+        """
+        if self._unswept_nodes < self.budget:
+            return False
+        self._unswept_nodes = 0
+        self.mgr.collect_garbage()
+        return True
 
     def restore_all(self) -> list[tuple[int, int]]:
         """Reload every evicted ψ; returns ``(psi, sid)`` pairs.

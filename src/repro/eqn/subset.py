@@ -533,20 +533,18 @@ def subset_construct(
                         mgr.ref(aut.edges[src][dca_id])
                     stats.dca_edges += 1
             stats.peak_nodes = max(stats.peak_nodes, len(mgr))
-            evicted: list[int] = []
+            swept = False
             if residency is not None:
                 for psi in batch:
                     residency.mark_expanded(psi)
-                evicted = residency.enforce()
-                for psi in evicted:
+                for psi in residency.enforce():
                     del ids[psi]
                     mgr.deref(psi)
-            if evicted:
-                # Eviction only pays off if the nodes actually go away;
-                # the adaptive policy's growth floors may never arm at
-                # budget-sized scales, so collect explicitly.
-                mgr.collect_garbage()
-            elif gc_enabled:
+                # A budget's worth of evicted ψ forces a sweep (see
+                # ResidencyManager.sweep_if_due); below that the GC
+                # policy decides as usual.
+                swept = residency.sweep_if_due()
+            if gc_enabled and not swept:
                 mgr.maybe_collect_garbage()
             batch_span.set(
                 size=len(batch),

@@ -55,8 +55,9 @@ Commands
     ``resident_budget`` node count in the worker config, the same spill
     runs *automatically*: whenever the pinned resident-ψ node estimate
     exceeds the budget (checked after every retain and after every item
-    of an ``expand_batch``), least-recently-touched entries are spilled
-    and the worker collects garbage, so its memory stays bounded no
+    of an ``expand_batch``), least-recently-touched entries are spilled,
+    and the worker collects garbage once the entries spilled since its
+    last such sweep add up to the budget, so its memory stays bounded no
     matter how many subset states the coordinator parks on it.  Spill
     and reload counts are reported by ``("stats",)``.
 ``("expand_batch", plan_id, items)``
@@ -144,12 +145,19 @@ class _WorkerState:
         self.spilled: dict[int, list] = {}
         self._sizes: dict[int, int] = {}
         self._resident_nodes = 0
+        # Admit-time sizes of the entries spilled since the last
+        # budget-driven sweep (the coordinator's cadence rule).
+        self._unswept_nodes = 0
         self.psi_spills = 0
         self.psi_reloads = 0
-        if self._spill is not None and self._spill_owned:
-            self._spill.close()
+        self.close_spill()
         self._spill = None
         self._spill_owned = False
+
+    def close_spill(self) -> None:
+        """Remove the spill directory if this worker owns it."""
+        if self._spill is not None and self._spill_owned:
+            self._spill.close()
 
     # -- the spill policy ---------------------------------------------- #
 
@@ -202,20 +210,20 @@ class _WorkerState:
         self.spilled[handle] = [key, count]
         self.mgr.deref(edge)
 
-    def _enforce_budget(self) -> int:
+    def _enforce_budget(self) -> None:
         """Spill LRU resident entries until the estimate fits the budget."""
         if self.resident_budget is None:
-            return 0
-        spilled = 0
+            return
         while self._resident_nodes > self.resident_budget and self.resident:
-            self._spill_resident(next(iter(self.resident)))
-            spilled += 1
-        if spilled:
-            # Eviction only pays off if the nodes actually go away; the
-            # adaptive policy's growth floors may never arm at
-            # budget-sized scales, so collect explicitly.
+            handle = next(iter(self.resident))
+            self._unswept_nodes += self._sizes[handle]
+            self._spill_resident(handle)
+        # Spilled nodes only go away in a sweep, and the adaptive GC
+        # policy may never arm at budget-sized scales: sweep once a
+        # budget's worth has piled up, not after every spill.
+        if self._unswept_nodes >= self.resident_budget:
+            self._unswept_nodes = 0
             self.mgr.collect_garbage()
-        return spilled
 
     # Each handler returns the reply payload. ------------------------------ #
 
@@ -426,28 +434,33 @@ def worker_main(conn, config: dict) -> None:
         "gc": state.op_gc,
         "sift": state.op_sift,
     }
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        op = msg[0]
-        if op == "shutdown":
-            conn.send(("ok", None))
-            break
-        handler = ops.get(op)
-        t0 = time.perf_counter()
-        try:
-            if handler is None:
-                raise ReproError(f"unknown shard command {op!r}")
-            payload = handler(*msg[1:])
-            conn.send(("ok", payload, _command_meta(op, t0)))
-        except BaseException:
-            _log.exception("shard command failed", op=op, pid=os.getpid())
+    try:
+        while True:
             try:
-                conn.send(
-                    ("err", traceback.format_exc(), _command_meta(op, t0))
-                )
-            except (OSError, BrokenPipeError):  # pragma: no cover
+                msg = conn.recv()
+            except (EOFError, OSError):
                 break
-    conn.close()
+            op = msg[0]
+            if op == "shutdown":
+                conn.send(("ok", None))
+                break
+            handler = ops.get(op)
+            t0 = time.perf_counter()
+            try:
+                if handler is None:
+                    raise ReproError(f"unknown shard command {op!r}")
+                payload = handler(*msg[1:])
+                conn.send(("ok", payload, _command_meta(op, t0)))
+            except BaseException:
+                _log.exception("shard command failed", op=op, pid=os.getpid())
+                try:
+                    conn.send(
+                        ("err", traceback.format_exc(), _command_meta(op, t0))
+                    )
+                except (OSError, BrokenPipeError):  # pragma: no cover
+                    break
+    finally:
+        # A worker spawned without a ``spill_dir`` owns a private
+        # temporary store; it must not outlive the worker.
+        state.close_spill()
+        conn.close()

@@ -120,14 +120,13 @@ class TestLifecycleUnderGcAndSift:
         funcs = [e.to_bdd(mgr) for e in exprs]
         with ShardPool(1, VARS) as pool:
             # Literal (single-variable) nodes are permanent GC roots in
-            # any manager; materialise them all before taking the
+            # any manager; materialise each one before taking the
             # baseline so the leak check measures the registry only.
-            parity = 0
             for name in VARS:
-                parity = mgr.apply_xor(parity, mgr.var_node(mgr.var_index(name)))
-            warm = pool.new_handle()
-            pool.call(0, ("retain", warm, dump_nodes(mgr, [parity])))
-            pool.call(0, ("release", [warm]))
+                warm = pool.new_handle()
+                literal = mgr.var_node(mgr.var_index(name))
+                pool.call(0, ("retain", warm, dump_nodes(mgr, [literal])))
+                pool.call(0, ("release", [warm]))
             pool.call(0, ("gc",))
             baseline = pool.stats()[0]["live_nodes"]
             handles = []

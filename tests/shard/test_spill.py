@@ -354,14 +354,13 @@ class TestWorkerSpill:
         with ShardPool(1, VARS) as pool:
             from repro.bdd import dump_nodes
 
-            # Literal nodes are permanent GC roots: materialise them
+            # Literal nodes are permanent GC roots: materialise each one
             # before the baseline so the check measures the registry.
-            parity = 0
             for name in VARS:
-                parity = mgr.apply_xor(parity, mgr.var_node(mgr.var_index(name)))
-            warm = pool.new_handle()
-            pool.call(0, ("retain", warm, dump_nodes(mgr, [parity])))
-            pool.call(0, ("release", [warm]))
+                warm = pool.new_handle()
+                literal = mgr.var_node(mgr.var_index(name))
+                pool.call(0, ("retain", warm, dump_nodes(mgr, [literal])))
+                pool.call(0, ("release", [warm]))
             pool.call(0, ("gc",))
             baseline = pool.stats()[0]["live_nodes"]
             a, b, c = (mgr.var_node(mgr.var_index(v)) for v in "abc")
