@@ -230,8 +230,8 @@ def dump_function_packed(mgr: BddManager, f: int) -> bytes:
 
     ``mgr`` may be any :class:`~repro.bdd.backends.protocol.BddBackend`
     — the snapshot is taken through the protocol's ``dump_nodes``
-    method, so native shard workers spill the same way the reference
-    kernel does.
+    method, so a coordinator on a native backend spills the same way
+    the reference kernel does.
     """
     snap = mgr.dump_nodes([f])
     names_blob = "\x00".join(snap["names"]).encode("utf-8")

@@ -91,7 +91,6 @@ class PartitionedOracle:
         config: SolveConfig | None = None,
         *,
         pool: "object | None" = None,
-        spill_dir: str | None = None,
         **knobs,
     ) -> None:
         config = SolveConfig.from_mapping(knobs, config)
@@ -193,7 +192,7 @@ class PartitionedOracle:
                 pool = ShardPool(
                     shards,
                     mgr.var_order(),
-                    **pool_opts(mgr, config, spill_dir=spill_dir),
+                    **pool_opts(mgr),
                 )
             elif pool.num_shards != shards:
                 raise EquationError(
@@ -285,20 +284,8 @@ class PartitionedOracle:
             stats["psi_serializations"] = sum(counts.values())
             stats["psi_serializations_max"] = max(counts.values(), default=0)
             stats["psi_resident_peak"] = self._resident_peak
-            # Snapshot the command counters *before* the stats broadcast
-            # below bumps them — callers assert on exact op counts.
             stats["pool_op_counts"] = dict(self._pool.op_counts)
             stats["work_steals"] = self._p_sharded.steals
-            if self.config.resident_budget:
-                spills = reloads = 0
-                for shard_stats in self._pool.stats():
-                    spills += shard_stats.get("psi_spills", 0)
-                    reloads += shard_stats.get("psi_reloads", 0)
-                # A worker spill is by definition an eviction from its
-                # resident registry, so the two totals coincide here.
-                stats["psi_spills"] = spills
-                stats["psi_reloads"] = reloads
-                stats["resident_evictions"] = spills
         return stats
 
     # -- the incremental completion step ------------------------------- #

@@ -9,9 +9,7 @@ This module bounds that working set:
   single-function spill format
   (:func:`~repro.bdd.io.dump_function_packed`): blobs are keyed by
   their SHA-256, so identical sibling ψ — common exactly where the
-  completion memo already shows >60 % sharing — cost one file, and
-  concurrent writers (shard workers sharing one spill directory) are
-  naturally idempotent.
+  completion memo already shows >60 % sharing — cost one file.
 * :class:`ResidencyManager` is the coordinator-side policy object: an
   LRU over *expanded* subset states with a node-count budget.  States
   still in the frontier are never evicted (their raw edge identity is
@@ -31,11 +29,6 @@ content key.  The manager tracks an *order token* (the kernel's
 and transparently re-keys all evicted entries when it changes — reload
 under the new order is always sound (children recombine with ITE), only
 the dedup hashes need refreshing.
-
-Shard workers run the same discipline over their resident registries
-(:mod:`repro.shard.worker`): a worker whose pinned ψ estimate exceeds
-its ``resident_budget`` spills least-recently-touched entries and
-reloads transparently on the next ``expand_batch``/``dump`` touch.
 """
 
 from __future__ import annotations

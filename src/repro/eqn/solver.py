@@ -104,8 +104,8 @@ def solve_equation(
     spill_dir:
         Where a ``resident_budget`` solve spills cold expanded subset
         states (:mod:`repro.eqn.residency`): a private temporary
-        directory when not given.  With ``shards > 1`` the workers share
-        the same store and budget for their resident registries.
+        directory when not given.  Only the coordinator spills; shard
+        workers hold at most one batch of ψ and never touch the store.
     """
     config = SolveConfig.from_mapping(knobs, config)
     if config.compose:
@@ -151,10 +151,6 @@ def solve_equation(
         residency = ResidencyManager(
             problem.manager, config.resident_budget, spill_dir=spill_dir
         )
-        # Workers run the same discipline over their resident registries,
-        # sharing the coordinator's store (content addressing makes
-        # concurrent writers idempotent).
-        spill_dir = residency.store.root
     try:
         with obs_span(
             "solve",
@@ -165,12 +161,7 @@ def solve_equation(
         ) as solve_span:
             if method == "partitioned":
                 with obs_span("oracle_setup", shards=config.shards):
-                    oracle = PartitionedOracle(
-                        problem,
-                        config,
-                        pool=pool,
-                        spill_dir=spill_dir,
-                    )
+                    oracle = PartitionedOracle(problem, config, pool=pool)
             else:
                 with obs_span("oracle_setup", shards=0):
                     oracle = MonolithicOracle(problem, trim=config.trim)
@@ -198,8 +189,6 @@ def solve_equation(
             solve_span.set(subsets=stats.subsets, batches=stats.batches)
     finally:
         if residency is not None:
-            # After the oracle (and its pool) is down: a worker must
-            # never outlive the spill store it shares.
             residency.close()
     options = {name: getattr(config, name) for name in RESULT_OPTIONS}
     options["product_order"] = problem.product_order

@@ -581,13 +581,7 @@ def subset_construct(
     if run_stats is not None:
         stats.extra.update(run_stats())
     if residency is not None:
-        for key, value in residency.stats().items():
-            if key in ("psi_spills", "psi_reloads", "resident_evictions"):
-                # Shard workers report the same counters through the
-                # oracle; the totals are coordinator + workers.
-                stats.extra[key] = stats.extra.get(key, 0) + value
-            else:
-                stats.extra[key] = value
+        stats.extra.update(residency.stats())
     return aut, stats
 
 

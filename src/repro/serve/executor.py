@@ -66,7 +66,7 @@ def register_serve_metrics(metrics: MetricsRegistry) -> MetricsRegistry:
     )
     metrics.counter(
         "repro_psi_reloads_total",
-        "Spilled subset states reloaded on a later touch.",
+        "Spilled subset states reloaded for a checkpoint snapshot.",
     )
     metrics.counter(
         "repro_resident_evictions_total",
@@ -301,14 +301,14 @@ class SolveExecutor:
     def _ensure_pool(self, mgr, config):
         """Reset the warm pool for this problem, re-forking when needed.
 
-        Workers spill their resident registries to private stores under
-        the job's budget (and the next job's reset clears it again when
-        unset).
+        The workers take the problem manager's node budget and runtime
+        policies; a job's ``resident_budget`` bounds only the
+        coordinator's ψ table.
         """
         from repro.shard.pool import ShardError, ShardPool, pool_opts
 
         shards = config.shards
-        opts = pool_opts(mgr, config)
+        opts = pool_opts(mgr)
         if self._pool is not None and self._pool.num_shards == shards:
             try:
                 self._pool.reset(mgr.var_order(), **opts)

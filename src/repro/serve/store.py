@@ -10,6 +10,9 @@ Payloads are pickled because they contain packed ``array('q')`` columns
 at a few bytes per BDD node.  Writes are atomic (temp file + rename in
 the same directory), so a killed server never leaves a torn entry — a
 partial temp file is simply ignored and overwritten by the next solve.
+An entry damaged some other way (truncated or garbled on disk) that
+:mod:`pickle` cannot read is a miss: it is deleted, logged once, and
+the next submit re-solves it.
 
 Eviction is LRU by file mtime: every :meth:`ResultStore.get` touches
 the entry, and :meth:`ResultStore.put` evicts the stalest entries when
@@ -25,14 +28,49 @@ import pickle
 import tempfile
 from pathlib import Path
 
+from repro.obs.log import get_logger
+
+_log = get_logger("repro.serve.store")
+
 #: Hex-digest shape of valid store keys (defensive: keys become paths).
 _KEY_CHARS = set("0123456789abcdef")
+
+
+#: What :func:`pickle.load` raises on a truncated or garbled file.
+_DAMAGED = (
+    pickle.UnpicklingError,
+    EOFError,
+    ValueError,
+    AttributeError,
+    ImportError,
+    IndexError,
+)
 
 
 def _check_key(key: str) -> str:
     if not key or set(key) - _KEY_CHARS:
         raise ValueError(f"malformed cache key {key!r}")
     return key
+
+
+def _load(path: Path) -> dict | None:
+    """Unpickle ``path``; a missing or unreadable entry is a miss.
+
+    An unreadable entry is deleted, so the solve that replaces it is
+    not shadowed by it again.
+    """
+    try:
+        with open(path, "rb") as handle:
+            return pickle.load(handle)
+    except FileNotFoundError:
+        return None
+    except _DAMAGED as exc:
+        _log.warning("dropping damaged store entry", path=str(path), error=repr(exc))
+        try:
+            path.unlink()
+        except FileNotFoundError:  # pragma: no cover - racing cleanup
+            pass
+        return None
 
 
 class ResultStore:
@@ -58,10 +96,8 @@ class ResultStore:
     def get(self, key: str) -> dict | None:
         """Load a payload (and refresh its LRU position); None on miss."""
         path = self.path_for(key)
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except FileNotFoundError:
+        payload = _load(path)
+        if payload is None:
             return None
         try:
             os.utime(path)
@@ -109,11 +145,8 @@ class ResultStore:
         return path
 
     def get_checkpoint(self, key: str) -> dict | None:
-        try:
-            with open(self.checkpoint_path(key), "rb") as handle:
-                return pickle.load(handle)
-        except FileNotFoundError:
-            return None
+        """The latest checkpoint for a key; None when absent or damaged."""
+        return _load(self.checkpoint_path(key))
 
     def drop_checkpoint(self, key: str) -> None:
         try:

@@ -29,23 +29,19 @@ class ShardError(ReproError):
     """A shard worker failed or died mid-command."""
 
 
-def pool_opts(mgr, config=None, *, spill_dir: str | None = None) -> dict:
+def pool_opts(mgr) -> dict:
     """:class:`ShardPool` settings for workers serving ``mgr``'s problem.
 
     Workers inherit the coordinator's node budget and runtime policies:
     the CNC mechanism (``max_nodes``) must bound the shard managers too,
     or an exploding conjunction would grow unchecked in a worker the
-    resource limit cannot see.  ``config`` (a
-    :class:`~repro.eqn.config.SolveConfig`) contributes the resident
-    budget of the workers' ψ registries.
+    resource limit cannot see.
     """
     return {
         "max_nodes": mgr.max_nodes,
         "gc": mgr.gc_policy.mode,
         "reorder": mgr.reorder_policy.mode,
         "backend": getattr(mgr, "backend_name", "python"),
-        "resident_budget": config.resident_budget if config is not None else None,
-        "spill_dir": spill_dir,
     }
 
 
@@ -65,14 +61,6 @@ class ShardPool:
         Per-shard manager policies (every worker gets its own
         :class:`~repro.bdd.policy.GcPolicy` /
         :class:`~repro.bdd.policy.ReorderPolicy` instance).
-    resident_budget, spill_dir:
-        Bounded-memory residency for the workers' resident ψ registries
-        (see :mod:`repro.shard.worker`): with a node-count budget set,
-        each worker spills least-recently-touched resident entries to a
-        content-addressed store — ``spill_dir`` when given (shared
-        across workers; content addressing makes concurrent writers
-        idempotent), a private temporary directory otherwise — and
-        reloads them transparently on the next touch.
     backend:
         BDD backend every shard manager is constructed on
         (:func:`repro.bdd.backends.create_manager`): a native backend
@@ -95,8 +83,6 @@ class ShardPool:
         reorder: str = "off",
         max_nodes: int | None = None,
         backend: str = "python",
-        resident_budget: int | None = None,
-        spill_dir: str | None = None,
         start_method: str = "fork",
     ) -> None:
         if num_shards < 1:
@@ -110,8 +96,6 @@ class ShardPool:
             "reorder": reorder,
             "max_nodes": max_nodes,
             "backend": backend,
-            "resident_budget": resident_budget,
-            "spill_dir": spill_dir,
         }
         self._conns = []
         self._procs = []

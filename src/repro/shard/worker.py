@@ -40,26 +40,14 @@ Commands
     may then be ``None``).  Resident entries are pinned with ``mgr.ref``
     so they survive worker-side garbage collection and in-place
     reordering; the reply is the new count.  This is how the subset
-    driver's ψ snapshots cross the wire exactly once per subset.
+    driver's ψ snapshots cross the wire exactly once per subset.  The
+    driver retains a batch's ψ and releases them when the batch ends,
+    so a worker holds at most one batch; bounding the ψ table is the
+    coordinator's job (:class:`repro.eqn.residency.ResidencyManager`).
 ``("release", handles)``
     Drop one reference from each resident handle; an entry whose count
     reaches zero is deref'd and forgotten.  Replies with the number of
     entries actually freed.
-``("spill", handles)``
-    Force-spill the named resident entries (all of them when ``handles``
-    is ``None``) to the worker's content-addressed spill store
-    (:class:`repro.eqn.residency.SpillStore` over the
-    :func:`repro.bdd.io.dump_function_packed` blob format), keeping
-    their reference counts.  A spilled entry reloads transparently on
-    its next ``expand_batch``/``dump``/``retain`` touch.  With a
-    ``resident_budget`` node count in the worker config, the same spill
-    runs *automatically*: whenever the pinned resident-ψ node estimate
-    exceeds the budget (checked after every retain and after every item
-    of an ``expand_batch``), least-recently-touched entries are spilled,
-    and the worker collects garbage once the entries spilled since its
-    last such sweep add up to the budget, so its memory stays bounded no
-    matter how many subset states the coordinator parks on it.  Spill
-    and reload counts are reported by ``("stats",)``.
 ``("expand_batch", plan_id, items)``
     Run a plan against a batch of resident constraints and reply with
     the list of result snapshots.  Each item is either a resident
@@ -97,7 +85,6 @@ import time
 import traceback
 
 from repro.bdd.backends import create_manager
-from repro.bdd.io import dump_function_packed, load_function_packed
 from repro.bdd.policy import GcPolicy, ReorderPolicy
 from repro.errors import ReproError
 from repro.obs.log import get_logger
@@ -111,7 +98,6 @@ class _WorkerState:
 
     def __init__(self, config: dict) -> None:
         self.config = dict(config)
-        self._spill = None
         self._build(self.config)
 
     def _build(self, config: dict) -> None:
@@ -130,100 +116,8 @@ class _WorkerState:
         self.handles: dict[int, int] = {}
         self.plans: dict[int, tuple] = {}
         # Resident registry: handle -> [edge, refcount].  Entries are
-        # pinned against worker GC/reordering until released.  Dict
-        # insertion order doubles as the LRU for the spill policy:
-        # touched entries are re-inserted at the MRU end.
+        # pinned against worker GC/reordering until released.
         self.resident: dict[int, list] = {}
-        # Bounded-memory residency (repro.eqn.residency discipline on
-        # the worker side): when the pinned resident-ψ node estimate
-        # exceeds ``resident_budget``, cold entries are spilled to a
-        # content-addressed store and reloaded transparently on the next
-        # touch.  ``spilled``: handle -> [content key, refcount].
-        budget = config.get("resident_budget")
-        self.resident_budget = int(budget) if budget else None
-        self.spill_dir = config.get("spill_dir")
-        self.spilled: dict[int, list] = {}
-        self._sizes: dict[int, int] = {}
-        self._resident_nodes = 0
-        # Admit-time sizes of the entries spilled since the last
-        # budget-driven sweep (the coordinator's cadence rule).
-        self._unswept_nodes = 0
-        self.psi_spills = 0
-        self.psi_reloads = 0
-        self.close_spill()
-        self._spill = None
-        self._spill_owned = False
-
-    def close_spill(self) -> None:
-        """Remove the spill directory if this worker owns it."""
-        if self._spill is not None and self._spill_owned:
-            self._spill.close()
-
-    # -- the spill policy ---------------------------------------------- #
-
-    def _spill_store(self):
-        """The worker's spill store, created on first use.
-
-        With a coordinator-provided ``spill_dir`` the store is shared
-        (content addressing makes concurrent workers idempotent); without
-        one each worker owns a private temporary directory.
-        """
-        if self._spill is None:
-            from repro.eqn.residency import SpillStore
-
-            self._spill = SpillStore(self.spill_dir)
-            self._spill_owned = self.spill_dir is None
-        return self._spill
-
-    def _admit_resident(self, handle: int, edge: int, count: int) -> None:
-        self.resident[handle] = [edge, count]
-        if self.resident_budget is not None:
-            size = self.mgr.size(edge)
-            self._sizes[handle] = size
-            self._resident_nodes += size
-
-    def _drop_resident(self, handle: int) -> None:
-        del self.resident[handle]
-        self._resident_nodes -= self._sizes.pop(handle, 0)
-
-    def _touch_resident(self, handle: int) -> int:
-        """The pinned edge of a resident handle, reloading if spilled."""
-        entry = self.resident.get(handle)
-        if entry is not None:
-            if self.resident_budget is not None:
-                self.resident[handle] = self.resident.pop(handle)  # MRU
-            return entry[0]
-        key, count = self.spilled.pop(handle)
-        edge = load_function_packed(self.mgr, self._spill_store().get(key))
-        self.mgr.ref(edge)
-        self._admit_resident(handle, edge, count)
-        self.psi_reloads += 1
-        return edge
-
-    def _spill_resident(self, handle: int) -> None:
-        """Move one resident entry to the spill store (keeps its count)."""
-        edge, count = self.resident[handle]
-        blob = dump_function_packed(self.mgr, edge)
-        key, _written = self._spill_store().put(blob)
-        self.psi_spills += 1
-        self._drop_resident(handle)
-        self.spilled[handle] = [key, count]
-        self.mgr.deref(edge)
-
-    def _enforce_budget(self) -> None:
-        """Spill LRU resident entries until the estimate fits the budget."""
-        if self.resident_budget is None:
-            return
-        while self._resident_nodes > self.resident_budget and self.resident:
-            handle = next(iter(self.resident))
-            self._unswept_nodes += self._sizes[handle]
-            self._spill_resident(handle)
-        # Spilled nodes only go away in a sweep, and the adaptive GC
-        # policy may never arm at budget-sized scales: sweep once a
-        # budget's worth has piled up, not after every spill.
-        if self._unswept_nodes >= self.resident_budget:
-            self._unswept_nodes = 0
-            self.mgr.collect_garbage()
 
     # Each handler returns the reply payload. ------------------------------ #
 
@@ -245,7 +139,7 @@ class _WorkerState:
     def op_dump(self, handle: int) -> dict:
         edge = self.handles.get(handle)
         if edge is None:
-            edge = self._touch_resident(handle)
+            edge = self.resident[handle][0]
         return self.mgr.dump_nodes([edge])
 
     def op_free(self, handles: list[int]) -> None:
@@ -259,19 +153,12 @@ class _WorkerState:
         if entry is not None:
             entry[1] += 1
             return entry[1]
-        spilled = self.spilled.get(handle)
-        if spilled is not None:
-            # Already on disk: bump the count without materializing.
-            spilled[1] += 1
-            return spilled[1]
         if snapshot is None:
             raise ReproError(
                 f"retain: handle {handle} is not resident and no snapshot given"
             )
         (edge,) = self.mgr.load_nodes(snapshot)
-        self.mgr.ref(edge)
-        self._admit_resident(handle, edge, 1)
-        self._enforce_budget()
+        self.resident[handle] = [self.mgr.ref(edge), 1]
         return 1
 
     def op_release(self, handles: list[int]) -> int:
@@ -279,20 +166,11 @@ class _WorkerState:
         for handle in handles:
             entry = self.resident.get(handle)
             if entry is None:
-                spilled = self.spilled.get(handle)
-                if spilled is None:
-                    continue
-                spilled[1] -= 1
-                if spilled[1] <= 0:
-                    # The blob stays in the (content-addressed) store;
-                    # only the registry entry dies.
-                    del self.spilled[handle]
-                    freed += 1
                 continue
             entry[1] -= 1
             if entry[1] <= 0:
                 self.mgr.deref(entry[0])
-                self._drop_resident(handle)
+                del self.resident[handle]
                 freed += 1
         return freed
 
@@ -303,39 +181,21 @@ class _WorkerState:
         for item in items:
             if isinstance(item, (tuple, list)):
                 handle, spec = item
-                constraint = self._touch_resident(handle)
+                constraint = self.resident[handle][0]
                 if spec:
                     cube = mgr.cube(
                         {mgr.var_index(name): int(bit) for name, bit in spec.items()}
                     )
                     constraint = mgr.apply_and(constraint, cube)
             else:
-                constraint = self._touch_resident(item)
+                constraint = self.resident[item][0]
             with mgr.protect(constraint):
                 result = image_with_plan(mgr, plan, constraint, gc=True)
             # Snapshot immediately: the result edge itself is a per-call
             # intermediate that the next collection may reclaim.
             out.append(mgr.dump_nodes([result]))
-            # Bound the registry *during* the batch too: a reload above
-            # may have pushed the estimate back over budget.
-            self._enforce_budget()
         mgr.maybe_collect_garbage()
         return out
-
-    def op_spill(self, handles: list[int] | None = None) -> int:
-        """Force-spill resident entries (all of them when unnamed).
-
-        The test-facing counterpart of the transparent budget path: the
-        round-trip suites spill, GC, sift and reload deterministically
-        without having to engineer a budget overflow.
-        """
-        targets = list(self.resident) if handles is None else handles
-        spilled = 0
-        for handle in targets:
-            if handle in self.resident:
-                self._spill_resident(handle)
-                spilled += 1
-        return spilled
 
     def op_plan(
         self,
@@ -377,11 +237,6 @@ class _WorkerState:
             "max_nodes": self.mgr.max_nodes,
             "handles": len(self.handles),
             "resident": len(self.resident),
-            "spilled": len(self.spilled),
-            "resident_nodes": self._resident_nodes,
-            "resident_budget": self.resident_budget,
-            "psi_spills": self.psi_spills,
-            "psi_reloads": self.psi_reloads,
             "plans": len(self.plans),
         }
 
@@ -427,7 +282,6 @@ def worker_main(conn, config: dict) -> None:
         "retain": state.op_retain,
         "release": state.op_release,
         "expand_batch": state.op_expand_batch,
-        "spill": state.op_spill,
         "plan": state.op_plan,
         "reset": state.op_reset,
         "stats": state.op_stats,
@@ -460,7 +314,4 @@ def worker_main(conn, config: dict) -> None:
                 except (OSError, BrokenPipeError):  # pragma: no cover
                     break
     finally:
-        # A worker spawned without a ``spill_dir`` owns a private
-        # temporary store; it must not outlive the worker.
-        state.close_spill()
         conn.close()

@@ -218,6 +218,53 @@ class TestServerLevel:
             app2.close()
 
 
+class TestDamagedStore:
+    """A damaged result or checkpoint is re-solved, never a failed job."""
+
+    BODY = {"blif": S27_BLIF, "x_latches": X, "batch": 1, "checkpoint_every": 1}
+
+    def test_truncated_result_is_resolved(self, tmp_path, reference_kiss) -> None:
+        app = ServeApp(str(tmp_path / "cache"))
+        try:
+            job = wait_terminal(app.submit(self.BODY))
+            assert job.status == "done" and not job.cached
+            path = app.store.path_for(job.key)
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+            job2 = wait_terminal(app.submit(self.BODY))
+            assert job2.status == "done"
+            assert job2.cached is False  # the damaged entry was a miss
+            assert write_kiss_from_store(app, job.key) == reference_kiss
+        finally:
+            app.close()
+
+    def test_garbage_checkpoint_solves_from_scratch(
+        self, tmp_path, reference_kiss
+    ) -> None:
+        def hook(job, event):
+            if event["batches"] >= 2:
+                job.cancel_event.set()
+
+        app = ServeApp(str(tmp_path / "cache"), batch_hook=hook)
+        try:
+            job = wait_terminal(app.submit(self.BODY))
+            assert job.status == "cancelled"
+            path = app.store.checkpoint_path(job.key)
+            assert path.is_file()
+        finally:
+            app.close()
+        path.write_bytes(b"\x80\x05garbage")
+
+        app2 = ServeApp(str(tmp_path / "cache"))
+        try:
+            job2 = wait_terminal(app2.submit(self.BODY))
+            assert job2.status == "done"
+            assert job2.resumed is False
+            assert "resume" not in [e["type"] for e in job2.events]
+            assert write_kiss_from_store(app2, job.key) == reference_kiss
+        finally:
+            app2.close()
+
+
 def write_kiss_from_store(app: ServeApp, key: str) -> str:
     from repro.serve.payload import result_kiss
 

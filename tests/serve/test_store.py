@@ -100,6 +100,22 @@ class TestOperational:
         assert store.get(fake_key(1)) is not None
         assert store.get(fake_key(2)) is None
 
+    @pytest.mark.parametrize("keep", [0, 1, 10, -1])
+    def test_damaged_entry_is_a_miss(self, tmp_path, caplog, keep) -> None:
+        """A truncated pickle is deleted, logged once and reported absent."""
+        store = ResultStore(tmp_path)
+        key = fake_key(5)
+        path = store.put(key, {"csf": list(range(50)), "seconds": 0.5})
+        blob = path.read_bytes()
+        path.write_bytes(blob[:keep])
+        with caplog.at_level("WARNING", logger="repro.serve.store"):
+            assert store.get(key) is None
+        assert not path.exists()
+        assert key not in store
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropping damaged store entry"
+        ]
+
     def test_stats_counts_entries_and_bytes(self, tmp_path) -> None:
         store = ResultStore(tmp_path, max_entries=10)
         store.put(fake_key(1), {"n": 1})
@@ -119,6 +135,15 @@ class TestCheckpoints:
         store.drop_checkpoint(key)
         assert store.get_checkpoint(key) is None
         store.drop_checkpoint(key)  # idempotent
+
+    def test_garbage_checkpoint_is_a_miss(self, tmp_path, caplog) -> None:
+        store = ResultStore(tmp_path)
+        key = fake_key(7)
+        store.checkpoint_path(key).write_bytes(b"not a pickle at all")
+        with caplog.at_level("WARNING", logger="repro.serve.store"):
+            assert store.get_checkpoint(key) is None
+        assert not store.checkpoint_path(key).exists()
+        assert len(caplog.records) == 1
 
     def test_checkpoints_do_not_count_as_results(self, tmp_path) -> None:
         store = ResultStore(tmp_path)

@@ -1,16 +1,14 @@
 """Sweep cadence and failure cleanup of the bounded-memory runtime.
 
-Both sides of a budgeted solve — the coordinator's
-:class:`~repro.eqn.residency.ResidencyManager` and each shard worker's
-resident registry — sweep once the ψ they evicted since their last
-sweep add up to the resident budget, not after every evicting batch.
-The resident ψ stay within the budget and the evicted-but-unswept ψ
-stay below it.
+The coordinator's :class:`~repro.eqn.residency.ResidencyManager` — the
+only ψ spill policy; shard workers hold at most one batch and never
+spill — sweeps once the ψ it evicted since its last sweep add up to the
+resident budget, not after every evicting batch.  The resident ψ stay
+within the budget and the evicted-but-unswept ψ stay below it.
 
 A budgeted sharded solve that runs out of nodes or time must still fail
 with a :class:`~repro.errors.ReproError`, remove its spill directory
-and reap its workers; a worker that owns its spill directory removes it
-when it shuts down.
+and reap its workers.
 """
 
 from __future__ import annotations
@@ -20,14 +18,13 @@ import tempfile
 
 import pytest
 
-from repro.bdd import BddManager, dump_nodes
+from repro.bdd import BddManager
 from repro.bench import circuits
 from repro.bench.suite import TABLE1_BENCH_ONLY_CASES
 from repro.eqn.problem import build_latch_split_problem
 from repro.eqn.residency import ResidencyManager
 from repro.eqn.solver import solve_equation
 from repro.errors import ReproError
-from repro.shard import ShardPool
 from repro.util.limits import ResourceLimit
 
 NAMES = [f"v{i}" for i in range(8)]
@@ -79,41 +76,6 @@ class TestResidencyCadence:
         assert mgr.stats["gc_runs"] == runs + 1
         assert residency.resident_nodes == BUDGET
         residency.close()
-
-
-def test_worker_sweeps_once_a_budget_of_spills_piled_up(mgr) -> None:
-    with ShardPool(1, NAMES, resident_budget=BUDGET) as pool:
-
-        def retain(i: int) -> None:
-            snap = dump_nodes(mgr, [_literal(mgr, i)])
-            pool.call(0, ("retain", pool.new_handle(), snap))
-
-        for i in range(BUDGET):
-            retain(i)
-        runs = pool.stats()[0]["gc_runs"]
-        for i in range(BUDGET, 2 * BUDGET - 1):
-            retain(i)  # spills one 1-node entry, below the budget
-        stats = pool.stats()[0]
-        assert stats["psi_spills"] == BUDGET - 1
-        assert stats["gc_runs"] == runs
-        retain(2 * BUDGET - 1)  # the spill that reaches the budget
-        assert pool.stats()[0]["gc_runs"] == runs + 1
-        retain(2 * BUDGET)  # the sum was reset: no sweep
-        stats = pool.stats()[0]
-        assert stats["psi_spills"] == BUDGET + 1
-        assert stats["gc_runs"] == runs + 1
-        assert stats["resident_nodes"] == BUDGET
-
-
-def test_worker_owned_spill_dir_goes_with_the_pool(mgr, tmp_path, monkeypatch) -> None:
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # forked workers inherit it
-    with ShardPool(1, NAMES, resident_budget=1) as pool:
-        for i in range(2):
-            snap = dump_nodes(mgr, [_literal(mgr, i)])
-            pool.call(0, ("retain", pool.new_handle(), snap))
-        assert pool.stats()[0]["psi_spills"] == 1
-        assert len(list(tmp_path.glob("repro-spill-*"))) == 1
-    assert list(tmp_path.glob("repro-spill-*")) == []
 
 
 def test_budgeted_solve_sweeps_less_often_than_it_evicts(monkeypatch) -> None:

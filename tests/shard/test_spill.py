@@ -5,9 +5,9 @@ Three layers of the same contract:
 * the packed single-function blob (:mod:`repro.bdd.io`) is canonical
   per (function, variable order) and round-trips bit-for-bit;
 * the coordinator policy (:class:`repro.eqn.residency.ResidencyManager`)
-  and the worker registry (:mod:`repro.shard.worker`) both survive the
-  full hostile sequence — spill, drop the pin, collect garbage, sift
-  the order in place, reload — and hand back the *same function*;
+  survives the full hostile sequence — spill, drop the pin, collect
+  garbage, sift the order in place, reload — and hands back the *same
+  function*;
 * a budgeted solve is result-identical to the unbounded one: the spill
   machinery may only change when nodes are materialized, never what the
   solver computes (byte-identical KISS over the Table 1 suite).
@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.automata.kiss import write_kiss
-from repro.bdd import BddManager, load_nodes
+from repro.bdd import BddManager
 from repro.bdd.io import FUNCTION_MAGIC, dump_function_packed, load_function_packed
 from repro.bench import circuits
 from repro.bench.suite import TABLE1_CASES
@@ -28,7 +28,6 @@ from repro.eqn.problem import build_latch_split_problem
 from repro.eqn.residency import ResidencyManager, SpillStore, content_key
 from repro.eqn.solver import solve_equation
 from repro.errors import BddError, EquationError
-from repro.shard import ShardPool
 
 from tests.strategies import DEFAULT_VARS, bdd_minterms, expressions
 
@@ -298,103 +297,6 @@ class TestResidencyManager:
 
 
 # --------------------------------------------------------------------- #
-# The worker-side registry through a real pool
-# --------------------------------------------------------------------- #
-
-
-class TestWorkerSpill:
-    def _retain(self, mgr, pool, shard, f):
-        from repro.bdd import dump_nodes
-
-        handle = pool.new_handle()
-        pool.call(shard, ("retain", handle, dump_nodes(mgr, [f])))
-        return handle
-
-    def test_forced_spill_gc_sift_reload(self, mgr) -> None:
-        a, b, c = (mgr.var_node(mgr.var_index(v)) for v in "abc")
-        functions = [
-            mgr.apply_xor(a, b),
-            mgr.apply_or(mgr.apply_and(a, c), b),
-            mgr.apply_not(mgr.apply_and(b, c)),
-        ]
-        with ShardPool(1, VARS) as pool:
-            handles = [self._retain(mgr, pool, 0, f) for f in functions]
-            assert pool.call(0, ("spill", None)) == len(functions)
-            stats = pool.stats()[0]
-            assert stats["resident"] == 0
-            assert stats["spilled"] == len(functions)
-            assert stats["psi_spills"] == len(functions)
-            pool.call(0, ("gc",))
-            pool.call(0, ("sift",))
-            for handle, f in zip(handles, functions):
-                (back,) = load_nodes(mgr, pool.call(0, ("dump", handle)))
-                assert back == f
-            stats = pool.stats()[0]
-            assert stats["psi_reloads"] == len(functions)
-            assert stats["spilled"] == 0  # all touched back in
-
-    def test_budget_spills_automatically(self, mgr) -> None:
-        with ShardPool(1, VARS, resident_budget=1) as pool:
-            a, b = mgr.var_node(mgr.var_index("a")), mgr.var_node(
-                mgr.var_index("b")
-            )
-            h1 = self._retain(mgr, pool, 0, mgr.apply_xor(a, b))
-            h2 = self._retain(mgr, pool, 0, mgr.apply_or(a, b))
-            stats = pool.stats()[0]
-            assert stats["psi_spills"] > 0
-            assert stats["resident_budget"] == 1
-            assert stats["resident_nodes"] <= 1
-            # Both survive, whichever side of the budget they're on.
-            (f1,) = load_nodes(mgr, pool.call(0, ("dump", h1)))
-            (f2,) = load_nodes(mgr, pool.call(0, ("dump", h2)))
-            assert f1 == mgr.apply_xor(a, b)
-            assert f2 == mgr.apply_or(a, b)
-
-    def test_release_of_spilled_entries_is_leak_free(self, mgr) -> None:
-        with ShardPool(1, VARS) as pool:
-            from repro.bdd import dump_nodes
-
-            # Literal nodes are permanent GC roots: materialise each one
-            # before the baseline so the check measures the registry.
-            for name in VARS:
-                warm = pool.new_handle()
-                literal = mgr.var_node(mgr.var_index(name))
-                pool.call(0, ("retain", warm, dump_nodes(mgr, [literal])))
-                pool.call(0, ("release", [warm]))
-            pool.call(0, ("gc",))
-            baseline = pool.stats()[0]["live_nodes"]
-            a, b, c = (mgr.var_node(mgr.var_index(v)) for v in "abc")
-            fs = [mgr.apply_xor(a, b), mgr.apply_and(mgr.apply_or(a, b), c)]
-            handles = [self._retain(mgr, pool, 0, f) for f in fs]
-            pool.call(0, ("spill", [handles[0]]))
-            assert pool.call(0, ("release", handles)) == len(handles)
-            pool.call(0, ("gc",))
-            stats = pool.stats()[0]
-            assert stats["resident"] == 0
-            assert stats["spilled"] == 0
-            assert stats["live_nodes"] == baseline
-
-    @settings(
-        deadline=None,
-        max_examples=10,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(exprs=st.lists(expressions(max_leaves=8), min_size=1, max_size=5))
-    def test_round_trip_random(self, exprs) -> None:
-        m = BddManager()
-        m.add_vars(VARS)
-        functions = [_build(m, e) for e in exprs]
-        with ShardPool(1, VARS, resident_budget=2) as pool:
-            handles = [self._retain(m, pool, 0, f) for f in functions]
-            pool.call(0, ("spill", None))
-            pool.call(0, ("gc",))
-            pool.call(0, ("sift",))
-            for handle, f in zip(handles, functions):
-                (back,) = load_nodes(m, pool.call(0, ("dump", handle)))
-                assert back == f
-
-
-# --------------------------------------------------------------------- #
 # Result identity of budgeted solves
 # --------------------------------------------------------------------- #
 
@@ -435,24 +337,40 @@ def test_budgeted_solve_actually_spills() -> None:
     assert extra["evicted_peak"] > 100
 
 
+SHARDED_BUDGET = {
+    "method": "partitioned",
+    "shards": 2,
+    "frontier": "bfs",
+    "batch": 8,
+    "resident_budget": 40,
+}
+
+
 def test_sharded_budgeted_solve_spills_and_reloads() -> None:
-    """Workers under budget spill to the shared store and reload on touch."""
+    """Only the coordinator spills; a worker holds at most one batch of ψ."""
     net = circuits.johnson(8)
     prob = build_latch_split_problem(net, ["j1", "j3", "j5", "j7"])
     base = solve_equation(prob, method="partitioned", frontier="bfs", batch=8)
-    bounded = solve_equation(
-        prob,
-        method="partitioned",
-        shards=2,
-        frontier="bfs",
-        batch=8,
-        resident_budget=40,
-    )
+    bounded = solve_equation(prob, **SHARDED_BUDGET)
     assert write_kiss(bounded.csf) == write_kiss(base.csf)
     extra = bounded.stats.extra
     assert extra["psi_spills"] > 0
-    assert extra["psi_reloads"] > 0
     assert extra["resident_evictions"] > 0
+    # Nothing reloads without a checkpoint: evicted ψ are only ever
+    # deduplicated against by content key.
+    assert extra["psi_reloads"] == 0
+    assert extra["psi_resident_peak"] <= 8
+
+
+def test_sharded_spill_counters_match_the_store(tmp_path) -> None:
+    """``psi_spills`` / ``spill_bytes`` count exactly the blobs on disk."""
+    prob = build_latch_split_problem(circuits.johnson(8), ["j1", "j3", "j5", "j7"])
+    result = solve_equation(prob, spill_dir=str(tmp_path), **SHARDED_BUDGET)
+    blobs = list(tmp_path.rglob("*.bin"))
+    extra = result.stats.extra
+    assert blobs
+    assert extra["psi_spills"] == len(blobs)
+    assert extra["spill_bytes"] == sum(blob.stat().st_size for blob in blobs)
 
 
 @pytest.mark.parametrize("damage", ["truncate", "flip"])
