@@ -685,45 +685,19 @@ def _run_table1_case(case, config: SolveConfig, row_name: str) -> dict:
         elapsed = time.perf_counter() - t0
         mgr_stats = problem.manager.stats
         phases = _phase_breakdown(trace_start)
-        extra = result.stats.extra if result.stats else {}
-        residency_cols = (
-            {
-                "psi_spills": extra.get("psi_spills"),
-                "psi_reloads": extra.get("psi_reloads"),
-                "resident_evictions": extra.get("resident_evictions"),
-                "resident_nodes_peak": extra.get("resident_nodes_peak"),
-            }
-            if extra.get("resident_budget")
-            else {}
-        )
-        compose_cols = (
-            {
-                "compose_components": extra.get("compose_components"),
-                "compose_solved_latches": extra.get("compose_solved_latches"),
-                "compose_skipped_latches": extra.get("compose_skipped_latches"),
-            }
-            if result.options.get("compose")
-            else {}
-        )
         row["methods"][method] = {
             "cnc": False,
             "cache_key": key,
             "wall_s": round(elapsed, 4),
             **({"phases": phases} if phases is not None else {}),
             "csf_states": result.csf_states,
-            "subsets": result.stats.subsets if result.stats else None,
-            "batches": result.stats.batches if result.stats else None,
-            "memo_hits": result.stats.extra.get("completion_memo_hits")
-            if result.stats
-            else None,
+            **result.stats.bench_columns(),
             "peak_live_nodes": mgr_stats["peak_live_nodes"],
             "cache_hit_rate": round(problem.manager.cache_hit_rate(), 4),
             "gc_runs": mgr_stats["gc_runs"],
             "reclaim_ratio_avg": round(mgr_stats["reclaim_ratio_avg"], 4),
             "reorder_runs": mgr_stats["reorder_runs"],
             "reorder_swaps": mgr_stats["reorder_swaps"],
-            **residency_cols,
-            **compose_cols,
         }
         print(
             f"  table1/{row_name:14s} {method:12s} {elapsed * 1e3:9.1f} ms  "

@@ -260,49 +260,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     )
     print(result.summary())
     if result.stats is not None:
-        print(
-            f"  subsets={result.stats.subsets} edges={result.stats.edges} "
-            f"batches={result.stats.batches} peak_nodes={result.stats.peak_nodes}"
-        )
-        memo_hits = result.stats.extra.get("completion_memo_hits")
-        if memo_hits:
-            print(
-                f"  completion memo: hits={memo_hits} "
-                f"misses={result.stats.extra.get('completion_memo_misses', 0)}"
-            )
-        if "psi_serializations" in result.stats.extra:
-            print(
-                f"  shard transfers: psi_serializations="
-                f"{result.stats.extra['psi_serializations']} "
-                f"(max per subset "
-                f"{result.stats.extra['psi_serializations_max']})"
-            )
-        if result.stats.extra.get("resident_budget"):
-            extra = result.stats.extra
-            print(
-                f"  residency: budget={extra['resident_budget']} "
-                f"spills={extra.get('psi_spills', 0)} "
-                f"reloads={extra.get('psi_reloads', 0)} "
-                f"evictions={extra.get('resident_evictions', 0)} "
-                f"resident_peak={extra.get('resident_nodes_peak', 0)}"
-            )
-        if result.options.get("compose"):
-            extra = result.stats.extra
-            print(
-                f"  compose: components={extra.get('compose_components')} "
-                f"solved_latches={extra.get('compose_solved_latches')} "
-                f"skipped_latches={extra.get('compose_skipped_latches')}"
-            )
-        elif config.compose:
+        for group, counters in result.stats.summary():
+            values = " ".join(f"{name}={value}" for name, value in counters.items())
+            print(f"  {group}: {values}")
+        if config.compose and not result.options.get("compose"):
             print("  compose: not applicable (solved directly)")
-    mgr_stats = result.problem.manager.stats
-    if mgr_stats["gc_runs"] or mgr_stats["reorder_runs"]:
-        print(
-            f"  kernel: gc_runs={mgr_stats['gc_runs']} "
-            f"reclaim_ratio_avg={mgr_stats['reclaim_ratio_avg']:.2f} "
-            f"reorders={mgr_stats['reorder_runs']} "
-            f"swaps={mgr_stats['reorder_swaps']}"
-        )
     if tracer is not None:
         _export_trace(tracer, args.trace)
     if not args.no_verify:

@@ -48,7 +48,7 @@ _EXPORTS = {
     "solve_latch_split": "solver",
     "FrontierScheduler": "subset",
     "SubsetEdge": "subset",
-    "SubsetStats": "subset",
+    "SubsetStats": "stats",
     "subset_construct": "subset",
     "VerificationReport": "verify",
     "compose_with_fixed": "verify",

@@ -299,7 +299,7 @@ def solve_compositional(
     returns a :class:`~repro.eqn.solver.SolveResult` whose solution has
     exactly the language of the direct solve (state counts differ —
     that is the point), carrying the original problem, ``compose: True``
-    options and per-component statistics in ``stats.extra``.
+    options and the ``compose_*`` counters in ``stats``.
     """
     from repro.eqn.solver import SolveResult, solve_equation
 
@@ -335,12 +335,12 @@ def solve_compositional(
         mgr.deref(sub.init_cube)
     stats = result.stats
     if stats is not None:
-        stats.extra["compose_components"] = len(plan.components)
-        stats.extra["compose_verified_components"] = verified
-        stats.extra["compose_skipped_latches"] = sum(
+        stats.compose_components = len(plan.components)
+        stats.compose_verified_components = verified
+        stats.compose_skipped_latches = sum(
             c.num_latches for c in plan.letterfree
         )
-        stats.extra["compose_solved_latches"] = plan.letterful.num_latches
+        stats.compose_solved_latches = plan.letterful.num_latches
     options = dict(result.options)
     options["compose"] = True
     return SolveResult(

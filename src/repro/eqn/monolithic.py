@@ -26,7 +26,7 @@ from __future__ import annotations
 from repro.bdd.cube import split_by_vars
 from repro.bdd.manager import FALSE, TRUE, BddManager
 from repro.eqn.problem import EquationProblem
-from repro.eqn.subset import SubsetEdge, expand_batch_pinned
+from repro.eqn.subset import SubsetEdge, expand_batch_pinned, finish_expansion
 
 
 class MonolithicOracle:
@@ -153,26 +153,9 @@ class MonolithicOracle:
         # hidden relation; the kernel's short-circuiting core quantifies
         # on the fly.
         p = mgr.and_exists(psi, self.ts, self.cs_qs)
-        domain = mgr.exists(p, self.ns_qs)
+        q = None
         if self.trim:
             # Q_ψ: classes leading into a DC1-flagged successor.
             dc_next = mgr.var_node(self.problem.dc_ns_var)
             q = mgr.exists(mgr.apply_and(p, dc_next), self.ns_qs)
-            p_good = mgr.apply_diff(p, q)
-            edges = [
-                SubsetEdge(cond=cond, successor=mgr.rename(leaf, self.rename))
-                for leaf, cond in split_by_vars(mgr, p_good, self.uv_vars).items()
-            ]
-            dca = mgr.apply_diff(mgr.apply_not(q), domain)
-            return edges, dca
-        edges = []
-        for leaf, cond in split_by_vars(mgr, p, self.uv_vars).items():
-            successor = mgr.rename(leaf, self.rename)
-            edges.append(
-                SubsetEdge(
-                    cond=cond,
-                    successor=successor,
-                    accepting=self.is_accepting(successor),
-                )
-            )
-        return edges, mgr.apply_not(domain)
+        return finish_expansion(self, p, q, split_by_vars)

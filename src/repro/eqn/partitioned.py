@@ -37,7 +37,7 @@ latches irrelevant to an output share one image computation — in a
 frontier batch the duplicates are deduplicated *before* any work is
 scheduled.  Memo keys and values are pinned against garbage collection
 (and therefore survive in-place reordering); hits/misses are reported
-through :meth:`PartitionedOracle.run_stats`.
+through :meth:`PartitionedOracle.record_stats`.
 
 Sharded batching
 ----------------
@@ -79,7 +79,8 @@ from repro.symb.image import (
 )
 from repro.eqn.config import SolveConfig
 from repro.eqn.problem import EquationProblem
-from repro.eqn.subset import SubsetEdge, expand_batch_pinned
+from repro.eqn.stats import SubsetStats
+from repro.eqn.subset import SubsetEdge, expand_batch_pinned, finish_expansion
 
 
 class PartitionedOracle:
@@ -273,20 +274,17 @@ class PartitionedOracle:
         dc = self.mgr.var_node(self.problem.dc_var)
         return self.mgr.apply_and(psi, dc) == FALSE
 
-    def run_stats(self) -> dict:
-        """Oracle instrumentation merged into ``SubsetStats.extra``."""
-        stats = {
-            "completion_memo_hits": self.memo_hits,
-            "completion_memo_misses": self.memo_misses,
-        }
+    def record_stats(self, stats: SubsetStats) -> None:
+        """Set the completion-memo and shard counters on the record."""
+        stats.completion_memo_hits = self.memo_hits
+        stats.completion_memo_misses = self.memo_misses
         if self._pool is not None:
             counts = self._psi_serialized
-            stats["psi_serializations"] = sum(counts.values())
-            stats["psi_serializations_max"] = max(counts.values(), default=0)
-            stats["psi_resident_peak"] = self._resident_peak
-            stats["pool_op_counts"] = dict(self._pool.op_counts)
-            stats["work_steals"] = self._p_sharded.steals
-        return stats
+            stats.psi_serializations = sum(counts.values())
+            stats.psi_serializations_max = max(counts.values(), default=0)
+            stats.psi_resident_peak = self._resident_peak
+            stats.pool_op_counts = dict(self._pool.op_counts)
+            stats.work_steals = self._p_sharded.steals
 
     # -- the incremental completion step ------------------------------- #
 
@@ -402,43 +400,13 @@ class PartitionedOracle:
         # ψ and the successor image must survive collections triggered
         # inside the image folds (everything after the last fold runs
         # GC-free, so plain locals are safe from there on).
+        q = None
         with mgr.protect(psi):
             p = self.successor_image(psi)
             if self.trim:
                 with mgr.protect(p):
                     q = self.non_conformance(psi)
-        if self.trim:
-            return self._finish_trim(p, q)
-        return self._finish_notrim(p)
-
-    def _finish_trim(self, p: int, q: int) -> tuple[list[SubsetEdge], int]:
-        """Edges + DCA condition from ``P_ψ`` and ``Q_ψ`` (GC-free tail)."""
-        mgr = self.mgr
-        p_good = mgr.apply_diff(p, q)
-        edges = [
-            SubsetEdge(cond=cond, successor=mgr.rename(leaf, self.rename))
-            for leaf, cond in split_by_vars(mgr, p_good, self.uv_vars).items()
-        ]
-        domain = mgr.exists(p, self.ns_qs)
-        dca = mgr.apply_diff(mgr.apply_not(q), domain)
-        return edges, dca
-
-    def _finish_notrim(self, p: int) -> tuple[list[SubsetEdge], int]:
-        """Ablation: no trimming — every class is expanded; acceptance of
-        the successor is decided by its DC1 flag."""
-        mgr = self.mgr
-        edges = []
-        for leaf, cond in split_by_vars(mgr, p, self.uv_vars).items():
-            successor = mgr.rename(leaf, self.rename)
-            edges.append(
-                SubsetEdge(
-                    cond=cond,
-                    successor=successor,
-                    accepting=self.is_accepting(successor),
-                )
-            )
-        domain = mgr.exists(p, self.ns_qs)
-        return edges, mgr.apply_not(domain)
+        return finish_expansion(self, p, q, split_by_vars)
 
     # -- the sharded batched expansion ---------------------------------- #
 
@@ -553,12 +521,10 @@ class PartitionedOracle:
         # -- assemble per-ψ results (GC-free) --------------------------- #
         results: list[tuple[list[SubsetEdge], int]] = []
         for i in range(len(psis)):
-            p = p_results[i]
+            q = None
             if self.trim:
                 q = FALSE
                 for j in range(n_out):
                     q = mgr.apply_or(q, q_vals[i][j])
-                results.append(self._finish_trim(p, q))
-            else:
-                results.append(self._finish_notrim(p))
+            results.append(finish_expansion(self, p_results[i], q, split_by_vars))
         return results

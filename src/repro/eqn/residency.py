@@ -39,6 +39,7 @@ import shutil
 import tempfile
 
 from repro.bdd.io import dump_function_packed, load_function_packed
+from repro.eqn.stats import SubsetStats
 from repro.errors import EquationError
 from repro.obs.trace import span as obs_span
 
@@ -346,18 +347,16 @@ class ResidencyManager:
         self._evicted_by_key.clear()
         return out
 
-    def stats(self) -> dict:
-        """Counters merged into ``SubsetStats.extra`` by the driver."""
-        return {
-            "resident_budget": self.budget,
-            "psi_spills": self.spills,
-            "psi_reloads": self.reloads,
-            "resident_evictions": self.evictions,
-            "resident_nodes_peak": self.resident_nodes_peak,
-            "evicted_peak": self.evicted_peak,
-            "spill_bytes": self.store.put_bytes,
-            "spill_rehashes": self.rehashes,
-        }
+    def record_stats(self, stats: SubsetStats) -> None:
+        """Set the residency counters on the solve's record."""
+        stats.resident_budget = self.budget
+        stats.psi_spills = self.spills
+        stats.psi_reloads = self.reloads
+        stats.resident_evictions = self.evictions
+        stats.resident_nodes_peak = self.resident_nodes_peak
+        stats.evicted_peak = self.evicted_peak
+        stats.spill_bytes = self.store.put_bytes
+        stats.spill_rehashes = self.rehashes
 
     def close(self) -> None:
         """Drop the spill store if this manager owns it (idempotent)."""

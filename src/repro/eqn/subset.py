@@ -44,7 +44,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Protocol
 
@@ -54,6 +54,7 @@ from repro.errors import EquationError, SolveCancelled
 from repro.automata.automaton import Automaton
 from repro.eqn.config import STRATEGIES
 from repro.eqn.problem import EquationProblem
+from repro.eqn.stats import CONSTRUCTION_FIELDS, KERNEL_FIELDS, SubsetStats
 from repro.obs.trace import span as obs_span
 from repro.util.limits import ResourceLimit
 
@@ -100,12 +101,12 @@ class TransitionOracle(Protocol):
         disable opportunistic garbage collection in the driver.
         """
 
-    def run_stats(self) -> dict:
-        """Oracle-side instrumentation merged into ``SubsetStats.extra``.
+    def record_stats(self, stats: SubsetStats) -> None:
+        """Set the oracle's run counters on the solve's record.
 
         Optional (checked with ``getattr``); the partitioned oracle
-        reports completion-memo hit rates and, when sharded, ψ-transfer
-        and pool command counters.
+        reports completion-memo hits and misses and, when sharded,
+        ψ-transfer and pool command counters.
         """
 
 
@@ -216,16 +217,33 @@ def expand_batch_pinned(
     return out
 
 
-@dataclass
-class SubsetStats:
-    """Instrumentation of one subset construction run."""
+def finish_expansion(
+    oracle, p: int, q: int | None, split: Callable[..., dict[int, int]]
+) -> tuple[list[SubsetEdge], int]:
+    """Edges and DCA condition of ψ from ``P_ψ`` (the oracles' GC-free tail).
 
-    subsets: int = 0
-    edges: int = 0
-    dca_edges: int = 0
-    batches: int = 0
-    peak_nodes: int = 0
-    extra: dict = field(default_factory=dict)
+    With trimming, ``q`` is ``Q_ψ``: the conforming classes of
+    ``P_ψ ∧ ¬Q_ψ`` become the edges, and the letters with neither a
+    successor nor a non-conformance (``¬Q_ψ ∧ ¬∃ns.P_ψ``) go to DCA.
+    Without trimming (``q`` is ``None``) every class is expanded and
+    ``oracle.is_accepting`` decides each successor by its DC1 flag.
+    Either way, each (u,v) cofactor leaf renamed ``ns → cs`` is a
+    successor.  The oracle supplies ``mgr``, ``uv_vars``, ``rename`` and
+    ``ns_qs``; ``split`` is :func:`~repro.bdd.cube.split_by_vars` as the
+    oracle's own module names it, which is where ``perfbench/layers.py``
+    times the enumerate layer.
+    """
+    mgr = oracle.mgr
+    classes = split(mgr, p if q is None else mgr.apply_diff(p, q), oracle.uv_vars)
+    edges = []
+    for leaf, cond in classes.items():
+        successor = mgr.rename(leaf, oracle.rename)
+        accepting = q is not None or oracle.is_accepting(successor)
+        edges.append(SubsetEdge(cond, successor, accepting))
+    no_successor = mgr.apply_not(mgr.exists(p, oracle.ns_qs))
+    if q is None:
+        return edges, no_successor
+    return edges, mgr.apply_diff(no_successor, q)
 
 
 def _construction_snapshot(
@@ -274,13 +292,7 @@ def _construction_snapshot(
         "dca_id": dca_id,
         "edges": edges,
         "frontier": [root_of_psi[psi] for psi in frontier.pending()],
-        "stats": {
-            "subsets": stats.subsets,
-            "edges": stats.edges,
-            "dca_edges": stats.dca_edges,
-            "batches": stats.batches,
-            "peak_nodes": stats.peak_nodes,
-        },
+        "stats": stats.construction(),
         "nodes": dump_nodes(mgr, roots),
     }
 
@@ -333,12 +345,8 @@ def _restore_construction(
             mgr.ref(aut.edges[src][dst])
     for ref in snapshot["frontier"]:
         frontier.push(roots[ref])
-    saved = snapshot["stats"]
-    stats.subsets = saved["subsets"]
-    stats.edges = saved["edges"]
-    stats.dca_edges = saved["dca_edges"]
-    stats.batches = saved["batches"]
-    stats.peak_nodes = saved["peak_nodes"]
+    for name in CONSTRUCTION_FIELDS:
+        setattr(stats, name, snapshot["stats"][name])
     return snapshot["dca_id"]
 
 
@@ -577,11 +585,14 @@ def subset_construct(
                     )
                 )
             last_checkpoint = time.monotonic()
-    run_stats = getattr(oracle, "run_stats", None)
-    if run_stats is not None:
-        stats.extra.update(run_stats())
+    record_stats = getattr(oracle, "record_stats", None)
+    if record_stats is not None:
+        record_stats(stats)
     if residency is not None:
-        stats.extra.update(residency.stats())
+        residency.record_stats(stats)
+    mgr_stats = mgr.stats
+    for name in KERNEL_FIELDS:
+        setattr(stats, name, mgr_stats.get(name, 0))
     return aut, stats
 
 
@@ -593,20 +604,16 @@ def _progress_event(
 ) -> dict:
     """One per-batch progress event (the serve stream's payload)."""
     event = {
-        "batches": stats.batches,
-        "subsets": stats.subsets,
-        "edges": stats.edges,
-        "dca_edges": stats.dca_edges,
+        **stats.construction(),
         "frontier": len(frontier),
         "live_nodes": len(mgr),
-        "peak_nodes": stats.peak_nodes,
     }
     for key in ("memo_hits", "memo_misses"):
         value = getattr(oracle, key, None)
         if value is not None:
             event[key] = value
     mgr_stats = mgr.stats
-    for key in ("gc_runs", "reorder_runs"):
+    for key in KERNEL_FIELDS:
         if key in mgr_stats:
             event[key] = mgr_stats[key]
     return event

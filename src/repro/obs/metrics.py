@@ -2,8 +2,8 @@
 
 The runtime already *measures* a lot — GC reclaim ratios, reorder
 swaps, completion-memo hits, psi serializations, steal counts, cache
-hits — but each statistic lives in its own ad-hoc dict
-(``mgr.stats``, ``SubsetStats.extra``, ``ShardPool.op_counts``).  A
+hits — in the kernel's ``mgr.stats``, the per-solve
+:class:`~repro.eqn.stats.SubsetStats` and ``ShardPool.op_counts``.  A
 :class:`MetricsRegistry` federates them behind one interface and one
 wire format: the Prometheus text exposition format served at
 ``GET /metrics`` by :mod:`repro.serve.server`::

@@ -20,6 +20,7 @@ import queue
 import threading
 import traceback
 
+from repro.eqn.stats import METRIC_FIELDS, SubsetStats
 from repro.errors import ReproError, SolveCancelled
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -46,35 +47,8 @@ def register_serve_metrics(metrics: MetricsRegistry) -> MetricsRegistry:
     metrics.counter(
         "repro_cache_misses_total", "Submits that had to run the solver."
     )
-    metrics.counter(
-        "repro_steals_total", "Work-stealing dispatches across shard workers."
-    )
-    metrics.counter(
-        "repro_memo_hits_total", "Completion-memo hits in the subset construction."
-    )
-    metrics.counter("repro_gc_runs_total", "Kernel garbage-collection sweeps.")
-    metrics.counter(
-        "repro_reorder_runs_total", "Dynamic variable-reordering (sift) runs."
-    )
-    metrics.counter(
-        "repro_psi_serializations_total",
-        "Constraint BDDs serialized to shard workers.",
-    )
-    metrics.counter(
-        "repro_psi_spills_total",
-        "Resident subset states spilled to the content-addressed store.",
-    )
-    metrics.counter(
-        "repro_psi_reloads_total",
-        "Spilled subset states reloaded for a checkpoint snapshot.",
-    )
-    metrics.counter(
-        "repro_resident_evictions_total",
-        "Resident-table evictions under a node budget.",
-    )
-    metrics.counter(
-        "repro_shard_commands_total", "Shard worker commands, by operation."
-    )
+    for _name, family, _label, help in METRIC_FIELDS:
+        metrics.counter(family, help)
     metrics.gauge("repro_queue_depth", "Jobs waiting for the executor thread.")
     metrics.gauge("repro_cache_entries", "Entries in the result cache store.")
     metrics.gauge("repro_uptime_seconds", "Seconds since the server started.")
@@ -208,22 +182,14 @@ class SolveExecutor:
         m.counter("repro_solves_total", "").inc(status="done")
         m.histogram("repro_solve_seconds", "").observe(payload["seconds"])
         m.counter("repro_cache_misses_total", "").inc()
-        extra = (payload.get("stats") or {}).get("extra") or {}
-        for family, key in (
-            ("repro_steals_total", "work_steals"),
-            ("repro_memo_hits_total", "completion_memo_hits"),
-            ("repro_gc_runs_total", "gc_runs"),
-            ("repro_reorder_runs_total", "reorder_runs"),
-            ("repro_psi_serializations_total", "psi_serializations"),
-            ("repro_psi_spills_total", "psi_spills"),
-            ("repro_psi_reloads_total", "psi_reloads"),
-            ("repro_resident_evictions_total", "resident_evictions"),
-        ):
-            amount = extra.get(key) or 0
-            if amount:
-                m.counter(family, "").inc(amount)
-        for op, count in (extra.get("pool_op_counts") or {}).items():
-            m.counter("repro_shard_commands_total", "").inc(count, op=op)
+        stats = SubsetStats.from_payload(payload.get("stats") or {})
+        for name, family, label, _help in METRIC_FIELDS:
+            value = getattr(stats, name)
+            if label is not None:
+                for key, count in value.items():
+                    m.counter(family, "").inc(count, **{label: key})
+            elif value:
+                m.counter(family, "").inc(value)
 
     # ------------------------------------------------------------------ #
 
@@ -257,8 +223,7 @@ class SolveExecutor:
                 job,
                 {
                     "type": "checkpoint",
-                    "batches": snapshot["stats"]["batches"],
-                    "subsets": snapshot["stats"]["subsets"],
+                    **snapshot["stats"],
                     "frontier": len(snapshot["frontier"]),
                 },
             )
@@ -268,14 +233,7 @@ class SolveExecutor:
             resume = self.store.get_checkpoint(job.key)
             if resume is not None:
                 job.resumed = True
-                self.registry.add_event(
-                    job,
-                    {
-                        "type": "resume",
-                        "batches": resume["stats"]["batches"],
-                        "subsets": resume["stats"]["subsets"],
-                    },
-                )
+                self.registry.add_event(job, {"type": "resume", **resume["stats"]})
         pool = None
         if config.shards > 1:
             pool = self._ensure_pool(problem.manager, config)
@@ -341,17 +299,5 @@ def _result_summary(payload: dict, *, cached: bool) -> dict:
 
 def _job_metrics(payload: dict) -> dict:
     """Per-job counter snapshot shown in job status and ``repro jobs``."""
-    stats = payload.get("stats") or {}
-    extra = stats.get("extra") or {}
-    return {
-        "solve_seconds": payload["seconds"],
-        "subsets": stats.get("subsets", 0),
-        "batches": stats.get("batches", 0),
-        "peak_nodes": stats.get("peak_nodes", 0),
-        "memo_hits": extra.get("completion_memo_hits", 0),
-        "steals": extra.get("work_steals", 0),
-        "gc_runs": extra.get("gc_runs", 0),
-        "psi_serializations": extra.get("psi_serializations", 0),
-        "psi_spills": extra.get("psi_spills", 0),
-        "psi_reloads": extra.get("psi_reloads", 0),
-    }
+    stats = SubsetStats.from_payload(payload.get("stats") or {})
+    return {"solve_seconds": payload["seconds"], **stats.job_status()}

@@ -72,14 +72,7 @@ def dump_result(result, *, cache_key: str | None = None) -> dict:
     """Payload of one :class:`~repro.eqn.solver.SolveResult`."""
     stats = None
     if result.stats is not None:
-        stats = {
-            "subsets": result.stats.subsets,
-            "edges": result.stats.edges,
-            "dca_edges": result.stats.dca_edges,
-            "batches": result.stats.batches,
-            "peak_nodes": result.stats.peak_nodes,
-            "extra": dict(result.stats.extra),
-        }
+        stats = {**result.stats.construction(), "extra": dict(result.stats.extra)}
     return {
         "format": PAYLOAD_FORMAT,
         "cache_key": cache_key,

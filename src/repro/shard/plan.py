@@ -44,6 +44,9 @@ from repro.bdd.manager import FALSE, BddManager
 from repro.obs.trace import span as obs_span
 from repro.shard.pool import ShardPool
 
+#: Single-slice commands each shard keeps in flight while stealing.
+STEAL_WINDOW = 2
+
 
 def load_parts(
     pool: ShardPool, shard: int, mgr: BddManager, parts: Sequence[int]
@@ -179,9 +182,7 @@ class ShardedImage:
             slices = nxt
         return slices
 
-    def run_resident_batch(
-        self, items: Sequence[tuple[int, int]], *, window: int = 2
-    ) -> list[int]:
+    def run_resident_batch(self, items: Sequence[tuple[int, int]]) -> list[int]:
         """Image a batch of **shard-resident** constraints (blocking).
 
         ``items`` is a list of ``(handle, constraint)`` pairs: the
@@ -190,8 +191,9 @@ class ShardedImage:
         coordinator-side edge is used only for slice planning — no
         snapshot is shipped.  The batch's cofactor slices are dealt
         round-robin into per-shard queues, each shard keeps up to
-        ``window`` single-slice ``expand_batch`` commands in flight, and
-        the coordinator collects from whichever worker finishes first
+        :data:`STEAL_WINDOW` single-slice ``expand_batch`` commands in
+        flight, and the coordinator collects from whichever worker
+        finishes first
         (:meth:`~repro.shard.pool.ShardPool.wait_any`).  A shard whose
         own queue drains **steals** the tail of the most-loaded peer's
         queue, re-dispatched as a ``(handle, bits)`` spec with no BDD
@@ -208,7 +210,7 @@ class ShardedImage:
         pool, mgr = self.pool, self.mgr
         num = pool.num_shards
         steal_span = obs_span(
-            "steal_batch", items=len(items), shards=num, window=window
+            "steal_batch", items=len(items), shards=num, window=STEAL_WINDOW
         )
         steals_before = self.steals
         queues: list[deque] = [deque() for _ in range(num)]
@@ -221,7 +223,7 @@ class ShardedImage:
         inflight: list[deque] = [deque() for _ in range(num)]
 
         def top_up(shard: int) -> None:
-            while len(inflight[shard]) < window:
+            while len(inflight[shard]) < STEAL_WINDOW:
                 if queues[shard]:
                     i, handle, spec = queues[shard].popleft()
                 else:

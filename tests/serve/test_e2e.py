@@ -390,6 +390,29 @@ class TestResidencyOptions:
         assert total("repro_psi_spills_total") > 0
         assert total("repro_resident_evictions_total") > 0
 
+    def test_gc_runs_reach_job_status_and_metrics(self, served) -> None:
+        """The kernel's sweep count of a budgeted solve is what job status
+        and ``repro_gc_runs_total`` report (they once stayed at 0)."""
+        from repro.bench import circuits
+        from repro.eqn import build_latch_split_problem, solve_equation
+        from repro.network.blif import write_blif
+        from repro.obs.metrics import parse_exposition
+
+        flags = {"frontier": "bfs", "batch": 8, "resident_budget": 40}
+        x = ["j1", "j3", "j5", "j7"]
+        problem = build_latch_split_problem(circuits.johnson(8), x)
+        solve_equation(problem, **flags)
+        gc_runs = problem.manager.stats["gc_runs"]
+        assert gc_runs > 0  # the budget forces sweeps
+
+        body = {"blif": write_blif(circuits.johnson(8)), "x_latches": x, **flags}
+        job = served.client.wait(served.client.submit(body)["id"], timeout=120)
+        assert job["status"] == "done"
+        assert job["metrics"]["gc_runs"] == gc_runs
+        families = parse_exposition(served.client.metrics())
+        (sample,) = families["repro_gc_runs_total"]["samples"]
+        assert sample[2] == gc_runs
+
     def test_residency_options_do_not_change_the_key(self, served) -> None:
         """``resident_budget``/``checkpoint_seconds`` bound the runtime,
         not the result — a budgeted resubmission is born done."""

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdd import BddManager, dump_nodes
-from repro.shard import ShardPool, ShardedImage
+from repro.shard import ShardPool, ShardedImage, plan
 from repro.symb.image import image_partitioned
 
 N_VARS = 8
@@ -117,12 +117,13 @@ class TestWorkStealing:
             items = self._batch(pool, mgr, xs)
             # Always service the first busy shard; collect() still
             # blocks on that shard's FIFO, so this only skews routing.
-            original = pool.wait_any
+            original = pool.wait_any, plan.STEAL_WINDOW
             pool.wait_any = lambda shards: [shards[0]]
+            plan.STEAL_WINDOW = 1
             try:
-                results = img.run_resident_batch(items, window=1)
+                results = img.run_resident_batch(items)
             finally:
-                pool.wait_any = original
+                pool.wait_any, plan.STEAL_WINDOW = original
             assert img.steals > 0
             for (_, psi), got in zip(items, results):
                 assert got == image_partitioned(mgr, parts, psi, xs[:4])

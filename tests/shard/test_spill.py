@@ -201,9 +201,8 @@ class TestResidencyManager:
         for f in evicted:
             mgr.deref(f)
         assert residency.resident_nodes <= 2
-        stats = residency.stats()
-        assert stats["resident_evictions"] == len(evicted)
-        assert stats["psi_spills"] == len(evicted)
+        assert residency.evictions == len(evicted)
+        assert residency.spills == len(evicted)
         residency.close()
 
     def test_frontier_states_never_evicted(self, mgr) -> None:
@@ -245,7 +244,7 @@ class TestResidencyManager:
         assert restored  # something was actually evicted and reloaded
         for sid, psi in restored.items():
             assert psi == exprs_edges[sid]  # canonical ⇒ same edge
-        assert residency.stats()["psi_reloads"] == len(restored)
+        assert residency.reloads == len(restored)
         residency.close()
 
     @settings(
@@ -292,7 +291,7 @@ class TestResidencyManager:
         if swapped:
             # The epoch changed, so the evicted entry was re-keyed (the
             # key *value* may coincide for symmetric functions).
-            assert residency.stats()["spill_rehashes"] >= 1
+            assert residency.rehashes >= 1
         residency.close()
 
 
