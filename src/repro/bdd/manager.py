@@ -222,6 +222,7 @@ class BddManager:
         "_active_core",
         "_andex_core",
         "_apply_core",
+        "_cofactor_core",
         "_cores",
         "_counters",
         "_computed",
@@ -636,6 +637,7 @@ class BddManager:
         self.apply_xor = ops[1]
         self._exists_core = ops[2]
         self._andex_core = ops[3]
+        self._cofactor_core = ops[4]
         self._active_core = mode
 
     def apply_or(self, f: int, g: int) -> int:
@@ -681,7 +683,8 @@ class BddManager:
           at any depth.
 
         :meth:`_select_core` binds the chosen family to ``apply_and`` /
-        ``apply_xor`` / ``_exists_core`` / ``_andex_core``.  ``ite`` has
+        ``apply_xor`` / ``_exists_core`` / ``_andex_core`` /
+        ``_cofactor_core``.  ``ite`` has
         a single iterative implementation (it is far colder than the
         monotone ops) bound unconditionally.
         """
@@ -1006,6 +1009,88 @@ class BddManager:
                 )
             computed[key] = r
             return r
+
+        def _cof_low(f: int, c: int) -> int:
+            """Cofactor at and below the cube's top variable: each node
+            is cached under ``f`` and the rest of the cube below ``f``'s
+            top (the COFACTOR entries, shared across calls)."""
+            if f < 2:
+                return f
+            top = var2level[var_arr[f]]
+            # Drop the cube's variables above f's top: f does not
+            # depend on them.
+            while c > 1 and var2level[var_arr[c]] < top:
+                lo = lo_arr[c]
+                c = hi_arr[c] if lo == 0 else lo
+            if c == 1:
+                return f
+            sign = f & 1
+            f ^= sign
+            key = (f << S | c) << 4 | 9
+            r = computed_get(key)
+            if r is not None:
+                counters[0] += 1
+                return r ^ sign
+            if var_arr[c] == var_arr[f]:
+                lo = lo_arr[c]
+                if lo == 0:
+                    r = _cof_low(hi_arr[f], hi_arr[c])
+                else:
+                    r = _cof_low(lo_arr[f], lo)
+            else:
+                r = mk(var_arr[f], _cof_low(lo_arr[f], c), _cof_low(hi_arr[f], c))
+            computed[key] = r
+            return r ^ sign
+
+        def _cof_high(f: int, c: int, ctop: int, memo: dict[int, int]) -> int:
+            """Cofactor above the cube's top level ``ctop`` (``f`` is
+            non-terminal with its top above it).  The rest of the cube
+            is the whole cube ``c`` here, so ``memo``, one dict per call
+            keyed by the regular node, replaces the packed key and the
+            cube walk."""
+            sign = f & 1
+            f ^= sign
+            r = memo.get(f)
+            if r is None:
+                lo = lo_arr[f]
+                if lo > 1:
+                    if var2level[var_arr[lo]] < ctop:
+                        lo = _cof_high(lo, c, ctop, memo)
+                    else:
+                        lo = _cof_low(lo, c)
+                hi = hi_arr[f]
+                if hi > 1:
+                    if var2level[var_arr[hi]] < ctop:
+                        hi = _cof_high(hi, c, ctop, memo)
+                    else:
+                        hi = _cof_low(hi, c)
+                r = mk(var_arr[f], lo, hi)
+                memo[f] = r
+            return r ^ sign
+
+        def cofactor_rec(f: int, c: int) -> int:
+            """Cube cofactor (recursive fast path).  Precondition: ``c``
+            is a cube edge other than FALSE.
+
+            Below the cube's top the walk is :func:`_cof_low`; above it
+            :func:`_cof_high`, whose root result is also stored under
+            its full COFACTOR key so a repeated call is one probe.
+            """
+            if f < 2 or c == 1:
+                return f
+            ctop = var2level[var_arr[c]]
+            if var2level[var_arr[f]] >= ctop:
+                return _cof_low(f, c)
+            sign = f & 1
+            f ^= sign
+            key = (f << S | c) << 4 | 9
+            r = computed_get(key)
+            if r is not None:
+                counters[0] += 1
+                return r ^ sign
+            r = _cof_high(f, c, ctop, {})
+            computed[key] = r
+            return r ^ sign
 
         # ------------------------------------------------------------- #
         # Iterative explicit-frame core
@@ -1474,10 +1559,73 @@ class BddManager:
                     rpush(r ^ fr[3])
             return rstack[0]
 
+        def cofactor_iter(f: int, cube: int) -> int:
+            """Cube cofactor (iterative core).  Every frame is cached
+            under ``f`` and the rest of the cube below ``f``'s top.
+
+            Frames: ``(0, f, c)`` expand; ``(1, key, var, sign)`` rebuild
+            a node off the cube; ``(2, key, sign)`` store a bound node's
+            single child result.
+            """
+            stack: list[tuple] = [(0, f, cube)]
+            rstack: list[int] = []
+            while stack:
+                fr = stack.pop()
+                tag = fr[0]
+                if tag == 0:
+                    f = fr[1]
+                    if f < 2:
+                        rstack.append(f)
+                        continue
+                    c = fr[2]
+                    top = var2level[var_arr[f]]
+                    # Drop the cube's variables above f's top: f does not
+                    # depend on them.
+                    while c > TRUE and var2level[var_arr[c]] < top:
+                        lo = lo_arr[c]
+                        c = hi_arr[c] if lo == FALSE else lo
+                    if c == TRUE:
+                        rstack.append(f)
+                        continue
+                    sign = f & 1
+                    f ^= sign
+                    key = (f << S | c) << 4 | _OP_COFACTOR
+                    r = computed_get(key)
+                    if r is not None:
+                        counters[0] += 1
+                        rstack.append(r ^ sign)
+                        continue
+                    if var_arr[c] == var_arr[f]:
+                        lo = lo_arr[c]
+                        stack.append((2, key, sign))
+                        if lo == FALSE:
+                            stack.append((0, hi_arr[f], hi_arr[c]))
+                        else:
+                            stack.append((0, lo_arr[f], lo))
+                    else:
+                        stack.append((1, key, var_arr[f], sign))
+                        stack.append((0, hi_arr[f], c))
+                        stack.append((0, lo_arr[f], c))
+                elif tag == 1:
+                    hi = rstack.pop()
+                    lo = rstack.pop()
+                    r = mk(fr[2], lo, hi)
+                    computed[fr[1]] = r
+                    rstack.append(r ^ fr[3])
+                else:
+                    r = rstack.pop()
+                    computed[fr[1]] = r
+                    rstack.append(r ^ fr[2])
+            return rstack[0]
+
         self.ite = ite_iter
         self._cores = {
-            "recursive": (apply_and_rec, apply_xor_rec, exists_rec, andex_rec),
-            "iterative": (apply_and_iter, apply_xor_iter, exists_iter, andex_iter),
+            "recursive": (
+                apply_and_rec, apply_xor_rec, exists_rec, andex_rec, cofactor_rec
+            ),
+            "iterative": (
+                apply_and_iter, apply_xor_iter, exists_iter, andex_iter, cofactor_iter
+            ),
         }
 
     # ------------------------------------------------------------------ #
@@ -1615,73 +1763,20 @@ class BddManager:
 
         ``cube`` is a conjunction of literals, given as its edge or as a
         ``var -> value`` mapping (built with :meth:`cube`); TRUE binds
-        nothing.  One iterative pass over ``f`` walks the cube alongside
-        it: a node on a bound variable is skipped for its bound child, any
-        other node is rebuilt from its two cofactors.  Each frame is
-        cached under ``f`` and the rest of the cube below ``f``'s top
-        variable, so callers that first project the cube onto ``f``'s
-        support share entries across cubes that agree there.
-        Cofactoring commutes with negation, so both polarities of ``f``
-        share one entry.  Safe at any BDD depth.
+        nothing.  One pass over ``f`` walks the cube alongside it: a node
+        on a bound variable is skipped for its bound child, any other
+        node is rebuilt from its two cofactors.  Entries are cached under
+        ``f`` and the rest of the cube below ``f``'s top variable, so
+        callers that first project the cube onto ``f``'s support share
+        entries across cubes that agree there.  Cofactoring commutes with
+        negation, so both polarities of ``f`` share one entry.  Runs on
+        the bound execution core (see :meth:`set_apply_core`).
         """
         if not isinstance(cube, int):
             cube = self.cube(cube)
         if cube == FALSE:
             raise BddError("cofactor by the FALSE cube")
-        computed = self._computed
-        counters = self._counters
-        var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
-        var2level = self._var2level
-        stack: list[tuple] = [(0, f, cube)]
-        rstack: list[int] = []
-        while stack:
-            fr = stack.pop()
-            tag = fr[0]
-            if tag == 0:
-                f = fr[1]
-                if f < 2:
-                    rstack.append(f)
-                    continue
-                c = fr[2]
-                top = var2level[var_arr[f]]
-                # Drop the cube's variables above f's top: f does not
-                # depend on them.
-                while c > TRUE and var2level[var_arr[c]] < top:
-                    lo = lo_arr[c]
-                    c = hi_arr[c] if lo == FALSE else lo
-                if c == TRUE:
-                    rstack.append(f)
-                    continue
-                sign = f & 1
-                f ^= sign
-                key = (f << _EDGE_SHIFT | c) << 4 | _OP_COFACTOR
-                r = computed.get(key)
-                if r is not None:
-                    counters[0] += 1
-                    rstack.append(r ^ sign)
-                    continue
-                if var_arr[c] == var_arr[f]:
-                    lo = lo_arr[c]
-                    stack.append((2, key, sign))
-                    if lo == FALSE:
-                        stack.append((0, hi_arr[f], hi_arr[c]))
-                    else:
-                        stack.append((0, lo_arr[f], lo))
-                else:
-                    stack.append((1, key, var_arr[f], sign))
-                    stack.append((0, hi_arr[f], c))
-                    stack.append((0, lo_arr[f], c))
-            elif tag == 1:
-                hi = rstack.pop()
-                lo = rstack.pop()
-                r = self._mk(fr[2], lo, hi)
-                computed[fr[1]] = r
-                rstack.append(r ^ fr[3])
-            else:
-                r = rstack.pop()
-                computed[fr[1]] = r
-                rstack.append(r ^ fr[2])
-        return rstack[0]
+        return self._cofactor_core(f, cube)
 
     def constrain(self, f: int, c: int) -> int:
         """Generalised cofactor (Coudert-Madre constrain operator).

@@ -12,8 +12,15 @@ Concretely the oracle materialises, as single BDDs:
   notes, an unreachable state code cannot encode DC1 (unreachable states
   still have next states), so a fresh flag variable ``S.dc`` is used.
 * the product ``TO^P = TO^F ∧ TO^S'`` and the *hidden* relation
-  ``TS(u,v,cs,ns) = ∃i,o TO^P`` — the monolithic quantification that
-  dominates the cost of this flow.
+  ``TS(u,v,cs,ns) = ∃i,o TO^P`` — the monolithic quantification of
+  this flow.
+
+Each subset state ψ is then imaged against ``TS`` alone, ``P_ψ =
+∃cs (TS ∧ ψ)``.  When ψ is a cube over the cs variables (on every
+committed row each ψ is one product state), ``TS`` is cofactored by ψ
+rather than folded with it, the same cube identity the partitioned
+oracle applies to its clusters; any other ψ takes the fused
+``and_exists``.  ``TS`` is built the same way for both.
 
 Complementation of the (deterministic) completed ``S`` is the acceptance
 flip tracked by the subset driver: product states with ``S.dc = 1`` are
@@ -23,7 +30,7 @@ are trimmed to DCN exactly as in the partitioned flow.
 
 from __future__ import annotations
 
-from repro.bdd.cube import split_by_vars
+from repro.bdd.cube import cube_assignment, split_by_vars
 from repro.bdd.manager import FALSE, TRUE, BddManager
 from repro.eqn.problem import EquationProblem
 from repro.eqn.subset import SubsetEdge, expand_batch_pinned, finish_expansion
@@ -95,6 +102,7 @@ class MonolithicOracle:
         self.ts = mgr.exists(product, hide)  # TS(u, v, cs, ns)
 
         self.cs_vars = problem.all_cs_vars() + [problem.dc_var]
+        self.cs_set = frozenset(self.cs_vars)
         self.ns_vars = problem.all_ns_vars() + [problem.dc_ns_var]
         # Interned quantification sets: every expansion quantifies the
         # same cs/ns blocks, so the per-call level sort/intern pass is
@@ -141,18 +149,33 @@ class MonolithicOracle:
         """Expand a frontier batch against the hidden relation.
 
         The monolithic flow has no cross-subset work to share — each
-        expansion is one fused ``and_exists`` against ``TS`` — so the
-        batch is the shared pinned loop, safe under opportunistic
-        collection however the kernel evolves.
+        expansion is one cofactor of, or one fused ``and_exists``
+        against, ``TS`` — so the batch is the shared pinned loop, safe
+        under opportunistic collection however the kernel evolves.
         """
         return expand_batch_pinned(self.mgr, psis, self._expand_one)
 
+    def successor_image(self, psi: int) -> int:
+        """``P_ψ(u,v,ns) = ∃cs [ TS ∧ ψ ]``.
+
+        A ψ that is a cube over cs variables is imaged by cofactoring,
+        ``∃cs.(TS ∧ ψ) = ∃(cs∖vars ψ).(TS|ψ)``, and the ∃ is skipped
+        when ψ binds every cs variable.  Any other ψ is one fused
+        ``and_exists`` against the hidden relation.  Both give the same
+        function, hence the same edge.
+        """
+        mgr = self.mgr
+        bound = cube_assignment(mgr, psi)
+        if bound is None or not self.cs_set.issuperset(bound):
+            return mgr.and_exists(psi, self.ts, self.cs_qs)
+        p = mgr.cofactor_cube(self.ts, psi)
+        if len(bound) < len(self.cs_set):
+            p = mgr.exists(p, self.cs_qs)
+        return p
+
     def _expand_one(self, psi: int) -> tuple[list[SubsetEdge], int]:
         mgr = self.mgr
-        # P_ψ(u,v,ns) = ∃cs [ TS ∧ ψ ] — one fused and_exists against the
-        # hidden relation; the kernel's short-circuiting core quantifies
-        # on the fly.
-        p = mgr.and_exists(psi, self.ts, self.cs_qs)
+        p = self.successor_image(psi)
         q = None
         if self.trim:
             # Q_ψ: classes leading into a DC1-flagged successor.

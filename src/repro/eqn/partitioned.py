@@ -174,8 +174,12 @@ class PartitionedOracle:
         # Shard-resident subset states: ψ edge -> worker handle for the
         # batch in flight, plus the transfer instrumentation the
         # acceptance tests assert on (each ψ serialized exactly once).
+        # Serializations are counted per ψ only while its handle lives:
+        # once a spill and a sweep free the edge, a later ψ may reuse it.
         self._psi_handles: dict[int, int] = {}
         self._psi_serialized: dict[int, int] = {}
+        self._psi_serializations = 0
+        self._psi_serializations_max = 0
         self._resident_peak = 0
         # A caller-owned pool (the job server reuses one warm pool across
         # jobs, resetting it between solves) is borrowed, not owned:
@@ -279,9 +283,8 @@ class PartitionedOracle:
         stats.completion_memo_hits = self.memo_hits
         stats.completion_memo_misses = self.memo_misses
         if self._pool is not None:
-            counts = self._psi_serialized
-            stats.psi_serializations = sum(counts.values())
-            stats.psi_serializations_max = max(counts.values(), default=0)
+            stats.psi_serializations = self._psi_serializations
+            stats.psi_serializations_max = self._psi_serializations_max
             stats.psi_resident_peak = self._resident_peak
             stats.pool_op_counts = dict(self._pool.op_counts)
             stats.work_steals = self._p_sharded.steals
@@ -367,6 +370,7 @@ class PartitionedOracle:
             self._p_sharded = None
             self._q_remote = []
             self._psi_handles.clear()
+            self._psi_serialized.clear()
 
     def successor_image(self, psi: int) -> int:
         """``P_ψ(u,v,ns)`` — the partitioned image of ψ (in-process)."""
@@ -442,6 +446,7 @@ class PartitionedOracle:
                 self._psi_serialized[psi] = (
                     self._psi_serialized.get(psi, 0) + 1
                 )
+                self._psi_serializations += 1
                 for k in range(nshards):
                     pool.submit(k, ("retain", handle, blob))
                 self._psi_handles[psi] = handle
@@ -504,6 +509,9 @@ class PartitionedOracle:
             pool.submit(k, ("release", unique_handles))
         for psi in dict.fromkeys(psis):
             del self._psi_handles[psi]
+            self._psi_serializations_max = max(
+                self._psi_serializations_max, self._psi_serialized.pop(psi)
+            )
 
         # -- collect, in per-pipe submission order ---------------------- #
         with obs_span("q_images", outputs=len(q_submitted)):

@@ -124,6 +124,34 @@ def test_deep_restrict_compose_rename_under_low_recursion_limit() -> None:
         assert renamed == expect_y
 
 
+def test_deep_cofactor_cube_under_low_recursion_limit() -> None:
+    """``cofactor_cube`` on a deep manager runs on the iterative core:
+    a cube at the very bottom, one spread over the whole order, and a
+    repeat call served from the computed table."""
+    with recursion_limit(1000):
+        mgr, vs = _deep_manager()
+        parity = FALSE
+        for v in reversed(vs):  # bottom-up: O(1) nodes per step
+            parity = mgr.apply_xor(mgr.var_node(v), parity)
+        # Fixing the bottom variable to 1 flips the parity of the rest.
+        rest = FALSE
+        for v in reversed(vs[:-1]):
+            rest = mgr.apply_xor(mgr.var_node(v), rest)
+        assert mgr.cofactor_cube(parity, {vs[-1]: 1}) == rest ^ 1
+        assert mgr.cofactor_cube(parity ^ 1, {vs[-1]: 0}) == rest ^ 1
+        # Every other variable bound to 1: parity of the unbound half,
+        # flipped by the DEPTH // 2 ones (even, so no flip).
+        bound = {v: 1 for v in vs[::2]}
+        half = FALSE
+        for v in reversed(vs[1::2]):
+            half = mgr.apply_xor(mgr.var_node(v), half)
+        assert mgr.cofactor_cube(parity, bound) == half
+        hits = mgr.stats["cache_hits"]
+        assert mgr.cofactor_cube(parity, mgr.cube(bound)) == half
+        assert mgr.stats["cache_hits"] == hits + 1
+        assert mgr.apply_core == "iterative"
+
+
 def test_deep_gc_sift_and_transfer_under_low_recursion_limit() -> None:
     with recursion_limit(1000):
         mgr, vs = _deep_manager()

@@ -10,6 +10,9 @@ per manager, agreement is checked two ways:
   manager and an iterative-core manager yields identical truth tables;
 * *within one manager*: recompute with the other core after a cache
   flush and the canonical edge must be bit-identical.
+
+``cofactor_cube`` is checked the second way at every step of a random
+program, and against its definition ``∃vars(c).(f ∧ c)`` on both cores.
 """
 
 from __future__ import annotations
@@ -18,14 +21,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bdd.cube import cube_assignment
 from repro.bdd.manager import FALSE, TRUE, BddManager
 from repro.bdd.reorder import sift
 
-from tests.strategies import DEFAULT_VARS, bdd_minterms
+from tests.strategies import DEFAULT_VARS, bdd_minterms, expressions
 
 
 #: Op codes for the random program strategy: (arity, needs_vars).
-_OPS = ("and", "or", "xor", "ite", "exists", "andex", "restrict", "diff")
+_OPS = ("and", "or", "xor", "ite", "exists", "andex", "restrict", "diff", "cofactor")
 
 
 def _fresh_pair() -> tuple[BddManager, BddManager]:
@@ -59,7 +63,18 @@ def _apply(mgr: BddManager, op: str, pool: list[int], step) -> int:
         return mgr.and_exists(a, b, [var, var2])
     if op == "restrict":
         return mgr.restrict(a, var, step.b & 1)
+    if op == "cofactor":
+        return mgr.cofactor_cube(a, _step_cube(mgr, step))
     raise AssertionError(op)
+
+
+def _step_cube(mgr: BddManager, step) -> int:
+    """A cube on the step's two variables; TRUE for a quarter of steps."""
+    if step.c >= 48:
+        return TRUE
+    var = step.var % mgr.num_vars
+    var2 = step.var2 % mgr.num_vars
+    return mgr.cube({var: step.c & 1, var2: (step.c >> 1) & 1})
 
 
 class _Step:
@@ -139,6 +154,98 @@ def test_core_switch_is_edge_identical(program) -> None:
         redo = _apply(mgr, step.op, pool[:at], step)
         assert redo == pool[at], f"{step.op} diverged between cores"
     mgr.check()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(program=st.lists(_steps, min_size=1, max_size=14))
+def test_cofactor_cores_edge_identical_across_gc_and_sift(program) -> None:
+    """At every step of a random program with interleaved GC and
+    in-place sifting, the recursive cofactor core (two regions, root
+    entry) and the iterative one (one entry per frame) return the same
+    edge, each from a cold computed table."""
+    mgr = BddManager(apply_core="recursive", gc_min_live=0, gc_growth=1.0)
+    for name in DEFAULT_VARS:
+        mgr.add_var(name)
+    pool = [FALSE, TRUE] + [mgr.var_node(v) for v in range(mgr.num_vars)]
+    for step in program:
+        pool.append(_apply(mgr, step.op, pool, step))
+        f = pool[step.b % len(pool)] ^ (step.a & 1)
+        cube = _step_cube(mgr, step)
+        warm = mgr.cofactor_cube(f, cube)
+        got = {}
+        for core in ("iterative", "recursive"):
+            mgr.clear_caches()
+            mgr.set_apply_core(core)
+            got[core] = mgr.cofactor_cube(f, cube)
+        assert got == {"iterative": warm, "recursive": warm}
+        if step.gc:
+            mgr.collect_garbage(pool)
+        if step.reorder == 0:
+            sift(mgr, pool)
+        mgr.check()
+
+
+def _check_cofactor(mgr: BddManager, f: int, cube: int) -> None:
+    """``cofactor_cube(f, c) == ∃vars(c).(f ∧ c)``, and a repeated call
+    is one computed-table hit with no new entry."""
+    variables = list(cube_assignment(mgr, cube))
+    got = mgr.cofactor_cube(f, cube)
+    assert got == mgr.exists(mgr.apply_and(f, cube), variables)
+    level = mgr.var_level
+    probes = f > TRUE and any(
+        level(v) >= level(mgr.node_var(f)) for v in variables
+    )
+    before = mgr.stats
+    assert mgr.cofactor_cube(f, cube) == got
+    after = mgr.stats
+    assert after["cache_hits"] - before["cache_hits"] == int(probes)
+    assert after["cache_misses"] == before["cache_misses"]
+
+
+@pytest.mark.parametrize("core", ["recursive", "iterative"])
+@settings(max_examples=80, deadline=None)
+@given(
+    expr=expressions(),
+    bits=st.dictionaries(st.sampled_from([*DEFAULT_VARS, "z"]), st.booleans()),
+    negate=st.booleans(),
+)
+def test_cofactor_is_the_quantified_conjunction(core, expr, bits, negate) -> None:
+    mgr = BddManager(apply_core=core)
+    mgr.add_vars([*DEFAULT_VARS, "z"])
+    f = expr.to_bdd(mgr) ^ negate
+    _check_cofactor(mgr, f, mgr.cube({mgr.var_index(n): b for n, b in bits.items()}))
+
+
+@pytest.mark.parametrize("core", ["recursive", "iterative"])
+def test_cofactor_cube_positions(core) -> None:
+    """Cubes whose top lies above, at and below ``f``'s top; the TRUE
+    cube; variables outside ``f``'s support; a complemented ``f``."""
+    mgr = BddManager(apply_core=core)
+    a, b, c, d, e = mgr.add_vars(DEFAULT_VARS)
+    lit = mgr.var_node
+    # f = b ? c : d, over the middle of the order.
+    f = mgr.ite(lit(b), lit(c), lit(d))
+    cubes = [
+        {a: 1, c: 1},  # top above f's top (a is outside the support)
+        {a: 0, b: 1, e: 1},  # above, at, and below outside the support
+        {b: 0},  # top at f's top
+        {c: 1, d: 0},  # top below f's top
+        {e: 0},  # only a variable below the support
+        {a: 1},  # only a variable above the support
+        {},  # the TRUE cube
+    ]
+    for bits in cubes:
+        cube = mgr.cube(bits)
+        for g in (f, f ^ 1):
+            _check_cofactor(mgr, g, cube)
+    assert mgr.cofactor_cube(f, {b: 1}) == lit(c)
+    assert mgr.cofactor_cube(f ^ 1, {b: 0, d: 1}) == FALSE
+    assert mgr.cofactor_cube(f, TRUE) == f
+    # Parity reaches each node above the cube through both polarities,
+    # so the per-call dict of the recursive core is hit with each sign.
+    parity = mgr.apply_xor(mgr.apply_xor(lit(a), lit(b)), lit(d))
+    _check_cofactor(mgr, parity, mgr.cube({d: 1}))
+    _check_cofactor(mgr, parity ^ 1, mgr.cube({d: 0, e: 1}))
 
 
 def test_auto_core_tracks_recursion_limit() -> None:

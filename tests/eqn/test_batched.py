@@ -19,6 +19,7 @@ from repro.eqn.monolithic import MonolithicOracle
 from repro.eqn.partitioned import PartitionedOracle
 from repro.eqn.problem import build_latch_split_problem
 from repro.eqn.solver import solve_equation
+from repro.eqn.stats import SubsetStats
 from repro.eqn.subset import STRATEGIES, FrontierScheduler
 
 LIGHT_CASES = [c for c in TABLE1_CASES if not c.expect_mono_cnc][:4]
@@ -97,7 +98,10 @@ class TestBatchProtocol:
             ]
             # One serialization despite the duplicate, and a clean
             # registry afterwards (workers hold nothing resident).
-            assert oracle._psi_serialized[psi] == 1
+            stats = SubsetStats()
+            oracle.record_stats(stats)
+            assert stats.psi_serializations == 1
+            assert stats.psi_serializations_max == 1
             assert all(
                 s["resident"] == 0 for s in oracle._pool.stats()
             )

@@ -14,7 +14,7 @@ import pytest
 from repro.automata import equivalent
 from repro.bdd.manager import BddManager
 from repro.bench import circuits
-from repro.bench.suite import TABLE1_CASES
+from repro.bench.suite import TABLE1_CASES, case_by_name
 from repro.eqn.problem import build_latch_split_problem
 from repro.eqn.solver import solve_equation
 from repro.errors import EquationError
@@ -195,3 +195,24 @@ def test_shards_one_is_the_inprocess_path() -> None:
     assert oracle._pool is None
     assert oracle.p_plan is not None  # the usual in-process plans exist
     oracle.close()  # no-op
+
+
+def test_serialization_count_survives_edge_reuse() -> None:
+    """A resident budget spills ψ and sweeps them; the freed edges are
+    reused by later, distinct subset states.  Each of those is still
+    serialized once, so the per-ψ count must not carry over from the
+    edge's earlier owner."""
+    case = case_by_name("johnson8")
+    prob = build_latch_split_problem(case.network(), list(case.x_latches))
+    result = solve_equation(
+        prob,
+        method="partitioned",
+        shards=2,
+        frontier="bfs",
+        batch=8,
+        resident_budget=40,
+    )
+    stats = result.stats
+    assert stats.psi_spills > 0 and stats.gc_runs > 0
+    assert stats.psi_serializations == stats.subsets
+    assert stats.psi_serializations_max == 1
