@@ -332,9 +332,9 @@ class BddManager:
         # shared cell): [cache_hits, miss_compensation, unique_hits].
         # Cache misses are *derived* — every miss stores exactly one
         # computed-table entry, so ``misses = compensation +
-        # len(_computed)`` with the compensation cell absorbing flushes
-        # and stat resets.  That keeps one list-increment off the
-        # hot miss path.
+        # len(_computed)`` with the compensation cell absorbing flushes,
+        # stat resets and the uncached nodes of a cofactor walk.  That
+        # keeps one list-increment off the hot miss path.
         self._counters = [0, 0, 0]
         self._gc_runs = 0
         self._gc_reclaimed = 0
@@ -1010,87 +1010,86 @@ class BddManager:
             computed[key] = r
             return r
 
-        def _cof_low(f: int, c: int) -> int:
-            """Cofactor at and below the cube's top variable: each node
-            is cached under ``f`` and the rest of the cube below ``f``'s
-            top (the COFACTOR entries, shared across calls)."""
-            if f < 2:
-                return f
-            top = var2level[var_arr[f]]
-            # Drop the cube's variables above f's top: f does not
-            # depend on them.
-            while c > 1 and var2level[var_arr[c]] < top:
-                lo = lo_arr[c]
-                c = hi_arr[c] if lo == 0 else lo
-            if c == 1:
-                return f
-            sign = f & 1
-            f ^= sign
-            key = (f << S | c) << 4 | 9
-            r = computed_get(key)
-            if r is not None:
-                counters[0] += 1
-                return r ^ sign
-            if var_arr[c] == var_arr[f]:
-                lo = lo_arr[c]
-                if lo == 0:
-                    r = _cof_low(hi_arr[f], hi_arr[c])
-                else:
-                    r = _cof_low(lo_arr[f], lo)
-            else:
-                r = mk(var_arr[f], _cof_low(lo_arr[f], c), _cof_low(hi_arr[f], c))
-            computed[key] = r
-            return r ^ sign
+        def _cofactor_entry(walk):
+            """Build a cube-cofactor core around ``walk``, the per-call
+            node walk of one execution core.  The core's ``c`` is a cube
+            edge other than FALSE.
 
-        def _cof_high(f: int, c: int, ctop: int, memo: dict[int, int]) -> int:
-            """Cofactor above the cube's top level ``ctop`` (``f`` is
-            non-terminal with its top above it).  The rest of the cube
-            is the whole cube ``c`` here, so ``memo``, one dict per call
-            keyed by the regular node, replaces the packed key and the
-            cube walk."""
-            sign = f & 1
-            f ^= sign
-            r = memo.get(f)
-            if r is None:
-                lo = lo_arr[f]
-                if lo > 1:
-                    if var2level[var_arr[lo]] < ctop:
-                        lo = _cof_high(lo, c, ctop, memo)
-                    else:
-                        lo = _cof_low(lo, c)
-                hi = hi_arr[f]
-                if hi > 1:
-                    if var2level[var_arr[hi]] < ctop:
-                        hi = _cof_high(hi, c, ctop, memo)
-                    else:
-                        hi = _cof_low(hi, c)
-                r = mk(var_arr[f], lo, hi)
-                memo[f] = r
-            return r ^ sign
-
-        def cofactor_rec(f: int, c: int) -> int:
-            """Cube cofactor (recursive fast path).  Precondition: ``c``
-            is a cube edge other than FALSE.
-
-            Below the cube's top the walk is :func:`_cof_low`; above it
-            :func:`_cof_high`, whose root result is also stored under
-            its full COFACTOR key so a repeated call is one probe.
+            The entry drops the cube's variables above ``f``'s top (``f``
+            does not depend on them) and probes the COFACTOR entry of
+            ``f`` and that projected cube: a repeated call is one probe,
+            and callers that project the cube onto ``f``'s support share
+            the entry across cubes that agree there.  On a miss it reads
+            the cube once into ``bound`` (per variable, the child array
+            its literal selects) and its bottom level, and hands ``f`` to
+            ``walk``.  Within a call the rest of the cube is fixed by a
+            node's level, so one dict keyed by the edge memoises the
+            walk; only the root result is stored in the computed table.
+            Each node the walk rebuilt counts one miss.
             """
-            if f < 2 or c == 1:
-                return f
-            ctop = var2level[var_arr[c]]
-            if var2level[var_arr[f]] >= ctop:
-                return _cof_low(f, c)
-            sign = f & 1
-            f ^= sign
-            key = (f << S | c) << 4 | 9
-            r = computed_get(key)
+
+            def cofactor(f: int, c: int) -> int:
+                if f < 2 or c == 1:
+                    return f
+                top = var2level[var_arr[f]]
+                while c > 1 and var2level[var_arr[c]] < top:
+                    lo = lo_arr[c]
+                    c = hi_arr[c] if lo == 0 else lo
+                if c == 1:
+                    return f
+                sign = f & 1
+                key = ((f ^ sign) << S | c) << 4 | _OP_COFACTOR
+                r = computed_get(key)
+                if r is not None:
+                    counters[0] += 1
+                    return r ^ 1 if sign else r
+                bound: list = [None] * len(var2level)
+                while c > 1:
+                    var = var_arr[c]
+                    lo = lo_arr[c]
+                    if lo == 0:
+                        bound[var] = hi_arr
+                        c = hi_arr[c]
+                    else:
+                        bound[var] = lo_arr
+                        c = lo
+                memo: dict[int, int] = {}
+                r = walk(f, bound, var2level[var], memo)
+                # The root's computed entry counts its own miss.
+                counters[1] += len(memo) - 1
+                computed[key] = r ^ 1 if sign else r
+                return r
+
+            return cofactor
+
+        def _cof_walk(
+            f: int, bound: list, bottom: int, memo: dict[int, int]
+        ) -> int:
+            """Cofactor walk (recursive).  ``f`` is non-terminal with its
+            top at or above the cube's ``bottom`` level.  Children come
+            from the edge-indexed arrays, so a complemented ``f`` needs
+            no sign handling; a child below ``bottom`` is kept as is."""
+            r = memo.get(f)
             if r is not None:
-                counters[0] += 1
-                return r ^ sign
-            r = _cof_high(f, c, ctop, {})
-            computed[key] = r
-            return r ^ sign
+                return r
+            var = var_arr[f]
+            arr = bound[var]
+            if arr is not None:
+                r = arr[f]
+                if r > 1 and var2level[var_arr[r]] <= bottom:
+                    r = _cof_walk(r, bound, bottom, memo)
+            else:
+                lo = lo_arr[f]
+                if lo > 1 and var2level[var_arr[lo]] <= bottom:
+                    lo = _cof_walk(lo, bound, bottom, memo)
+                hi = hi_arr[f]
+                if hi > 1 and var2level[var_arr[hi]] <= bottom:
+                    hi = _cof_walk(hi, bound, bottom, memo)
+                r = mk(var, lo, hi)
+            memo[f] = r
+            return r
+
+        cofactor_rec = _cofactor_entry(_cof_walk)
 
         # ------------------------------------------------------------- #
         # Iterative explicit-frame core
@@ -1559,64 +1558,45 @@ class BddManager:
                     rpush(r ^ fr[3])
             return rstack[0]
 
-        def cofactor_iter(f: int, cube: int) -> int:
-            """Cube cofactor (iterative core).  Every frame is cached
-            under ``f`` and the rest of the cube below ``f``'s top.
-
-            Frames: ``(0, f, c)`` expand; ``(1, key, var, sign)`` rebuild
-            a node off the cube; ``(2, key, sign)`` store a bound node's
-            single child result.
-            """
-            stack: list[tuple] = [(0, f, cube)]
+        def _cof_walk_iter(
+            f: int, bound: list, bottom: int, memo: dict[int, int]
+        ) -> int:
+            """Cofactor walk (iterative), same contract as the recursive
+            walk.  Expand frames are the edges themselves; ``(f,)``
+            stores a bound node's single child result, ``(f, var)``
+            rebuilds a node off the cube."""
+            stack: list = [f]
             rstack: list[int] = []
             while stack:
                 fr = stack.pop()
-                tag = fr[0]
-                if tag == 0:
-                    f = fr[1]
-                    if f < 2:
-                        rstack.append(f)
+                if fr.__class__ is int:
+                    if fr < 2 or var2level[var_arr[fr]] > bottom:
+                        rstack.append(fr)
                         continue
-                    c = fr[2]
-                    top = var2level[var_arr[f]]
-                    # Drop the cube's variables above f's top: f does not
-                    # depend on them.
-                    while c > TRUE and var2level[var_arr[c]] < top:
-                        lo = lo_arr[c]
-                        c = hi_arr[c] if lo == FALSE else lo
-                    if c == TRUE:
-                        rstack.append(f)
-                        continue
-                    sign = f & 1
-                    f ^= sign
-                    key = (f << S | c) << 4 | _OP_COFACTOR
-                    r = computed_get(key)
+                    r = memo.get(fr)
                     if r is not None:
-                        counters[0] += 1
-                        rstack.append(r ^ sign)
+                        rstack.append(r)
                         continue
-                    if var_arr[c] == var_arr[f]:
-                        lo = lo_arr[c]
-                        stack.append((2, key, sign))
-                        if lo == FALSE:
-                            stack.append((0, hi_arr[f], hi_arr[c]))
-                        else:
-                            stack.append((0, lo_arr[f], lo))
+                    var = var_arr[fr]
+                    arr = bound[var]
+                    if arr is not None:
+                        stack.append((fr,))
+                        stack.append(arr[fr])
                     else:
-                        stack.append((1, key, var_arr[f], sign))
-                        stack.append((0, hi_arr[f], c))
-                        stack.append((0, lo_arr[f], c))
-                elif tag == 1:
+                        stack.append((fr, var))
+                        stack.append(hi_arr[fr])
+                        stack.append(lo_arr[fr])
+                elif len(fr) == 1:
+                    memo[fr[0]] = rstack[-1]
+                else:
                     hi = rstack.pop()
                     lo = rstack.pop()
-                    r = mk(fr[2], lo, hi)
-                    computed[fr[1]] = r
-                    rstack.append(r ^ fr[3])
-                else:
-                    r = rstack.pop()
-                    computed[fr[1]] = r
-                    rstack.append(r ^ fr[2])
+                    r = mk(fr[1], lo, hi)
+                    memo[fr[0]] = r
+                    rstack.append(r)
             return rstack[0]
+
+        cofactor_iter = _cofactor_entry(_cof_walk_iter)
 
         self.ite = ite_iter
         self._cores = {
@@ -1763,14 +1743,15 @@ class BddManager:
 
         ``cube`` is a conjunction of literals, given as its edge or as a
         ``var -> value`` mapping (built with :meth:`cube`); TRUE binds
-        nothing.  One pass over ``f`` walks the cube alongside it: a node
-        on a bound variable is skipped for its bound child, any other
-        node is rebuilt from its two cofactors.  Entries are cached under
-        ``f`` and the rest of the cube below ``f``'s top variable, so
-        callers that first project the cube onto ``f``'s support share
-        entries across cubes that agree there.  Cofactoring commutes with
-        negation, so both polarities of ``f`` share one entry.  Runs on
-        the bound execution core (see :meth:`set_apply_core`).
+        nothing.  One pass over ``f`` reads the cube once: a node on a
+        bound variable is skipped for its bound child, a node below the
+        cube's bottom is kept, any other node is rebuilt from its two
+        cofactors.  Only the root result is cached, under ``f`` and the
+        rest of the cube below ``f``'s top variable, so callers that
+        first project the cube onto ``f``'s support share the entry
+        across cubes that agree there.  Cofactoring commutes with
+        negation, so both polarities of ``f`` share it.  Runs on the
+        bound execution core (see :meth:`set_apply_core`).
         """
         if not isinstance(cube, int):
             cube = self.cube(cube)
@@ -2222,7 +2203,9 @@ class BddManager:
         ``cache_misses`` (= ``recursive_calls``) is derived: every miss
         stores exactly one computed-table entry, so the count is the
         live entry count plus a compensation cell fed by sweeps, flushes
-        and :meth:`reset_stats`.  ``reclaim_ratio_avg`` is the mean
+        and :meth:`reset_stats`.  A cold ``cofactor_cube`` stores only
+        its root entry and adds the other nodes its walk rebuilt to the
+        cell, so the count stays a count of work.  ``reclaim_ratio_avg`` is the mean
         reclaim ratio over all sweeps so far (1.0 when no sweep has
         run); ``reorder_runs`` / ``reorder_swaps`` count completed sifts
         and the adjacent-level swaps they performed.

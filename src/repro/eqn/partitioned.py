@@ -173,13 +173,9 @@ class PartitionedOracle:
         self._q_remote: list[tuple[int, int]] = []
         # Shard-resident subset states: ψ edge -> worker handle for the
         # batch in flight, plus the transfer instrumentation the
-        # acceptance tests assert on (each ψ serialized exactly once).
-        # Serializations are counted per ψ only while its handle lives:
-        # once a spill and a sweep free the edge, a later ψ may reuse it.
+        # acceptance tests assert on (one serialization per subset state).
         self._psi_handles: dict[int, int] = {}
-        self._psi_serialized: dict[int, int] = {}
         self._psi_serializations = 0
-        self._psi_serializations_max = 0
         self._resident_peak = 0
         # A caller-owned pool (the job server reuses one warm pool across
         # jobs, resetting it between solves) is borrowed, not owned:
@@ -284,7 +280,6 @@ class PartitionedOracle:
         stats.completion_memo_misses = self.memo_misses
         if self._pool is not None:
             stats.psi_serializations = self._psi_serializations
-            stats.psi_serializations_max = self._psi_serializations_max
             stats.psi_resident_peak = self._resident_peak
             stats.pool_op_counts = dict(self._pool.op_counts)
             stats.work_steals = self._p_sharded.steals
@@ -370,7 +365,6 @@ class PartitionedOracle:
             self._p_sharded = None
             self._q_remote = []
             self._psi_handles.clear()
-            self._psi_serialized.clear()
 
     def successor_image(self, psi: int) -> int:
         """``P_ψ(u,v,ns)`` — the partitioned image of ψ (in-process)."""
@@ -443,9 +437,6 @@ class PartitionedOracle:
                     continue
                 handle = pool.new_handle()
                 blob = dump_nodes(mgr, [psi])
-                self._psi_serialized[psi] = (
-                    self._psi_serialized.get(psi, 0) + 1
-                )
                 self._psi_serializations += 1
                 for k in range(nshards):
                     pool.submit(k, ("retain", handle, blob))
@@ -509,9 +500,6 @@ class PartitionedOracle:
             pool.submit(k, ("release", unique_handles))
         for psi in dict.fromkeys(psis):
             del self._psi_handles[psi]
-            self._psi_serializations_max = max(
-                self._psi_serializations_max, self._psi_serialized.pop(psi)
-            )
 
         # -- collect, in per-pipe submission order ---------------------- #
         with obs_span("q_images", outputs=len(q_submitted)):

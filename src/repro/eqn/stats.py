@@ -63,7 +63,6 @@ class SubsetStats:
         SHARDS, "Constraint BDDs serialized to shard workers.",
         "repro_psi_serializations_total", job="psi_serializations",
     )
-    psi_serializations_max: int = _counter(SHARDS, "Most serializations of one subset state.")
     psi_resident_peak: int = _counter(SHARDS, "Most subset states resident on a worker.")
     pool_op_counts: dict = _counter(
         SHARDS, "Shard worker commands, by operation.", "repro_shard_commands_total", label="op"

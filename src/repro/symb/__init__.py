@@ -1,10 +1,8 @@
 """Symbolic engine: partitioned relations, scheduling, image, reachability."""
 
 from repro.symb.image import (
-    constrain_parts,
     image_monolithic,
     image_partitioned,
-    preimage_partitioned,
 )
 from repro.symb.reach import (
     ReachabilityResult,
@@ -22,13 +20,11 @@ from repro.symb.schedule import schedule_parts
 __all__ = [
     "PartitionedRelation",
     "ReachabilityResult",
-    "constrain_parts",
     "functions_to_relation",
     "image_monolithic",
     "image_partitioned",
     "network_reachable_states",
     "output_relation",
-    "preimage_partitioned",
     "reachable_states",
     "schedule_parts",
     "transition_relation",

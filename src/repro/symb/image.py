@@ -228,33 +228,3 @@ def image_with_plan(
         result = mgr.exists(result, plan.leftover)
     return result
 
-
-def preimage_partitioned(
-    mgr: BddManager,
-    parts: Sequence[int],
-    target_ns: int,
-    quantify_ns: Iterable[int],
-    *,
-    schedule: bool = True,
-) -> int:
-    """Pre-image: states (cs) with a successor in ``target_ns`` (over ns).
-
-    ``∃ ns,i . (Π parts ∧ target)`` — the dual of :func:`image_partitioned`
-    with the roles of current/next state variables exchanged; provided for
-    completeness of the engine (backward reachability).
-    """
-    return image_partitioned(
-        mgr, parts, target_ns, quantify_ns, schedule=schedule
-    )
-
-
-def constrain_parts(
-    mgr: BddManager, parts: Sequence[int], constraint: int
-) -> list[int]:
-    """Conjoin ``constraint`` into the smallest part (cheap restriction)."""
-    if not parts:
-        return [constraint] if constraint != TRUE else []
-    best = min(range(len(parts)), key=lambda k: mgr.size(parts[k]))
-    out = list(parts)
-    out[best] = mgr.apply_and(out[best], constraint)
-    return out

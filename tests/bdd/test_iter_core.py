@@ -160,9 +160,9 @@ def test_core_switch_is_edge_identical(program) -> None:
 @given(program=st.lists(_steps, min_size=1, max_size=14))
 def test_cofactor_cores_edge_identical_across_gc_and_sift(program) -> None:
     """At every step of a random program with interleaved GC and
-    in-place sifting, the recursive cofactor core (two regions, root
-    entry) and the iterative one (one entry per frame) return the same
-    edge, each from a cold computed table."""
+    in-place sifting, the recursive cofactor core and the iterative one
+    (the same per-call walk and root entry, with explicit frames) return
+    the same edge, each from a cold computed table."""
     mgr = BddManager(apply_core="recursive", gc_min_live=0, gc_growth=1.0)
     for name in DEFAULT_VARS:
         mgr.add_var(name)
@@ -241,11 +241,62 @@ def test_cofactor_cube_positions(core) -> None:
     assert mgr.cofactor_cube(f, {b: 1}) == lit(c)
     assert mgr.cofactor_cube(f ^ 1, {b: 0, d: 1}) == FALSE
     assert mgr.cofactor_cube(f, TRUE) == f
-    # Parity reaches each node above the cube through both polarities,
-    # so the per-call dict of the recursive core is hit with each sign.
+    # Parity reaches each node through both polarities, so the walk's
+    # per-call dict holds both edges of a node.
     parity = mgr.apply_xor(mgr.apply_xor(lit(a), lit(b)), lit(d))
     _check_cofactor(mgr, parity, mgr.cube({d: 1}))
     _check_cofactor(mgr, parity ^ 1, mgr.cube({d: 0, e: 1}))
+
+
+@pytest.mark.parametrize("core", ["recursive", "iterative"])
+@settings(max_examples=60, deadline=None)
+@given(
+    expr=expressions(),
+    bits=st.dictionaries(st.sampled_from(DEFAULT_VARS), st.booleans()),
+    negate=st.booleans(),
+)
+def test_cold_cofactor_writes_only_the_root_entry(core, expr, bits, negate) -> None:
+    """A cold call adds at most one computed-table entry, the root's; a
+    second identical call is exactly that one hit; and a complemented
+    ``f`` gives the complemented result, cold or warm."""
+    mgr = BddManager(apply_core=core)
+    mgr.add_vars(DEFAULT_VARS)
+    f = expr.to_bdd(mgr) ^ negate
+    cube = mgr.cube({mgr.var_index(n): b for n, b in bits.items()})
+    mgr.clear_caches()
+    got = mgr.cofactor_cube(f, cube)
+    written = mgr.computed_table_size()
+    assert written <= 1
+    before = mgr.stats
+    assert mgr.cofactor_cube(f, cube) == got
+    after = mgr.stats
+    assert after["cache_hits"] - before["cache_hits"] == written
+    assert after["cache_misses"] == before["cache_misses"]
+    assert mgr.computed_table_size() == written
+    assert mgr.cofactor_cube(f ^ 1, cube) == got ^ 1
+    mgr.clear_caches()
+    assert mgr.cofactor_cube(f ^ 1, cube) == got ^ 1
+
+
+def test_cofactor_cores_count_the_same_work() -> None:
+    """A cold call counts one miss per node its walk rebuilt, on both
+    cores alike, while the computed table gains only the root entry."""
+    misses = {}
+    for core in ("recursive", "iterative"):
+        mgr = BddManager(apply_core=core)
+        a, b, c, d, e = mgr.add_vars(DEFAULT_VARS)
+        parity = FALSE
+        for v in (a, b, c, d, e):
+            parity = mgr.apply_xor(parity, mgr.var_node(v))
+        cube = mgr.cube({b: 1, d: 0})
+        mgr.clear_caches()
+        mgr.reset_stats()
+        got = mgr.cofactor_cube(parity, cube)
+        assert mgr.computed_table_size() == 1
+        misses[core] = mgr.stats["cache_misses"]
+        rest = mgr.apply_xor(mgr.var_node(a), mgr.var_node(c))
+        assert got == mgr.apply_xor(rest, mgr.var_node(e)) ^ 1
+    assert misses["recursive"] == misses["iterative"] > 1
 
 
 def test_auto_core_tracks_recursion_limit() -> None:

@@ -14,7 +14,6 @@ from repro.errors import BddError
 from repro.symb import image as image_mod
 from repro.symb import (
     PartitionedRelation,
-    constrain_parts,
     functions_to_relation,
     image_monolithic,
     image_partitioned,
@@ -144,19 +143,6 @@ def test_plan_image_clusters_preserve_conjunction(monkeypatch) -> None:
         release_plan(mgr, plan)
     assert sizes[10_000] == 1
     assert sizes[0] == 3
-
-
-def test_constrain_parts_injects_into_smallest() -> None:
-    mgr = BddManager()
-    a, b, c = mgr.add_vars(["a", "b", "c"])
-    small = mgr.var_node(a)
-    big = mgr.apply_xor(mgr.var_node(b), mgr.var_node(c))
-    out = constrain_parts(mgr, [big, small], mgr.var_node(c))
-    assert out[0] == big
-    assert out[1] == mgr.apply_and(small, mgr.var_node(c))
-    # Empty part list: constraint becomes the only part.
-    assert constrain_parts(mgr, [], mgr.var_node(a)) == [mgr.var_node(a)]
-    assert constrain_parts(mgr, [], 1) == []
 
 
 # -- cube constraints ------------------------------------------------- #
