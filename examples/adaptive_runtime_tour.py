@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Tour of the adaptive kernel runtime: self-tuning GC + dynamic reordering.
+"""Tour of the kernel policies: self-tuning GC + dynamic reordering.
 
 Three short acts:
 
@@ -8,8 +8,13 @@ Three short acts:
    in-place sifting discover the interleaved order mid-build, while the
    held edge stays valid throughout;
 2. show the adaptive GC policy backing off after unprofitable sweeps;
-3. run a real language-equation solve with ``reorder="sift"`` /
-   ``gc="adaptive"`` and read the kernel counters.
+3. run a symbolic reachability fixpoint under a blocked (cs…, ns…)
+   order on a bare manager, once with reordering off and once with
+   ``ReorderPolicy(mode="auto")``, and compare the kernel counters.
+
+The policies are kernel settings: solver managers run the defaults
+(static GC, no reordering), so this tour sets them on managers it
+builds itself.
 
 Run:  python examples/adaptive_runtime_tour.py
 """
@@ -24,7 +29,8 @@ except ImportError:
 
 from repro.bdd import BddManager, GcPolicy, ReorderPolicy
 from repro.bench import circuits
-from repro.eqn import solve_latch_split, verify_solution
+from repro.network.bddbuild import build_network_bdds
+from repro.symb.reach import network_reachable_states
 
 
 def act_one_reorder() -> None:
@@ -76,31 +82,40 @@ def act_two_adaptive_gc() -> None:
     )
 
 
-def act_three_solver() -> None:
-    print("== 3. The adaptive runtime inside a real solve ==")
-    result = solve_latch_split(
-        circuits.counter(5),
-        ["b3", "b4"],
-        method="partitioned",
-        reorder="sift",
-        gc="adaptive",
+def _blocked_reach(n: int, reorder_mode: str) -> tuple[int, dict]:
+    net = circuits.gray_counter(n)
+    mgr = BddManager(
+        gc_policy=GcPolicy(mode="adaptive", min_live=200, growth=1.2),
+        reorder_policy=ReorderPolicy(
+            mode=reorder_mode, min_live=0, window=1, reclaim_threshold=0.5
+        ),
     )
-    stats = result.problem.manager.stats
-    print(f"  {result.summary()}")
-    print(
-        f"  kernel: gc_runs={stats['gc_runs']} "
-        f"reclaim_ratio_avg={stats['reclaim_ratio_avg']:.2f} "
-        f"reorders={stats['reorder_runs']}"
-    )
-    report = verify_solution(result)
-    print(f"  verification: {report.summary()}")
-    assert report.ok
+    input_vars = {name: mgr.add_var(name) for name in net.inputs}
+    cs = {name: mgr.add_var(name) for name in net.latches}
+    ns = {name: mgr.add_var(f"{name}'") for name in net.latches}  # blocked
+    bdds = build_network_bdds(net, mgr, input_vars, cs)
+    result = network_reachable_states(bdds, ns_vars=ns)
+    return result.state_count, mgr.stats
+
+
+def act_three_reachability() -> None:
+    print("== 3. Both policies on a reachability fixpoint ==")
+    n = 9
+    for mode in ("off", "auto"):
+        states, stats = _blocked_reach(n, mode)
+        print(
+            f"  reorder={mode:4s} states={states}  "
+            f"peak_live={stats['peak_live_nodes']}  gc_runs={stats['gc_runs']}  "
+            f"reorders={stats['reorder_runs']}"
+        )
+        assert states == 2**n
+    print("  same reached set under both policies ✓")
 
 
 def main() -> None:
     act_one_reorder()
     act_two_adaptive_gc()
-    act_three_solver()
+    act_three_reachability()
     print("done.")
 
 

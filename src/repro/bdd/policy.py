@@ -21,10 +21,10 @@ policy objects that observe the stream of collections and adapt:
   itself is too big, which (per the paper's CNC analysis) usually means a
   bad variable order.  In ``"auto"`` mode the policy fires an in-place
   sift (:func:`repro.bdd.reorder.sift`) after ``window`` consecutive
-  sweeps whose reclaim ratio is below ``reclaim_threshold``; ``"sift"``
-  mode fires on every unprofitable sweep (aggressive); ``"off"`` never
-  fires.  A growth-based cooldown prevents back-to-back sifts: after a
-  reorder, the next one is allowed only once the live count exceeds
+  sweeps whose reclaim ratio is below ``reclaim_threshold`` (``window=1``
+  fires on every unprofitable sweep); ``"off"`` never fires.  A
+  growth-based cooldown prevents back-to-back sifts: after a reorder,
+  the next one is allowed only once the live count exceeds
   ``cooldown_growth ×`` the post-reorder size.
 
 Both policies are pure observers — they never touch the manager — so they
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 #: Accepted :class:`GcPolicy` modes.
 GC_MODES = ("static", "adaptive")
 #: Accepted :class:`ReorderPolicy` modes.
-REORDER_MODES = ("off", "auto", "sift")
+REORDER_MODES = ("off", "auto")
 
 
 @dataclass
@@ -139,9 +139,8 @@ class ReorderPolicy:
     Parameters
     ----------
     mode:
-        ``"off"`` (never reorder), ``"auto"`` (reorder after ``window``
-        consecutive unprofitable sweeps) or ``"sift"`` (reorder on every
-        unprofitable sweep).
+        ``"off"`` (never reorder) or ``"auto"`` (reorder after
+        ``window`` consecutive unprofitable sweeps).
     reclaim_threshold:
         Sweeps below this reclaim ratio count toward the trigger.
     window:
@@ -189,8 +188,6 @@ class ReorderPolicy:
         self.bad_streak += 1
         if live < self.min_live or live < self.cooldown_until:
             return False
-        if self.mode == "sift":
-            return True
         return self.bad_streak >= self.window
 
     def record_reorder(self, live_after: int) -> None:

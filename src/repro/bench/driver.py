@@ -62,7 +62,7 @@ from repro.util.tables import format_table
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
 SCHEMA_KERNEL = "repro-bench-kernel/4"
-SCHEMA_TABLE1 = "repro-bench-table1/9"
+SCHEMA_TABLE1 = "repro-bench-table1/10"
 
 #: Table 1 variant rows, declared once as data: ``(suffix, cases,
 #: config overrides)``.  A full run records each listed case again as
@@ -75,10 +75,8 @@ SCHEMA_TABLE1 = "repro-bench-table1/9"
 #: loads (never measured on the silent fallback under a ``buddy``
 #: label).  ``@batch8`` appears twice so that the suite rows precede the
 #: ``@interleave`` row in the artifact.  The adaptive GC and reorder
-#: policies are priced by the kernel pairs (``*_reorder``,
-#: ``gc_reachability``) rather than by Table 1 variants: the partitioned
-#: solves of the Table 1 cases stay below the collection floor, so an
-#: adaptive twin of a row repeats its base row's work.
+#: policies are kernel settings, priced by the kernel pairs
+#: (``*_reorder``, ``gc_reachability``); solves run the kernel defaults.
 #:
 #: * ``@shards2`` — the sharded runtime; read wall-clock deltas together
 #:   with ``meta.cpu_count`` (on one core the workers time-slice).
@@ -696,8 +694,6 @@ def _run_table1_case(case, config: SolveConfig, row_name: str) -> dict:
             "cache_hit_rate": round(problem.manager.cache_hit_rate(), 4),
             "gc_runs": mgr_stats["gc_runs"],
             "reclaim_ratio_avg": round(mgr_stats["reclaim_ratio_avg"], 4),
-            "reorder_runs": mgr_stats["reorder_runs"],
-            "reorder_swaps": mgr_stats["reorder_swaps"],
         }
         print(
             f"  table1/{row_name:14s} {method:12s} {elapsed * 1e3:9.1f} ms  "
@@ -1078,8 +1074,8 @@ def git_rev() -> str | None:
 
 def meta(smoke: bool, **extra) -> dict:
     """Run provenance.  ``extra`` records suite-specific knobs only —
-    the ``--reorder``/``--gc`` flags go into the table1 meta alone,
-    since kernel workloads hard-code their per-workload policies.
+    the ``--backend``/``--product-order`` flags go into the table1 meta
+    alone, since kernel workloads build their own managers.
 
     ``cpu_count`` makes the sharded-runtime rows interpretable across
     machines: ``@shards2`` beating ``@shards1`` needs real cores, and a

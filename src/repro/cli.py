@@ -317,7 +317,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 def _cmd_reach(args: argparse.Namespace) -> int:
     from repro.bdd.backends import create_manager
-    from repro.bdd.policy import GcPolicy, ReorderPolicy
     from repro.network.bddbuild import build_network_bdds
     from repro.network.blif import read_blif
     from repro.symb.reach import network_reachable_states
@@ -327,11 +326,7 @@ def _cmd_reach(args: argparse.Namespace) -> int:
         return 2
     tracer = _setup_obs(args)
     net = read_blif(args.blif)
-    mgr = create_manager(
-        config.backend,
-        gc_policy=GcPolicy(mode=config.gc),
-        reorder_policy=ReorderPolicy(mode=config.reorder),
-    )
+    mgr = create_manager(config.backend)
     input_vars = {name: mgr.add_var(name) for name in net.inputs}
     cs, ns = {}, {}
     for name in net.latches:
@@ -346,11 +341,10 @@ def _cmd_reach(args: argparse.Namespace) -> int:
     print(f"reachable states: {result.state_count} of {2 ** net.num_latches}")
     print(f"iterations:       {result.iterations}")
     print(f"BDD nodes:        {len(mgr)} (peak {stats['peak_live_nodes']})")
-    if stats["gc_runs"] or stats["reorder_runs"]:
+    if stats["gc_runs"]:
         print(
             f"kernel:           gc_runs={stats['gc_runs']} "
-            f"reclaim_ratio_avg={stats['reclaim_ratio_avg']:.2f} "
-            f"reorders={stats['reorder_runs']} swaps={stats['reorder_swaps']}"
+            f"reclaim_ratio_avg={stats['reclaim_ratio_avg']:.2f}"
         )
     if tracer is not None:
         _export_trace(tracer, args.trace)

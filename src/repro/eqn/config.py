@@ -40,9 +40,6 @@ STRATEGIES = ("dfs", "bfs", "size")
 BACKEND_CHOICES = ("python", "buddy")
 #: Product variable-order policies (see :func:`repro.eqn.problem.build_problem`).
 PRODUCT_ORDERS = ("stacked", "interleaved")
-#: Dynamic-reordering modes and GC tunings (see :mod:`repro.bdd.policy`).
-REORDER_MODES = ("off", "auto", "sift")
-GC_MODES = ("static", "adaptive")
 
 HASHED = "hashed"
 EXCLUDED = "excluded"
@@ -87,18 +84,6 @@ class SolveConfig:
         HASHED,
         "DCN subset trimming of both symbolic flows (--no-trim is the E6 "
         "ablation)",
-    )
-    reorder: str = _knob(
-        "off",
-        HASHED,
-        "GC-triggered in-place dynamic variable reordering",
-        choices=REORDER_MODES,
-    )
-    gc: str = _knob(
-        "static",
-        HASHED,
-        "garbage-collection tuning (adaptive backs off unprofitable sweeps)",
-        choices=GC_MODES,
     )
     shards: int = _knob(
         1,
@@ -247,8 +232,6 @@ RESULT_OPTIONS = (
 )
 #: Config columns of a BENCH_table1 row (each row records both methods).
 BENCH_COLUMNS = (
-    "reorder",
-    "gc",
     "shards",
     "frontier",
     "batch",
@@ -258,8 +241,8 @@ BENCH_COLUMNS = (
     "compose",
 )
 #: Flags of ``repro reach`` and ``repro bench`` (solve and submit take all).
-REACH_FLAGS = ("schedule", "reorder", "gc", "shards", "backend")
-BENCH_FLAGS = ("reorder", "gc", "backend", "product_order")
+REACH_FLAGS = ("schedule", "shards", "backend")
+BENCH_FLAGS = ("backend", "product_order")
 
 
 def add_config_flags(

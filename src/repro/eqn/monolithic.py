@@ -124,10 +124,7 @@ class MonolithicOracle:
         Only the hidden relation ``TS`` and the initial cube are read
         after construction; the (large) intermediate ``TO^F`` and
         completed ``TO^S`` are deliberately *not* kept, so the first
-        collection can reclaim them.  ``TS`` being pinned also means a
-        GC-triggered in-place sift (``--reorder auto``) keeps its edge
-        valid while shrinking it — the monolithic flow's best defence
-        against a bad initial order.
+        collection can reclaim them.
         """
         return [self.ts, self.init_cube]
 

@@ -35,9 +35,8 @@ first, and ``Q^j_ψ = Q^j_{∃R_j.ψ}``.  The oracle memoizes the per-output
 images under that projection key, so sibling subsets that differ only in
 latches irrelevant to an output share one image computation — in a
 frontier batch the duplicates are deduplicated *before* any work is
-scheduled.  Memo keys and values are pinned against garbage collection
-(and therefore survive in-place reordering); hits/misses are reported
-through :meth:`PartitionedOracle.record_stats`.
+scheduled.  Memo keys and values are pinned against garbage collection;
+hits/misses are reported through :meth:`PartitionedOracle.record_stats`.
 
 Sharded batching
 ----------------
@@ -251,13 +250,10 @@ class PartitionedOracle:
     def live_roots(self) -> list[int]:
         """Every BDD the oracle reuses across expansions (GC roots).
 
-        The subset driver pins these, which also makes them safe across
-        GC-triggered in-place reordering: sifting preserves all pinned
-        edges, and the reusable image plans stay valid because their
-        retire sets are variable indices, not levels.  The plans' own
-        (clustered) parts are pinned by :func:`plan_image` until
-        :meth:`close`; completion-memo entries are created later and pin
-        themselves as they are inserted.
+        The subset driver pins these.  The plans' own (clustered) parts
+        are pinned by :func:`plan_image` until :meth:`close`;
+        completion-memo entries are created later and pin themselves as
+        they are inserted.
         """
         roots = [*self.u_parts, *self.t_parts, *self.nonconf, self.init_cube]
         if not self.trim:

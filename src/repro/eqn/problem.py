@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bdd.backends.protocol import BddBackend
-from repro.bdd.policy import GcPolicy, ReorderPolicy
 from repro.eqn.config import SolveConfig
 from repro.errors import EquationError
 from repro.network.bddbuild import build_network_bdds
@@ -158,13 +157,11 @@ def build_problem(
     :class:`~repro.eqn.config.SolveConfig`) supplies the manager
     settings; the solve-time fields are ignored here.
 
-    ``reorder`` (``"off"`` / ``"auto"`` / ``"sift"``) and ``gc``
-    (``"static"`` / ``"adaptive"``) configure the manager's adaptive
-    runtime (:mod:`repro.bdd.policy`): with reordering enabled, garbage
-    collections whose reclaim ratio stays low trigger an in-place sift
-    mid-solve.  A reorder block boundary is frozen between the letter
-    variables and the state variables, so sifting can never violate the
-    letters-above-states requirement of the subset construction's
+    The manager runs the kernel's default policies: static GC and no
+    dynamic reordering.  A reorder block boundary is frozen between the
+    letter variables and the state variables, so an explicit
+    ``problem.manager.sift_now()`` before the solve can never violate
+    the letters-above-states requirement of the subset construction's
     cofactor splitting (state variables still reorder freely).
 
     ``backend`` selects the BDD kernel through
@@ -188,8 +185,6 @@ def build_problem(
     mgr = create_manager(
         config.backend,
         max_nodes=max_nodes,
-        gc_policy=GcPolicy(mode=config.gc),
-        reorder_policy=ReorderPolicy(mode=config.reorder),
     )
 
     # ---- declare letter variables (top of the order) ---- #
@@ -207,7 +202,7 @@ def build_problem(
     u_vars = {n: mgr.add_var(n) for n in u_names}
     v_vars = {n: mgr.add_var(n) for n in v_names}
     # Letter variables must stay above all state variables (required by
-    # split_by_vars); dynamic reordering may not cross this boundary.
+    # split_by_vars); sifting may not cross this boundary.
     mgr.set_reorder_boundaries([mgr.num_vars])
 
     # ---- state variables, interleaved cs/ns ---- #

@@ -17,18 +17,8 @@ This module bounds that working set:
   work.  Evicting a ψ dumps it to the store, forgets its pin and drops
   it from the driver's table; deduplication against evicted states then
   runs by content key instead of by edge identity — sound because the
-  packed blob is canonical per (function, variable order).
-
-Variable-order epochs
----------------------
-
-A packed blob depends on the variable order it was dumped under, so an
-in-place sift (``--reorder auto``) silently invalidates every stored
-content key.  The manager tracks an *order token* (the kernel's
-``_order_epoch`` where available, the literal variable order otherwise)
-and transparently re-keys all evicted entries when it changes — reload
-under the new order is always sound (children recombine with ITE), only
-the dedup hashes need refreshing.
+  packed blob is canonical per (function, variable order), and the
+  solver never reorders a manager while a solve runs.
 """
 
 from __future__ import annotations
@@ -133,14 +123,6 @@ class SpillStore:
         return f"<SpillStore root={self.root!r} puts={self.puts}>"
 
 
-def _order_token(mgr) -> object:
-    """A value that changes whenever the manager's variable order does."""
-    epoch = getattr(mgr, "_order_epoch", None)
-    if epoch is not None:
-        return epoch
-    return tuple(mgr.var_order())
-
-
 class ResidencyManager:
     """LRU spill policy over the subset driver's resident ψ table.
 
@@ -197,11 +179,9 @@ class ResidencyManager:
         self._unswept_nodes = 0
         self._evicted: dict[int, str] = {}  # sid -> content key
         self._evicted_by_key: dict[str, int] = {}
-        self._token = _order_token(mgr)
         self.spills = 0
         self.reloads = 0
         self.evictions = 0
-        self.rehashes = 0
         self.resident_nodes_peak = 0
         self.evicted_peak = 0
 
@@ -250,32 +230,8 @@ class ResidencyManager:
         """
         if not self._evicted_by_key:
             return None
-        self._sync_order()
         key, _ = content_key(self.mgr, psi)
         return self._evicted_by_key.get(key)
-
-    def _sync_order(self) -> None:
-        """Re-key evicted blobs after an in-place reorder (see module doc)."""
-        token = _order_token(self.mgr)
-        if token == self._token:
-            return
-        self._token = token
-        if not self._evicted:
-            return
-        mgr = self.mgr
-        remap: dict[int, str] = {}
-        for sid, key in self._evicted.items():
-            psi = load_function_packed(mgr, self.store.get(key))
-            mgr.ref(psi)
-            try:
-                new_key, blob = content_key(mgr, psi)
-                self.store.put(blob)
-            finally:
-                mgr.deref(psi)
-            remap[sid] = new_key
-            self.rehashes += 1
-        self._evicted = remap
-        self._evicted_by_key = {key: sid for sid, key in remap.items()}
 
     # -- the policy ----------------------------------------------------- #
 
@@ -288,7 +244,6 @@ class ResidencyManager:
         """
         if self._resident_nodes <= self.budget or not self._lru:
             return []
-        self._sync_order()
         mgr = self.mgr
         evicted: list[int] = []
         while self._resident_nodes > self.budget and self._lru:
@@ -315,7 +270,7 @@ class ResidencyManager:
         """Collect once the evicted-but-unswept ψ reach the budget.
 
         Eviction only pays off if the nodes actually go away, and the
-        adaptive GC policy's growth floors may never arm at budget-sized
+        GC policy's growth floor may never arm at budget-sized
         scales.  A sweep per evicting batch would be a full
         mark-and-sweep (and a computed-table flush) for a handful of ψ;
         sweeping once their admit-time sizes sum to the budget keeps
@@ -356,7 +311,6 @@ class ResidencyManager:
         stats.resident_nodes_peak = self.resident_nodes_peak
         stats.evicted_peak = self.evicted_peak
         stats.spill_bytes = self.store.put_bytes
-        stats.spill_rehashes = self.rehashes
 
     def close(self) -> None:
         """Drop the spill store if this manager owns it (idempotent)."""

@@ -81,9 +81,9 @@ def solve_equation(
         which documents every field): ``config`` (default: all
         defaults) with any per-field keywords — ``method=``,
         ``shards=``, ``frontier=``, ``batch=``, ``compose=``, ... —
-        merged on top.  The manager settings (``reorder``, ``gc``,
-        ``backend``, ``product_order``) took effect when the problem was
-        built; ``SolveResult.options`` records the problem's own
+        merged on top.  The manager settings (``backend``,
+        ``product_order``) took effect when the problem was built;
+        ``SolveResult.options`` records the problem's own
         ``product_order``.
     limit:
         Optional wall-clock budget; BDD-node budgets are configured when
@@ -222,9 +222,9 @@ def solve_latch_split(
 
     ``config`` and per-field keywords select every solver setting (see
     :class:`~repro.eqn.config.SolveConfig`): the manager settings
-    (``reorder``, ``gc``, ``backend``, ``product_order``) build the
-    problem, the rest drive :func:`solve_equation`.  Every other keyword
-    (``pool``, ``progress``, ``cancel``, ``checkpoint*``, ``resume``,
+    (``backend``, ``product_order``) build the problem, the rest drive
+    :func:`solve_equation`.  Every other keyword (``pool``,
+    ``progress``, ``cancel``, ``checkpoint*``, ``resume``,
     ``spill_dir``) is a per-call hook forwarded to
     :func:`solve_equation`.
     """

@@ -70,9 +70,6 @@ class SubsetStats:
     gc_runs: int = _counter(
         KERNEL, "Kernel garbage-collection sweeps.", "repro_gc_runs_total", job="gc_runs"
     )
-    reorder_runs: int = _counter(
-        KERNEL, "Dynamic variable-reordering (sift) runs.", "repro_reorder_runs_total"
-    )
     resident_budget: int = _counter(RESIDENCY, "Node budget of resident subset states.")
     psi_spills: int = _counter(
         RESIDENCY, "Resident subset states spilled to the content-addressed store.",
@@ -91,7 +88,6 @@ class SubsetStats:
     )
     evicted_peak: int = _counter(RESIDENCY, "Most subset states evicted at once.")
     spill_bytes: int = _counter(RESIDENCY, "Bytes written to the spill store.")
-    spill_rehashes: int = _counter(RESIDENCY, "Spilled states re-keyed after a reorder.")
     compose_components: int = _counter(
         COMPOSE, "Independent components.", bench="compose_components"
     )

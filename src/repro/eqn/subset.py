@@ -394,7 +394,7 @@ def subset_construct(
     ``progress``
         Called after every batch with a flat event dict (counters from
         :class:`SubsetStats`, frontier length, live/peak node counts
-        and, when the oracle exposes them, memo and GC/reorder stats).
+        and, when the oracle exposes them, memo and GC stats).
     ``cancel``
         Polled before every batch; returning true raises
         :class:`~repro.errors.SolveCancelled`, which unwinds through
@@ -444,13 +444,7 @@ def subset_construct(
     # (the keys of ``ids``) and every edge-label BDD stored in the growing
     # automaton.  With those roots held, the driver can let the manager
     # reclaim the per-expansion intermediates (P_ψ, Q_ψ, cofactor churn)
-    # whenever its growth trigger arms — long runs stay bounded.  The
-    # pins also license GC-triggered dynamic reordering (``--reorder
-    # auto``): a sift fired after an unprofitable sweep rewrites the
-    # state-variable levels in place, so ψ keys, edge labels and plans
-    # all keep their edges; the letter block is fenced off by the
-    # problem's reorder boundary, preserving the split_by_vars order
-    # requirement mid-run.
+    # whenever its growth trigger arms — long runs stay bounded.
     roots_fn = getattr(oracle, "live_roots", None)
     gc_enabled = roots_fn is not None
     if gc_enabled:

@@ -259,9 +259,9 @@ class SolveExecutor:
     def _ensure_pool(self, mgr, config):
         """Reset the warm pool for this problem, re-forking when needed.
 
-        The workers take the problem manager's node budget and runtime
-        policies; a job's ``resident_budget`` bounds only the
-        coordinator's ψ table.
+        The workers take the problem manager's node budget and backend;
+        a job's ``resident_budget`` bounds only the coordinator's ψ
+        table.
         """
         from repro.shard.pool import ShardError, ShardPool, pool_opts
 

@@ -15,16 +15,16 @@ What is part of the key
   textually distinct but structurally identical netlists vanish;
 * the split (``x_latches``, ``u_signals``);
 * every ``hashed`` field of :class:`~repro.eqn.config.SolveConfig`:
-  ``method``, ``schedule``, ``trim``, ``reorder``, ``gc``, ``shards``,
-  ``frontier``, ``batch``, ``product_order``, ``compose``.
+  ``method``, ``schedule``, ``trim``, ``shards``, ``frontier``,
+  ``batch``, ``product_order``, ``compose``.
 
-Flags like ``--reorder`` or ``--shards`` provably do not change the
-solved language — but they are hashed anyway, for three reasons.
+Flags like ``--shards`` or ``--product-order`` provably do not change
+the solved language — but they are hashed anyway, for three reasons.
 First, byte-reproducibility is the conservative contract: ``frontier``
 and ``batch`` change subset discovery order and therefore state
 *numbering*, so a cached automaton from a different setting would not
 be byte-identical to a cold solve.  Second, the cached payload carries
-the run's statistics (memo hit rates, GC/reorder counters, shard
+the run's statistics (memo hit rates, GC counters, shard
 transfer counts); attributing a ``--shards 4`` stats block to a
 ``--shards 1`` query would silently corrupt benchmark comparisons.
 Third, the bench driver tags every BENCH_table1 row with its
@@ -43,7 +43,7 @@ completes, never what it produces.  The ``excluded`` config fields are
 left out for the same reason: ``resident_budget`` bounds memory with
 byte-identical results, and the BDD ``backend`` is excluded
 deliberately and in the *opposite* direction from
-``reorder``/``shards``: backends are required to be byte-identical on
+``shards``: backends are required to be byte-identical on
 the wire (the conformance kit enforces canonical snapshots, and the
 differential suite checks byte-identical KISS output per backend), so
 hashing the backend would only split one result across two cache
@@ -62,7 +62,7 @@ from repro.eqn.config import ConfigError, SolveConfig
 from repro.errors import ServeError
 
 #: Version tag of the canonical spec layout (bump on field changes).
-SPEC_FORMAT = "repro-serve-spec/3"
+SPEC_FORMAT = "repro-serve-spec/4"
 
 
 def canonical_blif(blif: "str | object") -> str:

@@ -5,8 +5,8 @@ small — but a single :class:`~repro.bdd.manager.BddManager` is
 single-threaded, so partitioning alone buys memory locality and never
 buys cores.  This package runs image computations in separate worker
 processes, each owning its own shard manager (with its own computed
-table, garbage collector and reorder policy), and joins the per-shard
-results in the coordinator manager through serialized transfers
+table and garbage collector), and joins the per-shard results in the
+coordinator manager through serialized transfers
 (:func:`repro.bdd.io.dump_nodes` / :func:`~repro.bdd.io.load_nodes`,
 the packed-array wire format).
 

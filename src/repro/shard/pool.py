@@ -32,15 +32,13 @@ class ShardError(ReproError):
 def pool_opts(mgr) -> dict:
     """:class:`ShardPool` settings for workers serving ``mgr``'s problem.
 
-    Workers inherit the coordinator's node budget and runtime policies:
-    the CNC mechanism (``max_nodes``) must bound the shard managers too,
-    or an exploding conjunction would grow unchecked in a worker the
-    resource limit cannot see.
+    Workers inherit the coordinator's node budget and backend: the CNC
+    mechanism (``max_nodes``) must bound the shard managers too, or an
+    exploding conjunction would grow unchecked in a worker the resource
+    limit cannot see.
     """
     return {
         "max_nodes": mgr.max_nodes,
-        "gc": mgr.gc_policy.mode,
-        "reorder": mgr.reorder_policy.mode,
         "backend": getattr(mgr, "backend_name", "python"),
     }
 
@@ -55,12 +53,11 @@ class ShardPool:
     var_names:
         Variable order declared in every shard manager, top to bottom —
         normally the coordinator's ``mgr.var_order()``.  Snapshots travel
-        by variable *name*, so shard-local reordering never desyncs the
-        wire format.
-    gc, reorder, max_nodes:
-        Per-shard manager policies (every worker gets its own
-        :class:`~repro.bdd.policy.GcPolicy` /
-        :class:`~repro.bdd.policy.ReorderPolicy` instance).
+        by variable *name*, so the wire format never depends on a
+        manager's internal variable indices.
+    max_nodes:
+        Per-shard node budget (every worker manager runs the kernel's
+        default GC policy).
     backend:
         BDD backend every shard manager is constructed on
         (:func:`repro.bdd.backends.create_manager`): a native backend
@@ -79,8 +76,6 @@ class ShardPool:
         num_shards: int,
         var_names: Sequence[str],
         *,
-        gc: str = "static",
-        reorder: str = "off",
         max_nodes: int | None = None,
         backend: str = "python",
         start_method: str = "fork",
@@ -92,8 +87,6 @@ class ShardPool:
         except ValueError:  # pragma: no cover - non-POSIX fallback
             ctx = mp.get_context()
         config = {
-            "gc": gc,
-            "reorder": reorder,
             "max_nodes": max_nodes,
             "backend": backend,
         }
@@ -213,7 +206,7 @@ class ShardPool:
         """Reset every worker for a new job without restarting processes.
 
         Each worker rebuilds its manager from its spawn config with
-        ``config`` (``gc`` / ``reorder`` / ``max_nodes``) merged on top,
+        ``config`` (``max_nodes`` / ``backend``) merged on top,
         dropping all handles, resident entries and plans, then declares
         ``var_names`` as the fresh variable order.  Pending replies are
         drained first so a reset after a failed or cancelled job cannot

@@ -5,7 +5,7 @@ connection (one end of a ``multiprocessing.Pipe``) and a config dict.
 It builds its own shard manager — on whichever BDD backend the config
 names (:func:`repro.bdd.backends.create_manager`; a native backend
 multiplies its speedup by the worker count), with its own computed
-table, GC policy and reorder policy, entirely independent of the
+table and the kernel's default GC policy, entirely independent of the
 coordinator's — and serves commands until told to shut down.
 
 Every command is a tuple ``(op, *args)``; every reply is ``("ok",
@@ -38,12 +38,12 @@ Commands
     resident registry under ``handle`` with reference count 1 — or, if
     the handle is already resident, just bump its count (``snapshot``
     may then be ``None``).  Resident entries are pinned with ``mgr.ref``
-    so they survive worker-side garbage collection and in-place
-    reordering; the reply is the new count.  This is how the subset
-    driver's ψ snapshots cross the wire exactly once per subset.  The
-    driver retains a batch's ψ and releases them when the batch ends,
-    so a worker holds at most one batch; bounding the ψ table is the
-    coordinator's job (:class:`repro.eqn.residency.ResidencyManager`).
+    so they survive worker-side garbage collection; the reply is the
+    new count.  This is how the subset driver's ψ snapshots cross the
+    wire exactly once per subset.  The driver retains a batch's ψ and
+    releases them when the batch ends, so a worker holds at most one
+    batch; bounding the ψ table is the coordinator's job
+    (:class:`repro.eqn.residency.ResidencyManager`).
 ``("release", handles)``
     Drop one reference from each resident handle; an entry whose count
     reaches zero is deref'd and forgotten.  Replies with the number of
@@ -71,9 +71,6 @@ Commands
     Reply with a small dict of manager statistics.
 ``("gc",)``
     Force a collection; reply with the reclaimed count.
-``("sift",)``
-    Force one in-place sifting pass (handles, resident entries and
-    plans all keep their edges); reply with swap/size counters.
 ``("shutdown",)``
     Acknowledge and exit the loop.
 """
@@ -85,7 +82,6 @@ import time
 import traceback
 
 from repro.bdd.backends import create_manager
-from repro.bdd.policy import GcPolicy, ReorderPolicy
 from repro.errors import ReproError
 from repro.obs.log import get_logger
 from repro.symb.image import image_with_plan, plan_image
@@ -110,13 +106,11 @@ class _WorkerState:
         self.mgr = create_manager(
             config.get("backend", "python"),
             max_nodes=config.get("max_nodes"),
-            gc_policy=GcPolicy(mode=config.get("gc", "static")),
-            reorder_policy=ReorderPolicy(mode=config.get("reorder", "off")),
         )
         self.handles: dict[int, int] = {}
         self.plans: dict[int, tuple] = {}
         # Resident registry: handle -> [edge, refcount].  Entries are
-        # pinned against worker GC/reordering until released.
+        # pinned against worker GC until released.
         self.resident: dict[int, list] = {}
 
     # Each handler returns the reply payload. ------------------------------ #
@@ -233,7 +227,6 @@ class _WorkerState:
             "live_nodes": stats["live_nodes"],
             "peak_live_nodes": stats["peak_live_nodes"],
             "gc_runs": stats["gc_runs"],
-            "reorder_runs": stats["reorder_runs"],
             "max_nodes": self.mgr.max_nodes,
             "handles": len(self.handles),
             "resident": len(self.resident),
@@ -242,15 +235,6 @@ class _WorkerState:
 
     def op_gc(self) -> int:
         return self.mgr.collect_garbage()
-
-    def op_sift(self) -> dict:
-        result = self.mgr.sift_now()
-        return {
-            "swaps": result.swaps,
-            "size_before": result.size_before,
-            "size_after": result.size_after,
-            "vars_sifted": result.vars_sifted,
-        }
 
 
 def _command_meta(op: str, t0: float) -> dict:
@@ -286,7 +270,6 @@ def worker_main(conn, config: dict) -> None:
         "reset": state.op_reset,
         "stats": state.op_stats,
         "gc": state.op_gc,
-        "sift": state.op_sift,
     }
     try:
         while True:

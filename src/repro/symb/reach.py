@@ -52,7 +52,7 @@ def reachable_states(
     sequence, the reached set and the iteration count are identical to
     the in-process path (the sharded image computes the same function,
     and BDDs are canonical).  The workers inherit the manager's node
-    budget and runtime policies (:func:`repro.shard.pool.pool_opts`).
+    budget and backend (:func:`repro.shard.pool.pool_opts`).
     """
     rename = dict(zip(ns_vars, cs_vars))
     quantify = list(input_vars) + list(cs_vars)

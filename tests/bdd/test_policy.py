@@ -148,24 +148,26 @@ class TestReorderPolicy:
         assert not p.should_reorder(live=5000, reclaim_ratio=0.9)
         assert not p.should_reorder(live=5000, reclaim_ratio=0.05)
 
-    def test_sift_mode_fires_on_every_unprofitable_sweep(self) -> None:
-        p = ReorderPolicy(mode="sift", min_live=0)
+    def test_window_one_fires_on_every_unprofitable_sweep(self) -> None:
+        p = ReorderPolicy(mode="auto", window=1, min_live=0)
+        assert p.should_reorder(live=5000, reclaim_ratio=0.05)
         assert p.should_reorder(live=5000, reclaim_ratio=0.05)
 
     def test_min_live_gate(self) -> None:
-        p = ReorderPolicy(mode="sift", min_live=10_000)
+        p = ReorderPolicy(mode="auto", window=1, min_live=10_000)
         assert not p.should_reorder(live=500, reclaim_ratio=0.0)
 
     def test_cooldown(self) -> None:
-        p = ReorderPolicy(mode="sift", min_live=0, cooldown_growth=2.0)
+        p = ReorderPolicy(mode="auto", window=1, min_live=0, cooldown_growth=2.0)
         assert p.should_reorder(live=1000, reclaim_ratio=0.0)
         p.record_reorder(live_after=800)
         assert not p.should_reorder(live=1000, reclaim_ratio=0.0)
         assert p.should_reorder(live=1601, reclaim_ratio=0.0)
 
     def test_unknown_mode_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            ReorderPolicy(mode="always")
+        for mode in ("always", "sift"):
+            with pytest.raises(ValueError):
+                ReorderPolicy(mode=mode)
 
 
 class TestManagerGcTriggeredReorder:

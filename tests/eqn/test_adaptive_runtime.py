@@ -1,72 +1,65 @@
-"""Adaptive kernel runtime threaded through the solver flows.
+"""An explicit sift of a built problem, before the solve.
 
-Forces garbage collections (low floor) and GC-triggered in-place
-reordering during real subset constructions, and checks that both flows
-still compute the exact CSF, pass formal verification, and keep the
-letter-above-state order requirement intact (the problem's reorder
-boundary).
+Solves run the kernel's default policies (static GC, no dynamic
+reordering), so the only way a problem's order changes is an explicit
+``problem.manager.sift_now()`` between building and solving.  The
+problem's reorder boundary must keep every letter variable above every
+state variable (the subset construction's cofactor splitting requires
+it), and the solve must produce the same automaton as an unsifted one.
+
+KISS text lists each edge label's cubes in the manager's letter order,
+so a sift that permutes the letters changes the bytes but not the
+automaton; a sift confined to the state variables changes neither.
 """
 
 from __future__ import annotations
 
-import pytest
-
+from repro.automata.kiss import parse_kiss, write_kiss
+from repro.bdd.manager import BddManager
 from repro.bench.circuits import counter
 from repro.eqn.problem import build_latch_split_problem
 from repro.eqn.solver import solve_equation, verify_solution
 
-
-def _force_adaptive(problem):
-    """Lower the policy floors so GC + reordering fire on tiny cases."""
-    mgr = problem.manager
-    mgr.gc_policy.min_live = 200
-    mgr.gc_policy.floor = 200
-    mgr.gc_policy.growth = 1.1
-    mgr.reorder_policy.min_live = 0
-    mgr.reorder_policy.reclaim_threshold = 0.8
-    return mgr
+NET = counter(6)
+X = ["b3", "b4", "b5"]
 
 
-@pytest.mark.parametrize("method", ["partitioned", "monolithic"])
-def test_solve_with_midrun_reordering_matches_baseline(method) -> None:
-    net = counter(6)
-    x = ["b3", "b4", "b5"]
-    base = solve_equation(build_latch_split_problem(net, x), method=method)
+def _letter_count(problem) -> int:
+    return len(problem.uv_vars()) + len(problem.i_vars) + len(problem.o_vars)
 
-    problem = build_latch_split_problem(net, x, reorder="sift", gc="adaptive")
-    mgr = _force_adaptive(problem)
-    result = solve_equation(problem, method=method)
-    stats = mgr.stats
 
-    assert stats["reorder_runs"] > 0, "reordering never fired"
-    assert stats["reorder_swaps"] > 0
-    assert result.csf_states == base.csf_states
-    assert verify_solution(result).ok
-    mgr.check()
+def _unsifted_kiss() -> str:
+    return write_kiss(solve_equation(build_latch_split_problem(NET, X)).csf)
 
 
 def test_boundary_keeps_letters_above_state_vars() -> None:
-    problem = build_latch_split_problem(
-        counter(6), ["b3", "b4", "b5"], reorder="sift", gc="adaptive"
-    )
-    mgr = _force_adaptive(problem)
-    n_letters = len(problem.uv_vars()) + len(problem.i_vars) + len(problem.o_vars)
+    problem = build_latch_split_problem(NET, X)
+    mgr = problem.manager
+    n_letters = _letter_count(problem)
     assert mgr.reorder_boundaries == {n_letters}
-    solve_equation(problem, method="partitioned")
+    assert mgr.sift_now().swaps > 0
     for var in problem.uv_vars():
         assert mgr.var_level(var) < n_letters
     for var in problem.all_cs_vars() + problem.all_ns_vars():
         assert mgr.var_level(var) >= n_letters
+    result = solve_equation(problem)
+    assert verify_solution(result).ok
+    mgr.check()
+
+    # Same state numbering and the same label function on every edge.
+    common = BddManager()
+    base = parse_kiss(_unsifted_kiss(), common)
+    sifted = parse_kiss(write_kiss(result.csf), common)
+    assert sifted.state_names == base.state_names
+    assert sifted.initial == base.initial
+    assert sifted.accepting == base.accepting
+    assert sifted.edges == base.edges
 
 
-def test_adaptive_gc_backs_off_during_solve() -> None:
-    """With everything pinned and a tiny floor, the adaptive policy must
-    raise its floor rather than sweep uselessly forever."""
-    problem = build_latch_split_problem(counter(5), ["b3", "b4"], gc="adaptive")
+def test_state_only_sift_keeps_kiss_bytes() -> None:
+    problem = build_latch_split_problem(NET, X)
     mgr = problem.manager
-    mgr.gc_policy.min_live = 50
-    mgr.gc_policy.floor = 50
-    mgr.gc_policy.growth = 1.0
-    solve_equation(problem, method="partitioned")
-    assert mgr.gc_policy.backoffs > 0
-    assert mgr.gc_policy.floor > 50
+    # One single-variable block per letter: only state variables move.
+    mgr.set_reorder_boundaries(list(range(1, _letter_count(problem) + 1)))
+    assert mgr.sift_now().swaps > 0
+    assert write_kiss(solve_equation(problem).csf) == _unsifted_kiss()

@@ -36,6 +36,8 @@ class TestValidation:
             ({"method": "explicit", "resident_budget": 4}, "symbolic flows"),
             ({"trim": False, "compose": True}, "--compose requires"),
             ({"bach": 8}, "unknown solver flags"),
+            ({"reorder": "auto"}, "unknown solver flags"),
+            ({"gc": "adaptive"}, "unknown solver flags"),
         ],
         ids=repr,
     )

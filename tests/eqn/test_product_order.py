@@ -11,8 +11,7 @@ make it safe:
   the order-preserving ``ns -> cs`` rename fast path (for both the F and
   the S rename maps);
 * **identity** — solves are byte-identical (KISS text) between the two
-  orders across the whole Table 1 suite, including the sharded runtime
-  with independent per-worker sifting enabled.
+  orders across the whole Table 1 suite, including the sharded runtime.
 """
 
 from __future__ import annotations

@@ -92,10 +92,10 @@ class TestSubmitToResult:
     def test_malformed_submit_is_a_client_error(self, served) -> None:
         with pytest.raises(ServeError, match="missing 'x_latches'"):
             served.client.submit({"blif": S27_BLIF})
-        with pytest.raises(ServeError, match="unknown solver flags"):
-            served.client.submit(
-                {"blif": S27_BLIF, "x_latches": X, "bach": 8}
-            )
+        # A misspelled flag, or one a newer server no longer takes.
+        for flags in ({"bach": 8}, {"reorder": "auto"}, {"gc": "adaptive"}):
+            with pytest.raises(ServeError, match="unknown solver flags"):
+                served.client.submit({"blif": S27_BLIF, "x_latches": X, **flags})
 
 
 class TestSubmitValidation:
@@ -112,6 +112,8 @@ class TestSubmitValidation:
             {"method": "monolithic", "shards": 2},
             {"shards": True},
             {"shards": 1.0},
+            {"reorder": "auto"},
+            {"gc": "adaptive"},
         ],
         ids=repr,
     )

@@ -62,8 +62,6 @@ def test_different_split_separates() -> None:
         ("method", "monolithic"),
         ("schedule", False),
         ("trim", False),
-        ("reorder", "auto"),
-        ("gc", "adaptive"),
         ("shards", 2),
         ("frontier", "bfs"),
         ("batch", 8),
@@ -136,43 +134,43 @@ def test_one_problem_has_one_spelling(value) -> None:
 (TWIN20_4,) = TABLE1_COMPOSE_CASES
 
 #: name -> (circuit, split, u_signals, flags, spec without its BLIF, key).
-#: Each spec differs from its ``repro-serve-spec/2`` predecessor only in
-#: ``format`` and the ``compose`` field.
+#: Each spec differs from its ``repro-serve-spec/3`` predecessor only in
+#: ``format`` and the absence of the ``gc`` and ``reorder`` fields.
 GOLDEN = {
     "default": (
         S27_BLIF, X, None, {},
-        '{"batch": 1, "compose": false, "format": "repro-serve-spec/3", '
-        '"frontier": "dfs", "gc": "static", "method": "partitioned", '
-        '"product_order": "stacked", "reorder": "off", "schedule": true, '
+        '{"batch": 1, "compose": false, "format": "repro-serve-spec/4", '
+        '"frontier": "dfs", "method": "partitioned", '
+        '"product_order": "stacked", "schedule": true, '
         '"shards": 1, "trim": true, "u_signals": null, "x_latches": ["G6", "G7"]}',
-        "a51b425558194121b5ee540b06eb2005fc4553335b04a678fa0755e3f134f5ff",
+        "1c762662c4fd935fb8c599d6bad4e0f68e68e2091d1025298db07bc94e387045",
     ),
     "monolithic": (
         S27_BLIF, X, None, {"method": "monolithic"},
-        '{"batch": 1, "compose": false, "format": "repro-serve-spec/3", '
-        '"frontier": "dfs", "gc": "static", "method": "monolithic", '
-        '"product_order": "stacked", "reorder": "off", "schedule": true, '
+        '{"batch": 1, "compose": false, "format": "repro-serve-spec/4", '
+        '"frontier": "dfs", "method": "monolithic", '
+        '"product_order": "stacked", "schedule": true, '
         '"shards": 1, "trim": true, "u_signals": null, "x_latches": ["G6", "G7"]}',
-        "24f5290e94572783774a818c2ecb8d5d4570dec43dfebf681ec187b405766190",
+        "0202340f643028e9b181d349d5dd1acd25e4ffa735bb2a9636e04864aef1cd6a",
     ),
     "bfs8_shards2_interleaved": (
         S27_BLIF, X, None,
         {"frontier": "bfs", "batch": 8, "shards": 2, "product_order": "interleaved"},
-        '{"batch": 8, "compose": false, "format": "repro-serve-spec/3", '
-        '"frontier": "bfs", "gc": "static", "method": "partitioned", '
-        '"product_order": "interleaved", "reorder": "off", "schedule": true, '
+        '{"batch": 8, "compose": false, "format": "repro-serve-spec/4", '
+        '"frontier": "bfs", "method": "partitioned", '
+        '"product_order": "interleaved", "schedule": true, '
         '"shards": 2, "trim": true, "u_signals": null, "x_latches": ["G6", "G7"]}',
-        "4b6127a14629e730f6ddbed9cef9a86e27ab833074fc44f7b3710057dca9a95c",
+        "febc51d471a8b9350d59041ab8c4f4e14dfe0185eb70f8ae96707e54f83d0351",
     ),
     "compose_u_signals": (
         TWIN20_4.network(), list(TWIN20_4.x_latches), list(TWIN20_4.u_signals),
         {"compose": True},
-        '{"batch": 1, "compose": true, "format": "repro-serve-spec/3", '
-        '"frontier": "dfs", "gc": "static", "method": "partitioned", '
-        '"product_order": "stacked", "reorder": "off", "schedule": true, '
+        '{"batch": 1, "compose": true, "format": "repro-serve-spec/4", '
+        '"frontier": "dfs", "method": "partitioned", '
+        '"product_order": "stacked", "schedule": true, '
         '"shards": 1, "trim": true, "u_signals": ["b0", "b2", "enb"], '
         '"x_latches": ["b1", "b3"]}',
-        "1b1e7c8784cf49cfcd79de0abc1cdd173b9af25c5c4bfadb4222b7cb6dda6087",
+        "6d8507b9e3a1a94a4e52b5803e339b5e31d0d3936b09e6c97f858667b14d2690",
     ),
 }
 

@@ -92,8 +92,6 @@ class TestLifecycleUnderGcAndSift:
             handle = pool.new_handle()
             pool.call(0, ("retain", handle, dump_nodes(mgr, [f])))
             pool.call(0, ("gc",))
-            sift_stats = pool.call(0, ("sift",))
-            assert sift_stats["size_after"] >= 2
             pool.call(0, ("gc",))
             (back,) = load_nodes(mgr, pool.call(0, ("dump", handle)))
             assert back == f
@@ -109,7 +107,7 @@ class TestLifecycleUnderGcAndSift:
         double_retain=st.booleans(),
     )
     def test_lifecycle_is_leak_free(self, exprs, double_retain) -> None:
-        """Retain → GC → sift → dump → release leaves no worker garbage.
+        """Retain → GC → dump → release leaves no worker garbage.
 
         The worker's ``stats`` node count must return to the post-spawn
         baseline once every handle is released and a collection runs —
@@ -136,12 +134,10 @@ class TestLifecycleUnderGcAndSift:
                 if double_retain:
                     pool.call(0, ("retain", handle, None))
                 handles.append(handle)
-            # Stress the registry: collect, sift, collect again.
+            # Stress the registry: collect twice.
             pool.call(0, ("gc",))
-            pool.call(0, ("sift",))
             pool.call(0, ("gc",))
-            # Every resident function must still round-trip bit-for-bit
-            # (snapshots travel by name, so the sifted order is fine).
+            # Every resident function must still round-trip bit-for-bit.
             for f, handle in zip(funcs, handles):
                 (back,) = load_nodes(mgr, pool.call(0, ("dump", handle)))
                 assert back == f

@@ -83,11 +83,3 @@ def test_closed_pool_rejects_commands(mgr) -> None:
     pool.close()
     with pytest.raises(ShardError, match="closed"):
         pool.submit(0, ("stats",))
-
-
-def test_worker_own_policies() -> None:
-    """Workers honour their own GC/reorder policy configuration."""
-    with ShardPool(1, VARS, gc="adaptive", reorder="auto") as pool:
-        stats = pool.stats()[0]
-        assert stats["gc_runs"] == 0
-        assert pool.call(0, ("gc",)) == 0  # nothing to reclaim yet

@@ -25,7 +25,7 @@ from repro.bdd.io import FUNCTION_MAGIC, dump_function_packed, load_function_pac
 from repro.bench import circuits
 from repro.bench.suite import TABLE1_CASES
 from repro.eqn.problem import build_latch_split_problem
-from repro.eqn.residency import ResidencyManager, SpillStore, content_key
+from repro.eqn.residency import ResidencyManager, SpillStore
 from repro.eqn.solver import solve_equation
 from repro.errors import BddError, EquationError
 
@@ -264,34 +264,11 @@ class TestResidencyManager:
         for f in evicted:
             m.deref(f)
         m.collect_garbage()
-        m.sift_now()  # invalidates every stored content key's order
+        m.sift_now()  # reload must be sound under a new order
         restored = dict((sid, psi) for psi, sid in residency.restore_all())
         assert set(restored) == {admitted[f] for f in evicted}
         for sid, psi in restored.items():
             assert bdd_minterms(m, psi, VARS) == tables[sid]
-        residency.close()
-
-    def test_order_epoch_rehash_keeps_dedup_sound(self, mgr) -> None:
-        residency = ResidencyManager(mgr, 1)
-        a, b = mgr.var_node(mgr.var_index("a")), mgr.var_node(mgr.var_index("b"))
-        f = mgr.apply_xor(a, b)
-        mgr.ref(f)
-        residency.admit(f, 7)
-        residency.mark_expanded(f)
-        for edge in residency.enforce():
-            mgr.deref(edge)
-        old_key, _ = content_key(mgr, mgr.apply_xor(a, b))
-        mgr.collect_garbage()
-        swapped = mgr.sift_now().swaps
-        # Dedup must find the state under the *new* order's key.
-        g = mgr.apply_xor(
-            mgr.var_node(mgr.var_index("a")), mgr.var_node(mgr.var_index("b"))
-        )
-        assert residency.lookup(g) == 7
-        if swapped:
-            # The epoch changed, so the evicted entry was re-keyed (the
-            # key *value* may coincide for symmetric functions).
-            assert residency.rehashes >= 1
         residency.close()
 
 

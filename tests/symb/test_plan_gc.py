@@ -2,9 +2,9 @@
 
 ``plan_image`` merges consecutive scheduled steps into clusters, which
 are new BDDs no caller holds.  The plan pins them itself, so a plan
-built now must survive a forced collection and an in-place sift before
-it runs, in-process, inside ``reachable_states`` and inside a shard
-worker (``op_plan``).  Every result is checked against the unscheduled
+built now must survive a forced collection (in-process and inside
+``reachable_states`` also an in-place sift) before it runs, and inside
+a shard worker (``op_plan``) a forced collection.  Every result is checked against the unscheduled
 fold, ``image_partitioned(..., schedule=False)``.
 
 A cube constraint is imaged by cofactoring the plan's clusters; those
@@ -197,7 +197,6 @@ def test_worker_plan_survives_gc_and_sift() -> None:
         handles = load_parts(pool, 0, mgr, parts)
         plan_id = make_plan(pool, 0, mgr, handles, quantify, cs_vars)
         assert pool.call(0, ("gc",)) > 0
-        pool.call(0, ("sift",))
         resident = []
         for c in constraints:
             resident.append(pool.new_handle())

@@ -270,9 +270,9 @@ class TestMeta:
         assert meta["smoke"] is False
 
     def test_extra_knobs_merge(self) -> None:
-        meta = driver.meta(True, reorder="auto", gc="adaptive")
-        assert meta["reorder"] == "auto"
-        assert meta["gc"] == "adaptive"
+        meta = driver.meta(True, backend="buddy", product_order="interleaved")
+        assert meta["backend"] == "buddy"
+        assert meta["product_order"] == "interleaved"
 
 
 class TestDiffEnvironmentLine:

@@ -419,7 +419,7 @@ class TestBench:
         )
         assert code == 0
         payload = json.loads((tmp_path / "BENCH_table1.json").read_text())
-        assert payload["schema"] == "repro-bench-table1/9"
+        assert payload["schema"] == "repro-bench-table1/10"
         (row,) = payload["results"]
         for method in ("partitioned", "monolithic"):
             phases = row["methods"][method]["phases"]

@@ -142,7 +142,7 @@ def test_serving_docs_cover_the_operational_surface() -> None:
     serving = (DOCS / "serving.md").read_text()
     for token in (
         "cache key",
-        "--reorder",
+        "--shards",
         "progress",
         "checkpoint",
         "resume",
@@ -243,7 +243,7 @@ def test_streaming_docs_cover_the_surface() -> None:
         "psi_spill",
         "psi_reload",
         "repro_psi_spills_total",
-        "spill_rehashes",
+        "spill_bytes",
         "plan_components",
         "twin16x4@budget",
         "twin20_4@compose",
@@ -263,8 +263,21 @@ def test_internal_links_resolve() -> None:
 
 def test_docs_mention_the_tuning_flags() -> None:
     tuning = (DOCS / "tuning.md").read_text()
-    for token in ("--reorder", "--gc", "adaptive", "sift", "reclaim"):
+    for token in (
+        "gc_policy=",
+        "reorder_policy=",
+        "adaptive",
+        "sift_now",
+        "reclaim",
+        "misordered_product_reorder",
+        "reach_blocked_order_reorder",
+    ):
         assert token in tuning
+    # The solver knobs are gone; no page may still document them.
+    for page in (*DOCS.rglob("*.md"), REPO / "README.md"):
+        text = page.read_text()
+        for flag in ("--reorder", "--gc "):
+            assert flag not in text, f"{page.name} documents removed {flag!r}"
 
 
 def test_mkdocs_build_when_available(tmp_path) -> None:
