@@ -15,7 +15,8 @@ tuple aligned with :attr:`Automaton.variables`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections import deque
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.bdd.manager import FALSE, TRUE, BddManager
@@ -163,40 +164,57 @@ class Automaton:
             if mgr.eval(label, env)
         ]
 
-    def reachable_states(self) -> list[int]:
-        """Ids reachable from the initial state (BFS order)."""
-        if self.initial is None:
+    def reachable_states(self, within: Collection[int] | None = None) -> list[int]:
+        """Ids reachable from the initial state (BFS order).
+
+        With ``within``, only paths through those states count (empty
+        when the initial state is outside it).
+        """
+        if self.initial is None or (within is not None and self.initial not in within):
             return []
         seen = [self.initial]
         seen_set = {self.initial}
-        queue = [self.initial]
+        queue = deque(seen)
         while queue:
-            sid = queue.pop(0)
+            sid = queue.popleft()
             for dst, label in self.edges[sid].items():
-                if label != FALSE and dst not in seen_set:
+                if (
+                    label != FALSE
+                    and dst not in seen_set
+                    and (within is None or dst in within)
+                ):
                     seen_set.add(dst)
                     seen.append(dst)
                     queue.append(dst)
         return seen
 
-    def trim(self) -> "Automaton":
-        """Restrict to states reachable from the initial state."""
-        keep = self.reachable_states()
+    def restricted(self, keep: Sequence[int]) -> "Automaton":
+        """Sub-automaton on the states ``keep``, renumbered in that order.
+
+        Names, acceptance and each bucket's edge order carry over; edges
+        leaving ``keep`` and FALSE labels are dropped, and the initial
+        state becomes ``None`` when it is not kept.  Renumbering is a
+        bijection, so no two edges merge and every label is shared, not
+        rebuilt.
+        """
         remap = {old: new for new, old in enumerate(keep)}
         result = Automaton(self.manager, self.variables)
-        for old in keep:
-            result.add_state(
-                self.state_names[old], accepting=old in self.accepting
-            )
-        if keep:
-            result.initial = remap[self.initial]  # type: ignore[index]
-        else:
-            result.initial = None
-        for old in keep:
-            for dst, label in self.edges[old].items():
-                if dst in remap and label != FALSE:
-                    result.add_edge(remap[old], remap[dst], label)
+        result.state_names = [self.state_names[old] for old in keep]
+        result.accepting = {remap[old] for old in keep if old in self.accepting}
+        result.initial = remap.get(self.initial)  # type: ignore[arg-type]
+        result.edges = [
+            {
+                remap[dst]: label
+                for dst, label in self.edges[old].items()
+                if dst in remap and label != FALSE
+            }
+            for old in keep
+        ]
         return result
+
+    def trim(self) -> "Automaton":
+        """Restrict to states reachable from the initial state."""
+        return self.restricted(self.reachable_states())
 
     def copy(self) -> "Automaton":
         """Structural copy sharing the manager."""

@@ -204,17 +204,7 @@ def prefix_close(aut: Automaton) -> Automaton:
     """
     if aut.initial is None or aut.initial not in aut.accepting:
         return empty_automaton(aut.manager, aut.variables)
-    result = Automaton(aut.manager, aut.variables)
-    keep = sorted(aut.accepting)
-    remap = {old: new for new, old in enumerate(keep)}
-    for old in keep:
-        result.add_state(aut.state_names[old], accepting=True)
-    result.initial = remap[aut.initial]
-    for old in keep:
-        for dst, label in aut.edges[old].items():
-            if dst in remap:
-                result.add_edge(remap[old], remap[dst], label)
-    return result.trim()
+    return aut.restricted(aut.reachable_states(within=aut.accepting))
 
 
 def progressive(aut: Automaton, input_variables: Sequence[str]) -> Automaton:
@@ -224,6 +214,11 @@ def progressive(aut: Automaton, input_variables: Sequence[str]) -> Automaton:
     of the input variables ``u``, at least one outgoing transition (to a
     surviving state).  This is the step that turns the most general
     prefix-closed solution into the CSF, i.e. an implementable FSM.
+
+    Every state is checked once; after that, only the predecessors of a
+    removed state can lose progressiveness, so only they are rechecked.
+    The surviving set is the same greatest fixpoint a sweep over all
+    states until nothing changes reaches.
     """
     mgr = aut.manager
     unknown = set(input_variables) - set(aut.variables)
@@ -234,34 +229,32 @@ def progressive(aut: Automaton, input_variables: Sequence[str]) -> Automaton:
     other = [
         mgr.var_index(v) for v in aut.variables if v not in set(input_variables)
     ]
+    preds: list[set[int]] = [set() for _ in range(aut.num_states)]
+    for sid, bucket in enumerate(aut.edges):
+        for dst in bucket:
+            preds[dst].add(sid)
     alive = set(range(aut.num_states))
-    changed = True
-    while changed:
-        changed = False
-        for sid in sorted(alive):
-            defined = FALSE
-            for dst, label in aut.edges[sid].items():
-                if dst in alive:
-                    defined = mgr.apply_or(defined, label)
-                    if defined == TRUE:
-                        break
-            u_defined = mgr.exists(defined, other) if other else defined
-            if u_defined != TRUE:
-                alive.remove(sid)
-                changed = True
-        if aut.initial not in alive:
-            return empty_automaton(aut.manager, aut.variables)
-    result = Automaton(aut.manager, aut.variables)
-    keep = sorted(alive)
-    remap = {old: new for new, old in enumerate(keep)}
-    for old in keep:
-        result.add_state(aut.state_names[old], accepting=old in aut.accepting)
-    result.initial = remap[aut.initial]
-    for old in keep:
-        for dst, label in aut.edges[old].items():
-            if dst in remap:
-                result.add_edge(remap[old], remap[dst], label)
-    return result.trim()
+    pending = list(range(aut.num_states))
+    queued = set(pending)
+    while pending:
+        sid = pending.pop()
+        queued.discard(sid)
+        defined = FALSE
+        for dst, label in aut.edges[sid].items():
+            if dst in alive:
+                defined = mgr.apply_or(defined, label)
+                if defined == TRUE:
+                    break
+        u_defined = mgr.exists(defined, other) if other else defined
+        if u_defined != TRUE:
+            alive.remove(sid)
+            for pred in preds[sid]:
+                if pred in alive and pred not in queued:
+                    queued.add(pred)
+                    pending.append(pred)
+    if aut.initial not in alive:
+        return empty_automaton(aut.manager, aut.variables)
+    return aut.restricted(aut.reachable_states(within=alive))
 
 
 def union(a: Automaton, b: Automaton) -> Automaton:

@@ -204,6 +204,22 @@ class BuddyQuantSet:
         return f"<BuddyQuantSet vars={self.vars}>"
 
 
+class BuddyRenameMap:
+    """Interned rename map (the BuDDy analogue of
+    :class:`~repro.bdd.manager.RenameMap`): the ``bddPair`` is built
+    once and lives as long as the library state, which frees every pair
+    in ``bdd_done``."""
+
+    __slots__ = ("pair", "pairs")
+
+    def __init__(self, pair, pairs: dict[int, int]) -> None:
+        self.pair = pair
+        self.pairs = pairs
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<BuddyRenameMap pairs={self.pairs}>"
+
+
 class BuddyManager:
     """BuDDy-backed implementation of the :class:`BddBackend` protocol.
 
@@ -291,6 +307,7 @@ class BuddyManager:
         self._owned: dict[int, int] = {}
         self._extref: dict[int, int] = {}
         self._quant_cubes: dict[tuple[int, ...], int] = {}
+        self._rename_maps: dict[tuple[tuple[int, int], ...], BuddyRenameMap] = {}
         self._boundaries: set[int] = set()
         self._gc_baseline = 1
         self._gc_runs = 0
@@ -310,6 +327,7 @@ class BuddyManager:
         if self._closed:
             return
         self._closed = True
+        self._rename_maps.clear()  # bdd_done frees their pairs
         if _ACTIVE[0] is self:
             _ACTIVE[0] = None
             if self._lib.bdd_isrunning():
@@ -550,18 +568,32 @@ class BuddyManager:
         finally:
             lib.bdd_freepair(pair)
 
-    def rename(self, f: int, var_map: Mapping[int, int]) -> int:
-        relevant = {o: n for o, n in var_map.items() if o != n}
-        if not relevant or f < 2:
+    def rename_map(self, var_map) -> BuddyRenameMap:
+        if isinstance(var_map, BuddyRenameMap):
+            return var_map
+        pairs = {int(old): int(new) for old, new in var_map.items() if old != new}
+        key = tuple(sorted(pairs.items()))
+        interned = self._rename_maps.get(key)
+        if interned is None:
+            pair = None
+            if pairs:
+                lib = self._lib
+                pair = lib.bdd_newpair()
+                try:
+                    for old, new in pairs.items():
+                        self._check(lib.bdd_setpair(pair, old, new))
+                except BaseException:
+                    lib.bdd_freepair(pair)
+                    raise
+            interned = BuddyRenameMap(pair, pairs)
+            self._rename_maps[key] = interned
+        return interned
+
+    def rename(self, f: int, var_map) -> int:
+        rmap = self.rename_map(var_map)
+        if not rmap.pairs or f < 2:
             return f
-        lib = self._lib
-        pair = lib.bdd_newpair()
-        try:
-            for old, new in relevant.items():
-                self._check(lib.bdd_setpair(pair, old, new))
-            return self._own(lib.bdd_replace(f, pair))
-        finally:
-            lib.bdd_freepair(pair)
+        return self._own(self._lib.bdd_replace(f, rmap.pair))
 
     # ------------------------------------------------------------------ #
     # Lifetime

@@ -35,8 +35,16 @@ coverage with::
     def test_mybackend_matches_reference(program):
         run_conformance_case("python", "mybackend", program)
 
-hypothesis is imported lazily inside :func:`program_strategy`, so the
-kit itself imports fine in production environments without it.
+Two single-backend checks pin operations whose fast paths the random
+programs rarely reach: :func:`check_literal_ite` (``ite`` on a variable
+literal, the projection case) and :func:`check_rename_map` (``rename``
+through an interned :meth:`rename_map` against a plain dict, under a
+drawn variable order).  :func:`run_kit_check` runs either on a fresh
+manager of any backend.
+
+hypothesis is imported lazily inside :func:`program_strategy` and
+:func:`rename_case_strategy`, so the kit itself imports fine in
+production environments without it.
 """
 
 from __future__ import annotations
@@ -134,13 +142,16 @@ def program_strategy(
 def run_program(mgr, program: Program) -> list[int]:
     """Replay ``program`` on ``mgr``; returns the final operand pool.
 
-    The pool starts with both literals of every variable plus the two
-    terminals, and every step appends its result, so later steps can
+    Variables the manager already declares are reused (so a caller may
+    fix the order first).  The pool starts with both literals of every
+    variable plus the two terminals, and every step appends its result, so later steps can
     consume earlier results (a DAG, not a tree).  GC passes the live
     pool as roots — exactly how the solver protects its frontier — and
     sift events reorder in place with the pool pinned.
     """
-    variables = [mgr.add_var(n) for n in program.names]
+    variables = [
+        mgr.var_index(n) if mgr.has_var(n) else mgr.add_var(n) for n in program.names
+    ]
     pool: list[int] = [0, 1]
     for v in variables:
         pool.append(mgr.var_node(v))
@@ -251,6 +262,112 @@ def run_conformance_case(
             _close(mgr_b)
     finally:
         _close(mgr_a)
+
+
+def check_literal_ite(mgr, program: Program, tail: int = 4) -> None:
+    """Assert ``ite(var_node(v), g, h) == (v ∧ g) ∨ (¬v ∧ h)`` on ``mgr``.
+
+    Replays ``program``, then checks every variable ``v`` against the
+    last ``tail`` pool entries as ``g`` and ``h``, plain and
+    complemented.  Each pair is checked twice: as drawn (``v`` is often
+    not above them) and with every variable at or above ``v`` quantified
+    out (``v`` is above both: the projection case, which a kernel may
+    answer with one node lookup).
+    """
+    pool = run_program(mgr, program)
+    variables = [mgr.var_index(n) for n in program.names]
+    funcs = pool[-tail:]
+    for v in variables:
+        lit = mgr.var_node(v)
+        nlit = mgr.apply_not(lit)
+        level = mgr.var_level(v)
+        upper = mgr.quant_set([u for u in variables if mgr.var_level(u) <= level])
+        below = [mgr.exists(f, upper) for f in funcs]
+        for group in (funcs, below):
+            for f in group:
+                for g in (f, mgr.apply_not(f)):
+                    for k in group:
+                        for h in (k, mgr.apply_not(k)):
+                            want = mgr.apply_or(
+                                mgr.apply_and(lit, g), mgr.apply_and(nlit, h)
+                            )
+                            got = mgr.ite(lit, g, h)
+                            assert got == want, (
+                                f"{mgr.backend_name}: ite on literal "
+                                f"{program.names[v]!r} diverged"
+                            )
+
+
+def check_rename_map(
+    mgr,
+    program: Program,
+    order: tuple[str, ...],
+    targets: tuple[str, ...],
+) -> None:
+    """Assert ``rename`` through ``rename_map`` equals ``rename`` through a dict.
+
+    The variables are declared and put in ``order`` before ``program``
+    replays.  The map sends ``program.names[i]`` to ``targets[i]`` (a
+    permutation, so it may swap variables).  For every pool entry the
+    interned map must give the same edge as the dict, on the first call
+    and on the repeated (cached) one, and that edge must be the renamed
+    function: at every assignment ``x`` it equals ``f`` read with each
+    renamed variable taking its target's value in ``x``.  The inverse
+    map is checked the same way on the same manager, so two maps that
+    shared computed-table entries would show.
+    """
+    for name in program.names:
+        mgr.add_var(name)
+    mgr.set_order(list(order))
+    pool = run_program(mgr, program)
+    assignments = [
+        dict(zip(program.names, bits))
+        for bits in _bit_rows(len(program.names))
+    ]
+    for sources, dests in ((program.names, targets), (targets, program.names)):
+        target_of = dict(zip(sources, dests))
+        var_map = {mgr.var_index(old): mgr.var_index(new) for old, new in target_of.items()}
+        rmap = mgr.rename_map(var_map)
+        for f in pool:
+            via_dict = mgr.rename(f, var_map)
+            assert mgr.rename(f, rmap) == via_dict
+            assert mgr.rename(f, rmap) == via_dict
+            for x in assignments:
+                read = {name: x[target_of[name]] for name in program.names}
+                assert mgr.eval(via_dict, x) == mgr.eval(f, read), (
+                    f"{mgr.backend_name}: rename by {target_of} diverged"
+                )
+
+
+def _bit_rows(n: int) -> list[tuple[int, ...]]:
+    return [tuple((i >> k) & 1 for k in range(n)) for i in range(1 << n)]
+
+
+def rename_case_strategy(max_steps: int = 15, names: tuple[str, ...] = DEFAULT_NAMES):
+    """Hypothesis strategy for :func:`check_rename_map` arguments:
+    ``(program, order, targets)`` with two independent permutations of
+    ``names``."""
+    from hypothesis import strategies as st
+
+    return st.tuples(
+        program_strategy(max_steps=max_steps, names=names),
+        st.permutations(names).map(tuple),
+        st.permutations(names).map(tuple),
+    )
+
+
+def run_kit_check(backend, check, *args, **kwargs) -> None:
+    """Run one single-backend kit check on a fresh manager, then close it.
+
+    ``backend`` is a registry name or a zero-argument factory, as for
+    :func:`run_conformance_case`; ``check`` is :func:`check_literal_ite`
+    or :func:`check_rename_map`.
+    """
+    mgr = _make(backend, {})
+    try:
+        check(mgr, *args, **kwargs)
+    finally:
+        _close(mgr)
 
 
 def conformance_pairs() -> list[tuple[str, str]]:

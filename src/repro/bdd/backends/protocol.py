@@ -28,6 +28,11 @@ The contract, in prose
   pinned with :meth:`~BddBackend.ref` (or passed as GC roots, or
   variable literals) survive collections.  ``sift_now`` reorders in
   place and must keep every live handle valid.
+* **Interned operands.**  ``quant_set`` and ``rename_map`` return
+  backend-owned objects that the same manager's quantifiers and
+  ``rename`` accept in place of a plain variable collection or dict,
+  so a call repeated thousands of times skips its per-call setup.  The
+  plain forms must keep working and give the same results.
 * **Introspection may be weaker than the reference.**  ``check()``
   should verify structural invariants when the backend can, and must
   otherwise no-op with a :class:`BackendCheckWarning` — never raise for
@@ -95,7 +100,8 @@ class BddBackend(Protocol):
     def constrain(self, f: int, c: int) -> int: ...
     def compose(self, f: int, var: int, g: int) -> int: ...
     def vector_compose(self, f: int, substitution: Mapping[int, int]) -> int: ...
-    def rename(self, f: int, var_map: Mapping[int, int]) -> int: ...
+    def rename_map(self, var_map: Mapping[int, int]) -> Any: ...
+    def rename(self, f: int, var_map: Any) -> int: ...
 
     # -- lifetime ---------------------------------------------------- #
     def ref(self, f: int) -> int: ...

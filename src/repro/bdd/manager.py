@@ -56,7 +56,8 @@ Variable *levels* are separate from variable *indices*, so the order can
 be changed (see :mod:`repro.bdd.reorder`).  Repeated quantifications over
 the same variable set should go through :meth:`~BddManager.quant_set`,
 which interns the level tuple once and revalidates it lazily when the
-order changes (``_order_epoch``).
+order changes (``_order_epoch``); repeated renames under one map should
+go through :meth:`~BddManager.rename_map` likewise.
 
 All manager methods consume and produce int edges, which keeps the inner
 loops fast; :class:`repro.bdd.function.Function` offers an
@@ -172,6 +173,28 @@ class QuantSet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<QuantSet vars={self.vars}>"
+
+
+class RenameMap:
+    """A pre-interned variable rename map (``old -> new`` indices).
+
+    :meth:`BddManager.rename` keys its computed-table entries by a small
+    map id; handed a plain dict, it must filter, sort and intern the
+    pairs on every call, which costs more than the table probe of a hit.
+    A ``RenameMap`` carries that id from one :meth:`BddManager.rename_map`
+    call.  Unlike a :class:`QuantSet` it never revalidates: a rename
+    map names variable indices only, and those do not move when the
+    order does.
+    """
+
+    __slots__ = ("map_id", "pairs")
+
+    def __init__(self, map_id: int, pairs: dict[int, int]) -> None:
+        self.map_id = map_id
+        self.pairs = pairs
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<RenameMap id={self.map_id} pairs={self.pairs}>"
 
 
 class BddManager:
@@ -319,7 +342,7 @@ class BddManager:
         # maps (packed computed keys need small-int operands).
         self._levels_intern: dict[tuple[int, ...], int] = {}
         self._suffix_cache: dict[tuple[int, ...], list[int]] = {}
-        self._rename_intern: dict[tuple[tuple[int, int], ...], int] = {}
+        self._rename_intern: dict[tuple[tuple[int, int], ...], RenameMap] = {}
         # Variable bookkeeping.
         self._var_names: list[str] = []
         self._name_to_var: dict[str, int] = {}
@@ -1466,7 +1489,21 @@ class BddManager:
             Standard complement-edge normalisation at every expand frame:
             the condition and then-branch are made regular and constant
             branches delegate to AND so they share its cache entries.
+
+            The projection case comes first, as in CUDD's ``ite``: when
+            ``f`` is a literal whose variable sits above both branches,
+            the result is that variable's node over the branches — one
+            unique-table lookup, no frame and no computed-table entry.
             """
+            if f >= 2:
+                f0 = lo_arr[f]
+                if f0 < 2 and hi_arr[f] < 2:
+                    var = var_arr[f]
+                    lv = var2level[var]
+                    if (g < 2 or var2level[var_arr[g]] > lv) and (
+                        h < 2 or var2level[var_arr[h]] > lv
+                    ):
+                        return mk(var, h, g) if f0 == FALSE else mk(var, g, h)
             stack: list[tuple] = [(0, f, g, h)]
             pop = stack.pop
             push = stack.append
@@ -1900,10 +1937,32 @@ class BddManager:
             f = self.compose(f, var, substitution[var])
         return f
 
-    def rename(self, f: int, var_map: Mapping[int, int]) -> int:
+    def rename_map(self, var_map: Mapping[int, int] | RenameMap) -> RenameMap:
+        """Intern a rename map for repeated use (the rename counterpart of
+        :meth:`quant_set`).
+
+        Identity entries are dropped and the rest is interned by its
+        sorted pairs, so equal maps share one id and one set of
+        computed-table entries.  Passing the result to :meth:`rename`
+        makes a computed-table hit one probe; a plain dict pays the
+        filter/sort/intern pass on every call.
+        """
+        if type(var_map) is RenameMap:
+            return var_map
+        pairs = {int(old): int(new) for old, new in var_map.items() if old != new}
+        key = tuple(sorted(pairs.items()))
+        intern = self._rename_intern
+        interned = intern.get(key)
+        if interned is None:
+            interned = RenameMap(len(intern), pairs)
+            intern[key] = interned
+        return interned
+
+    def rename(self, f: int, var_map: Mapping[int, int] | RenameMap) -> int:
         """Rename variables of ``f`` according to ``var_map`` (old -> new).
 
-        One iterative structural rebuild of ``f``: each node is rebuilt
+        ``var_map`` is a dict or a pre-interned :meth:`rename_map`.  One
+        iterative structural rebuild of ``f``: each node is rebuilt
         directly under its new variable where that respects the order,
         and through :meth:`ite` on the new variable's literal where it
         does not.  An order-preserving map (the ``ns -> cs`` rename of a
@@ -1912,23 +1971,18 @@ class BddManager:
         at the nodes it moves.  The substitution is simultaneous, so a
         map may swap variables.
         """
-        relevant = {old: new for old, new in var_map.items() if old != new}
-        if not relevant or f < 2:
+        if type(var_map) is not RenameMap:
+            var_map = self.rename_map(var_map)
+        if f < 2 or not var_map.pairs:
             return f
         sign = f & 1
         f ^= sign
-        map_key = tuple(sorted(relevant.items()))
-        intern = self._rename_intern
-        mid = intern.get(map_key)
-        if mid is None:
-            mid = len(intern)
-            intern[map_key] = mid
-        key = (f << _EDGE_SHIFT | mid) << 4 | _OP_RENAME
+        key = (f << _EDGE_SHIFT | var_map.map_id) << 4 | _OP_RENAME
         r = self._computed.get(key)
         if r is not None:
             self._counters[0] += 1
             return r ^ sign
-        r = self._rename_struct(f, relevant)
+        r = self._rename_struct(f, var_map.pairs)
         self._computed[key] = r
         return r ^ sign
 
@@ -1936,6 +1990,7 @@ class BddManager:
         """Structural rebuild rename (iterative postorder with memo)."""
         var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
         var2level = self._var2level
+        mk = self._mk
         memo: dict[int, int] = {}
         stack: list[tuple[int, int]] = [(0, f)]
         rstack: list[int] = []
@@ -1957,10 +2012,12 @@ class BddManager:
                 lo = rstack.pop()
                 var = var_map.get(var_arr[e], var_arr[e])
                 level = var2level[var]
-                if min(self.level(lo), self.level(hi)) <= level:
+                if (lo >= 2 and var2level[var_arr[lo]] <= level) or (
+                    hi >= 2 and var2level[var_arr[hi]] <= level
+                ):
                     r = self.ite(self.var_node(var), hi, lo)
                 else:
-                    r = self._mk(var, lo, hi)
+                    r = mk(var, lo, hi)
                 memo[e] = r
                 rstack.append(r)
         return rstack[0]

@@ -1058,16 +1058,27 @@ def format_markdown_diff(
 # --------------------------------------------------------------------- #
 
 
-def git_rev() -> str | None:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
+def git_rev(root: Path = REPO_ROOT) -> str | None:
+    """Short HEAD revision of the checkout at ``root``, or None.
+
+    A ``-dirty`` suffix marks a work tree whose tracked files differ
+    from HEAD (staged or not; untracked files do not count, as with
+    ``git describe --dirty``), so a record made before committing does
+    not carry its parent's revision.
+    """
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", *args], cwd=root, capture_output=True, text=True, timeout=10
         )
-        return out.stdout.strip() or None
+
+    try:
+        rev = git("rev-parse", "--short", "HEAD").stdout.strip()
+        if not rev:
+            return None
+        if git("diff", "--quiet", "HEAD", "--").returncode == 1:
+            rev += "-dirty"
+        return rev
     except Exception:
         return None
 

@@ -104,13 +104,15 @@ class MonolithicOracle:
         self.cs_vars = problem.all_cs_vars() + [problem.dc_var]
         self.cs_set = frozenset(self.cs_vars)
         self.ns_vars = problem.all_ns_vars() + [problem.dc_ns_var]
-        # Interned quantification sets: every expansion quantifies the
-        # same cs/ns blocks, so the per-call level sort/intern pass is
-        # paid once (and revalidated lazily across dynamic reordering).
+        # Interned quantification sets and rename map: every expansion
+        # quantifies the same cs/ns blocks and renames ns -> cs, so the
+        # per-call sort/intern pass is paid once (quantification sets
+        # revalidate lazily across dynamic reordering).
         self.cs_qs = mgr.quant_set(self.cs_vars)
         self.ns_qs = mgr.quant_set(self.ns_vars)
-        self.rename = dict(problem.ns_to_cs())
-        self.rename[problem.dc_ns_var] = problem.dc_var
+        self.rename = mgr.rename_map(
+            {**problem.ns_to_cs(), problem.dc_ns_var: problem.dc_var}
+        )
         self.uv_vars = problem.uv_vars()
         self.init_cube = mgr.apply_and(
             problem.init_cube, mgr.apply_not(mgr.var_node(problem.dc_var))

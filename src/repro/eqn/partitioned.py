@@ -135,14 +135,15 @@ class PartitionedOracle:
             self.t_parts = self.t_parts + [self.dc_part]
             self.quantify = self.quantify + [problem.dc_var]
             self.ns_vars = self.ns_vars + [problem.dc_ns_var]
-            self.rename = dict(self.rename)
-            self.rename[problem.dc_ns_var] = problem.dc_var
+            self.rename = {**self.rename, problem.dc_ns_var: problem.dc_var}
             self.init_cube = mgr.apply_and(
                 self.init_cube, mgr.apply_not(mgr.var_node(problem.dc_var))
             )
         # Interned quantification set for the per-expansion ∃ns domain
-        # computation (revalidates lazily across dynamic reordering).
+        # computation (revalidates lazily across dynamic reordering) and
+        # interned ns -> cs map for the per-successor rename.
         self.ns_qs = mgr.quant_set(self.ns_vars)
+        self.rename = mgr.rename_map(self.rename)
         # Incremental completion: per-output projection sets and memo
         # tables.  R_j = state variables feeding neither the u functions
         # nor ¬C_j; ∃R_j.ψ is the memo key for output j's Q image.

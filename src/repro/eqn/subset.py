@@ -228,7 +228,8 @@ def finish_expansion(
     Without trimming (``q`` is ``None``) every class is expanded and
     ``oracle.is_accepting`` decides each successor by its DC1 flag.
     Either way, each (u,v) cofactor leaf renamed ``ns → cs`` is a
-    successor.  The oracle supplies ``mgr``, ``uv_vars``, ``rename`` and
+    successor.  The oracle supplies ``mgr``, ``uv_vars``, ``rename`` (an
+    interned :meth:`~repro.bdd.manager.BddManager.rename_map`) and
     ``ns_qs``; ``split`` is :func:`~repro.bdd.cube.split_by_vars` as the
     oracle's own module names it, which is where ``perfbench/layers.py``
     times the enumerate layer.

@@ -54,7 +54,7 @@ def reachable_states(
     and BDDs are canonical).  The workers inherit the manager's node
     budget and backend (:func:`repro.shard.pool.pool_opts`).
     """
-    rename = dict(zip(ns_vars, cs_vars))
+    rename = mgr.rename_map(dict(zip(ns_vars, cs_vars)))
     quantify = list(input_vars) + list(cs_vars)
     parts = list(relation)
     # Every frontier is a function of the cs variables, so the

@@ -16,9 +16,13 @@ from repro.bdd.backends.conformance import (
     Step,
     assert_same_functions,
     canonical_roots,
+    check_literal_ite,
+    check_rename_map,
     conformance_pairs,
     program_strategy,
+    rename_case_strategy,
     run_conformance_case,
+    run_kit_check,
     run_program,
 )
 
@@ -29,8 +33,12 @@ __all__ = [
     "Step",
     "assert_same_functions",
     "canonical_roots",
+    "check_literal_ite",
+    "check_rename_map",
     "conformance_pairs",
     "program_strategy",
+    "rename_case_strategy",
     "run_conformance_case",
+    "run_kit_check",
     "run_program",
 ]

@@ -33,9 +33,13 @@ from repro.bdd.backends.protocol import (
 from repro.bdd.manager import BddManager
 from repro.errors import BddError
 from tests.bdd.conformance import (
+    check_literal_ite,
+    check_rename_map,
     conformance_pairs,
     program_strategy,
+    rename_case_strategy,
     run_conformance_case,
+    run_kit_check,
     run_program,
 )
 
@@ -200,3 +204,43 @@ def test_replay_on_one_backend_is_deterministic(program) -> None:
     pool_a = run_program(mgr_a, program)
     pool_b = run_program(mgr_b, program)
     assert mgr_a.dump_nodes(pool_a) == mgr_b.dump_nodes(pool_b)
+
+
+# ----------------------------------------------------------------------
+# Single-backend kit checks: every backend that loads here, plus the
+# reference manager's iterative core.
+# ----------------------------------------------------------------------
+
+KIT_BACKENDS: list = [
+    pytest.param(DEFAULT_BACKEND, id=DEFAULT_BACKEND),
+    pytest.param(_iterative_python, id="iterative"),
+] + [
+    pytest.param(name, id=name)
+    for name in available_backends()
+    if name != DEFAULT_BACKEND
+]
+
+
+@pytest.mark.parametrize("backend", KIT_BACKENDS)
+@given(program=program_strategy(max_steps=15))
+@settings(max_examples=40, deadline=None)
+def test_literal_ite_is_the_shannon_expansion(backend, program) -> None:
+    run_kit_check(backend, check_literal_ite, program)
+
+
+@pytest.mark.parametrize("backend", KIT_BACKENDS)
+@given(case=rename_case_strategy())
+@settings(max_examples=60, deadline=None)
+def test_rename_map_equals_dict_rename(backend, case) -> None:
+    program, order, targets = case
+    run_kit_check(backend, check_rename_map, program, order, targets)
+
+
+def test_rename_map_is_interned() -> None:
+    mgr = BddManager()
+    a, b, c = mgr.add_vars(["a", "b", "c"])
+    first = mgr.rename_map({a: b, b: a, c: c})
+    assert mgr.rename_map({b: a, a: b}) is first
+    assert mgr.rename_map(first) is first
+    assert first.pairs == {a: b, b: a}
+    assert mgr.rename_map({a: c}) is not first

@@ -95,3 +95,46 @@ def test_split_rejects_vars_below_support() -> None:
     f = mgr.apply_and(mgr.var_node(n), mgr.var_node(u))
     with pytest.raises(BddError):
         split_by_vars(mgr, f, [u])
+
+
+def _split_reference(mgr, f, split_vars):
+    """The split as it was first written: each class condition at a split
+    node is ``(¬v ∧ lo_cond) ∨ (v ∧ hi_cond)``, built from two
+    ``apply_and`` and two ``apply_or`` calls.  Kept as the oracle for the
+    one-lookup ``ite`` construction."""
+    split_levels = {mgr.var_level(v) for v in split_vars}
+    memo = {}
+
+    def rec(node):
+        if node < 2 or mgr.level(node) not in split_levels:
+            return {node: TRUE}
+        if node in memo:
+            return memo[node]
+        var_bdd = mgr.var_node(mgr.node_var(node))
+        nvar_bdd = mgr.apply_not(var_bdd)
+        result = {}
+        for leaf, cond in rec(mgr.node_lo(node)).items():
+            result[leaf] = mgr.apply_or(
+                result.get(leaf, FALSE), mgr.apply_and(nvar_bdd, cond)
+            )
+        for leaf, cond in rec(mgr.node_hi(node)).items():
+            result[leaf] = mgr.apply_or(
+                result.get(leaf, FALSE), mgr.apply_and(var_bdd, cond)
+            )
+        memo[node] = result
+        return result
+
+    out = dict(rec(f))
+    out.pop(FALSE, None)
+    return out
+
+
+@given(expressions(ALL_VARS, max_leaves=12))
+@settings(max_examples=100, deadline=None)
+def test_split_equals_the_and_or_reference(expr) -> None:
+    """Same classes, same lo-first order, same condition edges."""
+    mgr, node = build(expr)
+    split_ids = [mgr.var_index(v) for v in SPLIT_VARS]
+    got = list(split_by_vars(mgr, node, split_ids).items())
+    want = list(_split_reference(mgr, node, split_ids).items())
+    assert got == want

@@ -354,3 +354,28 @@ def test_shard_workloads_registered_in_pairs(name) -> None:
         n: (full, smoke) for n, _f, full, smoke in driver.KERNEL_WORKLOADS
     }
     assert sizes[f"{base}@shards1"] == sizes[name]
+
+
+def test_git_rev_marks_a_modified_work_tree_dirty(tmp_path) -> None:
+    import subprocess
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "tracked.txt").write_text("one\n")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "first")
+    head = git("rev-parse", "--short", "HEAD")
+    assert driver.git_rev(tmp_path) == head
+    (tmp_path / "untracked.txt").write_text("new\n")
+    assert driver.git_rev(tmp_path) == head
+    (tmp_path / "tracked.txt").write_text("two\n")
+    assert driver.git_rev(tmp_path) == f"{head}-dirty"
+
+
+def test_git_rev_outside_a_repository_is_none(tmp_path) -> None:
+    assert driver.git_rev(tmp_path / "missing") is None
