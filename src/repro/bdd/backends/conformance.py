@@ -49,6 +49,7 @@ production environments without it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from repro.bdd.manager import BddManager
@@ -322,25 +323,21 @@ def check_rename_map(
     pool = run_program(mgr, program)
     assignments = [
         dict(zip(program.names, bits))
-        for bits in _bit_rows(len(program.names))
+        for bits in itertools.product((0, 1), repeat=len(program.names))
     ]
     for sources, dests in ((program.names, targets), (targets, program.names)):
         target_of = dict(zip(sources, dests))
         var_map = {mgr.var_index(old): mgr.var_index(new) for old, new in target_of.items()}
         rmap = mgr.rename_map(var_map)
         for f in pool:
-            via_dict = mgr.rename(f, var_map)
-            assert mgr.rename(f, rmap) == via_dict
-            assert mgr.rename(f, rmap) == via_dict
+            renamed = mgr.rename(f, rmap)
+            assert mgr.rename(f, var_map) == renamed
+            assert mgr.rename(f, rmap) == renamed
             for x in assignments:
                 read = {name: x[target_of[name]] for name in program.names}
-                assert mgr.eval(via_dict, x) == mgr.eval(f, read), (
+                assert mgr.eval(renamed, x) == mgr.eval(f, read), (
                     f"{mgr.backend_name}: rename by {target_of} diverged"
                 )
-
-
-def _bit_rows(n: int) -> list[tuple[int, ...]]:
-    return [tuple((i >> k) & 1 for k in range(n)) for i in range(1 << n)]
 
 
 def rename_case_strategy(max_steps: int = 15, names: tuple[str, ...] = DEFAULT_NAMES):
