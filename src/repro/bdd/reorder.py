@@ -582,63 +582,3 @@ def greedy_sift_order(
         if not improved:
             break
     return order
-
-
-# --------------------------------------------------------------------------- #
-# Product-order pairing helpers (boundary-aware)
-# --------------------------------------------------------------------------- #
-#
-# These helpers order only the *state block* of a product problem — the
-# variables declared below the letters/states reorder boundary (see
-# ``repro.eqn.problem``).  They never touch letter variables, so any order
-# they emit keeps the letters-above-states invariant by construction.
-
-
-def pair_state_latches(
-    s_latches: Sequence[str], f_latches: Sequence[str]
-) -> list[tuple[str | None, str]]:
-    """Pair each specification latch with its fixed-component twin by name.
-
-    The latch split keeps the fixed component's latches under their
-    original names (minus the extracted ``x`` latches), so name equality
-    is an exact affinity signal: ``F.q0`` is the fixed copy of ``S.q0``.
-    Returns ``(f_name | None, s_name)`` pairs in ``s_latches`` order —
-    ``None`` marks an extracted latch with no fixed twin.  Raises
-    :class:`BddError` if a fixed latch has no specification counterpart
-    (the split invariant would be broken upstream).
-    """
-    s_order = list(s_latches)
-    s_set = set(s_order)
-    orphans = [name for name in f_latches if name not in s_set]
-    if orphans:
-        raise BddError(
-            f"fixed latches without specification twin: {orphans!r}"
-        )
-    f_set = set(f_latches)
-    return [(name if name in f_set else None, name) for name in s_order]
-
-
-def interleaved_state_order(
-    pairs: Sequence[tuple[str | None, str]],
-    *,
-    f_prefix: str = "F.",
-    s_prefix: str = "S.",
-    ns_suffix: str = "'",
-) -> list[str]:
-    """Flatten latch pairs into the interleaved state-block variable order.
-
-    Each kept pair contributes ``(F.cs, F.ns, S.cs, S.ns)``; an extracted
-    latch (``f_name is None``) contributes only ``(S.cs, S.ns)``.  Within
-    every group the cs variable sits directly above its ns twin, so the
-    order-preserving ``ns -> cs`` rename fast path holds exactly as it
-    does for the stacked order: sources sorted by level map to targets in
-    the same relative order, each target one level above its source.
-    """
-    out: list[str] = []
-    for f_name, s_name in pairs:
-        if f_name is not None:
-            out.append(f"{f_prefix}{f_name}")
-            out.append(f"{f_prefix}{f_name}{ns_suffix}")
-        out.append(f"{s_prefix}{s_name}")
-        out.append(f"{s_prefix}{s_name}{ns_suffix}")
-    return out

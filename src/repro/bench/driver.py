@@ -62,30 +62,25 @@ from repro.util.tables import format_table
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
 SCHEMA_KERNEL = "repro-bench-kernel/4"
-SCHEMA_TABLE1 = "repro-bench-table1/10"
+SCHEMA_TABLE1 = "repro-bench-table1/11"
 
 #: Table 1 variant rows, declared once as data: ``(suffix, cases,
 #: config overrides)``.  A full run records each listed case again as
 #: ``<case><suffix>`` under the run's config with the overrides merged
 #: in; ``table1_row_names``, ``run_table1_bench`` and ``list_workloads``
 #: all walk this table.  A variant is skipped when the run itself
-#: already sets its first overridden field (an interleaved run covers
-#: the ``@interleave`` rows, a ``--backend buddy`` run the ``@buddy``
-#: ones), and a ``@buddy`` row is planned only where the native library
-#: loads (never measured on the silent fallback under a ``buddy``
-#: label).  ``@batch8`` appears twice so that the suite rows precede the
-#: ``@interleave`` row in the artifact.  The adaptive GC and reorder
+#: already sets its first overridden field (a ``--backend buddy`` run
+#: covers the ``@buddy`` rows), and a ``@buddy`` row is planned only
+#: where the native library loads (never measured on the silent
+#: fallback under a ``buddy`` label).  The adaptive GC and reorder
 #: policies are kernel settings, priced by the kernel pairs
-#: (``*_reorder``, ``gc_reachability``); solves run the kernel defaults.
+#: (``misordered_product_reorder``, ``gc_reachability``); solves run the
+#: kernel defaults.
 #:
 #: * ``@shards2`` — the sharded runtime; read wall-clock deltas together
 #:   with ``meta.cpu_count`` (on one core the workers time-slice).
 #: * ``@batch8`` — BFS frontier, batches of 8: the sibling grouping that
 #:   makes the incremental completion memo pay.
-#: * ``@interleave`` — the per-latch ``F.cs/F.ns/S.cs/S.ns`` product
-#:   order; byte-identical results, only node counts and wall differ.
-#:   On the committed artifact (one run per row) twin16x4@batch8 takes
-#:   1.09 s stacked and 1.17 s interleaved, twin12_8 8.7 s and 11.8 s.
 #: * ``@budget`` — the ``@batch8`` engine with the resident ψ set capped
 #:   far below the twin rings' unbounded peak, so the row prices real
 #:   spills/reloads against byte-identical results.
@@ -95,14 +90,7 @@ SCHEMA_TABLE1 = "repro-bench-table1/10"
 BATCH8 = {"frontier": "bfs", "batch": 8}
 VARIANTS = (
     ("@shards2", ("johnson12",), {"shards": 2}),
-    ("@batch8", ("johnson12", "rand20"), BATCH8),
-    ("@interleave", ("johnson12",), {"product_order": "interleaved"}),
-    ("@batch8", ("twin16x4", "twin12_8"), BATCH8),
-    (
-        "@interleave+batch8",
-        ("twin16x4", "twin12_8"),
-        {"product_order": "interleaved", **BATCH8},
-    ),
+    ("@batch8", ("johnson12", "rand20", "twin16x4", "twin12_8"), BATCH8),
     ("@budget", ("twin16x4",), {**BATCH8, "resident_budget": 2_048}),
     ("@compose", ("twin20_4",), {"compose": True}),
     ("@buddy", ("s27", "johnson8"), {"backend": "buddy"}),
@@ -288,22 +276,17 @@ def wl_misordered_product_reorder(n: int) -> BddManager:
     return _misordered_product(n, "auto")
 
 
-def _reach_blocked(n: int, reorder_mode: str) -> BddManager:
+def wl_reach_blocked(n: int) -> BddManager:
     """Gray-counter reachability under a blocked (cs…, ns…) order.
 
     The deliberately bad order — all current-state variables above all
     next-state variables instead of interleaved — inflates every image
-    step.  The ``_reorder`` variant lets unprofitable collections
-    trigger in-place sifting mid-fixpoint (pinned relation parts,
-    reached set and frontier all keep their edges across the reorder).
+    step, under adaptive GC with a low floor.  A GC-triggered sift paid
+    nothing here (same 1 258-node peak, 111 sweeps against 32), so the
+    row has no ``_reorder`` twin.
     """
     net = circuits.gray_counter(n)
-    mgr = BddManager(
-        gc_policy=GcPolicy(mode="adaptive", min_live=200, growth=1.2),
-        reorder_policy=ReorderPolicy(
-            mode=reorder_mode, min_live=0, window=1, reclaim_threshold=0.5
-        ),
-    )
+    mgr = BddManager(gc_policy=GcPolicy(mode="adaptive", min_live=200, growth=1.2))
     input_vars = {name: mgr.add_var(name) for name in net.inputs}
     cs = {name: mgr.add_var(name) for name in net.latches}
     ns = {name: mgr.add_var(f"{name}'") for name in net.latches}
@@ -311,14 +294,6 @@ def _reach_blocked(n: int, reorder_mode: str) -> BddManager:
     result = network_reachable_states(bdds, ns_vars=ns)
     assert result.state_count == 2**n
     return mgr
-
-
-def wl_reach_blocked(n: int) -> BddManager:
-    return _reach_blocked(n, "off")
-
-
-def wl_reach_blocked_reorder(n: int) -> BddManager:
-    return _reach_blocked(n, "auto")
 
 
 def _reach_sharded(n: int, shards: int) -> BddManager:
@@ -429,8 +404,8 @@ def _solve_johnson(n: int, config: SolveConfig) -> BddManager:
     The ``solve@*`` rows share one instance and differ only in config:
     the ``@batch1``/``@batch8`` pair isolates the cost/benefit of
     batching (and the BFS sibling grouping that makes the completion
-    memo hit); ``@interleave`` and ``@buddy`` run the ``@batch1`` solve
-    under the interleaved product order and on the native kernel.
+    memo hit); ``@buddy`` runs the ``@batch1`` solve on the native
+    kernel.
     """
     from repro.eqn.problem import build_latch_split_problem
     from repro.eqn.solver import solve_equation
@@ -459,7 +434,6 @@ KERNEL_WORKLOADS = [
     ("misordered_product", wl_misordered_product, 12, 7),
     ("misordered_product_reorder", wl_misordered_product_reorder, 12, 7),
     ("reach_blocked_order", wl_reach_blocked, 9, 8),
-    ("reach_blocked_order_reorder", wl_reach_blocked_reorder, 9, 8),
     # Sharded-runtime pairs: compare each @shards2 row against its
     # @shards1 twin *and* the recorded meta.cpu_count.
     ("reach@shards1", wl_reach_shards1, 18, 12),
@@ -469,9 +443,6 @@ KERNEL_WORKLOADS = [
     # Frontier-batched subset-engine pair: same solve, batch sizes 1/8.
     ("solve@batch1", _solve_workload(), 10, 8),
     ("solve@batch8", _solve_workload(batch=8), 10, 8),
-    # Product-order pair: the @batch1 solve under the interleaved
-    # product order (identical result bytes; ordering cost only).
-    ("solve@interleave", _solve_workload(product_order="interleaved"), 10, 8),
     # Backend pair: the @batch1 solve on the native BuDDy kernel.  Runs
     # only where the shared library loads (see _workload_available);
     # elsewhere the row is skipped, never silently measured on the
@@ -1085,8 +1056,8 @@ def git_rev(root: Path = REPO_ROOT) -> str | None:
 
 def meta(smoke: bool, **extra) -> dict:
     """Run provenance.  ``extra`` records suite-specific knobs only —
-    the ``--backend``/``--product-order`` flags go into the table1 meta
-    alone, since kernel workloads build their own managers.
+    the ``--backend`` flag goes into the table1 meta alone, since kernel
+    workloads build their own managers.
 
     ``cpu_count`` makes the sharded-runtime rows interpretable across
     machines: ``@shards2`` beating ``@shards1`` needs real cores, and a

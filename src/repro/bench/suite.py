@@ -144,8 +144,7 @@ TABLE1_CASES: list[SplitCase] = [
 #: ``Q_ψ`` images collapse onto shared cofactor classes — out of reach
 #: for the pre-batching engine within the same budget.  ``twin12_8``
 #: stresses the coupled-split regime instead: extracting four latches
-#: from the smaller ring yields thousands of subset states whose F/S
-#: product BDDs are what ``--product-order interleaved`` reshapes.
+#: from the smaller ring yields thousands of subset states.
 TABLE1_BENCH_ONLY_CASES: list[SplitCase] = [
     SplitCase(
         name="twin16x4",
@@ -169,9 +168,7 @@ TABLE1_BENCH_ONLY_CASES: list[SplitCase] = [
         expect_mono_cnc=True,
         notes=(
             "run with frontier=bfs batch=8: four extracted latches from "
-            "the 8-ring leave 3072 subset states; both product orders "
-            "complete within the time budget (8.7 s stacked, 11.8 s "
-            "interleaved committed)"
+            "the 8-ring leave 3072 subset states"
         ),
     ),
 ]

@@ -253,7 +253,6 @@ def subproblem(problem: EquationProblem, comp: Component) -> EquationProblem:
         dc_var=problem.dc_var,
         dc_ns_var=problem.dc_ns_var,
         init_cube=init,
-        product_order=problem.product_order,
     )
     sub.f_next = {n: problem.f_next[n] for n in problem.f_next if n in f_latches}
     sub.f_u = dict(problem.f_u)

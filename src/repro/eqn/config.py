@@ -38,8 +38,6 @@ METHODS = ("partitioned", "monolithic", "explicit")
 STRATEGIES = ("dfs", "bfs", "size")
 #: BDD kernels selectable by name (see :mod:`repro.bdd.backends`).
 BACKEND_CHOICES = ("python", "buddy")
-#: Product variable-order policies (see :func:`repro.eqn.problem.build_problem`).
-PRODUCT_ORDERS = ("stacked", "interleaved")
 
 HASHED = "hashed"
 EXCLUDED = "excluded"
@@ -106,15 +104,6 @@ class SolveConfig:
         "batches pipeline sharded image computations and share completion "
         "work between sibling subsets)",
         minimum=1,
-    )
-    product_order: str = _knob(
-        "stacked",
-        HASHED,
-        "product variable-order policy: stacked keeps all F latch pairs "
-        "above all S pairs; interleaved groups each latch's F/S copies "
-        "together (a node-count lever for coupled splits); results are "
-        "identical",
-        choices=PRODUCT_ORDERS,
     )
     compose: bool = _knob(
         False,
@@ -226,7 +215,6 @@ RESULT_OPTIONS = (
     "shards",
     "frontier",
     "batch",
-    "product_order",
     "resident_budget",
     "compose",
 )
@@ -236,13 +224,12 @@ BENCH_COLUMNS = (
     "frontier",
     "batch",
     "backend",
-    "product_order",
     "resident_budget",
     "compose",
 )
 #: Flags of ``repro reach`` and ``repro bench`` (solve and submit take all).
 REACH_FLAGS = ("schedule", "shards", "backend")
-BENCH_FLAGS = ("backend", "product_order")
+BENCH_FLAGS = ("backend",)
 
 
 def add_config_flags(

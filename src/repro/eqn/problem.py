@@ -7,29 +7,20 @@ functions of the fixed component ``F`` — ``{T^F_j(i,v,cs1)}``,
 — ``{T^S_j(i,cs2)}``, ``{O^S_j(i,cs2)}`` — plus the DC-completion flag
 variable pair the monolithic flow needs.
 
-Variable order (top to bottom), ``product_order="stacked"`` (default)::
+Variable order (top to bottom)::
 
     i..., o..., u..., v...,        # letter variables
     (F.cs_k, F.ns_k)*,             # fixed component latches, interleaved
     (S.dc, S.dc'),                 # completion flag (monolithic flow)
     (S.cs_k, S.ns_k)*              # specification latches, interleaved
 
-``product_order="interleaved"`` pairs each specification latch with its
-fixed-component twin by name and interleaves the two machines per latch::
-
-    i..., o..., u..., v...,        # letter variables
-    (S.dc, S.dc'),                 # completion flag (monolithic flow)
-    (F.cs_k, F.ns_k, S.cs_k, S.ns_k)*   # per kept latch, in S latch order
-    (S.cs_x, S.ns_x)*                   # extracted latches (no F twin)
-
-For tightly coupled splits the stacked order must remember every F-latch
-valuation before correlating it with its S twin (exponential node
-counts); interleaving the copies keeps the correlation local.
-
 Letter variables above all state variables is a *requirement* of the
-cofactor-splitting step of the subset construction (both orders keep the
-reorder block boundary there); cs directly above its ns twin keeps the
-ns->cs rename order-preserving (fast path) in both orders.
+cofactor-splitting step of the subset construction (the reorder block
+boundary sits there); cs directly above its ns twin keeps the ns->cs
+rename order-preserving (fast path).  The F block stacked above the S
+block is the only product layout: a per-latch F/S interleaving changes
+node counts, not the solved language, and measured no faster on any
+committed row (see ``docs/tuning.md``).
 """
 
 from __future__ import annotations
@@ -76,8 +67,6 @@ class EquationProblem:
     dc_ns_var: int = -1
     # Initial product state cube over (F.cs, S.cs).
     init_cube: int = 1
-    # Product variable order policy ("stacked" or "interleaved").
-    product_order: str = "stacked"
 
     # -- derived helpers -------------------------------------------------- #
 
@@ -169,17 +158,10 @@ def build_problem(
     reference — or a native adapter such as ``"buddy"``); every backend
     produces identical results, so this is purely a speed knob, and an
     unavailable native backend falls back to pure Python with a warning.
-
-    ``product_order`` selects the state-block layout (see the module
-    docstring): ``"stacked"`` keeps all F latch pairs above all S pairs;
-    ``"interleaved"`` groups each kept latch's four copies together.
-    Both orders produce identical solver results — this is purely a
-    node-count/speed knob for coupled splits.
     """
     from repro.bdd.backends import create_manager
 
     config = SolveConfig.from_mapping(knobs, config)
-    product_order = config.product_order
     original = split.original
     fixed = split.fixed
     mgr = create_manager(
@@ -210,44 +192,14 @@ def build_problem(
     f_ns_vars: dict[str, int] = {}
     s_cs_vars: dict[str, int] = {}
     s_ns_vars: dict[str, int] = {}
-    if product_order == "stacked":
-        for name in fixed.latches:
-            f_cs_vars[name] = mgr.add_var(f"F.{name}")
-            f_ns_vars[name] = mgr.add_var(f"F.{name}'")
-        dc_var = mgr.add_var("S.dc")
-        dc_ns_var = mgr.add_var("S.dc'")
-        for name in original.latches:
-            s_cs_vars[name] = mgr.add_var(f"S.{name}")
-            s_ns_vars[name] = mgr.add_var(f"S.{name}'")
-    else:
-        # Interleaved: DC flag pair first (keeps the ns->cs rename
-        # monotone: S.dc' is the topmost source, S.dc the topmost
-        # target), then each kept latch's four copies grouped together.
-        from repro.bdd.reorder import interleaved_state_order, pair_state_latches
-
-        dc_var = mgr.add_var("S.dc")
-        dc_ns_var = mgr.add_var("S.dc'")
-        pairs = pair_state_latches(list(original.latches), list(fixed.latches))
-        for var_name in interleaved_state_order(pairs):
-            idx = mgr.add_var(var_name)
-            base = var_name[2:]  # strip "F." / "S." prefix
-            if var_name.startswith("F."):
-                if base.endswith("'"):
-                    f_ns_vars[base[:-1]] = idx
-                else:
-                    f_cs_vars[base] = idx
-            else:
-                if base.endswith("'"):
-                    s_ns_vars[base[:-1]] = idx
-                else:
-                    s_cs_vars[base] = idx
-        # Restore declaration-order iteration (F latches in fixed order,
-        # S latches in original order) — downstream code zips these dicts
-        # against net.latches.
-        f_cs_vars = {name: f_cs_vars[name] for name in fixed.latches}
-        f_ns_vars = {name: f_ns_vars[name] for name in fixed.latches}
-        s_cs_vars = {name: s_cs_vars[name] for name in original.latches}
-        s_ns_vars = {name: s_ns_vars[name] for name in original.latches}
+    for name in fixed.latches:
+        f_cs_vars[name] = mgr.add_var(f"F.{name}")
+        f_ns_vars[name] = mgr.add_var(f"F.{name}'")
+    dc_var = mgr.add_var("S.dc")
+    dc_ns_var = mgr.add_var("S.dc'")
+    for name in original.latches:
+        s_cs_vars[name] = mgr.add_var(f"S.{name}")
+        s_ns_vars[name] = mgr.add_var(f"S.{name}'")
 
     # ---- F functions over (i, v, cs1) ---- #
     f_inputs = {n: i_vars[n] for n in original.inputs}
@@ -270,7 +222,6 @@ def build_problem(
         s_ns_vars=s_ns_vars,
         dc_var=dc_var,
         dc_ns_var=dc_ns_var,
-        product_order=product_order,
     )
     problem.f_next = dict(f_bdds.next_state)
     for wire in u_names:

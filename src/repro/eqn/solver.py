@@ -81,10 +81,8 @@ def solve_equation(
         which documents every field): ``config`` (default: all
         defaults) with any per-field keywords — ``method=``,
         ``shards=``, ``frontier=``, ``batch=``, ``compose=``, ... —
-        merged on top.  The manager settings (``backend``,
-        ``product_order``) took effect when the problem was built;
-        ``SolveResult.options`` records the problem's own
-        ``product_order``.
+        merged on top.  The manager setting (``backend``) took effect
+        when the problem was built.
     limit:
         Optional wall-clock budget; BDD-node budgets are configured when
         *building* the problem (``max_nodes``).
@@ -191,7 +189,6 @@ def solve_equation(
         if residency is not None:
             residency.close()
     options = {name: getattr(config, name) for name in RESULT_OPTIONS}
-    options["product_order"] = problem.product_order
     options["compose"] = False
     return SolveResult(
         problem=problem,
@@ -221,8 +218,8 @@ def solve_latch_split(
     the complete sequential flexibility of the moved part.
 
     ``config`` and per-field keywords select every solver setting (see
-    :class:`~repro.eqn.config.SolveConfig`): the manager settings
-    (``backend``, ``product_order``) build the problem, the rest drive
+    :class:`~repro.eqn.config.SolveConfig`): the manager setting
+    (``backend``) builds the problem, the rest drive
     :func:`solve_equation`.  Every other keyword (``pool``,
     ``progress``, ``cancel``, ``checkpoint*``, ``resume``,
     ``spill_dir``) is a per-call hook forwarded to

@@ -16,10 +16,10 @@ What is part of the key
 * the split (``x_latches``, ``u_signals``);
 * every ``hashed`` field of :class:`~repro.eqn.config.SolveConfig`:
   ``method``, ``schedule``, ``trim``, ``shards``, ``frontier``,
-  ``batch``, ``product_order``, ``compose``.
+  ``batch``, ``compose``.
 
-Flags like ``--shards`` or ``--product-order`` provably do not change
-the solved language — but they are hashed anyway, for three reasons.
+Flags like ``--shards`` or ``--batch`` provably do not change the
+solved language — but they are hashed anyway, for three reasons.
 First, byte-reproducibility is the conservative contract: ``frontier``
 and ``batch`` change subset discovery order and therefore state
 *numbering*, so a cached automaton from a different setting would not
@@ -62,7 +62,7 @@ from repro.eqn.config import ConfigError, SolveConfig
 from repro.errors import ServeError
 
 #: Version tag of the canonical spec layout (bump on field changes).
-SPEC_FORMAT = "repro-serve-spec/4"
+SPEC_FORMAT = "repro-serve-spec/5"
 
 
 def canonical_blif(blif: "str | object") -> str:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench import circuits, figure3_network, s27
 from repro.errors import EquationError
@@ -43,6 +45,50 @@ class TestVariableLayout:
         assert set(prob.all_cs_vars()) <= quantify
         assert {prob.i_vars[n] for n in prob.i_names} <= quantify
         assert not (set(prob.all_ns_vars()) & quantify)
+
+
+@st.composite
+def split_instances(draw):
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    n_inputs = draw(st.integers(min_value=1, max_value=3))
+    n_latches = draw(st.integers(min_value=2, max_value=6))
+    net = circuits.random_network(n_inputs, n_latches, 1, seed=seed)
+    latches = net.latch_names()
+    k = draw(st.integers(min_value=1, max_value=len(latches)))
+    x = draw(
+        st.lists(st.sampled_from(latches), min_size=k, max_size=k, unique=True)
+    )
+    return net, x
+
+
+def _rename_is_monotone(order: list[str], cs: list[str], ns: list[str]) -> bool:
+    """Sources sorted by level must map to targets in the same order."""
+    level = {name: i for i, name in enumerate(order)}
+    by_source = sorted(zip(ns, cs), key=lambda pair: level[pair[0]])
+    target_levels = [level[c] for _, c in by_source]
+    return target_levels == sorted(target_levels)
+
+
+@given(split_instances())
+@settings(max_examples=15, deadline=None)
+def test_stacked_order_keeps_boundary_and_monotone_renames(instance) -> None:
+    """The product layout keeps the letters above the reorder boundary
+    and both ``ns -> cs`` rename maps (F and S) order-preserving."""
+    net, x = instance
+    problem = build_latch_split_problem(net, x)
+    order = problem.manager.var_order()
+    n_letters = len(
+        problem.i_names + problem.o_names + problem.u_names + problem.v_names
+    )
+    assert problem.manager.reorder_boundaries == {n_letters}
+    assert all(not name.startswith(("F.", "S.")) for name in order[:n_letters])
+    assert all(name.startswith(("F.", "S.")) for name in order[n_letters:])
+    s_cs = ["S.dc"] + [f"S.{n}" for n in problem.split.original.latches]
+    s_ns = ["S.dc'"] + [f"S.{n}'" for n in problem.split.original.latches]
+    f_cs = [f"F.{n}" for n in problem.split.fixed.latches]
+    f_ns = [f"F.{n}'" for n in problem.split.fixed.latches]
+    assert _rename_is_monotone(order, f_cs, f_ns)
+    assert _rename_is_monotone(order, s_cs, s_ns)
 
 
 class TestFunctions:

@@ -93,7 +93,12 @@ class TestSubmitToResult:
         with pytest.raises(ServeError, match="missing 'x_latches'"):
             served.client.submit({"blif": S27_BLIF})
         # A misspelled flag, or one a newer server no longer takes.
-        for flags in ({"bach": 8}, {"reorder": "auto"}, {"gc": "adaptive"}):
+        for flags in (
+            {"bach": 8},
+            {"reorder": "auto"},
+            {"gc": "adaptive"},
+            {"product_order": "stacked"},
+        ):
             with pytest.raises(ServeError, match="unknown solver flags"):
                 served.client.submit({"blif": S27_BLIF, "x_latches": X, **flags})
 
@@ -114,6 +119,7 @@ class TestSubmitValidation:
             {"shards": 1.0},
             {"reorder": "auto"},
             {"gc": "adaptive"},
+            {"product_order": "stacked"},
         ],
         ids=repr,
     )

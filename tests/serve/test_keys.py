@@ -65,7 +65,6 @@ def test_different_split_separates() -> None:
         ("shards", 2),
         ("frontier", "bfs"),
         ("batch", 8),
-        ("product_order", "interleaved"),
         ("compose", True),
     ],
 )
@@ -134,43 +133,39 @@ def test_one_problem_has_one_spelling(value) -> None:
 (TWIN20_4,) = TABLE1_COMPOSE_CASES
 
 #: name -> (circuit, split, u_signals, flags, spec without its BLIF, key).
-#: Each spec differs from its ``repro-serve-spec/3`` predecessor only in
-#: ``format`` and the absence of the ``gc`` and ``reorder`` fields.
+#: Each spec differs from its ``repro-serve-spec/4`` predecessor only in
+#: ``format`` and the absence of the ``product_order`` field.
 GOLDEN = {
     "default": (
         S27_BLIF, X, None, {},
-        '{"batch": 1, "compose": false, "format": "repro-serve-spec/4", '
-        '"frontier": "dfs", "method": "partitioned", '
-        '"product_order": "stacked", "schedule": true, '
+        '{"batch": 1, "compose": false, "format": "repro-serve-spec/5", '
+        '"frontier": "dfs", "method": "partitioned", "schedule": true, '
         '"shards": 1, "trim": true, "u_signals": null, "x_latches": ["G6", "G7"]}',
-        "1c762662c4fd935fb8c599d6bad4e0f68e68e2091d1025298db07bc94e387045",
+        "4d7f555456896f62145748706c23cf3d293d81baec56b213f2612a7fbe1454bc",
     ),
     "monolithic": (
         S27_BLIF, X, None, {"method": "monolithic"},
-        '{"batch": 1, "compose": false, "format": "repro-serve-spec/4", '
-        '"frontier": "dfs", "method": "monolithic", '
-        '"product_order": "stacked", "schedule": true, '
+        '{"batch": 1, "compose": false, "format": "repro-serve-spec/5", '
+        '"frontier": "dfs", "method": "monolithic", "schedule": true, '
         '"shards": 1, "trim": true, "u_signals": null, "x_latches": ["G6", "G7"]}',
-        "0202340f643028e9b181d349d5dd1acd25e4ffa735bb2a9636e04864aef1cd6a",
+        "f52e60ee2e91830cf4527f6c5ff844e2c825b4496da50eb7e331c19e846e487c",
     ),
-    "bfs8_shards2_interleaved": (
+    "bfs8_shards2": (
         S27_BLIF, X, None,
-        {"frontier": "bfs", "batch": 8, "shards": 2, "product_order": "interleaved"},
-        '{"batch": 8, "compose": false, "format": "repro-serve-spec/4", '
-        '"frontier": "bfs", "method": "partitioned", '
-        '"product_order": "interleaved", "schedule": true, '
+        {"frontier": "bfs", "batch": 8, "shards": 2},
+        '{"batch": 8, "compose": false, "format": "repro-serve-spec/5", '
+        '"frontier": "bfs", "method": "partitioned", "schedule": true, '
         '"shards": 2, "trim": true, "u_signals": null, "x_latches": ["G6", "G7"]}',
-        "febc51d471a8b9350d59041ab8c4f4e14dfe0185eb70f8ae96707e54f83d0351",
+        "849e6ff49ec804f7e004c63325d021b1fd5032e0c7e6411f88b842e26f39a59d",
     ),
     "compose_u_signals": (
         TWIN20_4.network(), list(TWIN20_4.x_latches), list(TWIN20_4.u_signals),
         {"compose": True},
-        '{"batch": 1, "compose": true, "format": "repro-serve-spec/4", '
-        '"frontier": "dfs", "method": "partitioned", '
-        '"product_order": "stacked", "schedule": true, '
+        '{"batch": 1, "compose": true, "format": "repro-serve-spec/5", '
+        '"frontier": "dfs", "method": "partitioned", "schedule": true, '
         '"shards": 1, "trim": true, "u_signals": ["b0", "b2", "enb"], '
         '"x_latches": ["b1", "b3"]}',
-        "6d8507b9e3a1a94a4e52b5803e339b5e31d0d3936b09e6c97f858667b14d2690",
+        "fb802aee826cfe775b4ae8be6fc241417015a21073586c4dce0931f323292a50",
     ),
 }
 

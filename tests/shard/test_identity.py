@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.automata import equivalent
+from repro.automata.kiss import write_kiss
 from repro.bdd.manager import BddManager
 from repro.bench import circuits
 from repro.bench.suite import TABLE1_CASES, case_by_name
@@ -135,6 +136,19 @@ def test_sharded_solve_language_equivalent(case) -> None:
     base = solve_equation(prob, method="partitioned")
     sharded = solve_equation(prob, method="partitioned", shards=3)
     assert equivalent(sharded.csf, base.csf)
+
+
+def _bfs8_kiss(name: str, **overrides) -> str:
+    case = case_by_name(name)
+    problem = build_latch_split_problem(case.network(), list(case.x_latches))
+    config = {"frontier": "bfs", "batch": 8, **overrides}
+    return write_kiss(solve_equation(problem, method="partitioned", **config).csf)
+
+
+@pytest.mark.parametrize("name", ["count6", "johnson8"])
+def test_sharded_size_frontier_matches_inprocess_kiss(name) -> None:
+    """A sharded size-frontier run writes the in-process bfs/8 KISS bytes."""
+    assert _bfs8_kiss(name, shards=2, frontier="size") == _bfs8_kiss(name)
 
 
 def test_shards_require_partitioned_flow() -> None:

@@ -142,17 +142,13 @@ class TestFilteredRuns:
         assert "rand20@batch8" in driver.table1_row_names(False)
         assert "rand20@batch8" not in driver.table1_row_names(True)
 
-    def test_interleaved_run_suppresses_only_interleave_variants(self) -> None:
+    def test_sharded_run_suppresses_only_shards_variants(self) -> None:
         """A run that already sets a variant's field plans none of that
         variant's rows, and every other row stays planned."""
-        stacked = driver.table1_row_names(False)
-        inter = driver.table1_row_names(False, product_order="interleaved")
-        assert set(stacked) - set(inter) == {
-            "johnson12@interleave",
-            "twin16x4@interleave+batch8",
-            "twin12_8@interleave+batch8",
-        }
-        assert set(inter) <= set(stacked)
+        default = driver.table1_row_names(False)
+        sharded = driver.table1_row_names(False, shards=2)
+        assert set(default) - set(sharded) == {"johnson12@shards2"}
+        assert set(sharded) <= set(default)
 
     def test_row_names_match_listing(self) -> None:
         """Every planned full-run row appears in the --list output."""
@@ -169,30 +165,16 @@ class TestFilteredRuns:
         assert "and_or_chain" not in out
 
 
-class TestProductOrderVariants:
-    def test_listing_shows_interleave_variants(self) -> None:
+class TestOneProductLayout:
+    def test_listing_has_no_removed_rows(self) -> None:
+        """The interleaved product layout and the reach-blocked reorder
+        twin are gone; the stacked rows they paired with remain."""
         listing = driver.list_workloads()
-        assert "solve@interleave" in listing
-        assert "johnson12@interleave" in listing
-        assert "twin16x4@interleave+batch8" in listing
-        assert "twin12_8@interleave+batch8" in listing
+        assert "@interleave" not in listing
+        assert "reach_blocked_order_reorder" not in listing
+        assert "kernel/reach_blocked_order " in listing
         assert "twin12_8@batch8" in listing
-
-    def test_interleave_rows_gated_on_stacked_runs(self) -> None:
-        """An interleaved *run* compares whole-suite orders; only the
-        default stacked run emits the paired @interleave variant rows."""
-        stacked = driver.table1_row_names(False, product_order="stacked")
-        inter = driver.table1_row_names(False, product_order="interleaved")
-        assert "johnson12@interleave" in stacked
-        assert "twin12_8@interleave+batch8" in stacked
-        assert "johnson12@interleave" not in inter
-        assert "twin12_8@interleave+batch8" not in inter
-        # Base rows survive under either product order.
-        assert "johnson12" in inter
-        assert "twin12_8@batch8" in inter
-
-    def test_smoke_suppresses_interleave_variants(self) -> None:
-        assert "johnson12@interleave" not in driver.table1_row_names(True)
+        assert "twin16x4@batch8" in listing
 
 
 class TestResidencyAndComposeVariants:
@@ -270,9 +252,9 @@ class TestMeta:
         assert meta["smoke"] is False
 
     def test_extra_knobs_merge(self) -> None:
-        meta = driver.meta(True, backend="buddy", product_order="interleaved")
+        meta = driver.meta(True, backend="buddy", filtered=True)
         assert meta["backend"] == "buddy"
-        assert meta["product_order"] == "interleaved"
+        assert meta["filtered"] is True
 
 
 class TestDiffEnvironmentLine:

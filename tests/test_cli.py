@@ -135,22 +135,23 @@ class TestSolve:
         assert "batches=" in out
         assert "True" in out  # verification still passes
 
-    def test_solve_interleaved_product_order(self, blif_file, capsys) -> None:
-        code = main(
-            [
-                "solve",
-                "--blif",
-                blif_file,
-                "--x-latches",
-                "G6",
-                "--product-order",
-                "interleaved",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "csf_states=7" in out
-        assert "True" in out  # verification passes under either order
+    def test_solve_rejects_the_removed_product_order_flag(
+        self, blif_file, capsys
+    ) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "solve",
+                    "--blif",
+                    blif_file,
+                    "--x-latches",
+                    "G6",
+                    "--product-order",
+                    "stacked",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--product-order" in capsys.readouterr().err
 
     def test_solve_sharded_batched(self, blif_file, capsys) -> None:
         code = main(
@@ -419,7 +420,7 @@ class TestBench:
         )
         assert code == 0
         payload = json.loads((tmp_path / "BENCH_table1.json").read_text())
-        assert payload["schema"] == "repro-bench-table1/10"
+        assert payload["schema"] == "repro-bench-table1/11"
         (row,) = payload["results"]
         for method in ("partitioned", "monolithic"):
             phases = row["methods"][method]["phases"]

@@ -270,13 +270,12 @@ def test_docs_mention_the_tuning_flags() -> None:
         "sift_now",
         "reclaim",
         "misordered_product_reorder",
-        "reach_blocked_order_reorder",
     ):
         assert token in tuning
     # The solver knobs are gone; no page may still document them.
     for page in (*DOCS.rglob("*.md"), REPO / "README.md"):
         text = page.read_text()
-        for flag in ("--reorder", "--gc "):
+        for flag in ("--reorder", "--gc ", "--product-order"):
             assert flag not in text, f"{page.name} documents removed {flag!r}"
 
 
