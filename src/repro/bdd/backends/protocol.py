@@ -71,6 +71,7 @@ class BddBackend(Protocol):
     def var_level(self, var: int) -> int: ...
     def var_order(self) -> list[str]: ...
     def set_reorder_boundaries(self, levels: Iterable[int]) -> None: ...
+    @property
     def reorder_boundaries(self) -> set[int]: ...
 
     # -- edge handles ------------------------------------------------ #

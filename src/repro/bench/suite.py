@@ -97,8 +97,9 @@ TABLE1_CASES: list[SplitCase] = [
         max_seconds=60.0,
         notes=(
             "12 latches under the builder's interleaved cs/ns order; both "
-            "flows complete but monolithic hiding is ~10x slower — the "
-            "largest both-complete instance in the suite"
+            "flows complete, monolithic hiding much slower (mono/part "
+            "5.64 in BENCH_table1.json, meta 2b22a56) — the largest "
+            "both-complete instance in the suite"
         ),
     ),
     SplitCase(

@@ -16,6 +16,7 @@ different shard count close and re-fork the pool; in-process jobs
 
 from __future__ import annotations
 
+import gc
 import queue
 import threading
 import traceback
@@ -123,6 +124,11 @@ class SolveExecutor:
                 self.registry.set_status(
                     job, "failed", error=traceback.format_exc()
                 )
+            # A dropped manager is a reference cycle (its bound hot-op
+            # closures), so refcounting never frees it: collect now,
+            # after the job's finish is stamped, rather than holding
+            # its node and computed tables until a gen-2 pass happens.
+            gc.collect()
 
     def _run(self, job: Job) -> None:
         solves = self.metrics.counter("repro_solves_total", "")
@@ -131,7 +137,7 @@ class SolveExecutor:
             self.registry.set_status(job, "cancelled")
             solves.inc(status="cancelled")
             return
-        cached = self.store.get(job.key)
+        cached = self.store.get(job.key, body=False)
         if cached is not None:
             # A twin of this job finished while it sat in the queue.
             job.cached = True
@@ -287,7 +293,10 @@ class SolveExecutor:
 
 
 def _result_summary(payload: dict, *, cached: bool) -> dict:
-    """The small JSON block the status endpoint shows for a done job."""
+    """The small JSON block the status endpoint shows for a done job.
+
+    ``payload`` is a result payload or a store entry's header summary.
+    """
     return {
         "csf_states": payload["csf_states"],
         "seconds": payload["seconds"],

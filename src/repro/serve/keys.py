@@ -54,15 +54,20 @@ then drops them before hashing.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections.abc import Sequence
 
 from repro.eqn.config import ConfigError, SolveConfig
-from repro.errors import ServeError
+from repro.errors import NetworkError, ServeError
 
 #: Version tag of the canonical spec layout (bump on field changes).
 SPEC_FORMAT = "repro-serve-spec/5"
+
+#: Submitted BLIF texts whose canonical form :func:`canonical_blif`
+#: remembers (least recently used first out).
+CANONICAL_MEMO_ENTRIES = 64
 
 
 def canonical_blif(blif: "str | object") -> str:
@@ -70,13 +75,25 @@ def canonical_blif(blif: "str | object") -> str:
 
     Parsing and re-emitting makes the bytes independent of the
     formatting of the submitted text; a :class:`~repro.network.netlist.Network`
-    is emitted directly.
+    is emitted directly.  Text is memoised, so a repeat submission of
+    the same bytes (every cache hit) skips the parse; malformed text is
+    never memoised and raises :class:`~repro.errors.ServeError` each time.
     """
+    if isinstance(blif, str):
+        return _canonical_text(blif)
+    from repro.network.blif import write_blif
+
+    return write_blif(blif)
+
+
+@functools.lru_cache(maxsize=CANONICAL_MEMO_ENTRIES)
+def _canonical_text(text: str) -> str:
     from repro.network.blif import parse_blif, write_blif
 
-    if isinstance(blif, str):
-        return write_blif(parse_blif(blif))
-    return write_blif(blif)
+    try:
+        return write_blif(parse_blif(text))
+    except NetworkError as exc:
+        raise ServeError(f"malformed BLIF: {exc}") from exc
 
 
 def job_spec(

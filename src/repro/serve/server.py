@@ -4,7 +4,8 @@ Plain-stdlib serving: a :class:`http.server.ThreadingHTTPServer` whose
 handler threads do only JSON plumbing — every solve runs on the single
 :class:`~repro.serve.executor.SolveExecutor` thread, and cache hits are
 answered synchronously in the submit path (a repeat solve never touches
-the executor, the pool, or any BDD heavier than the payload decode).
+the executor, the pool or a BDD: the BLIF's canonical form is memoised
+and the reply comes from the store entry's header).
 
 API (all bodies and replies are JSON, except ``/metrics`` which is
 Prometheus text exposition format 0.0.4):
@@ -109,7 +110,7 @@ class ServeApp:
         )
         key = cache_key(spec)
         options = {k: body[k] for k in OPTION_FIELDS if k in body}
-        cached = self.store.get(key)
+        cached = self.store.get(key, body=False)
         if cached is not None:
             job = self.registry.create(
                 spec, key, config=config, options=options, cached=True

@@ -77,6 +77,7 @@ Commands
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 import traceback
@@ -219,6 +220,9 @@ class _WorkerState:
         config = dict(self.config)
         config.update(overrides or {})
         self._build(config)
+        # The old manager is a reference cycle: free it now, not at
+        # some later gen-2 pass.
+        gc.collect()
         return self.mgr.num_vars
 
     def op_stats(self) -> dict:

@@ -8,6 +8,7 @@ extra skips and stays bit-identical to the pre-backend behaviour.
 
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import pytest
@@ -234,6 +235,25 @@ def test_literal_ite_is_the_shannon_expansion(backend, program) -> None:
 def test_rename_map_equals_dict_rename(backend, case) -> None:
     program, order, targets = case
     run_kit_check(backend, check_rename_map, program, order, targets)
+
+
+@pytest.mark.parametrize("backend", KIT_BACKENDS)
+def test_reorder_boundaries_is_a_property_on_every_backend(backend) -> None:
+    """The protocol and every backend expose ``reorder_boundaries`` as a
+    property, so code written against the protocol reads it without a call."""
+    assert isinstance(inspect.getattr_static(BddBackend, "reorder_boundaries"), property)
+    mgr = backend() if callable(backend) else create_manager(backend)
+    try:
+        assert isinstance(
+            inspect.getattr_static(type(mgr), "reorder_boundaries"), property
+        )
+        view: BddBackend = mgr
+        view.add_vars(["a", "b", "c"])
+        assert view.reorder_boundaries == set()
+        view.set_reorder_boundaries([0, 2])
+        assert view.reorder_boundaries == {2}
+    finally:
+        getattr(mgr, "close", lambda: None)()
 
 
 def test_rename_map_is_interned() -> None:

@@ -16,6 +16,7 @@ Two layers:
 
 from __future__ import annotations
 
+import pickle
 import time
 
 import pytest
@@ -27,6 +28,7 @@ from repro.eqn.solver import solve_latch_split
 from repro.eqn.subset import CHECKPOINT_FORMAT
 from repro.network.blif import parse_blif
 from repro.serve import ServeApp
+from tests.serve.test_store import flip_body_byte
 
 X = ["G6", "G7"]
 
@@ -236,6 +238,66 @@ class TestDamagedStore:
             assert write_kiss_from_store(app, job.key) == reference_kiss
         finally:
             app.close()
+
+    def test_flipped_result_byte_is_resolved(self, tmp_path, reference_kiss) -> None:
+        app = ServeApp(str(tmp_path / "cache"))
+        try:
+            job = wait_terminal(app.submit(self.BODY))
+            flip_body_byte(app.store.path_for(job.key))
+            job2 = wait_terminal(app.submit(self.BODY))
+            assert job2.status == "done"
+            assert job2.cached is False  # the digest caught the flip
+            assert write_kiss_from_store(app, job.key) == reference_kiss
+        finally:
+            app.close()
+
+    def test_old_layout_result_is_dropped_logged_and_resolved(
+        self, tmp_path, caplog, reference_kiss
+    ) -> None:
+        """An entry in the old one-pickle layout is deleted, logged once
+        and re-solved."""
+        app = ServeApp(str(tmp_path / "cache"))
+        try:
+            job = wait_terminal(app.submit(self.BODY))
+            path = app.store.path_for(job.key)
+            payload = app.store.get(job.key)
+            path.write_bytes(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+            with caplog.at_level("WARNING", logger="repro.serve.store"):
+                job2 = wait_terminal(app.submit(self.BODY))
+            assert job2.status == "done"
+            assert job2.cached is False
+            assert [
+                r.getMessage() for r in caplog.records if r.name == "repro.serve.store"
+            ] == ["dropping damaged store entry"]
+            assert write_kiss_from_store(app, job.key) == reference_kiss
+        finally:
+            app.close()
+
+    def test_checkpoint_with_bad_digest_solves_from_scratch(
+        self, tmp_path, reference_kiss
+    ) -> None:
+        def hook(job, event):
+            if event["batches"] >= 2:
+                job.cancel_event.set()
+
+        app = ServeApp(str(tmp_path / "cache"), batch_hook=hook)
+        try:
+            job = wait_terminal(app.submit(self.BODY))
+            assert job.status == "cancelled"
+            path = app.store.checkpoint_path(job.key)
+        finally:
+            app.close()
+        flip_body_byte(path)
+
+        app2 = ServeApp(str(tmp_path / "cache"))
+        try:
+            job2 = wait_terminal(app2.submit(self.BODY))
+            assert job2.status == "done"
+            assert job2.resumed is False
+            assert "resume" not in [e["type"] for e in job2.events]
+            assert write_kiss_from_store(app2, job.key) == reference_kiss
+        finally:
+            app2.close()
 
     def test_garbage_checkpoint_solves_from_scratch(
         self, tmp_path, reference_kiss

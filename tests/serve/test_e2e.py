@@ -43,6 +43,23 @@ class ServerFixture:
         self.thread.join(timeout=10)
 
 
+def post_error(served, body: dict) -> str:
+    """POST ``body`` to ``/jobs``, expect HTTP 400, return its error."""
+    import json
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(
+        f"{served.client.base_url}/jobs",
+        data=json.dumps(body).encode(),
+        method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=30)
+    assert excinfo.value.code == 400
+    return json.loads(excinfo.value.read())["error"]
+
+
 @pytest.fixture()
 def served(tmp_path):
     fixture = ServerFixture(tmp_path)
@@ -124,19 +141,14 @@ class TestSubmitValidation:
         ids=repr,
     )
     def test_bad_config_is_a_400_with_no_job(self, served, flags) -> None:
-        import json
-        import urllib.error
-        import urllib.request
+        assert post_error(served, {"blif": S27_BLIF, "x_latches": X, **flags})
+        assert served.client.jobs() == []
 
-        request = urllib.request.Request(
-            f"{served.client.base_url}/jobs",
-            data=json.dumps({"blif": S27_BLIF, "x_latches": X, **flags}).encode(),
-            method="POST",
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 400
-        assert json.loads(excinfo.value.read())["error"]
+    def test_malformed_blif_is_a_400_every_time(self, served) -> None:
+        """A failed parse is never memoised: the repeat is a 400 too."""
+        body = {"blif": S27_BLIF.replace(".inputs", ".bogus\n.inputs"), "x_latches": X}
+        for _ in range(2):
+            assert "malformed BLIF" in post_error(served, body)
         assert served.client.jobs() == []
 
     def test_compose_is_served_and_hashed(self, served) -> None:
@@ -212,6 +224,37 @@ class TestCacheHit:
             assert two.app.executor.pool is None  # never touched a worker
         finally:
             two.close()
+
+
+class TestExecutorMemory:
+    def test_finished_jobs_leave_at_most_one_manager(self, tmp_path) -> None:
+        """A finished job's manager is a reference cycle; the executor
+        collects it, so with automatic GC off two jobs in a row leave at
+        most one live ``BddManager``."""
+        import gc
+
+        from repro.bdd.manager import BddManager
+
+        def live_managers() -> int:
+            return sum(isinstance(o, BddManager) for o in gc.get_objects())
+
+        gc.collect()
+        before = live_managers()
+        gc.disable()
+        try:
+            app = ServeApp(str(tmp_path / "cache"))
+            try:
+                for batch in (1, 2):
+                    job = app.submit({"blif": S27_BLIF, "x_latches": X, "batch": batch})
+                    deadline = time.monotonic() + 60
+                    while job.status != "done":
+                        assert time.monotonic() < deadline, job.status
+                        time.sleep(0.01)
+            finally:
+                app.close()  # joins the executor: its last collect has run
+            assert live_managers() <= before + 1
+        finally:
+            gc.enable()
 
 
 class TestCancellation:

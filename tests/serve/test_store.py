@@ -4,25 +4,57 @@ Hypothesis drives full result payloads (random automata through
 ``dump_result``-shaped dicts with packed-array columns) through
 put/get to pin that pickling the wire format is lossless; the rest
 covers the operational contract the docs promise (atomic writes, LRU
-eviction order, checkpoint side-store).
+eviction order, checkpoint side-store, the header/body/digest framing
+and the cheap hit it buys).
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
+import pickle
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import S27_BLIF
+from repro.serve import ServeApp
 from repro.serve.payload import dump_automaton, load_automaton
-from repro.serve.store import ResultStore
+from repro.serve.store import STORE_FORMAT, SUMMARY_FIELDS, ResultStore
 from tests.serve.test_payload import VARS, random_automaton
 from tests.strategies import bdd_minterms, expressions
+
+#: A payload carrying every summary field.
+PAYLOAD = {
+    "csf_states": 3,
+    "seconds": 0.5,
+    "method": "partitioned",
+    "cache_key": "ab" * 32,
+    "csf": list(range(50)),
+}
 
 
 def fake_key(n: int) -> str:
     return f"{n:064x}"
+
+
+def body_span(path) -> tuple[int, int]:
+    """Byte range of a stored entry's body (after the header pickle,
+    before the 32-byte digest trailer)."""
+    with open(path, "rb") as handle:
+        pickle.load(handle)
+        start = handle.tell()
+    return start, path.stat().st_size - 32
+
+
+def flip_body_byte(path) -> None:
+    """Flip one byte in the middle of an entry's body; the size stays."""
+    start, end = body_span(path)
+    blob = bytearray(path.read_bytes())
+    blob[(start + end) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
 
 
 class TestRoundTrip:
@@ -116,6 +148,52 @@ class TestOperational:
             "dropping damaged store entry"
         ]
 
+    @pytest.mark.parametrize("body", [True, False])
+    def test_flipped_body_byte_is_a_miss(self, tmp_path, caplog, body) -> None:
+        """A same-size flip inside the body fails the digest, on the
+        header-only read too."""
+        store = ResultStore(tmp_path)
+        key = fake_key(5)
+        path = store.put(key, PAYLOAD)
+        size = path.stat().st_size
+        flip_body_byte(path)
+        assert path.stat().st_size == size
+        with caplog.at_level("WARNING", logger="repro.serve.store"):
+            assert store.get(key, body=body) is None
+        assert not path.exists()
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropping damaged store entry"
+        ]
+
+    def test_old_one_pickle_layout_is_a_miss(self, tmp_path, caplog) -> None:
+        """An entry written as one bare pickle (no header, no digest) is
+        deleted and logged, not served."""
+        store = ResultStore(tmp_path)
+        key = fake_key(6)
+        path = store.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(pickle.dumps(PAYLOAD, protocol=pickle.HIGHEST_PROTOCOL))
+        with caplog.at_level("WARNING", logger="repro.serve.store"):
+            assert store.get(key, body=False) is None
+        assert not path.exists()
+        assert len(caplog.records) == 1
+
+    def test_entry_is_header_body_digest(self, tmp_path) -> None:
+        store = ResultStore(tmp_path)
+        path = store.put(fake_key(8), PAYLOAD)
+        blob = path.read_bytes()
+        assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
+        with open(path, "rb") as handle:
+            header = pickle.load(handle)
+            assert pickle.load(handle) == PAYLOAD
+            assert handle.tell() == len(blob) - 32
+        assert header == {
+            "format": STORE_FORMAT,
+            "summary": {name: PAYLOAD[name] for name in SUMMARY_FIELDS},
+        }
+        assert store.get(fake_key(8), body=False) == header["summary"]
+        assert store.get(fake_key(8)) == PAYLOAD
+
     def test_stats_counts_entries_and_bytes(self, tmp_path) -> None:
         store = ResultStore(tmp_path, max_entries=10)
         store.put(fake_key(1), {"n": 1})
@@ -136,6 +214,16 @@ class TestCheckpoints:
         assert store.get_checkpoint(key) is None
         store.drop_checkpoint(key)  # idempotent
 
+    def test_flipped_checkpoint_byte_is_a_miss(self, tmp_path, caplog) -> None:
+        store = ResultStore(tmp_path)
+        key = fake_key(7)
+        path = store.put_checkpoint(key, {"stats": {"batches": 3}, "pad": "x" * 64})
+        flip_body_byte(path)
+        with caplog.at_level("WARNING", logger="repro.serve.store"):
+            assert store.get_checkpoint(key) is None
+        assert not path.exists()
+        assert len(caplog.records) == 1
+
     def test_garbage_checkpoint_is_a_miss(self, tmp_path, caplog) -> None:
         store = ResultStore(tmp_path)
         key = fake_key(7)
@@ -151,3 +239,55 @@ class TestCheckpoints:
         assert store.stats()["entries"] == 0
         assert store.stats()["checkpoints"] == 1
         assert store.keys() == []
+
+
+class TestCheapHit:
+    """A repeat submit answers from the memoised canonical BLIF and the
+    entry header: no BLIF parse and no body unpickle."""
+
+    def test_second_submit_parses_and_unpickles_nothing(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        import repro.network.blif as blif_module
+
+        parsed = []
+        real_parse = blif_module.parse_blif
+
+        def spy_parse(text):
+            parsed.append(text)
+            return real_parse(text)
+
+        monkeypatch.setattr(blif_module, "parse_blif", spy_parse)
+        # A comment no other test submits: the memo has not seen it.
+        body = {
+            "blif": S27_BLIF + "\n# cheap-hit test\n",
+            "x_latches": ["G6", "G7"],
+        }
+        app = ServeApp(str(tmp_path / "cache"))
+        try:
+            first = app.submit(body)
+            deadline = time.monotonic() + 60
+            while first.status != "done":
+                assert time.monotonic() < deadline, first.status
+                time.sleep(0.01)
+            assert first.cached is False
+            assert body["blif"] in parsed  # canonicalised in the submit path
+
+            loaded = []
+            real_load = pickle.load
+
+            def spy_load(handle, **kwargs):
+                obj = real_load(handle, **kwargs)
+                loaded.append(obj)
+                return obj
+
+            monkeypatch.setattr(pickle, "load", spy_load)
+            parsed.clear()
+            second = app.submit(body)
+            assert second.status == "done" and second.cached is True
+            assert second.summary["csf_states"] == first.summary["csf_states"]
+            assert parsed == []
+            assert loaded, "the hit reads the entry header"
+            assert all(obj.get("format") == STORE_FORMAT for obj in loaded)
+        finally:
+            app.close()
