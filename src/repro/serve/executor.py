@@ -28,7 +28,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span as obs_span
 from repro.serve.jobs import Job, JobRegistry
 from repro.serve.payload import dump_result
-from repro.serve.store import ResultStore
+from repro.serve.store import SUMMARY_FIELDS, ResultStore
 
 _log = get_logger("repro.serve.executor")
 
@@ -297,13 +297,7 @@ def _result_summary(payload: dict, *, cached: bool) -> dict:
 
     ``payload`` is a result payload or a store entry's header summary.
     """
-    return {
-        "csf_states": payload["csf_states"],
-        "seconds": payload["seconds"],
-        "cached": cached,
-        "method": payload["method"],
-        "cache_key": payload["cache_key"],
-    }
+    return {**{name: payload[name] for name in SUMMARY_FIELDS}, "cached": cached}
 
 
 def _job_metrics(payload: dict) -> dict:

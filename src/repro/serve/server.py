@@ -92,6 +92,8 @@ class ServeApp:
         for required in ("blif", "x_latches"):
             if required not in body:
                 raise ServeError(f"submit body is missing {required!r}")
+        if not isinstance(body["blif"], str):
+            raise ServeError("malformed BLIF: 'blif' must be BLIF text")
         known = {"blif", "x_latches", "u_signals", *FIELD_NAMES, *OPTION_FIELDS}
         unknown = set(body) - known
         if unknown:

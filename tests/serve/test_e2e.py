@@ -144,11 +144,13 @@ class TestSubmitValidation:
         assert post_error(served, {"blif": S27_BLIF, "x_latches": X, **flags})
         assert served.client.jobs() == []
 
-    def test_malformed_blif_is_a_400_every_time(self, served) -> None:
+    @pytest.mark.parametrize(
+        "blif", [S27_BLIF.replace(".inputs", ".bogus\n.inputs"), 5, ["x"]]
+    )
+    def test_malformed_blif_is_a_400_every_time(self, served, blif) -> None:
         """A failed parse is never memoised: the repeat is a 400 too."""
-        body = {"blif": S27_BLIF.replace(".inputs", ".bogus\n.inputs"), "x_latches": X}
         for _ in range(2):
-            assert "malformed BLIF" in post_error(served, body)
+            assert "malformed BLIF" in post_error(served, {"blif": blif, "x_latches": X})
         assert served.client.jobs() == []
 
     def test_compose_is_served_and_hashed(self, served) -> None:
