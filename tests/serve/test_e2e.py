@@ -20,6 +20,7 @@ from repro.bench import S27_BLIF
 from repro.errors import ServeError
 from repro.serve import ServeApp, ServeClient
 from repro.serve.server import make_server, serve
+from tests.serve.test_checkpoint import wait_terminal
 
 X = ["G6", "G7"]
 SHARDED = {"blif": S27_BLIF, "x_latches": X, "shards": 2, "batch": 4}
@@ -197,6 +198,43 @@ class TestCacheHit:
         assert r2["kiss"] == r1["kiss"]  # identical CSF, byte for byte
         assert r2["cached"] is True
 
+    def test_repeat_submit_parses_and_unpickles_nothing(
+        self, served, monkeypatch
+    ) -> None:
+        """The hit answers from the memoised canonical BLIF and the entry
+        header: no BLIF parse and no body unpickle."""
+        import pickle
+
+        import repro.network.blif as blif_module
+        from repro.serve.store import STORE_FORMAT
+
+        parsed, loaded = [], []
+        real_parse, real_load = blif_module.parse_blif, pickle.load
+
+        def spy_parse(text):
+            parsed.append(text)
+            return real_parse(text)
+
+        def spy_load(handle, **kwargs):
+            loaded.append(real_load(handle, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(blif_module, "parse_blif", spy_parse)
+        # A comment no other test submits: the memo has not seen it.
+        body = {"blif": S27_BLIF + "\n# cheap-hit test\n", "x_latches": X}
+        first = served.client.submit(body)
+        assert served.client.wait(first["id"], timeout=60)["status"] == "done"
+        assert body["blif"] in parsed  # canonicalised in the submit path
+
+        monkeypatch.setattr(pickle, "load", spy_load)
+        parsed.clear()
+        second = served.client.submit(body)
+        assert second["status"] == "done" and second["cached"] is True
+        assert second["result"]["csf_states"] == 7
+        assert parsed == []
+        assert loaded, "the hit reads the entry header"
+        assert all(obj.get("format") == STORE_FORMAT for obj in loaded)
+
     def test_different_flags_do_not_hit(self, served) -> None:
         first = served.client.submit(SHARDED)
         served.client.wait(first["id"], timeout=60)
@@ -247,11 +285,8 @@ class TestExecutorMemory:
             app = ServeApp(str(tmp_path / "cache"))
             try:
                 for batch in (1, 2):
-                    job = app.submit({"blif": S27_BLIF, "x_latches": X, "batch": batch})
-                    deadline = time.monotonic() + 60
-                    while job.status != "done":
-                        assert time.monotonic() < deadline, job.status
-                        time.sleep(0.01)
+                    body = {"blif": S27_BLIF, "x_latches": X, "batch": batch}
+                    assert wait_terminal(app.submit(body)).status == "done"
             finally:
                 app.close()  # joins the executor: its last collect has run
             assert live_managers() <= before + 1

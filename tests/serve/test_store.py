@@ -4,8 +4,7 @@ Hypothesis drives full result payloads (random automata through
 ``dump_result``-shaped dicts with packed-array columns) through
 put/get to pin that pickling the wire format is lossless; the rest
 covers the operational contract the docs promise (atomic writes, LRU
-eviction order, checkpoint side-store, the header/body/digest framing
-and the cheap hit it buys).
+eviction order, checkpoint side-store, the header/body/digest framing).
 """
 
 from __future__ import annotations
@@ -13,14 +12,11 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import S27_BLIF
-from repro.serve import ServeApp
 from repro.serve.payload import dump_automaton, load_automaton
 from repro.serve.store import STORE_FORMAT, SUMMARY_FIELDS, ResultStore
 from tests.serve.test_payload import VARS, random_automaton
@@ -240,54 +236,3 @@ class TestCheckpoints:
         assert store.stats()["checkpoints"] == 1
         assert store.keys() == []
 
-
-class TestCheapHit:
-    """A repeat submit answers from the memoised canonical BLIF and the
-    entry header: no BLIF parse and no body unpickle."""
-
-    def test_second_submit_parses_and_unpickles_nothing(
-        self, tmp_path, monkeypatch
-    ) -> None:
-        import repro.network.blif as blif_module
-
-        parsed = []
-        real_parse = blif_module.parse_blif
-
-        def spy_parse(text):
-            parsed.append(text)
-            return real_parse(text)
-
-        monkeypatch.setattr(blif_module, "parse_blif", spy_parse)
-        # A comment no other test submits: the memo has not seen it.
-        body = {
-            "blif": S27_BLIF + "\n# cheap-hit test\n",
-            "x_latches": ["G6", "G7"],
-        }
-        app = ServeApp(str(tmp_path / "cache"))
-        try:
-            first = app.submit(body)
-            deadline = time.monotonic() + 60
-            while first.status != "done":
-                assert time.monotonic() < deadline, first.status
-                time.sleep(0.01)
-            assert first.cached is False
-            assert body["blif"] in parsed  # canonicalised in the submit path
-
-            loaded = []
-            real_load = pickle.load
-
-            def spy_load(handle, **kwargs):
-                obj = real_load(handle, **kwargs)
-                loaded.append(obj)
-                return obj
-
-            monkeypatch.setattr(pickle, "load", spy_load)
-            parsed.clear()
-            second = app.submit(body)
-            assert second.status == "done" and second.cached is True
-            assert second.summary["csf_states"] == first.summary["csf_states"]
-            assert parsed == []
-            assert loaded, "the hit reads the entry header"
-            assert all(obj.get("format") == STORE_FORMAT for obj in loaded)
-        finally:
-            app.close()
