@@ -87,6 +87,25 @@ class Automaton:
         old = bucket.get(dst, FALSE)
         bucket[dst] = mgr.apply_or(old, cond)
 
+    def add_class_edge(self, src: int, dst: int, cond: int) -> int:
+        """:meth:`add_edge` for a builder that only passes valid state
+        ids; returns the stored label.
+
+        One bucket write, with no id checks: the subset construction
+        stores every (u,v)-class of ψ this way.  A ψ's classes have
+        distinct leaves and the ``ns → cs`` rename is injective, so they
+        never merge; an edge ``src → dst`` that does exist already is
+        still merged by OR.
+        """
+        if cond == FALSE:
+            return FALSE
+        bucket = self.edges[src]
+        old = bucket.get(dst)
+        if old is not None:
+            cond = self.manager.apply_or(old, cond)
+        bucket[dst] = cond
+        return cond
+
     def add_letter_edge(self, src: int, dst: int, letter: Mapping[str, int]) -> None:
         """Add an edge for one concrete letter (or partial cube)."""
         self.add_edge(src, dst, self.letter_cube(letter))

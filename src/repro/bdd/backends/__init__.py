@@ -31,6 +31,7 @@ from collections.abc import Callable
 from repro.bdd.backends.protocol import (
     BddBackend,
     generic_load_nodes,
+    generic_split_by_vars,
     missing_ops,
 )
 from repro.eqn.config import BACKEND_CHOICES
@@ -202,6 +203,7 @@ __all__ = [
     "backend_available",
     "create_manager",
     "generic_load_nodes",
+    "generic_split_by_vars",
     "missing_ops",
     "register_backend",
     "registered_backends",

@@ -872,3 +872,8 @@ class BuddyManager:
         from repro.bdd.backends.protocol import generic_load_nodes
 
         return generic_load_nodes(self, data)
+
+    def split_by_vars(self, f: int, split_vars: Iterable[int]) -> dict[int, int]:
+        from repro.bdd.backends.protocol import generic_split_by_vars
+
+        return generic_split_by_vars(self, f, split_vars)

@@ -35,16 +35,18 @@ coverage with::
     def test_mybackend_matches_reference(program):
         run_conformance_case("python", "mybackend", program)
 
-Two single-backend checks pin operations whose fast paths the random
+Three single-backend checks pin operations whose fast paths the random
 programs rarely reach: :func:`check_literal_ite` (``ite`` on a variable
-literal, the projection case) and :func:`check_rename_map` (``rename``
+literal, the projection case), :func:`check_rename_map` (``rename``
 through an interned :meth:`rename_map` against a plain dict, under a
-drawn variable order).  :func:`run_kit_check` runs either on a fresh
-manager of any backend.
+drawn variable order) and :func:`check_split_classes` (the backend's
+``split_by_vars`` against the protocol-only generic split).
+:func:`run_kit_check` runs any of them on a fresh manager of any
+backend.
 
-hypothesis is imported lazily inside :func:`program_strategy` and
-:func:`rename_case_strategy`, so the kit itself imports fine in
-production environments without it.
+hypothesis is imported lazily inside :func:`program_strategy`,
+:func:`rename_case_strategy` and :func:`split_case_strategy`, so the kit
+itself imports fine in production environments without it.
 """
 
 from __future__ import annotations
@@ -340,6 +342,57 @@ def check_rename_map(
                 )
 
 
+def check_split_classes(mgr, program: Program, order: tuple[str, ...]) -> None:
+    """Assert the backend's ``split_by_vars`` equals the protocol-only
+    :func:`~repro.bdd.backends.protocol.generic_split_by_vars`.
+
+    The variables are declared and put in ``order`` before ``program``
+    replays (its GC and sift events run with the pool pinned).  Then each
+    pool entry is split by every top prefix of the order the replay left
+    — every other variable sits below the prefix, as the split
+    requires.  Each prefix splits the whole pool twice, so a
+    backend's cross-call memo answers the second pass.  Both splits must
+    give the same classes in the same lo-first order with the same
+    condition edges, and the classes must partition TRUE and rebuild
+    the entry.
+    """
+    from repro.bdd.backends.protocol import generic_split_by_vars
+
+    for name in program.names:
+        mgr.add_var(name)
+    mgr.set_order(list(order))
+    pool = run_program(mgr, program)
+    names = mgr.var_order()
+    for k in range(len(names) + 1):
+        split = [mgr.var_index(name) for name in names[:k]]
+        for f in pool + pool:
+            native = list(mgr.split_by_vars(f, split).items())
+            generic = list(generic_split_by_vars(mgr, f, split).items())
+            assert native == generic, (
+                f"{mgr.backend_name}: split of a pool entry by "
+                f"{names[:k]} diverged from the generic split"
+            )
+            covered = rebuilt = 0
+            for leaf, cond in native:
+                covered = mgr.apply_or(covered, cond)
+                rebuilt = mgr.apply_or(rebuilt, mgr.apply_and(cond, leaf))
+            assert covered == 1 and rebuilt == f, (
+                f"{mgr.backend_name}: split by {names[:k]} is no "
+                "complete partition of its function"
+            )
+
+
+def split_case_strategy(max_steps: int = 15, names: tuple[str, ...] = DEFAULT_NAMES):
+    """Hypothesis strategy for :func:`check_split_classes` arguments:
+    ``(program, order)``."""
+    from hypothesis import strategies as st
+
+    return st.tuples(
+        program_strategy(max_steps=max_steps, names=names),
+        st.permutations(names).map(tuple),
+    )
+
+
 def rename_case_strategy(max_steps: int = 15, names: tuple[str, ...] = DEFAULT_NAMES):
     """Hypothesis strategy for :func:`check_rename_map` arguments:
     ``(program, order, targets)`` with two independent permutations of
@@ -357,8 +410,8 @@ def run_kit_check(backend, check, *args, **kwargs) -> None:
     """Run one single-backend kit check on a fresh manager, then close it.
 
     ``backend`` is a registry name or a zero-argument factory, as for
-    :func:`run_conformance_case`; ``check`` is :func:`check_literal_ite`
-    or :func:`check_rename_map`.
+    :func:`run_conformance_case`; ``check`` is :func:`check_literal_ite`,
+    :func:`check_rename_map` or :func:`check_split_classes`.
     """
     mgr = _make(backend, {})
     try:

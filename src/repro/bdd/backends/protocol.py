@@ -103,6 +103,7 @@ class BddBackend(Protocol):
     def vector_compose(self, f: int, substitution: Mapping[int, int]) -> int: ...
     def rename_map(self, var_map: Mapping[int, int]) -> Any: ...
     def rename(self, f: int, var_map: Any) -> int: ...
+    def split_by_vars(self, f: int, split_vars: Iterable[int]) -> dict[int, int]: ...
 
     # -- lifetime ---------------------------------------------------- #
     def ref(self, f: int) -> int: ...
@@ -192,3 +193,53 @@ def generic_load_nodes(mgr: "BddBackend", data: Mapping) -> list[int]:
             mgr.ite(mgr.var_node(vars_local[vid]), unpack(hi_ref), unpack(lo_ref))
         )
     return [unpack(r) for r in data["roots"]]
+
+
+def generic_split_by_vars(
+    mgr: "BddBackend", f: int, split_vars: Iterable[int]
+) -> dict[int, int]:
+    """Backend-agnostic :meth:`~repro.bdd.manager.BddManager.split_by_vars`.
+
+    Same contract and result — the complete ``{leaf: condition}``
+    partition of ``f`` by its cofactors over ``split_vars``, FALSE class
+    included, in lo-first order — built with protocol operations only
+    (``var_level``/``node_var``/``node_lo``/``node_hi``/``var_node``/
+    ``ite``).  A class condition at a split node on ``v`` is
+    ``ite(v, hi_cond, lo_cond)``.  The memo lives for one call: a
+    backend such as BuDDy may free nodes inside any operation, so a
+    handle kept across calls could name another function later.  The
+    reference manager keeps its faster, cross-call memoised split; this
+    one serves adapters.
+    """
+    from repro.bdd.manager import FALSE, TRUE
+    from repro.errors import BddError
+
+    split_set = frozenset(split_vars)
+    max_split = max((mgr.var_level(v) for v in split_set), default=-1)
+    literal = {v: mgr.var_node(v) for v in split_set}
+    memo: dict[int, dict[int, int]] = {}
+
+    def rec(node: int) -> dict[int, int]:
+        result = memo.get(node)
+        if result is not None:
+            return result
+        var = mgr.node_var(node) if node >= 2 else None
+        if var not in split_set:
+            if var is not None and mgr.var_level(var) < max_split:
+                raise BddError(
+                    f"split_by_vars: non-split variable "
+                    f"{mgr.var_name(var)!r} above split vars"
+                )
+            return {node: TRUE}
+        lo = rec(mgr.node_lo(node))
+        hi = rec(mgr.node_hi(node))
+        result = dict(lo)
+        for leaf in hi:
+            result.setdefault(leaf, FALSE)
+        lit = literal[var]
+        for leaf, cond in result.items():
+            result[leaf] = mgr.ite(lit, hi.get(leaf, FALSE), cond)
+        memo[node] = result
+        return result
+
+    return dict(rec(f))

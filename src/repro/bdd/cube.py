@@ -171,57 +171,26 @@ def split_by_vars(
     Returns ``{leaf: condition}`` where each ``leaf`` is a distinct
     cofactor of ``f`` (a function of the non-split variables) and
     ``condition`` (over the split variables) covers exactly the
-    assignments producing that cofactor.  FALSE cofactors are omitted.
-    Classes come in lo-first order: a split node lists the classes of
-    its low child, then the classes only its high child reaches.
+    assignments producing that cofactor.  The partition is complete: the
+    FALSE cofactor, when some assignment produces it, is a class too, so
+    the conditions OR to TRUE.  Classes come in lo-first order: a split
+    node lists the classes of its low child, then the classes only its
+    high child reaches.
 
     Requirement: every split variable must sit *above* every other
     variable in the support of ``f`` in the current order (checked).
     This is the enumeration step of the paper's subset construction: with
-    ``split_vars = (u, v)`` and ``f = P'_ψ(u,v,ns)``, each leaf is one
-    successor subset ``ψ'(ns)`` and its condition is the edge label.
+    ``split_vars = (u, v)`` and ``f = P'_ψ(u,v,ns)``, each non-FALSE leaf
+    is one successor subset ``ψ'(ns)`` and its condition is the edge
+    label; the FALSE class holds the letters with no successor.
 
-    At a split node on variable ``v`` the condition of a class is
-    ``ite(v, hi_cond, lo_cond)`` over its conditions in the two children
-    (FALSE where a child does not reach it).  Those conditions only
-    mention split variables below ``v``, so the kernel's ``ite`` builds
-    the node over them directly, with one unique-table lookup.
+    The backend does the work (:meth:`BddBackend.split_by_vars
+    <repro.bdd.backends.protocol.BddBackend.split_by_vars>`): the
+    reference kernel walks its node arrays with a memo that lives across
+    calls, adapters run the protocol-only
+    :func:`~repro.bdd.backends.protocol.generic_split_by_vars`.
     """
-    split_levels = {mgr.var_level(v) for v in split_vars}
-    max_split = max(split_levels) if split_levels else -1
-    literal = {v: mgr.var_node(v) for v in split_vars}
-    ite = mgr.ite
-    memo: dict[int, dict[int, int]] = {}
-
-    def rec(node: int) -> dict[int, int]:
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
-        level = mgr.level(node)
-        if level not in split_levels:
-            if level < max_split:
-                bad = mgr.var_name(mgr.node_var(node))
-                raise BddError(
-                    f"split_by_vars: non-split variable {bad!r} above split vars"
-                )
-            result = {node: TRUE}
-        else:
-            var_bdd = literal[mgr.node_var(node)]
-            lo = rec(mgr.node_lo(node))
-            hi = rec(mgr.node_hi(node))
-            result = {
-                leaf: ite(var_bdd, hi.get(leaf, FALSE), cond)
-                for leaf, cond in lo.items()
-            }
-            for leaf, cond in hi.items():
-                if leaf not in lo:
-                    result[leaf] = ite(var_bdd, cond, FALSE)
-        memo[node] = result
-        return result
-
-    out = rec(f)
-    out.pop(FALSE, None)
-    return out
+    return mgr.split_by_vars(f, split_vars)
 
 
 def pick_minterm(mgr: BddManager, f: int, variables: Sequence[int]) -> dict[int, int]:

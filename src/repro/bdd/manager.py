@@ -95,6 +95,12 @@ _FREE = -2
 #: (see :meth:`BddManager.should_collect`).
 COMPUTED_TABLE_CAP = 150_000
 
+#: (node, class) pairs the cross-call memo of
+#: :meth:`BddManager.split_by_vars` may hold before its next call
+#: flushes it.  Chosen by measurement (``docs/kernel.md``): larger memos
+#: saved more split work but raised the sharded runtime's peak RSS.
+SPLIT_MEMO_BUDGET = 2_048
+
 #: Width of one packed key lane.  Edges, variable indices and interned
 #: quantification-suffix ids must stay below ``2**38`` — that is ~137
 #: billion edges, far beyond anything a pure-Python kernel can hold.
@@ -265,6 +271,8 @@ class BddManager:
         "_order_epoch",
         "_peak_live",
         "_rename_intern",
+        "_split_memo",
+        "_split_pairs",
         "_reorder_boundaries",
         "_reorder_runs",
         "_reorder_swaps",
@@ -343,6 +351,10 @@ class BddManager:
         self._levels_intern: dict[tuple[int, ...], int] = {}
         self._suffix_cache: dict[tuple[int, ...], list[int]] = {}
         self._rename_intern: dict[tuple[tuple[int, int], ...], RenameMap] = {}
+        # split_by_vars memo: split-variable set -> node -> class map,
+        # plus the number of (node, class) pairs it holds.
+        self._split_memo: dict[frozenset[int], dict[int, dict[int, int]]] = {}
+        self._split_pairs = 0
         # Variable bookkeeping.
         self._var_names: list[str] = []
         self._name_to_var: dict[str, int] = {}
@@ -2022,6 +2034,93 @@ class BddManager:
                 rstack.append(r)
         return rstack[0]
 
+    def split_by_vars(self, f: int, split_vars: Iterable[int]) -> dict[int, int]:
+        """Partition ``f`` into its cofactor classes w.r.t. ``split_vars``.
+
+        Returns ``{leaf: condition}``: each ``leaf`` is a distinct
+        cofactor of ``f`` over the split variables (a function of the
+        other variables) and its ``condition`` covers exactly the
+        split-variable assignments producing it.  The partition is
+        complete: the FALSE cofactor is a class like any other, so the
+        conditions are pairwise disjoint and OR to TRUE.  Classes come in
+        lo-first order: a split node lists the classes of its low child,
+        then the classes only its high child reaches.  Every split
+        variable must sit above every other variable in the support of
+        ``f`` (checked).
+
+        At a split node on ``v`` a class condition is ``ite(v, hi_cond,
+        lo_cond)`` over conditions that only mention split variables
+        below ``v`` — ``ite``'s projection case — so it is built with an
+        inlined unique-table lookup.  Each node's class map is memoised
+        across calls, per split-variable set: the subset construction
+        splits many relations that share sub-DAGs.  Memoised edges are
+        not pinned, so the memo is flushed with the computed table
+        (:meth:`clear_caches`: every reclaiming sweep, every reorder,
+        the computed-table cap), and by the next call once it holds more
+        than :data:`SPLIT_MEMO_BUDGET` pairs.
+        :func:`~repro.bdd.backends.protocol.generic_split_by_vars` is the
+        protocol-only form of the same algorithm.
+        """
+        split_set = frozenset(split_vars)
+        if self._split_pairs > SPLIT_MEMO_BUDGET:
+            self._split_memo.clear()
+            self._split_pairs = 0
+        memo = self._split_memo.get(split_set)
+        if memo is None:
+            memo = self._split_memo[split_set] = {}
+        memo_get = memo.get
+        var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
+        var2level = self._var2level
+        subtables = self._subtables
+        counters = self._counters
+        mk_new = self._mk_new
+        max_split = max((var2level[v] for v in split_set), default=-1)
+        S = _EDGE_SHIFT
+
+        def rec(node: int) -> dict[int, int]:
+            result = memo_get(node)
+            if result is not None:
+                return result
+            var = var_arr[node]
+            if var not in split_set:
+                # A leaf is its own single class; only split nodes are
+                # memoised, so the budget goes to the shared sub-DAGs.
+                if node >= 2 and var2level[var] < max_split:
+                    raise BddError(
+                        f"split_by_vars: non-split variable "
+                        f"{self._var_names[var]!r} above split vars"
+                    )
+                return {node: TRUE}
+            lo = rec(lo_arr[node])
+            hi = rec(hi_arr[node])
+            hi_get = hi.get
+            result = dict(lo)
+            for leaf in hi:
+                result.setdefault(leaf, FALSE)
+            sub = subtables[var]
+            sub_get = sub.get
+            for leaf, lc in result.items():
+                hc = hi_get(leaf, FALSE)
+                # Inlined _mk(var, lc, hc); lc == hc keeps lc.
+                if lc == hc:
+                    continue
+                negate = hc & 1
+                if negate:
+                    lc ^= 1
+                    hc ^= 1
+                ukey = lc << S | hc
+                edge = sub_get(ukey)
+                if edge is not None:
+                    counters[2] += 1
+                    result[leaf] = edge | negate
+                else:
+                    result[leaf] = mk_new(var, sub, ukey, lc, hc) | negate
+            memo[node] = result
+            self._split_pairs += len(result)
+            return result
+
+        return dict(rec(f))
+
     # ------------------------------------------------------------------ #
     # Garbage collection
     # ------------------------------------------------------------------ #
@@ -2323,9 +2422,12 @@ class BddManager:
         self._peak_live = self._nb[0]
 
     def clear_caches(self) -> None:
-        """Drop the computed table (the unique subtables are preserved)."""
+        """Drop the computed table and the :meth:`split_by_vars` memo (the
+        unique subtables are preserved)."""
         self._counters[1] += len(self._computed)
         self._computed.clear()
+        self._split_memo.clear()
+        self._split_pairs = 0
 
     def computed_table_size(self) -> int:
         """Number of live computed-table entries."""

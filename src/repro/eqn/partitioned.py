@@ -120,7 +120,6 @@ class PartitionedOracle:
             mgr.apply_not(c) for _, c in problem.conformance_parts()
         ]
         self.quantify = problem.quantify_vars()
-        self.ns_vars = problem.all_ns_vars()
         self.rename = problem.ns_to_cs()
         self.uv_vars = problem.uv_vars()
         self.init_cube = problem.init_cube
@@ -134,15 +133,11 @@ class PartitionedOracle:
             self.dc_part = mgr.apply_iff(mgr.var_node(problem.dc_ns_var), flag)
             self.t_parts = self.t_parts + [self.dc_part]
             self.quantify = self.quantify + [problem.dc_var]
-            self.ns_vars = self.ns_vars + [problem.dc_ns_var]
             self.rename = {**self.rename, problem.dc_ns_var: problem.dc_var}
             self.init_cube = mgr.apply_and(
                 self.init_cube, mgr.apply_not(mgr.var_node(problem.dc_var))
             )
-        # Interned quantification set for the per-expansion ∃ns domain
-        # computation (revalidates lazily across dynamic reordering) and
-        # interned ns -> cs map for the per-successor rename.
-        self.ns_qs = mgr.quant_set(self.ns_vars)
+        # Interned ns -> cs map for the per-successor rename.
         self.rename = mgr.rename_map(self.rename)
         # Incremental completion: per-output projection sets and memo
         # tables.  R_j = state variables feeding neither the u functions

@@ -224,24 +224,28 @@ def finish_expansion(
 
     With trimming, ``q`` is ``Q_ψ``: the conforming classes of
     ``P_ψ ∧ ¬Q_ψ`` become the edges, and the letters with neither a
-    successor nor a non-conformance (``¬Q_ψ ∧ ¬∃ns.P_ψ``) go to DCA.
+    successor nor a non-conformance (``¬∃ns.P_ψ ∧ ¬Q_ψ``) go to DCA.
     Without trimming (``q`` is ``None``) every class is expanded and
     ``oracle.is_accepting`` decides each successor by its DC1 flag.
-    Either way, each (u,v) cofactor leaf renamed ``ns → cs`` is a
-    successor.  The oracle supplies ``mgr``, ``uv_vars``, ``rename`` (an
-    interned :meth:`~repro.bdd.manager.BddManager.rename_map`) and
-    ``ns_qs``; ``split`` is :func:`~repro.bdd.cube.split_by_vars` as the
-    oracle's own module names it, which is where ``perfbench/layers.py``
-    times the enumerate layer.
+    Either way, each non-FALSE (u,v) cofactor leaf renamed ``ns → cs``
+    is a successor, and DCA comes from the split's FALSE class: the
+    letters where the split relation has no ``ns`` at all.  Untrimmed
+    that is ``¬∃ns.P_ψ``; trimmed it is ``¬∃ns.P_ψ ∨ Q_ψ`` (``Q_ψ`` is
+    over (u,v) only), so DCA is that class minus ``Q_ψ``.  The oracle
+    supplies ``mgr``, ``uv_vars`` and ``rename`` (an interned
+    :meth:`~repro.bdd.manager.BddManager.rename_map`); ``split`` is
+    :func:`~repro.bdd.cube.split_by_vars` as the oracle's own module
+    names it, which is where ``perfbench/layers.py`` times the enumerate
+    layer.
     """
     mgr = oracle.mgr
     classes = split(mgr, p if q is None else mgr.apply_diff(p, q), oracle.uv_vars)
+    no_successor = classes.pop(FALSE, FALSE)
     edges = []
     for leaf, cond in classes.items():
         successor = mgr.rename(leaf, oracle.rename)
         accepting = q is not None or oracle.is_accepting(successor)
         edges.append(SubsetEdge(cond, successor, accepting))
-    no_successor = mgr.apply_not(mgr.exists(p, oracle.ns_qs))
     if q is None:
         return edges, no_successor
     return edges, mgr.apply_diff(no_successor, q)
@@ -520,12 +524,11 @@ def subset_construct(
                 src = ids[psi]
                 for edge in edges:
                     dst = subset_id(edge.successor, edge.accepting)
-                    aut.add_edge(src, dst, edge.cond)
-                    if gc_enabled and edge.cond != FALSE:
-                        # Pin the *stored* label: add_edge merges parallel
-                        # edges with OR, so the bucket value is what must
-                        # stay alive.
-                        mgr.ref(aut.edges[src][dst])
+                    label = aut.add_class_edge(src, dst, edge.cond)
+                    if gc_enabled and label != FALSE:
+                        # Pin the *stored* label, which add_class_edge
+                        # returns (an OR, had an edge to dst existed).
+                        mgr.ref(label)
                     stats.edges += 1
                 if dca_cond != FALSE:
                     if dca_id is None:

@@ -43,6 +43,18 @@ class TestConstruction:
         aut.add_edge(s0, s1, FALSE)
         assert aut.edges[s0] == {}
 
+    def test_class_edge_stores_and_returns_the_label(self, mgr) -> None:
+        aut = Automaton(mgr, ("x", "y"))
+        s0, s1 = aut.add_state(), aut.add_state()
+        x, y = mgr.var_node(mgr.var_index("x")), mgr.var_node(mgr.var_index("y"))
+        assert aut.add_class_edge(s0, s1, FALSE) == FALSE
+        assert aut.edges[s0] == {}
+        assert aut.add_class_edge(s0, s1, x) == x
+        assert aut.edges[s0] == {s1: x}
+        # An existing edge to the same destination still merges by OR.
+        assert aut.add_class_edge(s0, s1, y) == mgr.apply_or(x, y)
+        assert aut.edges[s0] == {s1: mgr.apply_or(x, y)}
+
     def test_letter_with_foreign_variable_rejected(self, mgr) -> None:
         aut = Automaton(mgr, ("x",))
         s0 = aut.add_state()

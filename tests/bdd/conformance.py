@@ -18,12 +18,14 @@ from repro.bdd.backends.conformance import (
     canonical_roots,
     check_literal_ite,
     check_rename_map,
+    check_split_classes,
     conformance_pairs,
     program_strategy,
     rename_case_strategy,
     run_conformance_case,
     run_kit_check,
     run_program,
+    split_case_strategy,
 )
 
 __all__ = [
@@ -35,10 +37,12 @@ __all__ = [
     "canonical_roots",
     "check_literal_ite",
     "check_rename_map",
+    "check_split_classes",
     "conformance_pairs",
     "program_strategy",
     "rename_case_strategy",
     "run_conformance_case",
     "run_kit_check",
     "run_program",
+    "split_case_strategy",
 ]

@@ -36,12 +36,14 @@ from repro.errors import BddError
 from tests.bdd.conformance import (
     check_literal_ite,
     check_rename_map,
+    check_split_classes,
     conformance_pairs,
     program_strategy,
     rename_case_strategy,
     run_conformance_case,
     run_kit_check,
     run_program,
+    split_case_strategy,
 )
 
 
@@ -138,7 +140,7 @@ class TestProtocolSurface:
             "apply_and", "ite", "exists", "and_exists", "rename",
             "vector_compose", "ref", "deref", "collect_garbage",
             "sift_now", "dump_nodes", "load_nodes", "check",
-            "backend_name",
+            "split_by_vars", "backend_name",
         ):
             assert op in PROTOCOL_SURFACE
 
@@ -235,6 +237,14 @@ def test_literal_ite_is_the_shannon_expansion(backend, program) -> None:
 def test_rename_map_equals_dict_rename(backend, case) -> None:
     program, order, targets = case
     run_kit_check(backend, check_rename_map, program, order, targets)
+
+
+@pytest.mark.parametrize("backend", KIT_BACKENDS)
+@given(case=split_case_strategy())
+@settings(max_examples=40, deadline=None)
+def test_split_classes_equal_the_generic_split(backend, case) -> None:
+    program, order = case
+    run_kit_check(backend, check_split_classes, program, order)
 
 
 @pytest.mark.parametrize("backend", KIT_BACKENDS)
