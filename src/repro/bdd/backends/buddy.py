@@ -49,6 +49,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 
 from repro.bdd.io import NODES_FORMAT
+from repro.bdd.manager import ensure_recursion_limit
 from repro.bdd.policy import GcPolicy, ReorderPolicy
 from repro.errors import BddError, BddNodeLimit
 
@@ -225,8 +226,7 @@ class BuddyManager:
 
     Constructor keywords mirror :class:`~repro.bdd.manager.BddManager`
     so :func:`~repro.bdd.backends.create_manager` can pass one kwargs
-    surface to either backend; ``apply_core`` is accepted and ignored
-    (the native kernel has one core).  ``nodesize``/``cachesize`` seed
+    surface to either backend.  ``nodesize``/``cachesize`` seed
     ``bdd_init`` and only matter for performance, never results.
     """
 
@@ -240,7 +240,6 @@ class BuddyManager:
         gc_growth: float = 2.0,
         gc_policy: GcPolicy | None = None,
         reorder_policy: ReorderPolicy | None = None,
-        apply_core: str = "auto",
         nodesize: int = 1_000_000,
         cachesize: int = 100_000,
         lib_path: str | None = None,
@@ -381,6 +380,9 @@ class BuddyManager:
             self._check(lib.bdd_extvarnum(1))
         self._var_names.append(name)
         self._name_to_var[name] = var
+        # The protocol-level recursions (split, cube enumeration) run in
+        # Python on this backend too.
+        ensure_recursion_limit(var + 1)
         return var
 
     def add_vars(self, names: Iterable[str]) -> list[int]:

@@ -26,17 +26,14 @@ separate production kernels from toys:
   renaming.  Keys are packed integers with the operator tag in the low
   4 bits and edge/operand fields in 38-bit lanes above it; commutative
   operators order their arguments so both orientations share one entry;
-* a **dual execution core**.  Every hot operator exists in two forms:
-  closure-bound *recursive fast paths* (the quickest way to run shallow
-  managers — recursion depth is bounded by the number of levels, never
-  by BDD size) and an *iterative explicit-frame core* (manual stack,
-  op-tagged frames, computed-table probes hoisted to push time) that
-  runs BDDs of any depth without touching the Python recursion limit.
-  The manager auto-selects per :meth:`set_apply_core`: ``"auto"``
-  switches to the iterative core once ``3 × num_vars`` approaches
-  ``sys.getrecursionlimit()``.  The recursive family is retained both as
-  the shallow-manager fast path and as the reference implementation the
-  iterative core is property-tested against;
+* **one execution core** of closure-bound recursive operators, as in
+  CUDD: every recursive call strictly descends the variable order, so
+  recursion depth is bounded by the number of levels, never by BDD
+  size.  :meth:`~BddManager.add_var` keeps ``sys.getrecursionlimit()``
+  at least ``3 × num_vars`` plus a margin (raising it, never lowering
+  it), so a manager of any depth runs every per-level recursion —
+  operators, cofactor walks, successor splits, cube enumeration —
+  without ``RecursionError``;
 * *reference-counted garbage collection* — callers pin the functions they
   hold with :meth:`~BddManager.ref` / :meth:`~BddManager.deref` or the
   ``with mgr.protect(...)`` context manager, and
@@ -72,6 +69,7 @@ complete) entries.
 from __future__ import annotations
 
 import sys
+import threading
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 
@@ -100,6 +98,13 @@ COMPUTED_TABLE_CAP = 150_000
 #: flushes it.  Chosen by measurement (``docs/kernel.md``): larger memos
 #: saved more split work but raised the sharded runtime's peak RSS.
 SPLIT_MEMO_BUDGET = 2_048
+
+#: Recursion frames reserved above ``3 × num_vars`` for the caller's own
+#: stack (see :func:`ensure_recursion_limit`).
+_DEEP_MARGIN = 250
+
+#: Serialises read-then-raise of the interpreter-wide recursion limit.
+_LIMIT_LOCK = threading.Lock()
 
 #: Width of one packed key lane.  Edges, variable indices and interned
 #: quantification-suffix ids must stay below ``2**38`` — that is ~137
@@ -136,6 +141,24 @@ _OP_RENAME = 6
 _OP_RESTRICT = 7
 _OP_CONSTRAIN = 8
 _OP_COFACTOR = 9
+
+
+def ensure_recursion_limit(num_vars: int) -> None:
+    """Raise ``sys.getrecursionlimit()`` to ``3 × num_vars + _DEEP_MARGIN``
+    when it is below that; never lower it.
+
+    Every per-level recursion of the kernel descends the variable order,
+    so its depth is bounded by the level count: at most three chained
+    recursions (``and_exists`` ending in ``exists`` ending in ``and``)
+    per level.  The limit is process-wide and never restored: restoring
+    it after one operation could pull it under another thread's deep
+    operation (``repro serve`` solves on an executor thread).
+    """
+    need = 3 * num_vars + _DEEP_MARGIN
+    if sys.getrecursionlimit() < need:
+        with _LIMIT_LOCK:
+            if sys.getrecursionlimit() < need:
+                sys.setrecursionlimit(need)
 
 
 class QuantSet:
@@ -227,13 +250,6 @@ class BddManager:
         :meth:`collect_garbage` should follow an unprofitable sweep with
         an in-place sift (:func:`repro.bdd.reorder.sift`).  Defaults to
         ``"off"``.
-    apply_core:
-        ``"auto"`` (default), ``"recursive"`` or ``"iterative"`` — which
-        execution core runs the hot operators.  ``"auto"`` uses the
-        closure-bound recursive fast paths while ``3 × num_vars`` stays
-        clear of ``sys.getrecursionlimit()`` and switches to the
-        explicit-frame iterative core beyond that, so deep managers
-        never raise ``RecursionError``.  See :meth:`set_apply_core`.
 
     Examples
     --------
@@ -248,11 +264,8 @@ class BddManager:
         "apply_and",
         "apply_xor",
         "ite",
-        "_active_core",
         "_andex_core",
-        "_apply_core",
         "_cofactor_core",
-        "_cores",
         "_counters",
         "_computed",
         "_exists_core",
@@ -289,10 +302,6 @@ class BddManager:
     #: allocation path is a single compare).
     _NO_BUDGET = 1 << 62
 
-    #: Recursion-frame margin reserved for the caller's own stack when
-    #: the ``"auto"`` core decides between recursive and iterative.
-    _DEEP_MARGIN = 250
-
     #: Registry name of this backend (see :mod:`repro.bdd.backends`).
     #: The pure-Python kernel is the reference implementation of the
     #: :class:`~repro.bdd.backends.protocol.BddBackend` protocol.
@@ -306,13 +315,7 @@ class BddManager:
         gc_growth: float = 2.0,
         gc_policy: GcPolicy | None = None,
         reorder_policy: ReorderPolicy | None = None,
-        apply_core: str = "auto",
     ) -> None:
-        if apply_core not in ("auto", "recursive", "iterative"):
-            raise BddError(
-                f"unknown apply core {apply_core!r}; "
-                "choose from 'auto', 'recursive', 'iterative'"
-            )
         self.gc_policy = (
             gc_policy
             if gc_policy is not None
@@ -380,10 +383,7 @@ class BddManager:
         self._reorder_boundaries: set[int] = set()
         self._reorder_runs = 0
         self._reorder_swaps = 0
-        self._apply_core = apply_core
-        self._active_core: str | None = None
         self._bind_hot_ops()
-        self._select_core()
 
     # -- back-compat shorthands for the static GC knobs ----------------- #
 
@@ -437,7 +437,9 @@ class BddManager:
         """Declare a new variable at the bottom of the order.
 
         Returns the variable *index* (not an edge).  Use :meth:`var_node`
-        to obtain the BDD of the variable itself.
+        to obtain the BDD of the variable itself.  Raises the interpreter
+        recursion limit to fit the new depth when it is too low (see
+        :func:`ensure_recursion_limit`).
         """
         if name in self._name_to_var:
             raise BddError(f"variable {name!r} already declared")
@@ -447,8 +449,7 @@ class BddManager:
         self._var2level.append(len(self._level2var))
         self._level2var.append(var)
         self._subtables.append({})
-        if self._apply_core == "auto":
-            self._select_core()
+        ensure_recursion_limit(var + 1)
         return var
 
     def add_vars(self, names: Iterable[str]) -> list[int]:
@@ -626,54 +627,12 @@ class BddManager:
         return len(self._var) // 2
 
     # ------------------------------------------------------------------ #
-    # The execution cores
+    # The execution core
     # ------------------------------------------------------------------ #
 
     def apply_not(self, f: int) -> int:
         """Negation — O(1) with complement edges."""
         return f ^ 1
-
-    def set_apply_core(self, mode: str) -> None:
-        """Select the execution core for the hot operators.
-
-        ``"recursive"`` binds the closure-bound recursive fast paths
-        (fastest; recursion depth is bounded by ``3 × num_vars``, so it
-        is safe whenever that stays below ``sys.getrecursionlimit()``).
-        ``"iterative"`` binds the explicit-frame core (safe at any depth,
-        a few percent slower on shallow managers).  ``"auto"`` re-decides
-        after every :meth:`add_var` against the current recursion limit.
-        """
-        if mode not in ("auto", "recursive", "iterative"):
-            raise BddError(
-                f"unknown apply core {mode!r}; "
-                "choose from 'auto', 'recursive', 'iterative'"
-            )
-        self._apply_core = mode
-        self._active_core = None
-        self._select_core()
-
-    @property
-    def apply_core(self) -> str:
-        """The currently bound execution core (``recursive``/``iterative``)."""
-        return self._active_core or "recursive"
-
-    def _select_core(self) -> None:
-        mode = self._apply_core
-        if mode == "auto":
-            deep = (
-                3 * len(self._var_names) + self._DEEP_MARGIN
-                >= sys.getrecursionlimit()
-            )
-            mode = "iterative" if deep else "recursive"
-        if mode == self._active_core:
-            return
-        ops = self._cores[mode]
-        self.apply_and = ops[0]
-        self.apply_xor = ops[1]
-        self._exists_core = ops[2]
-        self._andex_core = ops[3]
-        self._cofactor_core = ops[4]
-        self._active_core = mode
 
     def apply_or(self, f: int, g: int) -> int:
         """Disjunction — De Morgan over AND, sharing its cache entries."""
@@ -692,7 +651,7 @@ class BddManager:
         return self.apply_and(f, g ^ 1)
 
     def _bind_hot_ops(self) -> None:
-        """Build both op families as per-instance closures.
+        """Build the hot operators as per-instance closures.
 
         The hot recursions run tens of thousands of times per image
         step; closing over the kernel state (node arrays, subtables,
@@ -704,24 +663,16 @@ class BddManager:
         ``clear``/``update``/``append``/indexed stores), so the closures
         can never go stale.
 
-        Two families are built and stashed in ``self._cores``:
-
-        * ``recursive`` — direct recursion with inlined terminal
-          resolution, a three-way top-level split and an inlined
-          allocation path.  Recursion depth is bounded by the *level*
-          count (every recursive call strictly descends the order), not
-          by BDD size.
-        * ``iterative`` — explicit-frame loops.  Expand frames are the
-          packed computed-table keys themselves; computed-table probes
-          are hoisted to push time, so frames are only pushed for cache
-          misses; combine frames are small tuples.  No Python recursion
-          at any depth.
-
-        :meth:`_select_core` binds the chosen family to ``apply_and`` /
-        ``apply_xor`` / ``_exists_core`` / ``_andex_core`` /
-        ``_cofactor_core``.  ``ite`` has
-        a single iterative implementation (it is far colder than the
-        monotone ops) bound unconditionally.
+        ``apply_and``, ``apply_xor``, ``_exists_core``, ``_andex_core``
+        and ``_cofactor_core`` are direct recursions with inlined
+        terminal resolution, a three-way top-level split and (for AND
+        and XOR) an inlined allocation path.  Recursion depth is bounded
+        by the *level* count (every recursive call strictly descends the
+        order), not by BDD size; :meth:`add_var` keeps the interpreter
+        recursion limit above ``3 × num_vars`` (an ``and_exists`` frame
+        chain can end in an ``exists`` chain that ends in an ``and``
+        chain).  ``ite`` is an explicit-frame loop (it is far colder
+        than the monotone ops).
         """
         computed = self._computed
         subtables = self._subtables
@@ -737,11 +688,6 @@ class BddManager:
         mgr = self
         mk = self._mk  # bound once; self._mk is never rebound
         S = _EDGE_SHIFT
-        M = _EDGE_MASK
-
-        # ------------------------------------------------------------- #
-        # Recursive fast paths
-        # ------------------------------------------------------------- #
 
         def _and_rec(f: int, g: int) -> int:
             """Conjunction core.  Preconditions: ``f, g >= 2``, ``f != g``,
@@ -846,7 +792,7 @@ class BddManager:
             return r
 
         def apply_and_rec(f: int, g: int) -> int:
-            """Conjunction (recursive fast path; see ``_bind_hot_ops``)."""
+            """Conjunction (see ``_bind_hot_ops``)."""
             if f == g:
                 return f
             if f < 2 or g < 2:
@@ -939,7 +885,7 @@ class BddManager:
             return r
 
         def apply_xor_rec(f: int, g: int) -> int:
-            """Exclusive or (recursive fast path)."""
+            """Exclusive or."""
             sign = (f ^ g) & 1
             f &= -2
             g &= -2
@@ -956,7 +902,7 @@ class BddManager:
         def exists_rec(
             f: int, levels: tuple[int, ...], sids: list[int], li: int
         ) -> int:
-            """Existential quantification core (recursive fast path)."""
+            """Existential quantification core."""
             if f < 2:
                 return f
             top = var2level[var_arr[f]]
@@ -991,7 +937,7 @@ class BddManager:
         def andex_rec(
             f: int, g: int, levels: tuple[int, ...], sids: list[int], li: int
         ) -> int:
-            """Fused ``∃ . (f ∧ g)`` core (recursive fast path).
+            """Fused ``∃ . (f ∧ g)`` core.
 
             The conjunction is never materialised above the quantified
             levels, and a TRUE else-branch short-circuits the then-branch
@@ -1045,65 +991,13 @@ class BddManager:
             computed[key] = r
             return r
 
-        def _cofactor_entry(walk):
-            """Build a cube-cofactor core around ``walk``, the per-call
-            node walk of one execution core.  The core's ``c`` is a cube
-            edge other than FALSE.
-
-            The entry drops the cube's variables above ``f``'s top (``f``
-            does not depend on them) and probes the COFACTOR entry of
-            ``f`` and that projected cube: a repeated call is one probe,
-            and callers that project the cube onto ``f``'s support share
-            the entry across cubes that agree there.  On a miss it reads
-            the cube once into ``bound`` (per variable, the child array
-            its literal selects) and its bottom level, and hands ``f`` to
-            ``walk``.  Within a call the rest of the cube is fixed by a
-            node's level, so one dict keyed by the edge memoises the
-            walk; only the root result is stored in the computed table.
-            Each node the walk rebuilt counts one miss.
-            """
-
-            def cofactor(f: int, c: int) -> int:
-                if f < 2 or c == 1:
-                    return f
-                top = var2level[var_arr[f]]
-                while c > 1 and var2level[var_arr[c]] < top:
-                    lo = lo_arr[c]
-                    c = hi_arr[c] if lo == 0 else lo
-                if c == 1:
-                    return f
-                sign = f & 1
-                key = ((f ^ sign) << S | c) << 4 | _OP_COFACTOR
-                r = computed_get(key)
-                if r is not None:
-                    counters[0] += 1
-                    return r ^ 1 if sign else r
-                bound: list = [None] * len(var2level)
-                while c > 1:
-                    var = var_arr[c]
-                    lo = lo_arr[c]
-                    if lo == 0:
-                        bound[var] = hi_arr
-                        c = hi_arr[c]
-                    else:
-                        bound[var] = lo_arr
-                        c = lo
-                memo: dict[int, int] = {}
-                r = walk(f, bound, var2level[var], memo)
-                # The root's computed entry counts its own miss.
-                counters[1] += len(memo) - 1
-                computed[key] = r ^ 1 if sign else r
-                return r
-
-            return cofactor
-
         def _cof_walk(
             f: int, bound: list, bottom: int, memo: dict[int, int]
         ) -> int:
-            """Cofactor walk (recursive).  ``f`` is non-terminal with its
-            top at or above the cube's ``bottom`` level.  Children come
-            from the edge-indexed arrays, so a complemented ``f`` needs
-            no sign handling; a child below ``bottom`` is kept as is."""
+            """Cofactor walk.  ``f`` is non-terminal with its top at or
+            above the cube's ``bottom`` level.  Children come from the
+            edge-indexed arrays, so a complemented ``f`` needs no sign
+            handling; a child below ``bottom`` is kept as is."""
             r = memo.get(f)
             if r is not None:
                 return r
@@ -1124,379 +1018,55 @@ class BddManager:
             memo[f] = r
             return r
 
-        cofactor_rec = _cofactor_entry(_cof_walk)
+        def cofactor_rec(f: int, c: int) -> int:
+            """Cube cofactor; ``c`` is a cube edge other than FALSE.
 
-        # ------------------------------------------------------------- #
-        # Iterative explicit-frame core
-        # ------------------------------------------------------------- #
-        #
-        # Frame protocol (shared by the binary ops): the work stack holds
-        # either a packed computed-table key (int) — an *expand* frame
-        # for a pair that missed the cache at push time — or a tuple
-        # *combine* frame.  Results travel on a separate result stack;
-        # ``-1`` child slots in a combine frame mean "pop from the result
-        # stack" (children are pushed hi-first, so lo completes first and
-        # pops last).  Probing at push time keeps cache hits frame-free.
-
-        def apply_and_iter(f: int, g: int) -> int:
-            """Conjunction (iterative explicit-frame core)."""
-            if f == g:
-                return f
-            if f < 2 or g < 2:
-                if f == 0 or g == 0:
-                    return 0
-                return g if f == 1 else f
-            if f ^ g == 1:
-                return 0
-            if f > g:
-                f, g = g, f
-            key = (f << S | g) << 4
-            r = computed_get(key)
-            if r is not None:
-                counters[0] += 1
-                return r
-            stack = [key]
-            pop = stack.pop
-            push = stack.append
-            rstack: list[int] = []
-            rpush = rstack.append
-            rpop = rstack.pop
-            while stack:
-                top = pop()
-                if type(top) is int:
-                    # Expand frame: the packed key itself.  Re-probe — a
-                    # sibling subtree may have computed it meanwhile.
-                    r = computed_get(top)
-                    if r is not None:
-                        counters[0] += 1
-                        rpush(r)
-                        continue
-                    f = top >> (S + 4)
-                    g = (top >> 4) & M
-                    lf = var2level[var_arr[f]]
-                    lg = var2level[var_arr[g]]
-                    if lf <= lg:
-                        var = var_arr[f]
-                        f0, f1 = lo_arr[f], hi_arr[f]
-                    else:
-                        var = var_arr[g]
-                        f0 = f1 = f
-                    if lg <= lf:
-                        g0, g1 = lo_arr[g], hi_arr[g]
-                    else:
-                        g0 = g1 = g
-                    lkey = hkey = 0
-                    if f0 == g0 or g0 == 1:
-                        lo = f0
-                    elif f0 == 1:
-                        lo = g0
-                    elif f0 == 0 or g0 == 0 or f0 ^ g0 == 1:
-                        lo = 0
-                    else:
-                        if f0 > g0:
-                            lkey = (g0 << S | f0) << 4
-                        else:
-                            lkey = (f0 << S | g0) << 4
-                        lo = computed_get(lkey)
-                        if lo is None:
-                            lo = -1
-                        else:
-                            counters[0] += 1
-                    if f1 == g1 or g1 == 1:
-                        hi = f1
-                    elif f1 == 1:
-                        hi = g1
-                    elif f1 == 0 or g1 == 0 or f1 ^ g1 == 1:
-                        hi = 0
-                    else:
-                        if f1 > g1:
-                            hkey = (g1 << S | f1) << 4
-                        else:
-                            hkey = (f1 << S | g1) << 4
-                        hi = computed_get(hkey)
-                        if hi is None:
-                            hi = -1
-                        else:
-                            counters[0] += 1
-                    if lo >= 0 and hi >= 0:
-                        r = mk(var, lo, hi)
-                        computed[top] = r
-                        rpush(r)
-                        continue
-                    push((top, var, lo, hi))
-                    if hi < 0:
-                        push(hkey)
-                    if lo < 0:
-                        push(lkey)
-                else:
-                    key, var, lo, hi = top
-                    if hi < 0:
-                        hi = rpop()
-                    if lo < 0:
-                        lo = rpop()
-                    r = mk(var, lo, hi)
-                    computed[key] = r
-                    rpush(r)
-            return rstack[0]
-
-        def apply_xor_iter(f: int, g: int) -> int:
-            """Exclusive or (iterative explicit-frame core)."""
-            sign = (f ^ g) & 1
-            f &= -2
-            g &= -2
-            if f == g:
-                return sign
-            if f == 0:
-                return g ^ sign
-            if g == 0:
-                return f ^ sign
-            if f > g:
-                f, g = g, f
-            key = (f << S | g) << 4 | 1
-            r = computed_get(key)
-            if r is not None:
-                counters[0] += 1
-                return r ^ sign
-            stack: list = [key]
-            pop = stack.pop
-            push = stack.append
-            rstack: list[int] = []
-            rpush = rstack.append
-            rpop = rstack.pop
-            while stack:
-                top = pop()
-                if type(top) is int:
-                    r = computed_get(top)
-                    if r is not None:
-                        counters[0] += 1
-                        rpush(r)
-                        continue
-                    f = top >> (S + 4)
-                    g = (top >> 4) & M
-                    lf = var2level[var_arr[f]]
-                    lg = var2level[var_arr[g]]
-                    if lf <= lg:
-                        var = var_arr[f]
-                        f0, f1 = lo_arr[f], hi_arr[f]
-                    else:
-                        var = var_arr[g]
-                        f0 = f1 = f
-                    if lg <= lf:
-                        g0, g1 = lo_arr[g], hi_arr[g]
-                    else:
-                        g0 = g1 = g
-                    lkey = hkey = 0
-                    s0 = (f0 ^ g0) & 1
-                    a = f0 & -2
-                    b = g0 & -2
-                    if a == b:
-                        lo = s0
-                    elif a == 0:
-                        lo = b ^ s0
-                    elif b == 0:
-                        lo = a ^ s0
-                    else:
-                        if a > b:
-                            a, b = b, a
-                        lkey = (a << S | b) << 4 | 1
-                        lo = computed_get(lkey)
-                        if lo is None:
-                            lo = -1
-                        else:
-                            counters[0] += 1
-                            lo ^= s0
-                    s1 = (f1 ^ g1) & 1
-                    a = f1 & -2
-                    b = g1 & -2
-                    if a == b:
-                        hi = s1
-                    elif a == 0:
-                        hi = b ^ s1
-                    elif b == 0:
-                        hi = a ^ s1
-                    else:
-                        if a > b:
-                            a, b = b, a
-                        hkey = (a << S | b) << 4 | 1
-                        hi = computed_get(hkey)
-                        if hi is None:
-                            hi = -1
-                        else:
-                            counters[0] += 1
-                            hi ^= s1
-                    if lo >= 0 and hi >= 0:
-                        r = mk(var, lo, hi)
-                        computed[top] = r
-                        rpush(r)
-                        continue
-                    push((top, var, lo, hi, s0, s1))
-                    if hi < 0:
-                        push(hkey)
-                    if lo < 0:
-                        push(lkey)
-                else:
-                    key, var, lo, hi, s0, s1 = top
-                    if hi < 0:
-                        hi = rpop() ^ s1
-                    if lo < 0:
-                        lo = rpop() ^ s0
-                    r = mk(var, lo, hi)
-                    computed[key] = r
-                    rpush(r)
-            return rstack[0] ^ sign
-
-        def exists_iter(
-            f: int, levels: tuple[int, ...], sids: list[int], li: int
-        ) -> int:
-            """Existential quantification (iterative core).
-
-            Frames: ``(0, f, li)`` expand; ``(1, key, f1, li)`` inspect
-            the else-result and short-circuit on TRUE before the
-            then-branch is even pushed; ``(2, key, var)`` rebuild a
-            non-quantified node; ``(3, key, r0)`` OR-combine.
+            Drops the cube's variables above ``f``'s top (``f`` does not
+            depend on them) and probes the COFACTOR entry of ``f`` and
+            that projected cube: a repeated call is one probe, and
+            callers that project the cube onto ``f``'s support share the
+            entry across cubes that agree there.  On a miss it reads the
+            cube once into ``bound`` (per variable, the child array its
+            literal selects) and its bottom level, and hands ``f`` to
+            ``_cof_walk``.  Within a call the rest of the cube is fixed
+            by a node's level, so one dict keyed by the edge memoises the
+            walk; only the root result is stored in the computed table.
+            Each edge the walk memoised counts one miss.
             """
-            n = len(levels)
-            stack: list[tuple] = [(0, f, li)]
-            pop = stack.pop
-            push = stack.append
-            rstack: list[int] = []
-            rpush = rstack.append
-            rpop = rstack.pop
-            while stack:
-                fr = pop()
-                tag = fr[0]
-                if tag == 0:
-                    f = fr[1]
-                    li = fr[2]
-                    if f < 2:
-                        rpush(f)
-                        continue
-                    top = var2level[var_arr[f]]
-                    while li < n and levels[li] < top:
-                        li += 1
-                    if li == n:
-                        rpush(f)
-                        continue
-                    key = (f << S | sids[li]) << 4 | 3
-                    r = computed_get(key)
-                    if r is not None:
-                        counters[0] += 1
-                        rpush(r)
-                        continue
-                    if levels[li] == top:
-                        push((1, key, hi_arr[f], li + 1))
-                        push((0, lo_arr[f], li + 1))
-                    else:
-                        push((2, key, var_arr[f]))
-                        push((0, hi_arr[f], li))
-                        push((0, lo_arr[f], li))
-                elif tag == 1:
-                    r0 = rpop()
-                    if r0 == 1:
-                        computed[fr[1]] = 1
-                        rpush(1)
-                    else:
-                        push((3, fr[1], r0))
-                        push((0, fr[2], fr[3]))
-                elif tag == 2:
-                    hi = rpop()
-                    lo = rpop()
-                    r = mk(fr[2], lo, hi)
-                    computed[fr[1]] = r
-                    rpush(r)
+            if f < 2 or c == 1:
+                return f
+            top = var2level[var_arr[f]]
+            while c > 1 and var2level[var_arr[c]] < top:
+                lo = lo_arr[c]
+                c = hi_arr[c] if lo == 0 else lo
+            if c == 1:
+                return f
+            sign = f & 1
+            key = ((f ^ sign) << S | c) << 4 | _OP_COFACTOR
+            r = computed_get(key)
+            if r is not None:
+                counters[0] += 1
+                return r ^ 1 if sign else r
+            bound: list = [None] * len(var2level)
+            while c > 1:
+                var = var_arr[c]
+                lo = lo_arr[c]
+                if lo == 0:
+                    bound[var] = hi_arr
+                    c = hi_arr[c]
                 else:
-                    r1 = rpop()
-                    r = apply_and_iter(fr[2] ^ 1, r1 ^ 1) ^ 1
-                    computed[fr[1]] = r
-                    rpush(r)
-            return rstack[0]
-
-        def andex_iter(
-            f: int, g: int, levels: tuple[int, ...], sids: list[int], li: int
-        ) -> int:
-            """Fused ``∃ . (f ∧ g)`` (iterative core); same frame scheme
-            as ``exists_iter`` with pairwise expand frames."""
-            n = len(levels)
-            stack: list[tuple] = [(0, f, g, li)]
-            pop = stack.pop
-            push = stack.append
-            rstack: list[int] = []
-            rpush = rstack.append
-            rpop = rstack.pop
-            while stack:
-                fr = pop()
-                tag = fr[0]
-                if tag == 0:
-                    f = fr[1]
-                    g = fr[2]
-                    li = fr[3]
-                    if f == g:
-                        rpush(exists_iter(f, levels, sids, li))
-                        continue
-                    if f < 2 or g < 2:
-                        if f == 0 or g == 0:
-                            rpush(0)
-                        else:
-                            rpush(exists_iter(g if f == 1 else f, levels, sids, li))
-                        continue
-                    if f ^ g == 1:
-                        rpush(0)
-                        continue
-                    lf = var2level[var_arr[f]]
-                    lg = var2level[var_arr[g]]
-                    top = lf if lf < lg else lg
-                    while li < n and levels[li] < top:
-                        li += 1
-                    if li == n:
-                        rpush(apply_and_iter(f, g))
-                        continue
-                    if f > g:
-                        f, g, lf, lg = g, f, lg, lf
-                    key = ((f << S | g) << S | sids[li]) << 4 | 4
-                    r = computed_get(key)
-                    if r is not None:
-                        counters[0] += 1
-                        rpush(r)
-                        continue
-                    if lf <= lg:
-                        f0, f1 = lo_arr[f], hi_arr[f]
-                    else:
-                        f0 = f1 = f
-                    if lg <= lf:
-                        g0, g1 = lo_arr[g], hi_arr[g]
-                    else:
-                        g0 = g1 = g
-                    if levels[li] == top:
-                        push((1, key, f1, g1, li + 1))
-                        push((0, f0, g0, li + 1))
-                    else:
-                        push((2, key, level2var[top]))
-                        push((0, f1, g1, li))
-                        push((0, f0, g0, li))
-                elif tag == 1:
-                    r0 = rpop()
-                    if r0 == 1:
-                        computed[fr[1]] = 1
-                        rpush(1)
-                    else:
-                        push((3, fr[1], r0))
-                        push((0, fr[2], fr[3], fr[4]))
-                elif tag == 2:
-                    hi = rpop()
-                    lo = rpop()
-                    r = mk(fr[2], lo, hi)
-                    computed[fr[1]] = r
-                    rpush(r)
-                else:
-                    r1 = rpop()
-                    r = apply_and_iter(fr[2] ^ 1, r1 ^ 1) ^ 1
-                    computed[fr[1]] = r
-                    rpush(r)
-            return rstack[0]
+                    bound[var] = lo_arr
+                    c = lo
+            memo: dict[int, int] = {}
+            r = _cof_walk(f, bound, var2level[var], memo)
+            # The root's computed entry counts its own miss.
+            counters[1] += len(memo) - 1
+            computed[key] = r ^ 1 if sign else r
+            return r
 
         def ite_iter(f: int, g: int, h: int) -> int:
-            """If-then-else ``(f ∧ g) ∨ (¬f ∧ h)`` (iterative; the single
-            implementation — ite is far colder than the monotone ops).
+            """If-then-else ``(f ∧ g) ∨ (¬f ∧ h)`` (explicit frames; ite is
+            far colder than the monotone ops).
 
             Standard complement-edge normalisation at every expand frame:
             the condition and then-branch are made regular and constant
@@ -1522,7 +1092,7 @@ class BddManager:
             rstack: list[int] = []
             rpush = rstack.append
             rpop = rstack.pop
-            apply_and = mgr.apply_and
+            apply_and = apply_and_rec
             while stack:
                 fr = pop()
                 if fr[0] == 0:
@@ -1607,55 +1177,12 @@ class BddManager:
                     rpush(r ^ fr[3])
             return rstack[0]
 
-        def _cof_walk_iter(
-            f: int, bound: list, bottom: int, memo: dict[int, int]
-        ) -> int:
-            """Cofactor walk (iterative), same contract as the recursive
-            walk.  Expand frames are the edges themselves; ``(f,)``
-            stores a bound node's single child result, ``(f, var)``
-            rebuilds a node off the cube."""
-            stack: list = [f]
-            rstack: list[int] = []
-            while stack:
-                fr = stack.pop()
-                if fr.__class__ is int:
-                    if fr < 2 or var2level[var_arr[fr]] > bottom:
-                        rstack.append(fr)
-                        continue
-                    r = memo.get(fr)
-                    if r is not None:
-                        rstack.append(r)
-                        continue
-                    var = var_arr[fr]
-                    arr = bound[var]
-                    if arr is not None:
-                        stack.append((fr,))
-                        stack.append(arr[fr])
-                    else:
-                        stack.append((fr, var))
-                        stack.append(hi_arr[fr])
-                        stack.append(lo_arr[fr])
-                elif len(fr) == 1:
-                    memo[fr[0]] = rstack[-1]
-                else:
-                    hi = rstack.pop()
-                    lo = rstack.pop()
-                    r = mk(fr[1], lo, hi)
-                    memo[fr[0]] = r
-                    rstack.append(r)
-            return rstack[0]
-
-        cofactor_iter = _cofactor_entry(_cof_walk_iter)
-
+        self.apply_and = apply_and_rec
+        self.apply_xor = apply_xor_rec
+        self._exists_core = exists_rec
+        self._andex_core = andex_rec
+        self._cofactor_core = cofactor_rec
         self.ite = ite_iter
-        self._cores = {
-            "recursive": (
-                apply_and_rec, apply_xor_rec, exists_rec, andex_rec, cofactor_rec
-            ),
-            "iterative": (
-                apply_and_iter, apply_xor_iter, exists_iter, andex_iter, cofactor_iter
-            ),
-        }
 
     # ------------------------------------------------------------------ #
     # Quantification and the relational product
@@ -1799,8 +1326,7 @@ class BddManager:
         rest of the cube below ``f``'s top variable, so callers that
         first project the cube onto ``f``'s support share the entry
         across cubes that agree there.  Cofactoring commutes with
-        negation, so both polarities of ``f`` share it.  Runs on the
-        bound execution core (see :meth:`set_apply_core`).
+        negation, so both polarities of ``f`` share it.
         """
         if not isinstance(cube, int):
             cube = self.cube(cube)

@@ -212,14 +212,14 @@ def wl_gc_reachability(n: int) -> BddManager:
 
 
 def wl_deep_chain(n: int) -> BddManager:
-    """Deep-BDD stress: an ``n``-variable conjunction chain run on the
-    iterative explicit-frame core.
+    """Deep-BDD stress: an ``n``-variable conjunction chain.
 
-    ``n`` exceeds any sane recursion limit, so this workload only exists
-    because the kernel is recursion-free on deep managers; it tracks the
-    constant factor of the iterative core (build + quantify + xor).
+    ``n`` is far past the interpreter's default recursion limit, so this
+    workload tracks the one recursive core at depth (build + quantify +
+    xor + fused quantify), with the limit the manager raised itself as
+    its variables were declared.
     """
-    mgr = BddManager(apply_core="iterative")
+    mgr = BddManager()
     vs = mgr.add_vars([f"x{i}" for i in range(n)])
     f = 1
     for v in reversed(vs):  # bottom-up fold: O(1) nodes per step

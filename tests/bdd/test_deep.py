@@ -1,21 +1,32 @@
 """Deep-BDD regression tests: depth > 2000 under a 1000-frame limit.
 
-The historical kernel recursed per BDD level, so any function deeper
-than ``sys.getrecursionlimit()`` (minus the caller's stack) died with
-``RecursionError`` — the ceiling that kept Table 1 away from the paper's
-s444/s526-class instances.  The iterative explicit-frame core removes
-it: these tests lower the recursion limit to 1000 frames and push
-depth-2000+ BDDs through every operator, GC and reordering.  CI runs
-this file in a dedicated recursion-stress step.
+The kernel recurses once per BDD level, so a function deeper than
+``sys.getrecursionlimit()`` (minus the caller's stack) would die with
+``RecursionError``.  :meth:`BddManager.add_var` prevents that: it raises
+the limit to ``3 × num_vars`` plus a margin whenever it is lower, and
+never lowers it.  These tests lower the limit to 1000 frames before
+building the manager and push depth-2000+ BDDs through every operator,
+the successor split, cube enumeration, GC, reordering and transfer, in
+the main thread and in a worker thread; they also pin the limit
+contract itself.  CI runs this file in a dedicated recursion-stress
+step.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 from contextlib import contextmanager
 
-from repro.bdd.cube import sat_count
-from repro.bdd.manager import FALSE, TRUE, BddManager
+from repro.bdd.backends.protocol import generic_split_by_vars
+from repro.bdd.cube import iter_cubes, sat_count
+from repro.bdd.manager import (
+    _DEEP_MARGIN,
+    FALSE,
+    TRUE,
+    BddManager,
+    ensure_recursion_limit,
+)
 from repro.bdd.reorder import swap_levels, transfer
 
 DEPTH = 2200  #: > 2x the lowered recursion limit
@@ -32,10 +43,26 @@ def recursion_limit(n: int):
 
 
 def _deep_manager(n: int = DEPTH) -> tuple[BddManager, list[int]]:
-    mgr = BddManager()  # auto: must select the iterative core itself
+    mgr = BddManager()
     vs = mgr.add_vars([f"x{i}" for i in range(n)])
-    assert mgr.apply_core == "iterative"
+    assert sys.getrecursionlimit() >= 3 * n + _DEEP_MARGIN
     return mgr, vs
+
+
+def _chain(mgr: BddManager, vs: list[int]) -> int:
+    """Conjunction of ``vs``, folded bottom-up (O(1) nodes per step)."""
+    f = TRUE
+    for v in reversed(vs):
+        f = mgr.apply_and(mgr.var_node(v), f)
+    return f
+
+
+def _parity(mgr: BddManager, vs: list[int]) -> int:
+    """Odd parity of ``vs``, folded bottom-up (O(1) nodes per step)."""
+    f = FALSE
+    for v in reversed(vs):
+        f = mgr.apply_xor(mgr.var_node(v), f)
+    return f
 
 
 def test_deep_chain_builds_under_low_recursion_limit() -> None:
@@ -101,7 +128,6 @@ def test_deep_restrict_compose_rename_under_low_recursion_limit() -> None:
         mgr = BddManager()
         xs = mgr.add_vars([f"x{i}" for i in range(DEPTH)])
         ys = mgr.add_vars([f"y{i}" for i in range(DEPTH)])
-        assert mgr.apply_core == "iterative"
         f = TRUE
         for v in reversed(xs):  # bottom-up: O(1) nodes per step
             f = mgr.apply_and(mgr.var_node(v), f)
@@ -125,9 +151,9 @@ def test_deep_restrict_compose_rename_under_low_recursion_limit() -> None:
 
 
 def test_deep_cofactor_cube_under_low_recursion_limit() -> None:
-    """``cofactor_cube`` on a deep manager runs on the iterative core:
-    a cube at the very bottom, one spread over the whole order, and a
-    repeat call served from the computed table."""
+    """``cofactor_cube`` on a deep manager: a cube at the very bottom,
+    one spread over the whole order, and a repeat call served from the
+    computed table."""
     with recursion_limit(1000):
         mgr, vs = _deep_manager()
         parity = FALSE
@@ -149,7 +175,6 @@ def test_deep_cofactor_cube_under_low_recursion_limit() -> None:
         hits = mgr.stats["cache_hits"]
         assert mgr.cofactor_cube(parity, mgr.cube(bound)) == half
         assert mgr.stats["cache_hits"] == hits + 1
-        assert mgr.apply_core == "iterative"
 
 
 def test_deep_gc_sift_and_transfer_under_low_recursion_limit() -> None:
@@ -173,7 +198,7 @@ def test_deep_gc_sift_and_transfer_under_low_recursion_limit() -> None:
         swap_levels(mgr, DEPTH // 2, [f])
         mgr.check()
         assert sat_count(mgr, f, vs) == 1
-        # Cross-manager transfer of a deep function (iterative rebuild).
+        # Cross-manager transfer of a deep function.
         dst = BddManager()
         dst.add_vars([f"x{i}" for i in range(DEPTH)])
         g = transfer(f, mgr, dst)
@@ -190,7 +215,6 @@ def test_deep_solver_shaped_image_fold_under_low_recursion_limit() -> None:
         for i in range(n):
             cs.append(mgr.add_var(f"cs{i}"))
             ns.append(mgr.add_var(f"ns{i}"))
-        assert mgr.apply_core == "iterative"
         parts = [mgr.apply_iff(mgr.var_node(a), mgr.var_node(b)) for a, b in zip(ns, cs)]
         frontier = mgr.cube({v: 1 for v in cs})
         # Early quantification: each fold step retires exactly the cs
@@ -202,3 +226,104 @@ def test_deep_solver_shaped_image_fold_under_low_recursion_limit() -> None:
             assert result != FALSE
         # The image of the all-ones cs state is the all-ones ns state.
         assert result == mgr.cube({v: 1 for v in ns})
+
+
+SPLIT = 1200  #: split variables: > the lowered recursion limit
+
+
+def test_deep_split_and_cube_enumeration_under_low_recursion_limit() -> None:
+    """The successor split (native and protocol-only) and cube
+    enumeration recurse once per split level, like the operators."""
+    with recursion_limit(1000):
+        mgr, vs = _deep_manager()
+        split, rest = vs[:SPLIT], vs[SPLIT:]
+        all_ones = _chain(mgr, split)
+        leaf_hi, leaf_lo = _parity(mgr, rest), _chain(mgr, rest)
+        f = mgr.ite(all_ones, leaf_hi, leaf_lo)
+        expect = {leaf_lo: all_ones ^ 1, leaf_hi: all_ones}
+        native = mgr.split_by_vars(f, split)
+        assert native == expect
+        assert list(native) == [leaf_lo, leaf_hi]  # lo-first order
+        assert generic_split_by_vars(mgr, f, split) == expect
+        assert list(iter_cubes(mgr, all_ones)) == [{v: 1 for v in split}]
+
+
+def test_small_manager_leaves_the_limit_alone() -> None:
+    with recursion_limit(1000):
+        mgr = BddManager()
+        mgr.add_vars([f"x{i}" for i in range(8)])
+        mgr.apply_and(mgr.var_node(0), mgr.var_node(7))
+        assert sys.getrecursionlimit() == 1000
+
+
+def test_caller_raised_limit_is_never_lowered() -> None:
+    high = 3 * DEPTH + _DEEP_MARGIN + 1000
+    with recursion_limit(high):
+        mgr, vs = _deep_manager()
+        _chain(mgr, vs)
+        assert sys.getrecursionlimit() == high
+    with recursion_limit(1000):
+        mgr, vs = _deep_manager()
+        raised = sys.getrecursionlimit()
+        assert raised == 3 * DEPTH + _DEEP_MARGIN
+        # A shallower manager built later never pulls the limit back.
+        BddManager().add_vars(["a", "b"])
+        assert sys.getrecursionlimit() == raised
+
+
+def test_deep_ops_in_a_worker_thread_under_low_recursion_limit() -> None:
+    """``repro serve`` solves on an executor thread: a deep manager built
+    and run there finishes every hot operator."""
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        try:
+            mgr, vs = _deep_manager()
+            f = _chain(mgr, vs)
+            half = vs[: DEPTH // 2]
+            expect = _chain(mgr, vs[DEPTH // 2 :])
+            assert mgr.exists(f, half) == expect
+            parity = _parity(mgr, half)
+            assert sat_count(mgr, parity, half) == 2 ** (len(half) - 1)
+            assert mgr.and_exists(f, parity ^ 1, half) == expect
+            assert mgr.cofactor_cube(f, {v: 1 for v in half}) == expect
+        except Exception as exc:  # re-raised in the main thread
+            errors.append(exc)
+
+    with recursion_limit(1000):
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=300)
+        assert not worker.is_alive()
+    if errors:
+        raise errors[0]
+
+
+def test_concurrent_raises_keep_the_highest_limit() -> None:
+    """Read-then-raise of the process-wide limit is serialised: threads
+    that race to raise it to different depths never leave it below the
+    deepest request, which an unlocked check-then-set could do when the
+    deepest write lands between a shallower thread's check and its set."""
+    needs = (1000, 2000, 3000, 4000)
+
+    def work(start: threading.Barrier, n: int) -> None:
+        start.wait(timeout=60)
+        ensure_recursion_limit(n)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            start = threading.Barrier(len(needs))
+            with recursion_limit(1000):
+                workers = [
+                    threading.Thread(target=work, args=(start, n)) for n in needs
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                    assert not worker.is_alive()
+                assert sys.getrecursionlimit() == 3 * max(needs) + _DEEP_MARGIN
+    finally:
+        sys.setswitchinterval(switch)

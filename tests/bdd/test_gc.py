@@ -210,13 +210,12 @@ class TestComputedTableBound:
 
     def test_operators_never_flush(self, monkeypatch) -> None:
         monkeypatch.setattr(manager_mod, "COMPUTED_TABLE_CAP", 1)
-        for core in ("recursive", "iterative"):
-            mgr = BddManager(apply_core=core)
-            mgr.add_vars(DEFAULT_VARS)
-            self.churn(mgr)
-            assert mgr.computed_table_size() > 1
-            mgr.should_collect()
-            assert mgr.computed_table_size() == 0
+        mgr = BddManager()
+        mgr.add_vars(DEFAULT_VARS)
+        self.churn(mgr)
+        assert mgr.computed_table_size() > 1
+        mgr.should_collect()
+        assert mgr.computed_table_size() == 0
 
     def test_flush_keeps_miss_accounting(self, monkeypatch) -> None:
         monkeypatch.setattr(manager_mod, "COMPUTED_TABLE_CAP", 16)

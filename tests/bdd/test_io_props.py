@@ -13,6 +13,7 @@ sign bit that must survive verbatim.
 from __future__ import annotations
 
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -170,15 +171,22 @@ def test_load_nodes_rejects_unknown_format() -> None:
 
 
 def test_dump_nodes_deep_chain_no_recursion() -> None:
-    """Snapshotting must survive BDDs deeper than the recursion limit."""
-    mgr = BddManager(apply_core="iterative")
+    """Snapshotting must survive BDDs deeper than the recursion limit:
+    the dump and the load run under a 1000-frame limit, below the
+    3000-level chain's depth."""
+    mgr = BddManager()
     vs = mgr.add_vars([f"x{i}" for i in range(3000)])
     f = 1
     for v in reversed(vs):
         f = mgr.apply_and(mgr.var_node(v), f)
-    snap = dump_nodes(mgr, [f])
-    assert len(snap["var"]) == 3000
-    dst = BddManager(apply_core="iterative")
+    dst = BddManager()
     dst.add_vars([f"x{i}" for i in range(3000)])
-    (copy,) = load_nodes(dst, snap)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        snap = dump_nodes(mgr, [f])
+        (copy,) = load_nodes(dst, snap)
+    finally:
+        sys.setrecursionlimit(old)
+    assert len(snap["var"]) == 3000
     assert dst.size(copy) == 3000

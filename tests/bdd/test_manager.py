@@ -1,11 +1,22 @@
-"""Unit tests for the core BDD manager: construction, connectives, caches."""
+"""Unit tests for the core BDD manager: construction, connectives, caches.
+
+The property tests at the end run random op programs with interleaved
+garbage collection and in-place sifting, and pin ``cofactor_cube``: it
+equals ``∃vars(c).(f ∧ c)``, a cold call writes only the root entry of
+the computed table, and a repeat call is one hit.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.bdd import FALSE, TRUE, BddManager, Function
+from repro.bdd.cube import cube_assignment
+from repro.bdd.reorder import sift
 from repro.errors import BddError, BddNodeLimit
+from tests.strategies import DEFAULT_VARS, bdd_minterms, expressions
 
 
 @pytest.fixture()
@@ -194,6 +205,15 @@ class TestNodeBudget:
             m.apply_xor(m.apply_xor(m.var_node(0), m.var_node(1)), m.var_node(2))
         assert excinfo.value.limit == 4
 
+    def test_budget_raises_across_mixed_ops(self) -> None:
+        m = BddManager(max_nodes=10)
+        vs = m.add_vars([f"x{i}" for i in range(12)])
+        with pytest.raises(BddNodeLimit):
+            f = TRUE
+            for v in vs:
+                f = m.apply_and(f, m.var_node(v))
+                f = m.apply_or(f, m.apply_xor(m.var_node(v), f))
+
 
 class TestInspection:
     def test_support(self, mgr: BddManager) -> None:
@@ -276,3 +296,259 @@ class TestFunctionWrapper:
         f = a ^ b
         assert f.support() == {"a", "b"}
         assert f.restrict({"a": 1}) == ~b
+
+
+# ----------------------------------------------------------------------
+# Random op programs, with GC and sifting, and the cube cofactor.
+# ----------------------------------------------------------------------
+
+#: Op codes for the random program strategy.
+_OPS = ("and", "or", "xor", "ite", "exists", "andex", "restrict", "diff", "cofactor")
+
+
+def _fresh(**kwargs) -> BddManager:
+    mgr = BddManager(**kwargs)
+    mgr.add_vars(DEFAULT_VARS)
+    return mgr
+
+
+def _apply(mgr: BddManager, op: str, pool: list[int], step) -> int:
+    a = pool[step.a % len(pool)]
+    b = pool[step.b % len(pool)]
+    c = pool[step.c % len(pool)]
+    var = step.var % mgr.num_vars
+    var2 = step.var2 % mgr.num_vars
+    if op == "and":
+        return mgr.apply_and(a, b)
+    if op == "or":
+        return mgr.apply_or(a, b)
+    if op == "xor":
+        return mgr.apply_xor(a, b)
+    if op == "diff":
+        return mgr.apply_diff(a, b)
+    if op == "ite":
+        return mgr.ite(a, b, c)
+    if op == "exists":
+        return mgr.exists(a, [var, var2])
+    if op == "andex":
+        return mgr.and_exists(a, b, [var, var2])
+    if op == "restrict":
+        return mgr.restrict(a, var, step.b & 1)
+    if op == "cofactor":
+        return mgr.cofactor_cube(a, _step_cube(mgr, step))
+    raise AssertionError(op)
+
+
+def _step_cube(mgr: BddManager, step) -> int:
+    """A cube on the step's two variables; TRUE for a quarter of steps."""
+    if step.c >= 48:
+        return TRUE
+    var = step.var % mgr.num_vars
+    var2 = step.var2 % mgr.num_vars
+    return mgr.cube({var: step.c & 1, var2: (step.c >> 1) & 1})
+
+
+class _Step:
+    def __init__(self, op, a, b, c, var, var2, gc, reorder):
+        self.op = op
+        self.a = a
+        self.b = b
+        self.c = c
+        self.var = var
+        self.var2 = var2
+        self.gc = gc
+        self.reorder = reorder
+
+
+_steps = st.builds(
+    _Step,
+    op=st.sampled_from(_OPS),
+    a=st.integers(min_value=0, max_value=63),
+    b=st.integers(min_value=0, max_value=63),
+    c=st.integers(min_value=0, max_value=63),
+    var=st.integers(min_value=0, max_value=63),
+    var2=st.integers(min_value=0, max_value=63),
+    gc=st.booleans(),
+    reorder=st.integers(min_value=0, max_value=9),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(program=st.lists(_steps, min_size=1, max_size=14))
+def test_random_op_dags_survive_gc_and_sift(program) -> None:
+    """A manager that collects garbage and sifts mid-run realises the
+    same functions as one that never does."""
+    plain, churned = _fresh(), _fresh(gc_min_live=0, gc_growth=1.0)
+    pool_p = [FALSE, TRUE] + [plain.var_node(v) for v in range(plain.num_vars)]
+    pool_c = [FALSE, TRUE] + [churned.var_node(v) for v in range(churned.num_vars)]
+    for step in program:
+        p = _apply(plain, step.op, pool_p, step)
+        c = _apply(churned, step.op, pool_c, step)
+        assert bdd_minterms(plain, p, DEFAULT_VARS) == bdd_minterms(
+            churned, c, DEFAULT_VARS
+        )
+        pool_p.append(p)
+        pool_c.append(c)
+        if step.gc:
+            # Edges rooted in the pool stay valid across collections.
+            churned.collect_garbage(pool_c)
+        if step.reorder == 0:
+            sift(churned, pool_c)
+            churned.check()
+    plain.check()
+    churned.check()
+    for p, c in zip(pool_p, pool_c):
+        assert bdd_minterms(plain, p, DEFAULT_VARS) == bdd_minterms(
+            churned, c, DEFAULT_VARS
+        )
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(program=st.lists(_steps, min_size=1, max_size=10))
+def test_recompute_after_flush_is_edge_identical(program) -> None:
+    """Recomputing every op from a flushed computed table yields the
+    *same canonical edge*: results never depend on cache state."""
+    mgr = _fresh()
+    pool = [FALSE, TRUE] + [mgr.var_node(v) for v in range(mgr.num_vars)]
+    results = []
+    for step in program:
+        results.append((step, len(pool)))
+        pool.append(_apply(mgr, step.op, pool, step))
+    mgr.clear_caches()
+    for step, at in results:
+        redo = _apply(mgr, step.op, pool[:at], step)
+        assert redo == pool[at], f"{step.op} diverged after a flush"
+    mgr.check()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(program=st.lists(_steps, min_size=1, max_size=14))
+def test_cold_cofactor_matches_warm_across_gc_and_sift(program) -> None:
+    """At every step of a random program with interleaved GC and
+    in-place sifting, ``cofactor_cube`` from a cold computed table
+    returns the edge the warm call returned."""
+    mgr = _fresh(gc_min_live=0, gc_growth=1.0)
+    pool = [FALSE, TRUE] + [mgr.var_node(v) for v in range(mgr.num_vars)]
+    for step in program:
+        pool.append(_apply(mgr, step.op, pool, step))
+        f = pool[step.b % len(pool)] ^ (step.a & 1)
+        cube = _step_cube(mgr, step)
+        warm = mgr.cofactor_cube(f, cube)
+        mgr.clear_caches()
+        assert mgr.cofactor_cube(f, cube) == warm
+        if step.gc:
+            mgr.collect_garbage(pool)
+        if step.reorder == 0:
+            sift(mgr, pool)
+        mgr.check()
+
+
+def _check_cofactor(mgr: BddManager, f: int, cube: int) -> None:
+    """``cofactor_cube(f, c) == ∃vars(c).(f ∧ c)``, and a repeated call
+    is one computed-table hit with no new entry."""
+    variables = list(cube_assignment(mgr, cube))
+    got = mgr.cofactor_cube(f, cube)
+    assert got == mgr.exists(mgr.apply_and(f, cube), variables)
+    level = mgr.var_level
+    probes = f > TRUE and any(
+        level(v) >= level(mgr.node_var(f)) for v in variables
+    )
+    before = mgr.stats
+    assert mgr.cofactor_cube(f, cube) == got
+    after = mgr.stats
+    assert after["cache_hits"] - before["cache_hits"] == int(probes)
+    assert after["cache_misses"] == before["cache_misses"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    expr=expressions(),
+    bits=st.dictionaries(st.sampled_from([*DEFAULT_VARS, "z"]), st.booleans()),
+    negate=st.booleans(),
+)
+def test_cofactor_is_the_quantified_conjunction(expr, bits, negate) -> None:
+    mgr = BddManager()
+    mgr.add_vars([*DEFAULT_VARS, "z"])
+    f = expr.to_bdd(mgr) ^ negate
+    _check_cofactor(mgr, f, mgr.cube({mgr.var_index(n): b for n, b in bits.items()}))
+
+
+def test_cofactor_cube_positions() -> None:
+    """Cubes whose top lies above, at and below ``f``'s top; the TRUE
+    cube; variables outside ``f``'s support; a complemented ``f``."""
+    mgr = BddManager()
+    a, b, c, d, e = mgr.add_vars(DEFAULT_VARS)
+    lit = mgr.var_node
+    # f = b ? c : d, over the middle of the order.
+    f = mgr.ite(lit(b), lit(c), lit(d))
+    cubes = [
+        {a: 1, c: 1},  # top above f's top (a is outside the support)
+        {a: 0, b: 1, e: 1},  # above, at, and below outside the support
+        {b: 0},  # top at f's top
+        {c: 1, d: 0},  # top below f's top
+        {e: 0},  # only a variable below the support
+        {a: 1},  # only a variable above the support
+        {},  # the TRUE cube
+    ]
+    for bits in cubes:
+        cube = mgr.cube(bits)
+        for g in (f, f ^ 1):
+            _check_cofactor(mgr, g, cube)
+    assert mgr.cofactor_cube(f, {b: 1}) == lit(c)
+    assert mgr.cofactor_cube(f ^ 1, {b: 0, d: 1}) == FALSE
+    assert mgr.cofactor_cube(f, TRUE) == f
+    # Parity reaches each node through both polarities, so the walk's
+    # per-call dict holds both edges of a node.
+    parity = mgr.apply_xor(mgr.apply_xor(lit(a), lit(b)), lit(d))
+    _check_cofactor(mgr, parity, mgr.cube({d: 1}))
+    _check_cofactor(mgr, parity ^ 1, mgr.cube({d: 0, e: 1}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    expr=expressions(),
+    bits=st.dictionaries(st.sampled_from(DEFAULT_VARS), st.booleans()),
+    negate=st.booleans(),
+)
+def test_cold_cofactor_writes_only_the_root_entry(expr, bits, negate) -> None:
+    """A cold call adds at most one computed-table entry, the root's; a
+    second identical call is exactly that one hit; and a complemented
+    ``f`` gives the complemented result, cold or warm."""
+    mgr = BddManager()
+    mgr.add_vars(DEFAULT_VARS)
+    f = expr.to_bdd(mgr) ^ negate
+    cube = mgr.cube({mgr.var_index(n): b for n, b in bits.items()})
+    mgr.clear_caches()
+    got = mgr.cofactor_cube(f, cube)
+    written = mgr.computed_table_size()
+    assert written <= 1
+    before = mgr.stats
+    assert mgr.cofactor_cube(f, cube) == got
+    after = mgr.stats
+    assert after["cache_hits"] - before["cache_hits"] == written
+    assert after["cache_misses"] == before["cache_misses"]
+    assert mgr.computed_table_size() == written
+    assert mgr.cofactor_cube(f ^ 1, cube) == got ^ 1
+    mgr.clear_caches()
+    assert mgr.cofactor_cube(f ^ 1, cube) == got ^ 1
+
+
+def test_cold_cofactor_counts_one_miss_per_walked_edge() -> None:
+    """A cold call counts one miss per edge its walk memoised while the
+    computed table gains only the root entry."""
+    mgr = BddManager()
+    a, b, c, d, e = mgr.add_vars(DEFAULT_VARS)
+    parity = FALSE
+    for v in (a, b, c, d, e):
+        parity = mgr.apply_xor(parity, mgr.var_node(v))
+    cube = mgr.cube({b: 1, d: 0})
+    mgr.clear_caches()
+    mgr.reset_stats()
+    got = mgr.cofactor_cube(parity, cube)
+    assert mgr.computed_table_size() == 1
+    # Parity has one node per level, reached below the root through both
+    # polarities: the walk memoises the root edge and two edges on each
+    # of b, c and d (the cube's bottom), and keeps e's as they are.
+    assert mgr.stats["cache_misses"] == 7
+    rest = mgr.apply_xor(mgr.var_node(a), mgr.var_node(c))
+    assert got == mgr.apply_xor(rest, mgr.var_node(e)) ^ 1
