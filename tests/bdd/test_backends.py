@@ -206,11 +206,37 @@ def test_replay_on_one_backend_is_deterministic(program) -> None:
 
 
 # ----------------------------------------------------------------------
-# Single-backend kit checks: every backend that loads here.
+# Single-backend kit checks: every backend that loads here, plus the
+# reference manager with XOR and quantification routed through its
+# explicit-frame cores.
 # ----------------------------------------------------------------------
+
+
+class _IterativeRoutes(BddManager):
+    """The reference manager with XOR and existential quantification
+    computed through its iterative cores: ``f ⊕ g`` as ``ite(f, ¬g, g)``
+    (the explicit-frame ``ite``) and ``∃v.f`` as ``f|v=0 ∨ f|v=1`` over
+    the explicit-stack :meth:`restrict`, one variable at a time.
+
+    Canonicity makes every answer edge-identical to the recursive
+    kernels', so the kit's checks hold unchanged; what changes is the
+    code that computes the replayed programs' xor, iff, exists and
+    forall steps and the literal-ite check's quantified branches.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.apply_xor = lambda f, g: self.ite(f, g ^ 1, g)
+
+    def exists(self, f: int, variables) -> int:
+        for v in variables:
+            f = self.apply_or(self.restrict(f, v, 0), self.restrict(f, v, 1))
+        return f
+
 
 KIT_BACKENDS: list = [
     pytest.param(DEFAULT_BACKEND, id=DEFAULT_BACKEND),
+    pytest.param(_IterativeRoutes, id="iterative"),
 ] + [
     pytest.param(name, id=name)
     for name in available_backends()

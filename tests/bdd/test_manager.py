@@ -13,10 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bdd import FALSE, TRUE, BddManager, Function
-from repro.bdd.cube import cube_assignment
 from repro.bdd.reorder import sift
 from repro.errors import BddError, BddNodeLimit
-from tests.strategies import DEFAULT_VARS, bdd_minterms, expressions
+from tests.strategies import DEFAULT_VARS, bdd_minterms
 
 
 @pytest.fixture()
@@ -441,96 +440,6 @@ def test_cold_cofactor_matches_warm_across_gc_and_sift(program) -> None:
         if step.reorder == 0:
             sift(mgr, pool)
         mgr.check()
-
-
-def _check_cofactor(mgr: BddManager, f: int, cube: int) -> None:
-    """``cofactor_cube(f, c) == ∃vars(c).(f ∧ c)``, and a repeated call
-    is one computed-table hit with no new entry."""
-    variables = list(cube_assignment(mgr, cube))
-    got = mgr.cofactor_cube(f, cube)
-    assert got == mgr.exists(mgr.apply_and(f, cube), variables)
-    level = mgr.var_level
-    probes = f > TRUE and any(
-        level(v) >= level(mgr.node_var(f)) for v in variables
-    )
-    before = mgr.stats
-    assert mgr.cofactor_cube(f, cube) == got
-    after = mgr.stats
-    assert after["cache_hits"] - before["cache_hits"] == int(probes)
-    assert after["cache_misses"] == before["cache_misses"]
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    expr=expressions(),
-    bits=st.dictionaries(st.sampled_from([*DEFAULT_VARS, "z"]), st.booleans()),
-    negate=st.booleans(),
-)
-def test_cofactor_is_the_quantified_conjunction(expr, bits, negate) -> None:
-    mgr = BddManager()
-    mgr.add_vars([*DEFAULT_VARS, "z"])
-    f = expr.to_bdd(mgr) ^ negate
-    _check_cofactor(mgr, f, mgr.cube({mgr.var_index(n): b for n, b in bits.items()}))
-
-
-def test_cofactor_cube_positions() -> None:
-    """Cubes whose top lies above, at and below ``f``'s top; the TRUE
-    cube; variables outside ``f``'s support; a complemented ``f``."""
-    mgr = BddManager()
-    a, b, c, d, e = mgr.add_vars(DEFAULT_VARS)
-    lit = mgr.var_node
-    # f = b ? c : d, over the middle of the order.
-    f = mgr.ite(lit(b), lit(c), lit(d))
-    cubes = [
-        {a: 1, c: 1},  # top above f's top (a is outside the support)
-        {a: 0, b: 1, e: 1},  # above, at, and below outside the support
-        {b: 0},  # top at f's top
-        {c: 1, d: 0},  # top below f's top
-        {e: 0},  # only a variable below the support
-        {a: 1},  # only a variable above the support
-        {},  # the TRUE cube
-    ]
-    for bits in cubes:
-        cube = mgr.cube(bits)
-        for g in (f, f ^ 1):
-            _check_cofactor(mgr, g, cube)
-    assert mgr.cofactor_cube(f, {b: 1}) == lit(c)
-    assert mgr.cofactor_cube(f ^ 1, {b: 0, d: 1}) == FALSE
-    assert mgr.cofactor_cube(f, TRUE) == f
-    # Parity reaches each node through both polarities, so the walk's
-    # per-call dict holds both edges of a node.
-    parity = mgr.apply_xor(mgr.apply_xor(lit(a), lit(b)), lit(d))
-    _check_cofactor(mgr, parity, mgr.cube({d: 1}))
-    _check_cofactor(mgr, parity ^ 1, mgr.cube({d: 0, e: 1}))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    expr=expressions(),
-    bits=st.dictionaries(st.sampled_from(DEFAULT_VARS), st.booleans()),
-    negate=st.booleans(),
-)
-def test_cold_cofactor_writes_only_the_root_entry(expr, bits, negate) -> None:
-    """A cold call adds at most one computed-table entry, the root's; a
-    second identical call is exactly that one hit; and a complemented
-    ``f`` gives the complemented result, cold or warm."""
-    mgr = BddManager()
-    mgr.add_vars(DEFAULT_VARS)
-    f = expr.to_bdd(mgr) ^ negate
-    cube = mgr.cube({mgr.var_index(n): b for n, b in bits.items()})
-    mgr.clear_caches()
-    got = mgr.cofactor_cube(f, cube)
-    written = mgr.computed_table_size()
-    assert written <= 1
-    before = mgr.stats
-    assert mgr.cofactor_cube(f, cube) == got
-    after = mgr.stats
-    assert after["cache_hits"] - before["cache_hits"] == written
-    assert after["cache_misses"] == before["cache_misses"]
-    assert mgr.computed_table_size() == written
-    assert mgr.cofactor_cube(f ^ 1, cube) == got ^ 1
-    mgr.clear_caches()
-    assert mgr.cofactor_cube(f ^ 1, cube) == got ^ 1
 
 
 def test_cold_cofactor_counts_one_miss_per_walked_edge() -> None:
