@@ -1,19 +1,18 @@
 #!/usr/bin/env python
-"""Tour of the kernel policies: self-tuning GC + dynamic reordering.
+"""Tour of the kernel runtime: the GC trigger and explicit sifting.
 
-Three short acts:
+Two short acts:
 
-1. build a function under the *worst* variable order (all ``x`` above
-   all ``y`` for Σ x_i·y_i — exponentially sized) and watch GC-triggered
-   in-place sifting discover the interleaved order mid-build, while the
-   held edge stays valid throughout;
-2. show the adaptive GC policy backing off after unprofitable sweeps;
-3. run a symbolic reachability fixpoint under a blocked (cs…, ns…)
-   order on a bare manager, once with reordering off and once with
-   ``ReorderPolicy(mode="auto")``, and compare the kernel counters.
+1. the one garbage-collection trigger: a sweep runs once the live count
+   reaches ``gc_min_live`` *and* ``gc_growth`` × what the previous sweep
+   left, and a sweep never moves either number or the variable order;
+2. build Σ x_i·y_i under the *worst* variable order (all ``x`` above all
+   ``y`` — exponentially sized) with a low GC floor: the sweeps reclaim
+   nothing and the order stays put; one explicit ``sift_now()`` then
+   finds the interleaved order in place, and the held edge stays valid.
 
-The policies are kernel settings: solver managers run the defaults
-(static GC, no reordering), so this tour sets them on managers it
+Solver managers run the default trigger (100 000 live nodes, 2× growth)
+and are never sifted, so this tour sets the numbers on managers it
 builds itself.
 
 Run:  python examples/adaptive_runtime_tour.py
@@ -27,21 +26,31 @@ try:  # src layout: let `python examples/<name>.py` run without installing
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bdd import BddManager, GcPolicy, ReorderPolicy
-from repro.bench import circuits
-from repro.network.bddbuild import build_network_bdds
-from repro.symb.reach import network_reachable_states
+from repro.bdd import BddManager
 
 
-def act_one_reorder() -> None:
-    print("== 1. GC-triggered in-place reordering ==")
+def act_one_trigger() -> None:
+    print("== 1. The GC trigger: a floor and a growth factor ==")
+    mgr = BddManager(gc_min_live=10, gc_growth=2.0)
+    vs = mgr.add_vars([f"v{i}" for i in range(19)])
+    for v in vs[:9]:
+        mgr.var_node(v)  # literals: live nodes no sweep reclaims
+    live = mgr.stats["live_nodes"]
+    print(f"  live={live}: should_collect={mgr.should_collect()} (floor reached)")
+    mgr.collect_garbage()
+    print(f"  after a sweep that reclaimed nothing: should_collect={mgr.should_collect()}")
+    for v in vs[9:]:
+        mgr.var_node(v)
+    live = mgr.stats["live_nodes"]
+    print(f"  live={live} (2x the sweep's baseline): should_collect={mgr.should_collect()}")
+    assert mgr.should_collect()
+    print(f"  floor still {mgr.gc_min_live}, growth still {mgr.gc_growth} ✓")
+
+
+def act_two_sift() -> None:
+    print("== 2. Explicit in-place sifting ==")
     n = 9
-    mgr = BddManager(
-        gc_policy=GcPolicy(mode="adaptive", min_live=50, growth=1.05),
-        reorder_policy=ReorderPolicy(
-            mode="auto", min_live=0, window=1, reclaim_threshold=0.3
-        ),
-    )
+    mgr = BddManager(gc_min_live=50, gc_growth=1.05)
     xs = mgr.add_vars([f"x{i}" for i in range(n)])
     ys = mgr.add_vars([f"y{i}" for i in range(n)])
     f = 0
@@ -50,72 +59,29 @@ def act_one_reorder() -> None:
         mgr.ref(new)
         mgr.deref(f)
         f = new
-        mgr.maybe_collect_garbage()  # the policies live on this path
+        mgr.maybe_collect_garbage()  # sweeps reclaim little, never reorder
     stats = mgr.stats
     print(f"  f = Σ x_i·y_i over {2 * n} vars, built blocked (x…, y…)")
-    print(f"  final size(f) = {mgr.size(f)} nodes (blocked order needs ~2^{n})")
     print(
-        f"  peak_live={stats['peak_live_nodes']}  gc_runs={stats['gc_runs']}  "
+        f"  size(f) = {mgr.size(f)} nodes, gc_runs={stats['gc_runs']}, "
+        f"reorders={stats['reorder_runs']}"
+    )
+    result = mgr.sift_now()
+    stats = mgr.stats
+    print(
+        f"  sift_now(): size(f) = {mgr.size(f)} nodes, "
         f"reorders={stats['reorder_runs']}  swaps={stats['reorder_swaps']}"
     )
+    assert stats["reorder_swaps"] == result.swaps > 0
     print(f"  order now interleaved: {mgr.var_order()[:6]} …")
     assert mgr.eval_vars(f, {v: 1 for v in xs + ys})
     assert not mgr.eval_vars(f, {v: 0 for v in xs + ys})
-    print("  held edge still evaluates correctly after every reorder ✓")
-
-
-def act_two_adaptive_gc() -> None:
-    print("== 2. Self-tuning garbage collection ==")
-    mgr = BddManager(
-        gc_policy=GcPolicy(mode="adaptive", min_live=8, growth=1.0, window=2)
-    )
-    mgr.add_vars([f"v{i}" for i in range(6)])
-    g = 1
-    for i in range(6):
-        g = mgr.ref(mgr.apply_and(g, mgr.var_node(i)))  # pin everything
-    print(f"  floor before: {mgr.gc_policy.floor} nodes, everything pinned")
-    mgr.collect_garbage()
-    mgr.collect_garbage()  # two sweeps reclaiming nothing → back-off
-    print(
-        f"  after 2 unprofitable sweeps: floor={mgr.gc_policy.floor}, "
-        f"should_collect={mgr.should_collect()} (suppressed until real growth)"
-    )
-
-
-def _blocked_reach(n: int, reorder_mode: str) -> tuple[int, dict]:
-    net = circuits.gray_counter(n)
-    mgr = BddManager(
-        gc_policy=GcPolicy(mode="adaptive", min_live=200, growth=1.2),
-        reorder_policy=ReorderPolicy(
-            mode=reorder_mode, min_live=0, window=1, reclaim_threshold=0.5
-        ),
-    )
-    input_vars = {name: mgr.add_var(name) for name in net.inputs}
-    cs = {name: mgr.add_var(name) for name in net.latches}
-    ns = {name: mgr.add_var(f"{name}'") for name in net.latches}  # blocked
-    bdds = build_network_bdds(net, mgr, input_vars, cs)
-    result = network_reachable_states(bdds, ns_vars=ns)
-    return result.state_count, mgr.stats
-
-
-def act_three_reachability() -> None:
-    print("== 3. Both policies on a reachability fixpoint ==")
-    n = 9
-    for mode in ("off", "auto"):
-        states, stats = _blocked_reach(n, mode)
-        print(
-            f"  reorder={mode:4s} states={states}  "
-            f"peak_live={stats['peak_live_nodes']}  gc_runs={stats['gc_runs']}  "
-            f"reorders={stats['reorder_runs']}"
-        )
-        assert states == 2**n
-    print("  same reached set under both policies ✓")
+    print("  held edge still evaluates correctly after the sift ✓")
 
 
 def main() -> None:
-    act_one_reorder()
-    act_two_adaptive_gc()
-    act_three_reachability()
+    act_one_trigger()
+    act_two_sift()
     print("done.")
 
 

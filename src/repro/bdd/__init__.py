@@ -8,9 +8,6 @@ Public surface:
   connectives, quantification and the fused relational product
   ``and_exists`` that powers partitioned image computation.
 * :class:`Function` — operator-overloaded wrapper for user code.
-* :class:`GcPolicy` / :class:`ReorderPolicy` — the adaptive runtime:
-  reclaim-ratio-driven garbage-collection tuning and GC-triggered
-  in-place dynamic variable reordering (:mod:`repro.bdd.policy`).
 * :mod:`repro.bdd.cube` — counting / enumeration / picking of cubes.
 * :mod:`repro.bdd.reorder` — in-place sifting (:func:`sift`,
   :func:`swap_levels`), plus rebuild-based transfer/reordering and
@@ -48,7 +45,6 @@ from repro.bdd.io import (
     to_dot,
 )
 from repro.bdd.manager import FALSE, TRUE, BddManager
-from repro.bdd.policy import GcPolicy, ReorderPolicy
 from repro.bdd.reorder import (
     SiftResult,
     compact,
@@ -71,8 +67,6 @@ __all__ = [
     "backend_available",
     "create_manager",
     "register_backend",
-    "GcPolicy",
-    "ReorderPolicy",
     "SiftResult",
     "compact",
     "dump_function",

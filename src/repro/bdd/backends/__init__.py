@@ -92,8 +92,8 @@ def register_backend(
     """Register (or replace) a backend factory under ``name``.
 
     ``factory`` must accept the reference constructor's keyword surface
-    (``max_nodes``, ``gc_min_live``, ``gc_growth``, ``gc_policy``,
-    ``reorder_policy``) and return a :class:`~repro.bdd.backends.protocol.BddBackend`.
+    (``max_nodes``, ``gc_min_live``, ``gc_growth``) and return a
+    :class:`~repro.bdd.backends.protocol.BddBackend`.
     ``probe`` is a cheap availability check (e.g. "can the shared
     library be found?"); it defaults to always-available.
     """

@@ -50,7 +50,6 @@ from contextlib import contextmanager
 
 from repro.bdd.io import NODES_FORMAT
 from repro.bdd.manager import ensure_recursion_limit
-from repro.bdd.policy import GcPolicy, ReorderPolicy
 from repro.errors import BddError, BddNodeLimit
 
 #: BuDDy ``bdd_apply`` operator codes (bdd.h).
@@ -167,7 +166,6 @@ def _declare(lib: ctypes.CDLL) -> None:
         "bdd_var2level": ([c_int], c_int),
         "bdd_setvarorder": ([int_p], None),
         "bdd_reorder": ([c_int], None),
-        "bdd_autoreorder": ([c_int], c_int),
         "bdd_intaddvarblock": ([c_int, c_int, c_int], c_int),
         "bdd_clrvarblocks": ([], None),
         "bdd_error_hook": ([_ERR_HOOK_T], _VOID_HOOK_T),
@@ -238,8 +236,6 @@ class BuddyManager:
         *,
         gc_min_live: int = 100_000,
         gc_growth: float = 2.0,
-        gc_policy: GcPolicy | None = None,
-        reorder_policy: ReorderPolicy | None = None,
         nodesize: int = 1_000_000,
         cachesize: int = 100_000,
         lib_path: str | None = None,
@@ -289,18 +285,8 @@ class BuddyManager:
         self._max_nodes = max_nodes
         if max_nodes is not None:
             lib.bdd_setmaxnodenum(max(int(max_nodes), nodesize))
-        self.gc_policy = (
-            gc_policy
-            if gc_policy is not None
-            else GcPolicy(min_live=gc_min_live, growth=gc_growth)
-        )
-        self.reorder_policy = (
-            reorder_policy if reorder_policy is not None else ReorderPolicy()
-        )
-        if self.reorder_policy.mode != "off":
-            # GC-coupled dynamic reordering maps onto BuDDy's native
-            # autoreorder (sifting on table growth, block-aware).
-            lib.bdd_autoreorder(_REORDER_SIFT)
+        self.gc_min_live = gc_min_live
+        self.gc_growth = gc_growth
         self._var_names: list[str] = []
         self._name_to_var: dict[str, int] = {}
         self._owned: dict[int, int] = {}
@@ -627,9 +613,8 @@ class BuddyManager:
                 self.deref(f)
 
     def should_collect(self) -> bool:
-        return self.gc_policy.should_collect(
-            self._lib.bdd_getnodenum(), self._gc_baseline
-        )
+        live = self._lib.bdd_getnodenum()
+        return live >= self.gc_min_live and live >= self.gc_growth * self._gc_baseline
 
     def collect_garbage(self, roots: Iterable[int] = ()) -> int:
         """Drop the adapter's operator-result holds and run ``bdd_gbc``.
@@ -656,7 +641,8 @@ class BuddyManager:
         reclaimed = max(live_before - live_after, 0)
         self._gc_runs += 1
         self._gc_reclaimed += reclaimed
-        self._gc_ratio_sum += self.gc_policy.record(live_before, reclaimed)
+        if live_before > 0:
+            self._gc_ratio_sum += reclaimed / live_before
         self._gc_baseline = max(live_after, 1)
         return reclaimed
 

@@ -73,7 +73,6 @@ import threading
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 
-from repro.bdd.policy import GcPolicy, ReorderPolicy
 from repro.errors import BddError, BddNodeLimit
 from repro.obs.trace import span as obs_span
 
@@ -235,21 +234,15 @@ class BddManager:
         Optional budget on *live* nodes.  When the number of live nodes
         would exceed this, :class:`~repro.errors.BddNodeLimit` is raised.
     gc_min_live:
-        Live-node floor below which :meth:`should_collect` never triggers
-        (shorthand for a static :class:`~repro.bdd.policy.GcPolicy`).
+        Live-node floor below which :meth:`should_collect` never triggers.
     gc_growth:
         Growth factor over the live count after the previous collection
         that arms :meth:`should_collect`.
-    gc_policy:
-        Full :class:`~repro.bdd.policy.GcPolicy`; overrides the two
-        shorthand knobs.  An ``"adaptive"`` policy tracks per-sweep
-        reclaim ratios and backs the collection floor off when sweeps
-        stop paying.
-    reorder_policy:
-        :class:`~repro.bdd.policy.ReorderPolicy` deciding when
-        :meth:`collect_garbage` should follow an unprofitable sweep with
-        an in-place sift (:func:`repro.bdd.reorder.sift`).  Defaults to
-        ``"off"``.
+
+    Both GC numbers are plain attributes and may be reassigned at any
+    time.  The manager never reorders on its own: the variable order
+    changes only through an explicit :meth:`sift_now` or
+    :func:`~repro.bdd.reorder.swap_levels`.
 
     Examples
     --------
@@ -294,8 +287,8 @@ class BddManager:
         "_var",
         "_var2level",
         "_var_names",
-        "gc_policy",
-        "reorder_policy",
+        "gc_growth",
+        "gc_min_live",
     )
 
     #: Sentinel budget meaning "unlimited" (kept as an int so the hot
@@ -313,17 +306,9 @@ class BddManager:
         *,
         gc_min_live: int = 100_000,
         gc_growth: float = 2.0,
-        gc_policy: GcPolicy | None = None,
-        reorder_policy: ReorderPolicy | None = None,
     ) -> None:
-        self.gc_policy = (
-            gc_policy
-            if gc_policy is not None
-            else GcPolicy(min_live=gc_min_live, growth=gc_growth)
-        )
-        self.reorder_policy = (
-            reorder_policy if reorder_policy is not None else ReorderPolicy()
-        )
+        self.gc_min_live = gc_min_live
+        self.gc_growth = gc_growth
         # Edge-indexed node attribute arrays; slots 0/1 are the two
         # polarities of the terminal (var sentinel -1).  Slot 2n holds the
         # children of node n as stored (then-edge regular), slot 2n+1 holds
@@ -384,27 +369,6 @@ class BddManager:
         self._reorder_runs = 0
         self._reorder_swaps = 0
         self._bind_hot_ops()
-
-    # -- back-compat shorthands for the static GC knobs ----------------- #
-
-    @property
-    def gc_min_live(self) -> int:
-        """Current live-node collection floor (see :class:`GcPolicy`)."""
-        return self.gc_policy.floor
-
-    @gc_min_live.setter
-    def gc_min_live(self, value: int) -> None:
-        self.gc_policy.min_live = value
-        self.gc_policy.floor = value
-
-    @property
-    def gc_growth(self) -> float:
-        """Growth factor arming :meth:`should_collect`."""
-        return self.gc_policy.growth
-
-    @gc_growth.setter
-    def gc_growth(self, value: float) -> None:
-        self.gc_policy.growth = value
 
     @property
     def max_nodes(self) -> int | None:
@@ -505,13 +469,13 @@ class BddManager:
     def set_reorder_boundaries(self, levels: Iterable[int]) -> None:
         """Freeze reorder-block boundaries at the given levels.
 
-        Each level in ``levels`` starts a new *block*: dynamic reordering
-        (:func:`repro.bdd.reorder.sift`) only ever swaps adjacent levels
+        Each level in ``levels`` starts a new *block*: sifting
+        (:meth:`sift_now`) only ever swaps adjacent levels
         inside one block, so variables never migrate across a boundary.
         The solver flows use this to keep the letter variables above all
         state variables — a hard requirement of the cofactor-splitting
         step (:func:`repro.bdd.cube.split_by_vars`) — while still letting
-        the state block reorder freely mid-run.
+        an explicit sift reorder the state block freely.
         """
         self._reorder_boundaries = {int(lv) for lv in levels if lv > 0}
 
@@ -1692,12 +1656,8 @@ class BddManager:
                 self.deref(f)
 
     def should_collect(self) -> bool:
-        """Cheap trigger delegating to :attr:`gc_policy`.
-
-        Static policy: live nodes grew past the floor *and* the growth
-        factor since the last collection.  Adaptive policy: same test,
-        but the floor backs off after consecutive unprofitable sweeps
-        (see :class:`~repro.bdd.policy.GcPolicy`).
+        """Cheap trigger: live nodes reached :attr:`gc_min_live` *and*
+        :attr:`gc_growth` × the live count left by the previous sweep.
 
         This is the kernel's GC safe point (no operator is on the stack),
         so it also bounds the computed table: once the table holds
@@ -1706,7 +1666,8 @@ class BddManager:
         """
         if len(self._computed) >= COMPUTED_TABLE_CAP:
             self.clear_caches()
-        return self.gc_policy.should_collect(self._nb[0], self._gc_baseline)
+        live = self._nb[0]
+        return live >= self.gc_min_live and live >= self.gc_growth * self._gc_baseline
 
     def collect_garbage(self, roots: Iterable[int] = ()) -> int:
         """Reclaim every node unreachable from refs, ``roots`` or literals.
@@ -1719,14 +1680,7 @@ class BddManager:
         reclaims anything flushes the computed table before any slot can
         be reused — stale hits are impossible.  Variable literal nodes are
         always kept, so literal edges held by callers can never dangle.
-
-        Every sweep reports its reclaim ratio to :attr:`gc_policy` (which
-        may back off the collection floor) and asks :attr:`reorder_policy`
-        whether the live structure should be sifted — an unprofitable
-        sweep means the *live* BDDs are what is big, and only a better
-        variable order shrinks those.  A triggered sift runs in place
-        (:func:`repro.bdd.reorder.sift`), so every edge held by a caller
-        — including ``roots`` and all pinned references — remains valid.
+        A sweep never changes the variable order.
         """
         with obs_span("gc_sweep", live_before=self._nb[0]) as sweep_span:
             reclaimed = self._collect_garbage(list(roots))
@@ -1779,26 +1733,8 @@ class BddManager:
         self._gc_runs += 1
         self._gc_reclaimed += reclaimed
         self._gc_baseline = nb[0]
-        ratio = self.gc_policy.record(live_before, reclaimed)
-        self._gc_ratio_sum += ratio
-        if self.reorder_policy.should_reorder(nb[0], ratio):
-            from repro.bdd.reorder import sift
-
-            policy = self.reorder_policy
-            with obs_span("sift", trigger="gc") as sift_span:
-                result = sift(
-                    self,
-                    roots,
-                    max_growth=policy.max_growth,
-                    max_vars=policy.max_vars,
-                )
-                sift_span.set(
-                    swaps=result.swaps, size_after=result.size_after
-                )
-            self._reorder_runs += 1
-            self._reorder_swaps += result.swaps
-            policy.record_reorder(nb[0])
-            self._gc_baseline = nb[0]
+        # The terminal is always live, so live_before >= 1.
+        self._gc_ratio_sum += reclaimed / live_before
         return reclaimed
 
     def maybe_collect_garbage(self, roots: Iterable[int] = ()) -> int:
@@ -1889,8 +1825,8 @@ class BddManager:
         its root entry and adds the other nodes its walk rebuilt to the
         cell, so the count stays a count of work.  ``reclaim_ratio_avg`` is the mean
         reclaim ratio over all sweeps so far (1.0 when no sweep has
-        run); ``reorder_runs`` / ``reorder_swaps`` count completed sifts
-        and the adjacent-level swaps they performed.
+        run); ``reorder_runs`` / ``reorder_swaps`` count completed
+        :meth:`sift_now` passes and the adjacent-level swaps they performed.
         ``nodes_per_level`` lists live node counts from the top of the
         order to the bottom (the terminal is outside all levels);
         ``subtable_count`` is the number of per-level subtables (one per
@@ -1968,17 +1904,20 @@ class BddManager:
     ) -> "SiftResult":
         """Run one in-place sifting pass immediately.
 
-        Protocol entry point for explicit reordering (the policy-driven
-        path stays inside :meth:`collect_garbage`): delegates to
-        :func:`repro.bdd.reorder.sift`, honouring the reorder block
-        boundaries and keeping every live edge valid.  Returns the
+        Protocol entry point for reordering (the manager never sifts on
+        its own): delegates to :func:`repro.bdd.reorder.sift`, honouring
+        the reorder block boundaries and keeping every live edge valid,
+        and adds the pass and its swaps to ``reorder_runs`` /
+        ``reorder_swaps``.  Returns the
         :class:`~repro.bdd.reorder.SiftResult`.
         """
         from repro.bdd.reorder import sift
 
-        with obs_span("sift", trigger="explicit") as sift_span:
+        with obs_span("sift") as sift_span:
             result = sift(self, roots, max_growth=max_growth, max_vars=max_vars)
             sift_span.set(swaps=result.swaps, size_after=result.size_after)
+        self._reorder_runs += 1
+        self._reorder_swaps += result.swaps
         return result
 
     def dump_nodes(self, roots: Sequence[int]) -> dict:

@@ -10,7 +10,7 @@ Two generations of reordering live here:
   across a reorder* — no remapping, no fresh manager.  Sifting moves
   each variable through its block to the position minimising the live
   node count, with the classic ``max_growth`` abort.  This is the engine
-  behind ``ReorderPolicy`` (GC-triggered reordering mid-solve).
+  behind :meth:`~repro.bdd.manager.BddManager.sift_now`.
 * :func:`transfer` / :func:`reorder` / :func:`greedy_sift_order` — the
   older rebuild-based primitives: copy functions into another manager
   (possibly with a different order).  Still useful for cross-manager

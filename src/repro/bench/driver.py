@@ -44,7 +44,6 @@ from pathlib import Path
 
 from repro._version import __version__
 from repro.bdd.manager import BddManager
-from repro.bdd.policy import GcPolicy, ReorderPolicy
 from repro.bench import circuits
 from repro.bench.suite import SplitCase
 from repro.eqn.config import (
@@ -72,10 +71,8 @@ SCHEMA_TABLE1 = "repro-bench-table1/11"
 #: already sets its first overridden field (a ``--backend buddy`` run
 #: covers the ``@buddy`` rows), and a ``@buddy`` row is planned only
 #: where the native library loads (never measured on the silent
-#: fallback under a ``buddy`` label).  The adaptive GC and reorder
-#: policies are kernel settings, priced by the kernel pairs
-#: (``misordered_product_reorder``, ``gc_reachability``); solves run the
-#: kernel defaults.
+#: fallback under a ``buddy`` label).  Solves run the kernel's one GC
+#: trigger at its default floor and growth and never reorder.
 #:
 #: * ``@shards2`` — the sharded runtime; read wall-clock deltas together
 #:   with ``meta.cpu_count`` (on one core the workers time-slice).
@@ -233,29 +230,16 @@ def wl_deep_chain(n: int) -> BddManager:
     return mgr
 
 
-def _misordered_product(n: int, reorder_mode: str) -> BddManager:
+def wl_misordered_product(n: int) -> BddManager:
     """Σ x_i·y_i built under the worst (blocked) order.
 
     With all ``x`` above all ``y`` this function needs ~2^n nodes; the
-    interleaved order needs ~3n.  The manager runs adaptive GC with a
-    low floor, so collections fire during construction, reclaim almost
-    nothing (the partial result is pinned and owns nearly every node),
-    and — with ``reorder_mode != "off"`` — the reorder policy answers the
-    unprofitable sweeps with an in-place sift that discovers the
-    interleaving mid-build.  Comparing the recorded ``peak_live_nodes``
-    of the ``off`` and ``auto`` variants is the headline number for
-    GC-triggered dynamic reordering.
+    interleaved order needs ~3n.  The manager runs a low GC floor, so
+    collections fire during construction and reclaim almost nothing
+    (the partial result is pinned and owns nearly every node): the row
+    prices sweeps over a heap that a bad order, not garbage, made big.
     """
-    mgr = BddManager(
-        gc_policy=GcPolicy(mode="adaptive", min_live=50, growth=1.05),
-        reorder_policy=ReorderPolicy(
-            mode=reorder_mode,
-            min_live=0,
-            window=1,
-            cooldown_growth=1.3,
-            reclaim_threshold=0.3,
-        ),
-    )
+    mgr = BddManager(gc_min_live=50, gc_growth=1.05)
     xs = mgr.add_vars([f"x{i}" for i in range(n)])
     ys = mgr.add_vars([f"y{i}" for i in range(n)])
     f = 0
@@ -268,25 +252,15 @@ def _misordered_product(n: int, reorder_mode: str) -> BddManager:
     return mgr
 
 
-def wl_misordered_product(n: int) -> BddManager:
-    return _misordered_product(n, "off")
-
-
-def wl_misordered_product_reorder(n: int) -> BddManager:
-    return _misordered_product(n, "auto")
-
-
 def wl_reach_blocked(n: int) -> BddManager:
     """Gray-counter reachability under a blocked (cs…, ns…) order.
 
     The deliberately bad order — all current-state variables above all
     next-state variables instead of interleaved — inflates every image
-    step, under adaptive GC with a low floor.  A GC-triggered sift paid
-    nothing here (same 1 258-node peak, 111 sweeps against 32), so the
-    row has no ``_reorder`` twin.
+    step, with a low GC floor so the fixpoint sweeps often.
     """
     net = circuits.gray_counter(n)
-    mgr = BddManager(gc_policy=GcPolicy(mode="adaptive", min_live=200, growth=1.2))
+    mgr = BddManager(gc_min_live=200, gc_growth=1.2)
     input_vars = {name: mgr.add_var(name) for name in net.inputs}
     cs = {name: mgr.add_var(name) for name in net.latches}
     ns = {name: mgr.add_var(f"{name}'") for name in net.latches}
@@ -432,7 +406,6 @@ KERNEL_WORKLOADS = [
     ("gc_reachability", wl_gc_reachability, 10, 5),
     ("deep_chain", wl_deep_chain, 4000, 1500),
     ("misordered_product", wl_misordered_product, 12, 7),
-    ("misordered_product_reorder", wl_misordered_product_reorder, 12, 7),
     ("reach_blocked_order", wl_reach_blocked, 9, 8),
     # Sharded-runtime pairs: compare each @shards2 row against its
     # @shards1 twin *and* the recorded meta.cpu_count.

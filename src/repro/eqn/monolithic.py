@@ -107,7 +107,7 @@ class MonolithicOracle:
         # Interned quantification sets and rename map: every expansion
         # quantifies the same cs/ns blocks and renames ns -> cs, so the
         # per-call sort/intern pass is paid once (quantification sets
-        # revalidate lazily across dynamic reordering).
+        # revalidate lazily across reordering).
         self.cs_qs = mgr.quant_set(self.cs_vars)
         self.ns_qs = mgr.quant_set(self.ns_vars)
         self.rename = mgr.rename_map(

@@ -146,8 +146,8 @@ def build_problem(
     :class:`~repro.eqn.config.SolveConfig`) supplies the manager
     settings; the solve-time fields are ignored here.
 
-    The manager runs the kernel's default policies: static GC and no
-    dynamic reordering.  A reorder block boundary is frozen between the
+    The manager runs the kernel's default GC trigger and never reorders
+    on its own.  A reorder block boundary is frozen between the
     letter variables and the state variables, so an explicit
     ``problem.manager.sift_now()`` before the solve can never violate
     the letters-above-states requirement of the subset construction's

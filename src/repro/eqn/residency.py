@@ -270,7 +270,7 @@ class ResidencyManager:
         """Collect once the evicted-but-unswept ψ reach the budget.
 
         Eviction only pays off if the nodes actually go away, and the
-        GC policy's growth floor may never arm at budget-sized
+        GC trigger's growth floor may never arm at budget-sized
         scales.  A sweep per evicting batch would be a full
         mark-and-sweep (and a computed-table flush) for a handful of ψ;
         sweeping once their admit-time sizes sum to the budget keeps

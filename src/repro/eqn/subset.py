@@ -548,7 +548,7 @@ def subset_construct(
                     mgr.deref(psi)
                 # A budget's worth of evicted ψ forces a sweep (see
                 # ResidencyManager.sweep_if_due); below that the GC
-                # policy decides as usual.
+                # trigger decides as usual.
                 swept = residency.sweep_if_due()
             if gc_enabled and not swept:
                 mgr.maybe_collect_garbage()

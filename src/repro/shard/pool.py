@@ -57,7 +57,7 @@ class ShardPool:
         manager's internal variable indices.
     max_nodes:
         Per-shard node budget (every worker manager runs the kernel's
-        default GC policy).
+        default GC trigger).
     backend:
         BDD backend every shard manager is constructed on
         (:func:`repro.bdd.backends.create_manager`): a native backend

@@ -5,7 +5,7 @@ connection (one end of a ``multiprocessing.Pipe``) and a config dict.
 It builds its own shard manager — on whichever BDD backend the config
 names (:func:`repro.bdd.backends.create_manager`; a native backend
 multiplies its speedup by the worker count), with its own computed
-table and the kernel's default GC policy, entirely independent of the
+table and the kernel's default GC trigger, entirely independent of the
 coordinator's — and serves commands until told to shut down.
 
 Every command is a tuple ``(op, *args)``; every reply is ``("ok",

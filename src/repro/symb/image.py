@@ -59,12 +59,10 @@ def image_partitioned(
     With ``gc=True`` the manager may collect garbage between fold steps
     (only when its growth trigger arms).  Callers must then hold their own
     live functions through ``mgr.ref``/``mgr.protect`` — the fold protects
-    only its running ``result`` and the remaining parts.  When the
-    manager runs a :class:`~repro.bdd.policy.ReorderPolicy`, an
-    unprofitable collection may be followed by an in-place sift; the
-    protected roots and all pinned functions survive with their edges
-    intact (the plan's retire sets are variable *indices*, which
-    reordering never renumbers).
+    only its running ``result`` and the remaining parts.  A collection
+    never reorders; an explicit in-place sift between folds keeps every
+    pinned edge intact (the plan's retire sets are variable *indices*,
+    which reordering never renumbers).
     """
     qvars = list(quantify)
     if not parts:
@@ -142,8 +140,7 @@ def plan_image(
     a :class:`~repro.bdd.manager.QuantSet`, so the thousands of fold
     steps the plan will drive skip the per-call sort/dedup/intern pass.
     Quant sets hold variable *indices* and revalidate their level caches
-    lazily, so a plan stays valid across GC-triggered in-place
-    reordering.
+    lazily, so a plan stays valid across an explicit in-place sift.
     """
     with obs_span("plan_image", parts=len(parts)) as plan_span:
         qvars = list(quantify)

@@ -62,8 +62,8 @@ def reachable_states(
     # fixpoint and reused via image_with_plan: each iteration then runs
     # the plan's fold with interned quant sets and no rescheduling (a
     # frontier that is one state, a cube, folds the clusters' cofactors).
-    # The plan's retire sets hold variable indices, so a GC-triggered
-    # in-place sift mid-fixpoint leaves it valid.
+    # The plan's retire sets hold variable indices, so an explicit
+    # in-place sift of the manager leaves it valid.
     plan = None
     pool = sharded = None
     if shards > 1:
@@ -85,10 +85,8 @@ def reachable_states(
     iterations = 0
     # Pin everything the fixpoint still needs, so the kernel may collect
     # the intermediates of earlier iterations (image results, stale
-    # frontiers) whenever its growth trigger arms.  The same pins make
-    # GC-triggered reordering safe: a sift fired from inside
-    # collect_garbage rewrites levels in place and can never reap a
-    # referenced root, so the loop's edges stay valid across reorders.
+    # frontiers) whenever its growth trigger arms.  A sweep never
+    # reorders, so the loop's edges keep their levels between iterations.
     for part in parts:
         mgr.ref(part)
     mgr.ref(reached)

@@ -3,7 +3,10 @@
 Covers the overhaul features: live roots survive a sweep, computed-table
 entries survive or expire correctly, negation is O(1) and involutive
 under complement edges, freed slots are recycled, and random expressions
-keep reference semantics across collections.
+keep reference semantics across collections.  ``TestGcTrigger`` pins the
+one collection trigger (``gc_min_live`` floor and ``gc_growth`` over the
+post-sweep baseline), the reclaim-ratio statistic, and that a sweep
+never reorders.
 """
 
 from __future__ import annotations
@@ -122,6 +125,101 @@ class TestCollectGarbage:
         assert not mgr.should_collect()
         assert mgr.maybe_collect_garbage() == 0
         assert mgr.stats["gc_runs"] == 0
+
+
+def grow(mgr: BddManager, k: int) -> None:
+    """Add ``k`` fresh variables and build their literals: exactly ``k``
+    more live nodes, none of which a sweep can reclaim."""
+    start = mgr.num_vars
+    for v in mgr.add_vars([f"g{start + i}" for i in range(k)]):
+        mgr.var_node(v)
+
+
+class TestGcTrigger:
+    def test_floor_and_growth_both_gate(self) -> None:
+        mgr = BddManager(gc_min_live=10, gc_growth=2.0)
+        grow(mgr, 8)
+        assert mgr.stats["live_nodes"] == 9
+        assert not mgr.should_collect()  # grown 9x, but below the floor
+        grow(mgr, 1)
+        assert mgr.should_collect()  # floor reached, growth armed
+        assert mgr.collect_garbage() == 0  # baseline is now 10 live nodes
+        assert not mgr.should_collect()  # above the floor, not grown 2x
+        grow(mgr, 9)
+        assert not mgr.should_collect()  # 19 < 2 x 10
+        grow(mgr, 1)
+        assert mgr.should_collect()
+
+    def test_sweeps_never_move_the_floor(self) -> None:
+        mgr = BddManager(gc_min_live=5, gc_growth=1.0)
+        grow(mgr, 8)
+        for _ in range(10):
+            assert mgr.collect_garbage() == 0  # nothing to reclaim
+        assert mgr.gc_min_live == 5
+        assert mgr.gc_growth == 1.0
+        assert mgr.should_collect()
+
+    def test_unprofitable_sweeps_keep_collecting(self) -> None:
+        mgr = BddManager(gc_min_live=8, gc_growth=1.0)
+        mgr.add_vars([f"x{i}" for i in range(8)])
+        f = 1
+        for i in range(8):
+            f = mgr.ref(mgr.apply_and(f, mgr.var_node(i)))
+        for _ in range(5):
+            assert mgr.maybe_collect_garbage() == 0
+        assert mgr.stats["gc_runs"] == 5
+        assert mgr.should_collect()
+
+    def test_gc_numbers_read_and_write(self) -> None:
+        mgr = BddManager(gc_min_live=123, gc_growth=3.5)
+        assert (mgr.gc_min_live, mgr.gc_growth) == (123, 3.5)
+        grow(mgr, 8)  # 9 live nodes against a baseline of 1
+        assert not mgr.should_collect()
+        mgr.gc_min_live = 9
+        mgr.gc_growth = 9.0
+        assert (mgr.gc_min_live, mgr.gc_growth) == (9, 9.0)
+        assert mgr.should_collect()  # the new numbers take effect at once
+        mgr.gc_growth = 9.5
+        assert not mgr.should_collect()
+
+    def test_stats_expose_reclaim_ratio(self) -> None:
+        mgr = BddManager(gc_min_live=0, gc_growth=1.0)
+        mgr.add_vars("ab")
+        assert mgr.stats["reclaim_ratio_avg"] == 1.0  # no sweep yet
+        g = mgr.apply_and(mgr.var_node(0), mgr.var_node(1))
+        assert g >= 2
+        mgr.collect_garbage()  # g unpinned: reclaimed
+        stats = mgr.stats
+        assert stats["gc_runs"] == 1
+        assert 0.0 < stats["reclaim_ratio_avg"] <= 1.0
+
+    def test_reclaim_ratio_is_the_mean_over_sweeps(self) -> None:
+        mgr = fresh()
+        make_garbage(mgr, mgr.var_node(0))
+        live_before = mgr.stats["live_nodes"]
+        reclaimed = mgr.collect_garbage()
+        assert reclaimed > 0
+        assert mgr.stats["reclaim_ratio_avg"] == reclaimed / live_before
+        assert mgr.collect_garbage() == 0  # a second sweep finds nothing
+        assert mgr.stats["reclaim_ratio_avg"] == reclaimed / live_before / 2
+
+    def test_sweeps_never_reorder(self) -> None:
+        """A pinned Σ x_i·y_i under the blocked order: every sweep
+        reclaims nothing, and the order and the size stay as built."""
+        mgr = BddManager(gc_min_live=0, gc_growth=1.0)
+        xs = mgr.add_vars([f"x{i}" for i in range(5)])
+        ys = mgr.add_vars([f"y{i}" for i in range(5)])
+        f = 0
+        for x, y in zip(xs, ys):
+            f = mgr.apply_or(f, mgr.apply_and(mgr.var_node(x), mgr.var_node(y)))
+        mgr.ref(f)
+        mgr.collect_garbage()
+        order, size = mgr.var_order(), mgr.size(f)
+        for _ in range(5):
+            assert mgr.maybe_collect_garbage() == 0
+        assert mgr.var_order() == order
+        assert mgr.size(f) == size
+        assert mgr.stats["reorder_runs"] == mgr.stats["reorder_swaps"] == 0
 
 
 class TestComputedTable:

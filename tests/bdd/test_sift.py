@@ -239,7 +239,10 @@ def test_swap_counts_reported() -> None:
     xs = mgr.add_vars([f"x{i}" for i in range(n)])
     ys = mgr.add_vars([f"y{i}" for i in range(n)])
     mgr.ref(_misordered_product(mgr, xs, ys))
-    result = sift(mgr)
+    result = mgr.sift_now()
     assert result.swaps > 0
     assert result.vars_sifted > 0
     assert result.size_after == len(mgr)
+    # The explicit pass is what the manager's reorder counters count.
+    assert mgr.stats["reorder_runs"] == 1
+    assert mgr.stats["reorder_swaps"] == result.swaps

@@ -1,7 +1,7 @@
 """An explicit sift of a built problem, before the solve.
 
-Solves run the kernel's default policies (static GC, no dynamic
-reordering), so the only way a problem's order changes is an explicit
+The kernel never reorders on its own (a garbage collection leaves the
+order alone), so the only way a problem's order changes is an explicit
 ``problem.manager.sift_now()`` between building and solving.  The
 problem's reorder boundary must keep every letter variable above every
 state variable (the subset construction's cofactor splitting requires

@@ -81,8 +81,12 @@ def test_sharded_solve_full_table1_identical(case) -> None:
     prob = build_latch_split_problem(
         case.network(), list(case.x_latches), max_nodes=case.max_nodes
     )
+    order = prob.manager.var_order()
     base = solve_equation(prob, method="partitioned")
     sharded = solve_equation(prob, method="partitioned", shards=2)
+    # No solve moves a variable: KISS bytes list cubes in letter order.
+    assert prob.manager.var_order() == order
+    assert prob.manager.stats["reorder_runs"] == 0
     assert sharded.csf_states == base.csf_states
     assert sharded.stats.subsets == base.stats.subsets
     assert sharded.stats.edges == base.stats.edges

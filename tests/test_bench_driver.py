@@ -167,12 +167,14 @@ class TestFilteredRuns:
 
 class TestOneProductLayout:
     def test_listing_has_no_removed_rows(self) -> None:
-        """The interleaved product layout and the reach-blocked reorder
-        twin are gone; the stacked rows they paired with remain."""
+        """The interleaved product layout and the two GC-triggered
+        reorder twins are gone; the rows they paired with remain."""
         listing = driver.list_workloads()
         assert "@interleave" not in listing
         assert "reach_blocked_order_reorder" not in listing
+        assert "misordered_product_reorder" not in listing
         assert "kernel/reach_blocked_order " in listing
+        assert "kernel/misordered_product " in listing
         assert "twin12_8@batch8" in listing
         assert "twin16x4@batch8" in listing
 

@@ -263,19 +263,27 @@ def test_internal_links_resolve() -> None:
 
 def test_docs_mention_the_tuning_flags() -> None:
     tuning = (DOCS / "tuning.md").read_text()
+    for token in ("sift_now", "reclaim"):
+        assert token in tuning
+    # The kernel policy objects and their bench row are gone.
     for token in (
         "gc_policy=",
         "reorder_policy=",
         "adaptive",
-        "sift_now",
-        "reclaim",
         "misordered_product_reorder",
     ):
-        assert token in tuning
-    # The solver knobs are gone; no page may still document them.
+        assert token not in tuning, f"tuning.md documents removed {token!r}"
+    # The solver knobs and the kernel policies are gone; no page may
+    # still document them.
     for page in (*DOCS.rglob("*.md"), REPO / "README.md"):
         text = page.read_text()
-        for flag in ("--reorder", "--gc ", "--product-order"):
+        for flag in (
+            "--reorder",
+            "--gc ",
+            "--product-order",
+            "GcPolicy",
+            "ReorderPolicy",
+        ):
             assert flag not in text, f"{page.name} documents removed {flag!r}"
 
 
