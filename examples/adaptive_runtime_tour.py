@@ -36,9 +36,11 @@ def act_one_trigger() -> None:
     for v in vs[:9]:
         mgr.var_node(v)  # literals: live nodes no sweep reclaims
     live = mgr.stats["live_nodes"]
-    print(f"  live={live}: should_collect={mgr.should_collect()} (floor reached)")
+    assert live == mgr.gc_min_live and mgr.should_collect()
+    print(f"  live={live}: should_collect=True (floor {mgr.gc_min_live} reached)")
     mgr.collect_garbage()
-    print(f"  after a sweep that reclaimed nothing: should_collect={mgr.should_collect()}")
+    assert not mgr.should_collect()
+    print("  after a sweep that reclaimed nothing: should_collect=False")
     for v in vs[9:]:
         mgr.var_node(v)
     live = mgr.stats["live_nodes"]
