@@ -1825,8 +1825,9 @@ class BddManager:
         its root entry and adds the other nodes its walk rebuilt to the
         cell, so the count stays a count of work.  ``reclaim_ratio_avg`` is the mean
         reclaim ratio over all sweeps so far (1.0 when no sweep has
-        run); ``reorder_runs`` / ``reorder_swaps`` count completed
-        :meth:`sift_now` passes and the adjacent-level swaps they performed.
+        run); ``reorder_runs`` / ``reorder_swaps`` count the sifting
+        passes (:meth:`sift_now` or :func:`repro.bdd.reorder.sift`) and
+        the adjacent-level swaps they performed.
         ``nodes_per_level`` lists live node counts from the top of the
         order to the bottom (the terminal is outside all levels);
         ``subtable_count`` is the number of per-level subtables (one per
@@ -1906,9 +1907,9 @@ class BddManager:
 
         Protocol entry point for reordering (the manager never sifts on
         its own): delegates to :func:`repro.bdd.reorder.sift`, honouring
-        the reorder block boundaries and keeping every live edge valid,
-        and adds the pass and its swaps to ``reorder_runs`` /
-        ``reorder_swaps``.  Returns the
+        the reorder block boundaries and keeping every live edge valid
+        (the pass and its swaps count in ``reorder_runs`` /
+        ``reorder_swaps``), inside a ``sift`` trace span.  Returns the
         :class:`~repro.bdd.reorder.SiftResult`.
         """
         from repro.bdd.reorder import sift
@@ -1916,8 +1917,6 @@ class BddManager:
         with obs_span("sift") as sift_span:
             result = sift(self, roots, max_growth=max_growth, max_vars=max_vars)
             sift_span.set(swaps=result.swaps, size_after=result.size_after)
-        self._reorder_runs += 1
-        self._reorder_swaps += result.swaps
         return result
 
     def dump_nodes(self, roots: Sequence[int]) -> dict:

@@ -497,8 +497,11 @@ def sift(
     never be reaped.  The computed table is flushed (its quantification
     keys embed level-set ids that change meaning with the order); the
     node budget is *not* enforced during the sift, so a near-budget
-    manager can reorder its way back under the limit.
+    manager can reorder its way back under the limit.  The pass and
+    its swaps are added to the manager's ``reorder_runs`` /
+    ``reorder_swaps`` counters.
     """
+    mgr._reorder_runs += 1
     size_before = mgr._nb[0]
     nvars = mgr.num_vars
     if nvars < 2 or size_before <= 2:
@@ -533,6 +536,7 @@ def sift(
         swaps += ctx.sift_var(v, lo, hi, max_growth)
         sifted += 1
     ctx.finish()
+    mgr._reorder_swaps += swaps
     return SiftResult(
         swaps=swaps,
         size_before=size_before,

@@ -88,8 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--spill-dir",
         default=None,
         help=(
-            "directory for spilled subset states (default: a private "
-            "temporary directory, removed after the solve)"
+            "directory for the solve's spill log, kept after the solve "
+            "(default: a private temporary directory, removed after the solve)"
         ),
     )
     solve.add_argument("--no-verify", action="store_true", help="skip formal checks")

@@ -5,11 +5,12 @@ The subset driver pins every discovered ψ for the whole solve (the
 seen subsets), so peak memory — not time — is what caps latch counts.
 This module bounds that working set:
 
-* :class:`SpillStore` is a content-addressed blob store over the
-  single-function spill format
-  (:func:`~repro.bdd.io.dump_function_packed`): blobs are keyed by
-  their SHA-256, so identical sibling ψ — common exactly where the
-  completion memo already shows >60 % sharing — cost one file.
+* :class:`SpillStore` appends blobs in the single-function spill
+  format (:func:`~repro.bdd.io.dump_function_packed`) to one log file
+  per store, indexed in memory by their SHA-256, so identical sibling
+  ψ — common exactly where the completion memo already shows >60 %
+  sharing — are written once per store.  A solve has one store, so one
+  log; a caller's spill directory keeps it after the solve.
 * :class:`ResidencyManager` is the coordinator-side policy object: an
   LRU over *expanded* subset states with a node-count budget.  States
   still in the frontier are never evicted (their raw edge identity is
@@ -41,15 +42,14 @@ def content_key(mgr, f: int) -> tuple[str, bytes]:
 
 
 class SpillStore:
-    """A content-addressed directory of packed-function blobs.
+    """An append-only, content-addressed log of packed-function blobs.
 
-    Layout is ``root/<key[:2]>/<key>.bin`` with atomic ``os.replace``
-    writes, so any number of processes may share one store: a second
-    writer of the same content either finds the file already present or
-    replaces it with identical bytes.  A store constructed without a
-    ``root`` owns a fresh temporary directory and removes it on
-    :meth:`close`; a store pointed at a caller-provided directory never
-    deletes anything.
+    The first :meth:`put` opens one log; an in-memory index ``sha256 →
+    (offset, length)`` finds blobs in it, so dedup is per store.  A
+    store without a ``root`` owns a temporary directory and removes it,
+    log included, on :meth:`close`; in a caller's directory the log gets
+    a unique ``spill-*.log`` name and is kept.  A failed log write or
+    read raises :class:`EquationError` naming the store.
     """
 
     def __init__(self, root: str | None = None) -> None:
@@ -60,67 +60,65 @@ class SpillStore:
             os.makedirs(root, exist_ok=True)
             self.root = root
             self._owned = False
+        #: The log file, ``None`` until the first write.
+        self.path: str | None = None
+        self._fd: int | None = None
+        self._index: dict[str, tuple[int, int]] = {}
         #: Blobs actually written (content-dedup hits do not count).
         self.puts = 0
-        #: Bytes actually written.
+        #: Bytes actually written, which is also the log's length.
         self.put_bytes = 0
         #: Writes skipped because the content was already present.
         self.dedup_hits = 0
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], key[2:] + ".bin")
-
     def put(self, blob: bytes) -> tuple[str, bool]:
         """Store ``blob``; returns ``(key, written)``."""
         key = hashlib.sha256(blob).hexdigest()
-        path = self._path(key)
-        if os.path.exists(path):
+        if key in self._index:
             self.dedup_hits += 1
             return key, False
-        parent = os.path.dirname(path)
-        os.makedirs(parent, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:  # pragma: no cover - cleanup best effort
-                pass
-            raise
+            if self._fd is None:
+                self._fd, self.path = tempfile.mkstemp(".log", "spill-", self.root)
+            if os.pwrite(self._fd, blob, self.put_bytes) != len(blob):
+                raise OSError("short write")
+        except OSError as exc:
+            raise EquationError(f"cannot write spill log in {self.root}: {exc}") from exc
+        self._index[key] = (self.put_bytes, len(blob))
         self.puts += 1
         self.put_bytes += len(blob)
         return key, True
 
     def get(self, key: str) -> bytes:
-        """Read a blob back by its content key.
-
-        The bytes are hashed again on the way out: a truncated or
-        bit-flipped blob raises :class:`EquationError` instead of
-        loading as some other function.
-        """
-        with open(self._path(key), "rb") as fh:
-            blob = fh.read()
+        """Read a blob back by its content key, hashing it again: a short
+        read or a flipped bit raises :class:`EquationError` instead of
+        loading as some other function."""
+        offset, length = self._index[key]
+        try:
+            blob = os.pread(self._fd, length, offset)
+        except OSError as exc:
+            raise EquationError(f"cannot read spill log {self.path}: {exc}") from exc
         if hashlib.sha256(blob).hexdigest() != key:
             raise EquationError(
-                f"spill blob {key[:12]} in {self.root} is corrupt "
+                f"spill blob {key[:12]} in {self.path} is corrupt "
                 f"({len(blob)} bytes do not hash to their key)"
             )
         return blob
 
     def __contains__(self, key: str) -> bool:
-        return os.path.exists(self._path(key))
+        return key in self._index
 
     def close(self) -> None:
-        """Remove the store directory if this instance owns it."""
+        """Close the log; remove the store directory if owned (idempotent)."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
         if self._owned:
             shutil.rmtree(self.root, ignore_errors=True)
             self._owned = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SpillStore root={self.root!r} puts={self.puts}>"
+        return f"<SpillStore path={self.path!r} puts={self.puts}>"
 
 
 class ResidencyManager:

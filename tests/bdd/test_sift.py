@@ -246,3 +246,16 @@ def test_swap_counts_reported() -> None:
     # The explicit pass is what the manager's reorder counters count.
     assert mgr.stats["reorder_runs"] == 1
     assert mgr.stats["reorder_swaps"] == result.swaps
+    # The exported sift counts its pass the same way as sift_now.
+    other = BddManager()
+    other.ref(
+        _misordered_product(
+            other,
+            other.add_vars([f"x{i}" for i in range(n)]),
+            other.add_vars([f"y{i}" for i in range(n)]),
+        )
+    )
+    plain = sift(other)
+    assert plain.swaps > 0
+    assert other.stats["reorder_runs"] == 1
+    assert other.stats["reorder_swaps"] == plain.swaps

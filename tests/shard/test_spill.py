@@ -15,6 +15,11 @@ Three layers of the same contract:
 
 from __future__ import annotations
 
+import errno
+import multiprocessing as mp
+import os
+import tempfile
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,6 +29,7 @@ from repro.bdd import BddManager
 from repro.bdd.io import FUNCTION_MAGIC, dump_function_packed, load_function_packed
 from repro.bench import circuits
 from repro.bench.suite import TABLE1_CASES
+from repro.eqn import residency
 from repro.eqn.problem import build_latch_split_problem
 from repro.eqn.residency import ResidencyManager, SpillStore
 from repro.eqn.solver import solve_equation
@@ -118,17 +124,21 @@ class TestSpillStore:
         assert store.put_bytes == len(b"same")
 
     def test_shared_directory_between_stores(self, tmp_path) -> None:
-        root = str(tmp_path / "shared")
-        writer, reader = SpillStore(root), SpillStore(root)
-        key, _ = writer.put(b"cross-process")
-        assert reader.get(key) == b"cross-process"
-        # Neither store owns a caller-provided directory.
-        writer.close()
-        assert reader.get(key) == b"cross-process"
+        """A caller directory is never removed: stores sharing one each
+        keep their own log there, and a store that never wrote leaves
+        no file."""
+        root = tmp_path / "shared"
+        first, second, idle = (SpillStore(str(root)) for _ in range(3))
+        first.put(b"one")
+        second.put(b"two")
+        assert first.path != second.path
+        for store in (first, second, idle):
+            store.close()
+        logs = sorted(root.iterdir())
+        assert [log.suffix for log in logs] == [".log", ".log"]
+        assert sorted(log.read_bytes() for log in logs) == [b"one", b"two"]
 
     def test_owned_tempdir_removed_on_close(self) -> None:
-        import os
-
         store = SpillStore()
         key, _ = store.put(b"ephemeral")
         root = store.root
@@ -139,27 +149,28 @@ class TestSpillStore:
 
     @pytest.mark.parametrize("damage", ["truncate", "flip"])
     def test_corrupt_blob_rejected_on_read(self, damage) -> None:
-        import os
-
         store = SpillStore()
+        store.put(b"an earlier record")
         key, _ = store.put(b"a packed psi blob")
-        _corrupt(store._path(key), damage)
+        _corrupt(store, key, damage)
         with pytest.raises(EquationError, match="corrupt"):
             store.get(key)
         store.close()
         assert not os.path.exists(store.root)
 
 
-def _corrupt(path: str, damage: str) -> None:
-    """Truncate a stored blob to half, or flip one bit of its last byte."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _corrupt(store: SpillStore, key: str, damage: str) -> None:
+    """Damage the record of ``key`` at its indexed offset: cut the log
+    in the middle of the record, or flip one bit of its last byte."""
+    offset, length = store._index[key]
     if damage == "truncate":
-        blob = blob[: len(blob) // 2]
-    else:
-        blob = blob[:-1] + bytes([blob[-1] ^ 0x01])
-    with open(path, "wb") as fh:
-        fh.write(blob)
+        os.truncate(store.path, offset + length // 2)
+        return
+    with open(store.path, "r+b") as fh:
+        fh.seek(offset + length - 1)
+        last = fh.read(1)[0]
+        fh.seek(offset + length - 1)
+        fh.write(bytes([last ^ 0x01]))
 
 
 # --------------------------------------------------------------------- #
@@ -338,29 +349,37 @@ def test_sharded_budgeted_solve_spills_and_reloads() -> None:
     assert extra["psi_resident_peak"] <= 8
 
 
-def test_sharded_spill_counters_match_the_store(tmp_path) -> None:
-    """``psi_spills`` / ``spill_bytes`` count exactly the blobs on disk."""
+def test_sharded_spill_counters_match_the_store(tmp_path, monkeypatch) -> None:
+    """``psi_spills`` / ``spill_bytes`` count exactly what the one log holds."""
+    stores = []
+
+    class RecordingStore(SpillStore):
+        def __init__(self, root=None) -> None:
+            super().__init__(root)
+            stores.append(self)
+
+    monkeypatch.setattr(residency, "SpillStore", RecordingStore)
     prob = build_latch_split_problem(circuits.johnson(8), ["j1", "j3", "j5", "j7"])
     result = solve_equation(prob, spill_dir=str(tmp_path), **SHARDED_BUDGET)
-    blobs = list(tmp_path.rglob("*.bin"))
+    (log,) = tmp_path.iterdir()  # one file, however many ψ were spilled
+    (store,) = stores
     extra = result.stats.extra
-    assert blobs
-    assert extra["psi_spills"] == len(blobs)
-    assert extra["spill_bytes"] == sum(blob.stat().st_size for blob in blobs)
+    assert log.suffix == ".log"
+    assert extra["psi_spills"] > 0
+    assert extra["psi_spills"] == store.puts
+    assert extra["spill_bytes"] == log.stat().st_size
 
 
 @pytest.mark.parametrize("damage", ["truncate", "flip"])
 def test_corrupt_spill_fails_the_solve_cleanly(damage, tmp_path, monkeypatch) -> None:
     """A ψ blob damaged on disk fails the reload with EquationError, and
     the solve still removes its owned spill directory."""
-    import tempfile
-
     real_put = SpillStore.put
 
     def damaging_put(store, blob):
         key, written = real_put(store, blob)
         if written:
-            _corrupt(store._path(key), damage)
+            _corrupt(store, key, damage)
         return key, written
 
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
@@ -377,6 +396,22 @@ def test_corrupt_spill_fails_the_solve_cleanly(damage, tmp_path, monkeypatch) ->
             checkpoint_every=1,
         )
     assert list(tmp_path.iterdir()) == []
+
+
+def test_spill_write_failure_fails_the_solve_cleanly(tmp_path, monkeypatch) -> None:
+    """A full disk under the spill log fails a sharded budgeted solve with
+    EquationError, removes the owned spill directory and reaps the workers."""
+
+    def full_disk(fd, data, offset):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(os, "pwrite", full_disk)
+    prob = build_latch_split_problem(circuits.johnson(8), ["j1", "j3", "j5", "j7"])
+    with pytest.raises(EquationError, match="cannot write spill log"):
+        solve_equation(prob, **SHARDED_BUDGET)
+    assert [p.name for p in tmp_path.glob("repro-spill-*")] == []
+    assert mp.active_children() == []
 
 
 def test_budget_rejected_for_explicit_method() -> None:
