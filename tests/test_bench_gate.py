@@ -25,7 +25,9 @@ def _write_baseline(tmp_path, results):
 def test_smoke_baseline_is_committed_and_wellformed() -> None:
     results = _baseline_results()
     names = {r["name"] for r in results}
-    assert {"misordered_product", "misordered_product_reorder"} <= names
+    assert {"misordered_product", "reach_blocked_order"} <= names
+    retired = {"misordered_product_reorder", "reach_blocked_order_reorder", "solve@interleave"}
+    assert not names & retired
     assert all({"name", "size", "wall_s", "peak_live_nodes"} <= r.keys() for r in results)
 
 
