@@ -9,9 +9,9 @@ Public surface:
   ``and_exists`` that powers partitioned image computation.
 * :class:`Function` — operator-overloaded wrapper for user code.
 * :mod:`repro.bdd.cube` — counting / enumeration / picking of cubes.
-* :mod:`repro.bdd.reorder` — in-place sifting (:func:`sift`,
-  :func:`swap_levels`), plus rebuild-based transfer/reordering and
-  mark-and-sweep compaction.
+* :mod:`repro.bdd.reorder` — cross-manager :func:`transfer` (the only
+  way to see a function under another variable order: a manager's order
+  is fixed once it holds nodes) and mark-and-sweep :func:`compact`.
 * :mod:`repro.bdd.io` — dot export and JSON (de)serialisation.
 * :mod:`repro.bdd.backends` — the pluggable-backend registry:
   :func:`create_manager` constructs a manager on any registered
@@ -45,15 +45,7 @@ from repro.bdd.io import (
     to_dot,
 )
 from repro.bdd.manager import FALSE, TRUE, BddManager
-from repro.bdd.reorder import (
-    SiftResult,
-    compact,
-    greedy_sift_order,
-    reorder,
-    sift,
-    swap_levels,
-    transfer,
-)
+from repro.bdd.reorder import compact, transfer
 
 __all__ = [
     "BACKEND_CHOICES",
@@ -67,21 +59,16 @@ __all__ = [
     "backend_available",
     "create_manager",
     "register_backend",
-    "SiftResult",
     "compact",
     "dump_function",
     "dump_nodes",
-    "greedy_sift_order",
     "iter_cubes",
     "iter_minterms",
     "load_function",
     "load_nodes",
     "pick_cube",
     "pick_minterm",
-    "reorder",
     "sat_count",
-    "sift",
-    "swap_levels",
     "to_dot",
     "transfer",
 ]

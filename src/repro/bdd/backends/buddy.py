@@ -60,9 +60,6 @@ _OP_IMP = 5
 _OP_BIIMP = 6
 _OP_DIFF = 7
 
-#: ``bdd_reorder`` method: move each variable to its locally best level.
-_REORDER_SIFT = 3
-
 #: BuDDy error codes mapped to :class:`~repro.errors.BddNodeLimit`
 #: (out of memory / node table cannot grow / max node count reached).
 _LIMIT_ERRORS = frozenset({-1, -11, -17})
@@ -165,12 +162,8 @@ def _declare(lib: ctypes.CDLL) -> None:
         "bdd_level2var": ([c_int], c_int),
         "bdd_var2level": ([c_int], c_int),
         "bdd_setvarorder": ([int_p], None),
-        "bdd_reorder": ([c_int], None),
-        "bdd_intaddvarblock": ([c_int, c_int, c_int], c_int),
-        "bdd_clrvarblocks": ([], None),
         "bdd_error_hook": ([_ERR_HOOK_T], _VOID_HOOK_T),
         "bdd_gbc_hook": ([_VOID_HOOK_T], _VOID_HOOK_T),
-        "bdd_reorder_hook": ([_VOID_HOOK_T], _VOID_HOOK_T),
         "bdd_resize_hook": ([_VOID_HOOK_T], _VOID_HOOK_T),
     }
     for name, (argtypes, restype) in sigs.items():
@@ -278,7 +271,6 @@ class BuddyManager:
         self._err_hook = _ERR_HOOK_T(_on_error)  # keep the callback alive
         lib.bdd_error_hook(self._err_hook)
         lib.bdd_gbc_hook(None)
-        lib.bdd_reorder_hook(None)
         lib.bdd_resize_hook(None)
         lib.bdd_setminfreenodes(33)
         lib.bdd_setmaxincrease(max(nodesize, 100_000))
@@ -293,12 +285,10 @@ class BuddyManager:
         self._extref: dict[int, int] = {}
         self._quant_cubes: dict[tuple[int, ...], int] = {}
         self._rename_maps: dict[tuple[tuple[int, int], ...], BuddyRenameMap] = {}
-        self._boundaries: set[int] = set()
         self._gc_baseline = 1
         self._gc_runs = 0
         self._gc_reclaimed = 0
         self._gc_ratio_sum = 0.0
-        self._reorder_runs = 0
         self._peak_live = 0
         _ACTIVE[0] = self
         _ACTIVE[1] = os.getpid()
@@ -400,6 +390,11 @@ class BuddyManager:
         ]
 
     def set_order(self, names: Sequence[str]) -> None:
+        if self._owned or self._extref:
+            raise BddError(
+                "set_order requires an empty manager; transfer() the "
+                "functions into a fresh manager instead"
+            )
         if sorted(names) != sorted(self._var_names):
             raise BddError("set_order must mention every declared variable once")
         level_of = {self._name_to_var[n]: lv for lv, n in enumerate(names)}
@@ -408,26 +403,6 @@ class BuddyManager:
         )
         self._lib.bdd_setvarorder(arr)
         self._check(0)
-
-    def set_reorder_boundaries(self, levels: Iterable[int]) -> None:
-        """Freeze reorder blocks at the given levels.
-
-        Mapped onto BuDDy variable blocks.  The solver sets boundaries
-        immediately after declaring variables (while level == index), so
-        the level ranges translate directly to variable ranges.
-        """
-        self._boundaries = {int(lv) for lv in levels if lv > 0}
-        lib = self._lib
-        lib.bdd_clrvarblocks()
-        nvars = len(self._var_names)
-        cuts = sorted(b for b in self._boundaries if b < nvars)
-        for start, end in zip([0, *cuts], [*cuts, nvars]):
-            if end - start >= 1:
-                self._check(lib.bdd_intaddvarblock(start, end - 1, 0))
-
-    @property
-    def reorder_boundaries(self) -> set[int]:
-        return set(self._boundaries)
 
     # ------------------------------------------------------------------ #
     # Edge handles
@@ -652,38 +627,6 @@ class BuddyManager:
         return 0
 
     # ------------------------------------------------------------------ #
-    # Reordering
-    # ------------------------------------------------------------------ #
-
-    def sift_now(
-        self,
-        roots: Iterable[int] = (),
-        *,
-        max_growth: float = 1.2,
-        max_vars: int | None = None,
-    ):
-        """One native sifting pass (``bdd_reorder``), block-aware.
-
-        ``max_growth``/``max_vars`` have no BuDDy equivalents and are
-        accepted for signature parity.  Returns a
-        :class:`~repro.bdd.reorder.SiftResult` (``swaps`` is not
-        reported by BuDDy and reads 0).
-        """
-        from repro.bdd.reorder import SiftResult
-
-        lib = self._lib
-        size_before = lib.bdd_getnodenum()
-        lib.bdd_reorder(_REORDER_SIFT)
-        self._check(0)
-        self._reorder_runs += 1
-        return SiftResult(
-            swaps=0,
-            size_before=size_before,
-            size_after=lib.bdd_getnodenum(),
-            vars_sifted=len(self._var_names),
-        )
-
-    # ------------------------------------------------------------------ #
     # Inspection
     # ------------------------------------------------------------------ #
 
@@ -752,8 +695,6 @@ class BuddyManager:
             "reclaim_ratio_avg": (
                 self._gc_ratio_sum / gc_runs if gc_runs else 1.0
             ),
-            "reorder_runs": self._reorder_runs,
-            "reorder_swaps": 0,
             "peak_live_nodes": max(self._peak_live, live),
             "live_nodes": live,
             "nodes_per_level": [0] * nvars,
@@ -774,7 +715,6 @@ class BuddyManager:
         self._gc_runs = 0
         self._gc_reclaimed = 0
         self._gc_ratio_sum = 0.0
-        self._reorder_runs = 0
         self._peak_live = self._lib.bdd_getnodenum()
 
     def clear_caches(self) -> None:

@@ -7,9 +7,9 @@ This kit makes the property executable:
 
 1. :func:`program_strategy` draws a random **operation program** (a
    little DAG of and/or/xor/ite/quantify/restrict/compose/constrain
-   steps over a shared operand pool, with garbage collections and
-   in-place sifts interleaved at random points — the events most likely
-   to shake loose lifetime or canonicity bugs);
+   steps over a shared operand pool, with garbage collections
+   interleaved at random points — the event most likely to shake loose
+   lifetime or canonicity bugs);
 2. :func:`run_program` replays a program on one backend, returning the
    operand pool's edge handles;
 3. :func:`assert_same_functions` compares the two runs **edge for
@@ -87,9 +87,8 @@ class Step:
 
     Operand indices (``a``/``b``/``c``) address the growing operand
     pool modulo its current length, so every drawn program is valid on
-    every backend.  ``event`` interleaves lifecycle operations: 0 = GC
-    after this step, 1 = in-place sift after this step, anything else =
-    nothing.
+    every backend.  ``event`` interleaves a lifecycle operation: 0 = GC
+    after this step, anything else = nothing.
     """
 
     op: str
@@ -132,7 +131,7 @@ def program_strategy(
             min_size=1,
             max_size=nvars,
         ).map(tuple),
-        # ~1 in 8 steps collects, ~1 in 16 sifts mid-program.
+        # ~1 in 16 steps collects mid-program.
         event=st.integers(min_value=0, max_value=15),
     )
     return st.builds(
@@ -149,8 +148,7 @@ def run_program(mgr, program: Program) -> list[int]:
     fix the order first).  The pool starts with both literals of every
     variable plus the two terminals, and every step appends its result, so later steps can
     consume earlier results (a DAG, not a tree).  GC passes the live
-    pool as roots — exactly how the solver protects its frontier — and
-    sift events reorder in place with the pool pinned.
+    pool as roots — exactly how the solver protects its frontier.
     """
     variables = [
         mgr.var_index(n) if mgr.has_var(n) else mgr.add_var(n) for n in program.names
@@ -204,8 +202,6 @@ def run_program(mgr, program: Program) -> list[int]:
         pool.append(r)
         if step.event == 0:
             mgr.collect_garbage(pool)
-        elif step.event == 1:
-            mgr.sift_now(pool)
     return pool
 
 
@@ -347,10 +343,9 @@ def check_split_classes(mgr, program: Program, order: tuple[str, ...]) -> None:
     :func:`~repro.bdd.backends.protocol.generic_split_by_vars`.
 
     The variables are declared and put in ``order`` before ``program``
-    replays (its GC and sift events run with the pool pinned).  Then each
-    pool entry is split by every top prefix of the order the replay left
-    — every other variable sits below the prefix, as the split
-    requires.  Each prefix splits the whole pool twice, so a
+    replays (its GC events run with the pool pinned).  Then each pool
+    entry is split by every top prefix of that order — every other
+    variable sits below the prefix, as the split requires.  Each prefix splits the whole pool twice, so a
     backend's cross-call memo answers the second pass.  Both splits must
     give the same classes in the same lo-first order with the same
     condition edges, and the classes must partition TRUE and rebuild

@@ -17,17 +17,18 @@ The contract, in prose
   handles — negation goes through :meth:`~BddBackend.apply_not`,
   structure walks through ``node_var``/``node_lo``/``node_hi``.
 * **Variables are small ints** returned by ``add_var`` and stable for
-  the manager's lifetime; *levels* (positions in the order) move under
-  reordering, indices do not.  Names are the cross-manager identity:
-  the :meth:`~BddBackend.dump_nodes` snapshot format travels by name.
+  the manager's lifetime, and so is the order: a variable's *level*
+  (its position in the order) is fixed once the manager holds nodes.
+  Names are the cross-manager identity: the
+  :meth:`~BddBackend.dump_nodes` snapshot format travels by name, so a
+  function can be loaded into a manager with another order.
 * **Results are canonical**: two equivalent functions built any way
   whatsoever must compare equal as handles.  (The conformance kit in
   :mod:`repro.bdd.backends.conformance` checks this property across
   backends via the snapshot form.)
 * **Lifetime**: handles stay valid until a garbage collection; edges
   pinned with :meth:`~BddBackend.ref` (or passed as GC roots, or
-  variable literals) survive collections.  ``sift_now`` reorders in
-  place and must keep every live handle valid.
+  variable literals) survive collections.
 * **Interned operands.**  ``quant_set`` and ``rename_map`` return
   backend-owned objects that the same manager's quantifiers and
   ``rename`` accept in place of a plain variable collection or dict,
@@ -70,9 +71,6 @@ class BddBackend(Protocol):
     def var_index(self, name: str) -> int: ...
     def var_level(self, var: int) -> int: ...
     def var_order(self) -> list[str]: ...
-    def set_reorder_boundaries(self, levels: Iterable[int]) -> None: ...
-    @property
-    def reorder_boundaries(self) -> set[int]: ...
 
     # -- edge handles ------------------------------------------------ #
     def var_node(self, var: int) -> int: ...
@@ -112,10 +110,6 @@ class BddBackend(Protocol):
     def should_collect(self) -> bool: ...
     def collect_garbage(self, roots: Iterable[int] = ()) -> int: ...
     def maybe_collect_garbage(self, roots: Iterable[int] = ()) -> int: ...
-
-    # -- reordering -------------------------------------------------- #
-    def sift_now(self, roots: Iterable[int] = (), *, max_growth: float = 1.2,
-                 max_vars: int | None = None) -> Any: ...
 
     # -- inspection -------------------------------------------------- #
     def support(self, f: int) -> set[int]: ...

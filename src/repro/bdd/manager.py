@@ -13,9 +13,8 @@ separate production kernels from toys:
   ``f < 2`` terminal test still works on edges;
 * **per-level subtables** — the unique table is a list of per-variable
   dicts (``_subtables[var]: packed(lo, hi) -> regular edge``), CUDD-style.
-  Reordering gets its per-level candidate buckets for free, garbage
-  collection sweeps level-locally (live entries only, never dead slots),
-  and ``stats``/``check()`` report per-level occupancy.  Keys are
+  Garbage collection sweeps level-locally (live entries only, never dead
+  slots), and ``stats``/``check()`` report per-level occupancy.  Keys are
   **packed machine integers** (``lo << 38 | hi``) rather than tuples —
   int keys hash and compare several times faster than tuple keys, which
   is the single biggest constant-factor lever available to a pure-Python
@@ -49,12 +48,16 @@ bit propagated.  Cofactor extraction in the hot operators is then a bare
 list index — no shift/mask arithmetic on the hot path — at the cost of
 one extra (pointer-sized) slot per node.
 
-Variable *levels* are separate from variable *indices*, so the order can
-be changed (see :mod:`repro.bdd.reorder`).  Repeated quantifications over
-the same variable set should go through :meth:`~BddManager.quant_set`,
-which interns the level tuple once and revalidates it lazily when the
-order changes (``_order_epoch``); repeated renames under one map should
-go through :meth:`~BddManager.rename_map` likewise.
+Variable *levels* are separate from variable *indices*.  The order is
+chosen while the manager is empty (declaration order, or
+:meth:`~BddManager.set_order`) and never moves once it holds nodes; to
+use another order, copy the functions into a fresh manager with
+:func:`repro.bdd.reorder.transfer`.  Repeated quantifications over the
+same variable set should go through :meth:`~BddManager.quant_set`, which
+interns the level tuple once (revalidating it lazily against
+``_order_epoch``, since a set may be interned before ``set_order``
+runs); repeated renames under one map should go through
+:meth:`~BddManager.rename_map` likewise.
 
 All manager methods consume and produce int edges, which keeps the inner
 loops fast; :class:`repro.bdd.function.Function` offers an
@@ -168,8 +171,9 @@ class QuantSet:
     sort/dedup/intern pass per call when handed a plain variable list.
     A ``QuantSet`` performs that pass once and caches the level tuple and
     suffix ids; the cache revalidates itself lazily against the
-    manager's ``_order_epoch``, so it stays correct across in-place
-    reordering (levels move; the variable *indices* held here do not).
+    manager's ``_order_epoch``, so a set interned on an empty manager
+    stays correct across a later :meth:`BddManager.set_order` (levels
+    move; the variable *indices* held here do not).
 
     Obtain instances through :meth:`BddManager.quant_set`; pass them
     anywhere :meth:`~BddManager.exists`, :meth:`~BddManager.forall` or
@@ -240,9 +244,8 @@ class BddManager:
         that arms :meth:`should_collect`.
 
     Both GC numbers are plain attributes and may be reassigned at any
-    time.  The manager never reorders on its own: the variable order
-    changes only through an explicit :meth:`sift_now` or
-    :func:`~repro.bdd.reorder.swap_levels`.
+    time.  The variable order is fixed once the manager holds nodes:
+    only :meth:`set_order` on an empty manager changes it.
 
     Examples
     --------
@@ -279,9 +282,6 @@ class BddManager:
         "_rename_intern",
         "_split_memo",
         "_split_pairs",
-        "_reorder_boundaries",
-        "_reorder_runs",
-        "_reorder_swaps",
         "_subtables",
         "_suffix_cache",
         "_var",
@@ -348,7 +348,7 @@ class BddManager:
         self._name_to_var: dict[str, int] = {}
         self._var2level: list[int] = []
         self._level2var: list[int] = []
-        # Bumped on every order change; QuantSet caches revalidate on it.
+        # Bumped by set_order; QuantSet caches revalidate on it.
         self._order_epoch = 0
         # Statistics counters (exposed through the ``stats`` property).
         # The hot closures count into ``_counters`` (a list is a cheap
@@ -363,11 +363,6 @@ class BddManager:
         self._gc_reclaimed = 0
         self._gc_ratio_sum = 0.0
         self._peak_live = 1
-        # Levels that start a new reorder block (sifting never swaps a
-        # variable across a block boundary).
-        self._reorder_boundaries: set[int] = set()
-        self._reorder_runs = 0
-        self._reorder_swaps = 0
         self._bind_hot_ops()
 
     @property
@@ -453,11 +448,15 @@ class BddManager:
         """Set a complete variable order by name (top to bottom).
 
         All declared variables must be listed exactly once.  Only valid
-        while the manager holds no internal nodes (use
-        :func:`repro.bdd.reorder.reorder` afterwards).
+        while the manager holds no internal nodes: once it does, the
+        order is fixed (copy the functions into a fresh manager with
+        :func:`repro.bdd.reorder.transfer` to use another order).
         """
         if self._nb[0] > 1:
-            raise BddError("set_order requires an empty manager; use reorder()")
+            raise BddError(
+                "set_order requires an empty manager; transfer() the "
+                "functions into a fresh manager instead"
+            )
         if sorted(names) != sorted(self._var_names):
             raise BddError("set_order must mention every declared variable once")
         # In place: the operator closures hold this very list.
@@ -465,24 +464,6 @@ class BddManager:
         for level, var in enumerate(self._level2var):
             self._var2level[var] = level
         self._order_epoch += 1
-
-    def set_reorder_boundaries(self, levels: Iterable[int]) -> None:
-        """Freeze reorder-block boundaries at the given levels.
-
-        Each level in ``levels`` starts a new *block*: sifting
-        (:meth:`sift_now`) only ever swaps adjacent levels
-        inside one block, so variables never migrate across a boundary.
-        The solver flows use this to keep the letter variables above all
-        state variables — a hard requirement of the cofactor-splitting
-        step (:func:`repro.bdd.cube.split_by_vars`) — while still letting
-        an explicit sift reorder the state block freely.
-        """
-        self._reorder_boundaries = {int(lv) for lv in levels if lv > 0}
-
-    @property
-    def reorder_boundaries(self) -> set[int]:
-        """Levels starting a new reorder block (empty = one big block)."""
-        return set(self._reorder_boundaries)
 
     def var_node(self, var: int) -> int:
         """Edge for the positive literal of variable index ``var``."""
@@ -1469,7 +1450,7 @@ class BddManager:
         and through :meth:`ite` on the new variable's literal where it
         does not.  An order-preserving map (the ``ns -> cs`` rename of a
         paired or blocked order) thus costs one pass over ``f``, and a
-        map that a reorder has scrambled costs small ``ite`` calls only
+        map that crosses other variables costs small ``ite`` calls only
         at the nodes it moves.  The substitution is simultaneous, so a
         map may swap variables.
         """
@@ -1545,8 +1526,8 @@ class BddManager:
         across calls, per split-variable set: the subset construction
         splits many relations that share sub-DAGs.  Memoised edges are
         not pinned, so the memo is flushed with the computed table
-        (:meth:`clear_caches`: every reclaiming sweep, every reorder,
-        the computed-table cap), and by the next call once it holds more
+        (:meth:`clear_caches`: every reclaiming sweep and the
+        computed-table cap), and by the next call once it holds more
         than :data:`SPLIT_MEMO_BUDGET` pairs.
         :func:`~repro.bdd.backends.protocol.generic_split_by_vars` is the
         protocol-only form of the same algorithm.
@@ -1815,8 +1796,8 @@ class BddManager:
 
     @property
     def stats(self) -> dict[str, object]:
-        """Counter snapshot: table hits/misses, recursion, GC, reordering
-        and per-level occupancy.
+        """Counter snapshot: table hits/misses, recursion, GC and
+        per-level occupancy.
 
         ``cache_misses`` (= ``recursive_calls``) is derived: every miss
         stores exactly one computed-table entry, so the count is the
@@ -1825,9 +1806,7 @@ class BddManager:
         its root entry and adds the other nodes its walk rebuilt to the
         cell, so the count stays a count of work.  ``reclaim_ratio_avg`` is the mean
         reclaim ratio over all sweeps so far (1.0 when no sweep has
-        run); ``reorder_runs`` / ``reorder_swaps`` count the sifting
-        passes (:meth:`sift_now` or :func:`repro.bdd.reorder.sift`) and
-        the adjacent-level swaps they performed.
+        run).
         ``nodes_per_level`` lists live node counts from the top of the
         order to the bottom (the terminal is outside all levels);
         ``subtable_count`` is the number of per-level subtables (one per
@@ -1846,8 +1825,6 @@ class BddManager:
             "gc_runs": gc_runs,
             "gc_reclaimed": self._gc_reclaimed,
             "reclaim_ratio_avg": avg_ratio,
-            "reorder_runs": self._reorder_runs,
-            "reorder_swaps": self._reorder_swaps,
             # The live count only drops at collection points, where the
             # peak is recorded; between them "now" may be the new peak.
             "peak_live_nodes": max(self._peak_live, live),
@@ -1880,8 +1857,6 @@ class BddManager:
         self._gc_runs = 0
         self._gc_reclaimed = 0
         self._gc_ratio_sum = 0.0
-        self._reorder_runs = 0
-        self._reorder_swaps = 0
         self._peak_live = self._nb[0]
 
     def clear_caches(self) -> None:
@@ -1895,29 +1870,6 @@ class BddManager:
     def computed_table_size(self) -> int:
         """Number of live computed-table entries."""
         return len(self._computed)
-
-    def sift_now(
-        self,
-        roots: Iterable[int] = (),
-        *,
-        max_growth: float = 1.2,
-        max_vars: int | None = None,
-    ) -> "SiftResult":
-        """Run one in-place sifting pass immediately.
-
-        Protocol entry point for reordering (the manager never sifts on
-        its own): delegates to :func:`repro.bdd.reorder.sift`, honouring
-        the reorder block boundaries and keeping every live edge valid
-        (the pass and its swaps count in ``reorder_runs`` /
-        ``reorder_swaps``), inside a ``sift`` trace span.  Returns the
-        :class:`~repro.bdd.reorder.SiftResult`.
-        """
-        from repro.bdd.reorder import sift
-
-        with obs_span("sift") as sift_span:
-            result = sift(self, roots, max_growth=max_growth, max_vars=max_vars)
-            sift_span.set(swaps=result.swaps, size_after=result.size_after)
-        return result
 
     def dump_nodes(self, roots: Sequence[int]) -> dict:
         """Snapshot the shared DAG of ``roots`` (``repro-bdd-nodes/1``).

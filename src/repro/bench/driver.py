@@ -60,7 +60,7 @@ from repro.util.tables import format_table
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
-SCHEMA_KERNEL = "repro-bench-kernel/4"
+SCHEMA_KERNEL = "repro-bench-kernel/5"
 SCHEMA_TABLE1 = "repro-bench-table1/11"
 
 #: Table 1 variant rows, declared once as data: ``(suffix, cases,
@@ -72,7 +72,8 @@ SCHEMA_TABLE1 = "repro-bench-table1/11"
 #: covers the ``@buddy`` rows), and a ``@buddy`` row is planned only
 #: where the native library loads (never measured on the silent
 #: fallback under a ``buddy`` label).  Solves run the kernel's one GC
-#: trigger at its default floor and growth and never reorder.
+#: trigger at its default floor and growth; the variable order is the
+#: builder's and never moves.
 #:
 #: * ``@shards2`` — the sharded runtime; read wall-clock deltas together
 #:   with ``meta.cpu_count`` (on one core the workers time-slice).
@@ -552,16 +553,12 @@ def run_kernel(
                 "gc_runs": stats.get("gc_runs", 0),
                 "gc_reclaimed": stats.get("gc_reclaimed", 0),
                 "reclaim_ratio_avg": round(stats.get("reclaim_ratio_avg", 1.0), 4),
-                "reorder_runs": stats.get("reorder_runs", 0),
-                "reorder_swaps": stats.get("reorder_swaps", 0),
             }
         )
         print(
             f"  kernel/{name:28s} n={n:4d} {best * 1e3:9.2f} ms  "
             f"peak={stats.get('peak_live_nodes', 0):8d}  "
-            f"hit_rate={hit_rate:.2f}  gc_runs={stats.get('gc_runs', 0)}  "
-            f"reorders={stats.get('reorder_runs', 0)} "
-            f"swaps={stats.get('reorder_swaps', 0)}",
+            f"hit_rate={hit_rate:.2f}  gc_runs={stats.get('gc_runs', 0)}",
             flush=True,
         )
     return results

@@ -1,6 +1,6 @@
 """The Table 1 experiment suite (Experiment E1).
 
-Six latch-splitting cases of growing size mirroring the paper's rows
+Nine latch-splitting cases of growing size mirroring the paper's rows
 (s510 → s526), on synthetic circuits of comparable shape standing in
 for the ISCAS'89 netlists (see :mod:`repro.bench.circuits`).
 Expected qualitative shape (matching the paper):
@@ -52,7 +52,7 @@ class SplitCase:
         return f"{self.name} ({net.stats()}, {net.num_latches - len(self.x_latches)}/{len(self.x_latches)})"
 
 
-#: The six Table 1 rows.  Ordered by increasing difficulty, like the paper.
+#: The nine Table 1 rows.  Ordered by increasing difficulty, like the paper.
 TABLE1_CASES: list[SplitCase] = [
     SplitCase(
         name="s27",

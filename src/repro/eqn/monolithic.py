@@ -106,8 +106,7 @@ class MonolithicOracle:
         self.ns_vars = problem.all_ns_vars() + [problem.dc_ns_var]
         # Interned quantification sets and rename map: every expansion
         # quantifies the same cs/ns blocks and renames ns -> cs, so the
-        # per-call sort/intern pass is paid once (quantification sets
-        # revalidate lazily across reordering).
+        # per-call sort/intern pass is paid once.
         self.cs_qs = mgr.quant_set(self.cs_vars)
         self.ns_qs = mgr.quant_set(self.ns_vars)
         self.rename = mgr.rename_map(

@@ -15,12 +15,13 @@ Variable order (top to bottom)::
     (S.cs_k, S.ns_k)*              # specification latches, interleaved
 
 Letter variables above all state variables is a *requirement* of the
-cofactor-splitting step of the subset construction (the reorder block
-boundary sits there); cs directly above its ns twin keeps the ns->cs
+cofactor-splitting step of the subset construction.  It holds because
+the letters are declared first and a manager's order is fixed once it
+holds nodes; cs directly above its ns twin keeps the ns->cs
 rename order-preserving (fast path).  The F block stacked above the S
 block is the only product layout: a per-latch F/S interleaving changes
 node counts, not the solved language, and measured no faster on any
-committed row (see ``docs/tuning.md``).
+committed row (see ``docs/partitioned-solve.md``).
 """
 
 from __future__ import annotations
@@ -146,12 +147,11 @@ def build_problem(
     :class:`~repro.eqn.config.SolveConfig`) supplies the manager
     settings; the solve-time fields are ignored here.
 
-    The manager runs the kernel's default GC trigger and never reorders
-    on its own.  A reorder block boundary is frozen between the
-    letter variables and the state variables, so an explicit
-    ``problem.manager.sift_now()`` before the solve can never violate
-    the letters-above-states requirement of the subset construction's
-    cofactor splitting (state variables still reorder freely).
+    The manager runs the kernel's default GC trigger.  The letter
+    variables are declared before the state variables, and a manager's
+    order never moves once it holds nodes, so every letter sits above
+    every state variable for the problem's whole lifetime — the
+    requirement of the subset construction's cofactor splitting.
 
     ``backend`` selects the BDD kernel through
     :func:`repro.bdd.backends.create_manager` (``"python"`` — the
@@ -183,9 +183,6 @@ def build_problem(
     o_vars = {n: mgr.add_var(n) for n in o_names}
     u_vars = {n: mgr.add_var(n) for n in u_names}
     v_vars = {n: mgr.add_var(n) for n in v_names}
-    # Letter variables must stay above all state variables (required by
-    # split_by_vars); sifting may not cross this boundary.
-    mgr.set_reorder_boundaries([mgr.num_vars])
 
     # ---- state variables, interleaved cs/ns ---- #
     f_cs_vars: dict[str, int] = {}

@@ -18,8 +18,8 @@ This module bounds that working set:
   work.  Evicting a ψ dumps it to the store, forgets its pin and drops
   it from the driver's table; deduplication against evicted states then
   runs by content key instead of by edge identity — sound because the
-  packed blob is canonical per (function, variable order), and the
-  solver never reorders a manager while a solve runs.
+  packed blob is canonical per (function, variable order), and a
+  manager's order never moves once it holds nodes.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ visible without changing it:
 
 :mod:`repro.obs.metrics`
     Counters, gauges and histograms federating the runtime's previously
-    fragmented statistics (GC reclaim ratios, reorder swaps, memo hits,
-    psi serializations, steal counts, cache hits), rendered in
+    fragmented statistics (GC reclaim ratios, memo hits, psi
+    serializations, steal counts, cache hits), rendered in
     Prometheus text exposition format — ``GET /metrics`` on the job
     server and a per-job ``metrics`` snapshot in job status.
 

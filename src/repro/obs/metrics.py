@@ -1,7 +1,7 @@
 """Stdlib-only metrics: counters, gauges, histograms, Prometheus text.
 
-The runtime already *measures* a lot — GC reclaim ratios, reorder
-swaps, completion-memo hits, psi serializations, steal counts, cache
+The runtime already *measures* a lot — GC reclaim ratios,
+completion-memo hits, psi serializations, steal counts, cache
 hits — in the kernel's ``mgr.stats``, the per-solve
 :class:`~repro.eqn.stats.SubsetStats` and ``ShardPool.op_counts``.  A
 :class:`MetricsRegistry` federates them behind one interface and one

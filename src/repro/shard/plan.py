@@ -72,8 +72,8 @@ def make_plan(
 ) -> int:
     """Build a reusable worker-side image plan; returns its plan id.
 
-    Variables cross the pipe by name, so the plan stays valid however
-    either side reorders afterwards.
+    Variables cross the pipe by name, so the worker's manager may hold
+    them in another order.
     """
     plan_id = pool.new_handle()
     pool.call(
@@ -98,8 +98,8 @@ class ShardedImage:
     wraps one non-resident constraint in a retain/release round trip.
 
     The object holds only variable *indices* and worker handles, so it
-    stays valid across coordinator-side garbage collection and in-place
-    reordering (callers pin the parts themselves, exactly as for
+    stays valid across coordinator-side garbage collection (callers pin
+    the parts themselves, exactly as for
     :func:`repro.symb.image.plan_image`).
     """
 
@@ -117,8 +117,7 @@ class ShardedImage:
         csupp = list(constraint_support)
         #: Slices re-dispatched by the work-stealing batch dispatcher.
         self.steals = 0
-        # Constraint variables eligible as slice splitters (indices, so
-        # reordering keeps this valid).
+        # Constraint variables eligible as slice splitters.
         self._candidates = csupp
         self._plan_ids = [
             make_plan(pool, k, mgr, load_parts(pool, k, mgr, parts), qvars, csupp)

@@ -60,9 +60,8 @@ def image_partitioned(
     (only when its growth trigger arms).  Callers must then hold their own
     live functions through ``mgr.ref``/``mgr.protect`` — the fold protects
     only its running ``result`` and the remaining parts.  A collection
-    never reorders; an explicit in-place sift between folds keeps every
-    pinned edge intact (the plan's retire sets are variable *indices*,
-    which reordering never renumbers).
+    never moves a variable: the manager's order is fixed once it holds
+    nodes, so the plan's retire sets keep their levels between folds.
     """
     qvars = list(quantify)
     if not parts:
@@ -139,8 +138,8 @@ def plan_image(
     Every retire set, projection set and the leftover set is interned as
     a :class:`~repro.bdd.manager.QuantSet`, so the thousands of fold
     steps the plan will drive skip the per-call sort/dedup/intern pass.
-    Quant sets hold variable *indices* and revalidate their level caches
-    lazily, so a plan stays valid across an explicit in-place sift.
+    The manager's order is fixed once it holds nodes, so a plan built
+    once stays valid for every later fold.
     """
     with obs_span("plan_image", parts=len(parts)) as plan_span:
         qvars = list(quantify)

@@ -62,8 +62,8 @@ def reachable_states(
     # fixpoint and reused via image_with_plan: each iteration then runs
     # the plan's fold with interned quant sets and no rescheduling (a
     # frontier that is one state, a cube, folds the clusters' cofactors).
-    # The plan's retire sets hold variable indices, so an explicit
-    # in-place sift of the manager leaves it valid.
+    # The manager's order never moves once it holds nodes, so the plan
+    # stays valid for the whole fixpoint.
     plan = None
     pool = sharded = None
     if shards > 1:
@@ -85,8 +85,8 @@ def reachable_states(
     iterations = 0
     # Pin everything the fixpoint still needs, so the kernel may collect
     # the intermediates of earlier iterations (image results, stale
-    # frontiers) whenever its growth trigger arms.  A sweep never
-    # reorders, so the loop's edges keep their levels between iterations.
+    # frontiers) whenever its growth trigger arms.  A sweep never moves
+    # a variable, so the loop's edges keep their levels between iterations.
     for part in parts:
         mgr.ref(part)
     mgr.ref(reached)

@@ -8,7 +8,6 @@ extra skips and stays bit-identical to the pre-backend behaviour.
 
 from __future__ import annotations
 
-import inspect
 import warnings
 
 import pytest
@@ -139,7 +138,7 @@ class TestProtocolSurface:
         for op in (
             "apply_and", "ite", "exists", "and_exists", "rename",
             "vector_compose", "ref", "deref", "collect_garbage",
-            "sift_now", "dump_nodes", "load_nodes", "check",
+            "dump_nodes", "load_nodes", "check",
             "split_by_vars", "backend_name",
         ):
             assert op in PROTOCOL_SURFACE
@@ -265,25 +264,6 @@ def test_rename_map_equals_dict_rename(backend, case) -> None:
 def test_split_classes_equal_the_generic_split(backend, case) -> None:
     program, order = case
     run_kit_check(backend, check_split_classes, program, order)
-
-
-@pytest.mark.parametrize("backend", KIT_BACKENDS)
-def test_reorder_boundaries_is_a_property_on_every_backend(backend) -> None:
-    """The protocol and every backend expose ``reorder_boundaries`` as a
-    property, so code written against the protocol reads it without a call."""
-    assert isinstance(inspect.getattr_static(BddBackend, "reorder_boundaries"), property)
-    mgr = backend() if callable(backend) else create_manager(backend)
-    try:
-        assert isinstance(
-            inspect.getattr_static(type(mgr), "reorder_boundaries"), property
-        )
-        view: BddBackend = mgr
-        view.add_vars(["a", "b", "c"])
-        assert view.reorder_boundaries == set()
-        view.set_reorder_boundaries([0, 2])
-        assert view.reorder_boundaries == {2}
-    finally:
-        getattr(mgr, "close", lambda: None)()
 
 
 def test_rename_map_is_interned() -> None:

@@ -6,7 +6,7 @@ The kernel recurses once per BDD level, so a function deeper than
 the limit to ``3 × num_vars`` plus a margin whenever it is lower, and
 never lowers it.  These tests lower the limit to 1000 frames before
 building the manager and push depth-2000+ BDDs through every operator,
-the successor split, cube enumeration, GC, reordering and transfer, in
+the successor split, cube enumeration, GC and cross-order transfer, in
 the main thread and in a worker thread; they also pin the limit
 contract itself.  CI runs this file in a dedicated recursion-stress
 step.
@@ -27,7 +27,7 @@ from repro.bdd.manager import (
     BddManager,
     ensure_recursion_limit,
 )
-from repro.bdd.reorder import swap_levels, transfer
+from repro.bdd.reorder import transfer
 
 DEPTH = 2200  #: > 2x the lowered recursion limit
 
@@ -194,15 +194,17 @@ def test_deep_gc_sift_and_transfer_under_low_recursion_limit() -> None:
         reclaimed = mgr.collect_garbage()
         assert reclaimed > 0
         mgr.check()
-        # One in-place adjacent swap on a deep manager.
-        swap_levels(mgr, DEPTH // 2, [f])
-        mgr.check()
         assert sat_count(mgr, f, vs) == 1
-        # Cross-manager transfer of a deep function.
+        # Cross-manager transfer of a deep function into an order with
+        # one adjacent pair exchanged.
+        names = [f"x{i}" for i in range(DEPTH)]
+        mid = DEPTH // 2
+        names[mid], names[mid + 1] = names[mid + 1], names[mid]
         dst = BddManager()
-        dst.add_vars([f"x{i}" for i in range(DEPTH)])
+        dst.add_vars(names)
         g = transfer(f, mgr, dst)
         assert dst.size(g) == DEPTH
+        assert sat_count(dst, g, list(range(DEPTH))) == 1
 
 
 def test_deep_solver_shaped_image_fold_under_low_recursion_limit() -> None:

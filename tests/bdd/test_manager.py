@@ -1,7 +1,7 @@
 """Unit tests for the core BDD manager: construction, connectives, caches.
 
 The property tests at the end run random op programs with interleaved
-garbage collection and in-place sifting, and pin ``cofactor_cube``: it
+garbage collection, and pin ``cofactor_cube``: it
 equals ``∃vars(c).(f ∧ c)``, a cold call writes only the root entry of
 the computed table, and a repeat call is one hit.
 """
@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bdd import FALSE, TRUE, BddManager, Function
-from repro.bdd.reorder import sift
 from repro.errors import BddError, BddNodeLimit
 from tests.strategies import DEFAULT_VARS, bdd_minterms
 
@@ -56,6 +55,16 @@ class TestVariables:
         f = m.apply_and(m.apply_xor(A, B), C)
         assert m.and_exists(f, m.apply_or(A, C), [a]) == C
         assert m.and_exists(f, C, [c]) == m.apply_xor(A, B)
+
+    def test_quant_set_interned_before_set_order_follows_it(self) -> None:
+        m = BddManager()
+        a, b, c = m.add_vars(["a", "b", "c"])
+        qs = m.quant_set([a])
+        assert m.exists(TRUE, qs) == TRUE  # resolves levels under a, b, c
+        m.set_order(["c", "b", "a"])
+        A, C = m.var_node(a), m.var_node(c)
+        assert m.exists(m.apply_and(A, C), qs) == C
+        assert m.and_exists(A, C, qs) == C
 
     def test_set_order_rejects_partial_lists(self) -> None:
         m = BddManager()
@@ -298,7 +307,7 @@ class TestFunctionWrapper:
 
 
 # ----------------------------------------------------------------------
-# Random op programs, with GC and sifting, and the cube cofactor.
+# Random op programs, with GC, and the cube cofactor.
 # ----------------------------------------------------------------------
 
 #: Op codes for the random program strategy.
@@ -348,7 +357,7 @@ def _step_cube(mgr: BddManager, step) -> int:
 
 
 class _Step:
-    def __init__(self, op, a, b, c, var, var2, gc, reorder):
+    def __init__(self, op, a, b, c, var, var2, gc):
         self.op = op
         self.a = a
         self.b = b
@@ -356,7 +365,6 @@ class _Step:
         self.var = var
         self.var2 = var2
         self.gc = gc
-        self.reorder = reorder
 
 
 _steps = st.builds(
@@ -368,15 +376,14 @@ _steps = st.builds(
     var=st.integers(min_value=0, max_value=63),
     var2=st.integers(min_value=0, max_value=63),
     gc=st.booleans(),
-    reorder=st.integers(min_value=0, max_value=9),
 )
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(program=st.lists(_steps, min_size=1, max_size=14))
 def test_random_op_dags_survive_gc_and_sift(program) -> None:
-    """A manager that collects garbage and sifts mid-run realises the
-    same functions as one that never does."""
+    """A manager that collects garbage mid-run realises the same
+    functions as one that never does."""
     plain, churned = _fresh(), _fresh(gc_min_live=0, gc_growth=1.0)
     pool_p = [FALSE, TRUE] + [plain.var_node(v) for v in range(plain.num_vars)]
     pool_c = [FALSE, TRUE] + [churned.var_node(v) for v in range(churned.num_vars)]
@@ -391,8 +398,6 @@ def test_random_op_dags_survive_gc_and_sift(program) -> None:
         if step.gc:
             # Edges rooted in the pool stay valid across collections.
             churned.collect_garbage(pool_c)
-        if step.reorder == 0:
-            sift(churned, pool_c)
             churned.check()
     plain.check()
     churned.check()
@@ -423,9 +428,9 @@ def test_recompute_after_flush_is_edge_identical(program) -> None:
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(program=st.lists(_steps, min_size=1, max_size=14))
 def test_cold_cofactor_matches_warm_across_gc_and_sift(program) -> None:
-    """At every step of a random program with interleaved GC and
-    in-place sifting, ``cofactor_cube`` from a cold computed table
-    returns the edge the warm call returned."""
+    """At every step of a random program with interleaved GC,
+    ``cofactor_cube`` from a cold computed table returns the edge the
+    warm call returned."""
     mgr = _fresh(gc_min_live=0, gc_growth=1.0)
     pool = [FALSE, TRUE] + [mgr.var_node(v) for v in range(mgr.num_vars)]
     for step in program:
@@ -437,8 +442,6 @@ def test_cold_cofactor_matches_warm_across_gc_and_sift(program) -> None:
         assert mgr.cofactor_cube(f, cube) == warm
         if step.gc:
             mgr.collect_garbage(pool)
-        if step.reorder == 0:
-            sift(mgr, pool)
         mgr.check()
 
 

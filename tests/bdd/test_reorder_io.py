@@ -1,4 +1,4 @@
-"""Tests for garbage collection, reordering, transfer, dot and dumps."""
+"""Tests for compaction, cross-manager transfer, dot and dumps."""
 
 from __future__ import annotations
 
@@ -10,9 +10,7 @@ from repro.bdd import (
     BddManager,
     compact,
     dump_function,
-    greedy_sift_order,
     load_function,
-    reorder,
     to_dot,
     transfer,
 )
@@ -53,19 +51,14 @@ def test_compact_reduces_to_live_nodes(expr) -> None:
 
 @given(expressions(), st.permutations(list(DEFAULT_VARS)))
 @settings(max_examples=50, deadline=None)
-def test_reorder_preserves_semantics(expr, new_order) -> None:
+def test_transfer_into_another_order_preserves_semantics(expr, new_order) -> None:
     mgr, node = build(expr)
-    fresh, (copy,) = reorder(mgr, new_order, [node])
-    assert fresh.var_order() == list(new_order)
+    dst = BddManager()
+    dst.add_vars(new_order)
+    copy = transfer(node, mgr, dst)
+    assert dst.var_order() == list(new_order)
     for env in all_assignments(DEFAULT_VARS):
-        assert fresh.eval(copy, env) == expr.evaluate(env)
-
-
-def test_reorder_rejects_incomplete_order() -> None:
-    mgr = BddManager()
-    mgr.add_vars(["a", "b"])
-    with pytest.raises(BddError):
-        reorder(mgr, ["a"], [])
+        assert dst.eval(copy, env) == expr.evaluate(env)
 
 
 @given(expressions())
@@ -86,23 +79,6 @@ def test_transfer_requires_declared_vars() -> None:
     dst = BddManager()
     with pytest.raises(BddError):
         transfer(mgr.var_node(0), mgr, dst)
-
-
-def test_greedy_sift_finds_interleaved_order_for_comparator() -> None:
-    # The equality function x_i <-> y_i is exponential when all x precede
-    # all y, linear when interleaved; sifting should find a good order.
-    n = 4
-    mgr = BddManager()
-    xs = mgr.add_vars([f"x{i}" for i in range(n)])
-    ys = mgr.add_vars([f"y{i}" for i in range(n)])
-    f = 1
-    for x, y in zip(xs, ys):
-        f = mgr.apply_and(f, mgr.apply_iff(mgr.var_node(x), mgr.var_node(y)))
-    bad_size = mgr.size(f)
-    order = greedy_sift_order(mgr, [f], max_passes=2)
-    fresh, (copy,) = reorder(mgr, order, [f])
-    assert fresh.size(copy) <= bad_size
-    assert fresh.size(copy) <= 3 * n  # interleaved order gives 3n-ish nodes
 
 
 @given(expressions())

@@ -4,7 +4,7 @@ The split returns the complete cofactor partition (the FALSE class
 included).  The reference kernel memoises class maps across calls, so
 the last tests replay it against the plain and/or reference after every
 event that must flush that memo: a reclaiming sweep whose freed slots
-new functions reuse, an in-place reorder, and the pair budget.
+new functions reuse, and the pair budget.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.bdd import BddManager
 from repro.bdd.backends.protocol import generic_split_by_vars
 from repro.bdd.cube import split_by_vars
 from repro.bdd.manager import FALSE, TRUE
-from repro.bdd.reorder import swap_levels
 from repro.errors import BddError
 from tests.strategies import expressions
 
@@ -181,35 +180,6 @@ def test_split_memo_is_flushed_when_slots_are_reclaimed(first, second) -> None:
     funcs = [expr.to_bdd(mgr) for expr in second]
     for g in funcs:
         _assert_matches_reference(mgr, g, split_ids)
-
-
-@given(
-    st.lists(expressions(LEAF_VARS, max_leaves=8), min_size=4, max_size=4),
-    st.booleans(),
-)
-@settings(max_examples=100, deadline=None)
-def test_split_memo_is_flushed_by_an_in_place_reorder(cofactors, sift) -> None:
-    """Swapping the two split variables (or sifting inside each block)
-    keeps every edge's function but rewrites its nodes, so the walk and
-    the class order change: the memo must not answer from before.  The
-    function muxes four drawn cofactors by ``(u0, u1)``, so most draws
-    have classes whose lo-first order the swap changes."""
-    mgr = BddManager()
-    u0, u1 = mgr.add_vars(SPLIT_VARS)
-    mgr.add_vars(LEAF_VARS)
-    mgr.set_reorder_boundaries([len(SPLIT_VARS)])
-    c00, c01, c10, c11 = (e.to_bdd(mgr) for e in cofactors)
-    f = mgr.ite(
-        mgr.var_node(u0),
-        mgr.ite(mgr.var_node(u1), c11, c10),
-        mgr.ite(mgr.var_node(u1), c01, c00),
-    )
-    _assert_matches_reference(mgr, f, [u0, u1])
-    if sift:
-        mgr.sift_now([f])
-    else:
-        swap_levels(mgr, 0, [f])
-    _assert_matches_reference(mgr, f, [u0, u1])
 
 
 def _edges_under(mgr, f) -> set[int]:

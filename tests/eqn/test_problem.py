@@ -10,6 +10,7 @@ from repro.bench import circuits, figure3_network, s27
 from repro.errors import EquationError
 from repro.network import latch_split
 from repro.eqn import build_latch_split_problem, build_problem
+from repro.eqn.solver import solve_equation
 
 
 class TestVariableLayout:
@@ -72,17 +73,21 @@ def _rename_is_monotone(order: list[str], cs: list[str], ns: list[str]) -> bool:
 @given(split_instances())
 @settings(max_examples=15, deadline=None)
 def test_stacked_order_keeps_boundary_and_monotone_renames(instance) -> None:
-    """The product layout keeps the letters above the reorder boundary
-    and both ``ns -> cs`` rename maps (F and S) order-preserving."""
+    """The product layout puts every letter above every state variable
+    and keeps both ``ns -> cs`` rename maps (F and S) order-preserving;
+    a solve leaves the order exactly as built."""
     net, x = instance
     problem = build_latch_split_problem(net, x)
-    order = problem.manager.var_order()
+    mgr = problem.manager
+    order = mgr.var_order()
     n_letters = len(
         problem.i_names + problem.o_names + problem.u_names + problem.v_names
     )
-    assert problem.manager.reorder_boundaries == {n_letters}
     assert all(not name.startswith(("F.", "S.")) for name in order[:n_letters])
     assert all(name.startswith(("F.", "S.")) for name in order[n_letters:])
+    solve_equation(problem)
+    assert mgr.var_order() == order
+    mgr.check()
     s_cs = ["S.dc"] + [f"S.{n}" for n in problem.split.original.latches]
     s_ns = ["S.dc'"] + [f"S.{n}'" for n in problem.split.original.latches]
     f_cs = [f"F.{n}" for n in problem.split.fixed.latches]

@@ -1,12 +1,12 @@
-"""ψ-handle lifecycle: shard-resident functions under GC, sift, release.
+"""ψ-handle lifecycle: shard-resident functions under GC and release.
 
 The resident registry is the batched subset engine's transfer saver:
 each subset state ψ crosses the wire once (``retain``) and is then named
 by handle until ``release``.  These tests pin the lifecycle contract:
 
 * retained entries are refcounted — double retain needs double release;
-* resident functions survive worker-side garbage collection *and*
-  mid-run in-place sifting bit-for-bit (names-based snapshots);
+* resident functions survive worker-side garbage collection
+  bit-for-bit (names-based snapshots);
 * release is leak-free: after releasing everything and collecting, the
   worker's live node count returns to its post-spawn baseline.
 """

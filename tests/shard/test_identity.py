@@ -86,7 +86,6 @@ def test_sharded_solve_full_table1_identical(case) -> None:
     sharded = solve_equation(prob, method="partitioned", shards=2)
     # No solve moves a variable: KISS bytes list cubes in letter order.
     assert prob.manager.var_order() == order
-    assert prob.manager.stats["reorder_runs"] == 0
     assert sharded.csf_states == base.csf_states
     assert sharded.stats.subsets == base.stats.subsets
     assert sharded.stats.edges == base.stats.edges

@@ -1,4 +1,4 @@
-"""Bounded-memory residency: spill → evict → GC → sift → reload.
+"""Bounded-memory residency: spill → evict → GC → reload.
 
 Three layers of the same contract:
 
@@ -6,8 +6,7 @@ Three layers of the same contract:
   per (function, variable order) and round-trips bit-for-bit;
 * the coordinator policy (:class:`repro.eqn.residency.ResidencyManager`)
   survives the full hostile sequence — spill, drop the pin, collect
-  garbage, sift the order in place, reload — and hands back the *same
-  function*;
+  garbage, reload — and hands back the *same function*;
 * a budgeted solve is result-identical to the unbounded one: the spill
   machinery may only change when nodes are materialized, never what the
   solver computes (byte-identical KISS over the Table 1 suite).
@@ -275,7 +274,6 @@ class TestResidencyManager:
         for f in evicted:
             m.deref(f)
         m.collect_garbage()
-        m.sift_now()  # reload must be sound under a new order
         restored = dict((sid, psi) for psi, sid in residency.restore_all())
         assert set(restored) == {admitted[f] for f in evicted}
         for sid, psi in restored.items():

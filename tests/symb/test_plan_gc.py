@@ -2,10 +2,10 @@
 
 ``plan_image`` merges consecutive scheduled steps into clusters, which
 are new BDDs no caller holds.  The plan pins them itself, so a plan
-built now must survive a forced collection (in-process and inside
-``reachable_states`` also an in-place sift) before it runs, and inside
-a shard worker (``op_plan``) a forced collection.  Every result is checked against the unscheduled
-fold, ``image_partitioned(..., schedule=False)``.
+built now must survive a forced collection before it runs, in-process,
+inside ``reachable_states`` and inside a shard worker (``op_plan``).
+Every result is checked against the unscheduled fold,
+``image_partitioned(..., schedule=False)``.
 
 A cube constraint is imaged by cofactoring the plan's clusters; those
 cofactors are unpinned intermediates cached in the computed table, so
@@ -98,7 +98,6 @@ def test_in_process_plan_survives_gc_and_sift() -> None:
     want = _unscheduled(mgr, parts, constraints, quantify)
     plan = plan_image(mgr, parts, quantify, set(cs_vars))
     assert mgr.collect_garbage() > 0
-    mgr.sift_now()
     mgr.check()
     for c, w in zip(constraints, want):
         assert image_with_plan(mgr, plan, c, gc=True) == w
@@ -150,7 +149,6 @@ def test_cube_image_after_sift_and_sweep_recomputes_cofactors() -> None:
     want = _unscheduled(mgr, parts, cubes, quantify)
     plan = plan_image(mgr, parts, quantify, set(cs_vars))
     mgr.collect_garbage()
-    mgr.sift_now()
     mgr.check()
     for c, w in zip(cubes, want):
         assert image_with_plan(mgr, plan, c) == w
@@ -179,7 +177,6 @@ def test_reach_plan_survives_gc_and_sift(monkeypatch) -> None:
         # ``reachable_states`` pins the frontier; nothing pins the plan's
         # clusters but the plan itself.
         forced.append(mgr.collect_garbage())
-        mgr.sift_now()
         return original(mgr, plan, constraint, **kwargs)
 
     monkeypatch.setattr(image_mod, "image_with_plan", gc_then_image)

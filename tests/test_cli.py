@@ -450,7 +450,7 @@ class TestBench:
         )
         assert code == 0
         payload = json.loads((tmp_path / "BENCH_kernel.json").read_text())
-        assert payload["schema"] == "repro-bench-kernel/4"
+        assert payload["schema"] == "repro-bench-kernel/5"
         assert all("phases" not in r for r in payload["results"])
 
     def test_bench_trace_flag_exports_run_trace(self, tmp_path, capsys) -> None:

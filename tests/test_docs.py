@@ -263,7 +263,7 @@ def test_internal_links_resolve() -> None:
 
 def test_docs_mention_the_tuning_flags() -> None:
     tuning = (DOCS / "tuning.md").read_text()
-    for token in ("sift_now", "reclaim"):
+    for token in ("gc_min_live", "gc_growth", "reclaim"):
         assert token in tuning
     # The kernel policy objects and their bench row are gone.
     for token in (
@@ -273,8 +273,8 @@ def test_docs_mention_the_tuning_flags() -> None:
         "misordered_product_reorder",
     ):
         assert token not in tuning, f"tuning.md documents removed {token!r}"
-    # The solver knobs and the kernel policies are gone; no page may
-    # still document them.
+    # The solver knobs, the kernel policies and in-place sifting are
+    # gone; no page may still document them.
     for page in (*DOCS.rglob("*.md"), REPO / "README.md"):
         text = page.read_text()
         for flag in (
@@ -283,6 +283,9 @@ def test_docs_mention_the_tuning_flags() -> None:
             "--product-order",
             "GcPolicy",
             "ReorderPolicy",
+            "sift_now",
+            "swap_levels",
+            "set_reorder_boundaries",
         ):
             assert flag not in text, f"{page.name} documents removed {flag!r}"
 
