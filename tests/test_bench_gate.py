@@ -29,6 +29,7 @@ def test_smoke_baseline_is_committed_and_wellformed() -> None:
     retired = {"misordered_product_reorder", "reach_blocked_order_reorder", "solve@interleave"}
     assert not names & retired
     assert all({"name", "size", "wall_s", "peak_live_nodes"} <= r.keys() for r in results)
+    assert not any({"reorder_runs", "reorder_swaps"} & r.keys() for r in results)
 
 
 def test_identical_run_passes(tmp_path) -> None:
