@@ -1,15 +1,11 @@
-"""An explicit sift of a built problem, before the solve.
+"""The variable order of a built problem, through the solve.
 
-The kernel never reorders on its own (a garbage collection leaves the
-order alone), so the only way a problem's order changes is an explicit
-``problem.manager.sift_now()`` between building and solving.  The
-problem's reorder boundary must keep every letter variable above every
-state variable (the subset construction's cofactor splitting requires
-it), and the solve must produce the same automaton as an unsifted one.
-
-KISS text lists each edge label's cubes in the manager's letter order,
-so a sift that permutes the letters changes the bytes but not the
-automaton; a sift confined to the state variables changes neither.
+The kernel never reorders: a manager's order is fixed once it holds
+nodes, and a garbage collection leaves it alone.  The problem builder
+must put every letter variable above every state variable (the subset
+construction's cofactor splitting requires it), and a solve must leave
+the built variables where they are, so two solves of the same problem
+give the same automaton, byte for byte.
 """
 
 from __future__ import annotations
@@ -28,38 +24,29 @@ def _letter_count(problem) -> int:
     return len(problem.uv_vars()) + len(problem.i_vars) + len(problem.o_vars)
 
 
-def _unsifted_kiss() -> str:
-    return write_kiss(solve_equation(build_latch_split_problem(NET, X)).csf)
-
-
 def test_boundary_keeps_letters_above_state_vars() -> None:
     problem = build_latch_split_problem(NET, X)
     mgr = problem.manager
     n_letters = _letter_count(problem)
-    assert mgr.reorder_boundaries == {n_letters}
-    assert mgr.sift_now().swaps > 0
-    for var in problem.uv_vars():
-        assert mgr.var_level(var) < n_letters
-    for var in problem.all_cs_vars() + problem.all_ns_vars():
-        assert mgr.var_level(var) >= n_letters
+    letter_vars = problem.uv_vars() + list(problem.i_vars.values())
+    letter_vars += list(problem.o_vars.values())
+    state_vars = problem.all_cs_vars() + problem.all_ns_vars()
+    assert all(mgr.var_level(var) < n_letters for var in letter_vars)
+    assert all(mgr.var_level(var) >= n_letters for var in state_vars)
+    order = mgr.var_order()
     result = solve_equation(problem)
     assert verify_solution(result).ok
+    # The solve may declare helper variables, only below the built ones.
+    assert mgr.var_order()[: len(order)] == order
     mgr.check()
 
-    # Same state numbering and the same label function on every edge.
+    # A fresh build and solve gives the same states, labels and edges.
+    again = write_kiss(solve_equation(build_latch_split_problem(NET, X)).csf)
+    assert write_kiss(result.csf) == again
     common = BddManager()
-    base = parse_kiss(_unsifted_kiss(), common)
-    sifted = parse_kiss(write_kiss(result.csf), common)
-    assert sifted.state_names == base.state_names
-    assert sifted.initial == base.initial
-    assert sifted.accepting == base.accepting
-    assert sifted.edges == base.edges
-
-
-def test_state_only_sift_keeps_kiss_bytes() -> None:
-    problem = build_latch_split_problem(NET, X)
-    mgr = problem.manager
-    # One single-variable block per letter: only state variables move.
-    mgr.set_reorder_boundaries(list(range(1, _letter_count(problem) + 1)))
-    assert mgr.sift_now().swaps > 0
-    assert write_kiss(solve_equation(problem).csf) == _unsifted_kiss()
+    base = parse_kiss(again, common)
+    solved = parse_kiss(write_kiss(result.csf), common)
+    assert solved.state_names == base.state_names
+    assert solved.initial == base.initial
+    assert solved.accepting == base.accepting
+    assert solved.edges == base.edges
