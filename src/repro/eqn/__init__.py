@@ -19,7 +19,6 @@ import importlib
 #: Public name -> the submodule that defines it.
 _EXPORTS = {
     "ComposePlan": "compose",
-    "conjoin_solutions": "compose",
     "plan_components": "compose",
     "solve_compositional": "compose",
     "METHODS": "config",

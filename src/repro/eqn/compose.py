@@ -28,12 +28,6 @@ tracking of the letter-free latches entirely (*state counts* of the two
 automata differ; the languages do not).  When the gate does not hold,
 :func:`solve_compositional` returns ``None`` and the caller falls back
 to the direct solve; composition never weakens soundness.
-
-:func:`conjoin_solutions` is the general composition primitive
-(synchronous product of solution automata); the gated flow above does
-not need it — one component carries the whole alphabet — but callers
-experimenting with multi-letterful decompositions can combine partial
-solutions with it.
 """
 
 from __future__ import annotations
@@ -41,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.bdd.manager import FALSE
-from repro.automata.automaton import Automaton
 from repro.eqn.config import FIELD_NAMES, SolveConfig
 from repro.eqn.problem import EquationProblem
 from repro.obs.trace import span as obs_span
@@ -260,25 +253,6 @@ def subproblem(problem: EquationProblem, comp: Component) -> EquationProblem:
     sub.s_next = {n: problem.s_next[n] for n in problem.s_next if n in s_latches}
     sub.s_o = {n: problem.s_o[n] for n in problem.o_names if n in outputs}
     return sub
-
-
-def conjoin_solutions(solutions: list[Automaton]) -> Automaton:
-    """Synchronous product of solution automata (shared manager).
-
-    The compositional principle in its general form: when an equation
-    factors into independent sub-equations, the conjunction of their
-    most general solutions solves the whole.  Labels conjoin exactly
-    (:func:`repro.automata.ops.product`), so automata over different
-    letter supports compose as in the paper.
-    """
-    from repro.automata.ops import product
-
-    if not solutions:
-        raise ValueError("conjoin_solutions needs at least one automaton")
-    result = solutions[0]
-    for aut in solutions[1:]:
-        result = product(result, aut)
-    return result
 
 
 def solve_compositional(

@@ -45,9 +45,9 @@ Sharded batching
 :class:`~repro.shard.pool.ShardPool` of worker processes, each owning
 its own shard manager: the ``P_ψ`` image runs as a
 :class:`~repro.shard.plan.ShardedImage` (every shard holds all parts;
-ψ is cut into cofactor slices, imaged with work stealing and OR-joined
-in this manager), and the per-output ``Q_ψ`` images — independent of
-one another — are dealt round-robin across the shards and OR-joined.
+ψ is cut into cofactor slices, dealt round-robin and OR-joined in this
+manager), and the per-output ``Q_ψ`` images — independent of one
+another — are dealt round-robin across the shards and OR-joined.
 Both joins are exact, so the sharded oracle is result-identical to
 ``shards=1`` (which keeps the in-process path, bit for bit).
 
@@ -56,10 +56,10 @@ Subset states are **shard-resident**: when a frontier batch arrives
 exactly once and ``retain``-ed in every worker's resident registry;
 every P/Q image of the batch then names ψ by its coordinator-keyed
 handle, and the handles are ``release``-d when the batch completes.
-The P images of a whole batch go through one work-stealing dispatch,
-and the Q images of the batch are pipelined behind it, so the workers
-overlap their image computations across the whole batch instead of one
-ψ at a time.
+A batch has one wire order: its retains, P slices, Q images and
+releases are all submitted before any reply is collected, so the
+workers overlap their image computations across the whole batch
+instead of one ψ at a time.
 """
 
 from __future__ import annotations
@@ -274,7 +274,6 @@ class PartitionedOracle:
             stats.psi_serializations = self._psi_serializations
             stats.psi_resident_peak = self._resident_peak
             stats.pool_op_counts = dict(self._pool.op_counts)
-            stats.work_steals = self._p_sharded.steals
 
     # -- the incremental completion step ------------------------------- #
 
@@ -405,15 +404,13 @@ class PartitionedOracle:
     ) -> list[tuple[list[SubsetEdge], int]]:
         """Expand a batch on the shard pool with resident ψ handles.
 
-        Wire discipline: ``retain`` the batch's new subset states and
-        collect the acks; run every P image through the blocking
-        work-stealing dispatcher
-        (:meth:`~repro.shard.plan.ShardedImage.run_resident_batch`),
-        which needs the pipes to itself; then submit every deduplicated
-        Q image and the ``release`` before collecting their replies in
-        per-pipe FIFO order.  No coordinator-side garbage collection can
-        run in here (none of the joins collect), so the per-ψ
-        intermediates are safe as plain locals.
+        Wire discipline, one order per batch: submit the ``retain`` of
+        each new subset state, the dealt P slices
+        (:meth:`~repro.shard.plan.ShardedImage.submit`), every
+        deduplicated Q image and the ``release``; then collect every
+        reply in submission order.  No coordinator-side garbage
+        collection can run in here (none of the joins collect), so the
+        per-ψ intermediates are safe as plain locals.
         """
         mgr = self.mgr
         pool = self._pool
@@ -438,16 +435,8 @@ class PartitionedOracle:
         self._resident_peak = max(self._resident_peak, len(self._psi_handles))
         handles = [self._psi_handles[psi] for psi in psis]
 
-        # 2. P images: drain the retain acks, then let the
-        #    work-stealing dispatcher own the pipes until every P image
-        #    is joined.
-        with obs_span("p_images", batch=len(psis)):
-            for _handle in retained:
-                for k in range(nshards):
-                    pool.collect(k)
-            p_results = self._p_sharded.run_resident_batch(
-                list(zip(handles, psis))
-            )
+        # 2. P images: the batch's cofactor slices, one command per shard.
+        p_deal = self._p_sharded.submit(list(zip(handles, psis)))
 
         # 3. Q images, deduplicated through the completion memo: a batch
         #    submits one remote image per *new* cofactor class.
@@ -493,7 +482,12 @@ class PartitionedOracle:
         for psi in dict.fromkeys(psis):
             del self._psi_handles[psi]
 
-        # -- collect, in per-pipe submission order ---------------------- #
+        # -- collect, in submission order ------------------------------ #
+        with obs_span("p_images", batch=len(psis)):
+            for _handle in retained:
+                for k in range(nshards):
+                    pool.collect(k)
+            p_results = self._p_sharded.join(p_deal, len(psis))
         with obs_span("q_images", outputs=len(q_submitted)):
             for j, misses in q_submitted:
                 shard, _plan_id = self._q_remote[j]

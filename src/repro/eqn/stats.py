@@ -55,10 +55,6 @@ class SubsetStats:
         job="memo_hits", bench="memo_hits",
     )
     completion_memo_misses: int = _counter(MEMO, "Completion images computed.")
-    work_steals: int = _counter(
-        SHARDS, "Work-stealing dispatches across shard workers.", "repro_steals_total",
-        job="steals",
-    )
     psi_serializations: int = _counter(
         SHARDS, "Constraint BDDs serialized to shard workers.",
         "repro_psi_serializations_total", job="psi_serializations",

@@ -8,13 +8,13 @@ visible without changing it:
     trace-event JSON (``repro solve --trace out.json``; open the file in
     ``chrome://tracing`` or Perfetto).  Shard workers stamp per-command
     timing records into their replies and the pool merges them into the
-    coordinator trace as pid-tagged per-worker tracks, so work stealing
-    is visible end-to-end.
+    coordinator trace as pid-tagged per-worker tracks, so each worker's
+    share of a batch is visible end-to-end.
 
 :mod:`repro.obs.metrics`
     Counters, gauges and histograms federating the runtime's previously
     fragmented statistics (GC reclaim ratios, memo hits, psi
-    serializations, steal counts, cache hits), rendered in
+    serializations, shard commands, cache hits), rendered in
     Prometheus text exposition format — ``GET /metrics`` on the job
     server and a per-job ``metrics`` snapshot in job status.
 

@@ -30,8 +30,8 @@ therefore stamp ``{"op", "pid", "t0", "t1"}`` records into every reply;
 :meth:`ShardPool.collect <repro.shard.pool.ShardPool.collect>` feeds
 them to :meth:`Tracer.add_worker_event`, which lands each command on a
 pid-tagged per-worker track in the same timeline as the coordinator's
-spans.  Steals and idle shards become visible as gaps and overlaps
-between the worker tracks.
+spans.  Idle shards and uneven deals become visible as gaps and
+overlaps between the worker tracks.
 
 :func:`validate_trace` is the schema checker used by the tests and the
 CI trace-smoke step (``python -m repro.obs.trace out.json``): it checks

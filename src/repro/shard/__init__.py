@@ -19,9 +19,10 @@ Layers
   handle to a set of persistent workers (spawn, submit/collect,
   broadcast, shutdown).
 * :mod:`repro.shard.plan` — the image join: :class:`ShardedImage`
-  cuts each constraint into cofactor slices, images them on the shards
-  (every shard holds all parts and the full early-quantification plan)
-  with work stealing, and ORs the slice images in the coordinator.
+  cuts each constraint into cofactor slices, deals a batch's slices
+  round-robin over the shards (every shard holds all parts and the full
+  early-quantification plan) and ORs the slice images in the
+  coordinator.
 
 ``--shards 1`` everywhere selects the unsharded in-process path
 bit-identically; ``--shards N`` (N ≥ 2) is result-identical by

@@ -12,40 +12,28 @@ over disjunction:
 
 Every shard holds *all* relation parts with the full
 early-quantification plan; each constraint is cut into disjoint
-cofactor slices on its topmost variables, the slices are imaged on
-whichever shard is free, and the coordinator ORs the slice images.
-Every step is exact, so the sharded image is *function-identical* to
-the in-process one (and therefore edge-identical in the coordinator
-manager, by BDD canonicity).
+cofactor slices on its topmost variables, the slices of a batch are
+dealt round-robin over the shards, and the coordinator ORs the slice
+images.  Every step is exact, so the sharded image is
+*function-identical* to the in-process one (and therefore
+edge-identical in the coordinator manager, by BDD canonicity) whichever
+shard images which slice.
 
-Work stealing
--------------
-
-Statically dealt slices can leave a shard idle while a peer grinds
-through a heavy slice.  :meth:`ShardedImage.run_resident_batch` is a
-**work-stealing dispatcher**: each shard keeps a small window of
-single-slice commands in flight, and whenever its own queue drains it
-steals pending slices from the most-loaded peer.  Because every
-constraint is shard-resident on *every* worker (the retain protocol),
-re-dispatching a slice is just a cheap ``(handle, bits)`` spec — no BDD
-crosses the wire.  OR is commutative and associative and BDDs are
-canonical, so the joined image is identical whatever the final
-placement and completion order.
+A batch is split into a submit half (:meth:`ShardedImage.submit`: one
+multi-slice ``expand_batch`` per shard that was dealt a slice) and a
+join half (:meth:`ShardedImage.join`: collect each shard's reply and OR
+the slice images in).  Between the two the caller may queue more
+commands on the same pipes; replies are collected in submission order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Sequence
 
 from repro.bdd.cube import cube_assignment
 from repro.bdd.io import dump_nodes, load_nodes
 from repro.bdd.manager import FALSE, BddManager
-from repro.obs.trace import span as obs_span
 from repro.shard.pool import ShardPool
-
-#: Single-slice commands each shard keeps in flight while stealing.
-STEAL_WINDOW = 2
 
 
 def load_parts(
@@ -94,8 +82,9 @@ class ShardedImage:
 
     Construction transfers every part into every worker once and
     precomputes a worker-side image plan there.  Images then run over
-    shard-resident constraints (:meth:`run_resident_batch`); :meth:`run`
-    wraps one non-resident constraint in a retain/release round trip.
+    shard-resident constraints (:meth:`submit` then :meth:`join`, or
+    both in :meth:`run_resident_batch`); :meth:`run` wraps one
+    non-resident constraint in a retain/release round trip.
 
     The object holds only variable *indices* and worker handles, so it
     stays valid across coordinator-side garbage collection (callers pin
@@ -115,8 +104,6 @@ class ShardedImage:
         self.mgr = mgr
         qvars = list(quantify)
         csupp = list(constraint_support)
-        #: Slices re-dispatched by the work-stealing batch dispatcher.
-        self.steals = 0
         # Constraint variables eligible as slice splitters.
         self._candidates = csupp
         self._plan_ids = [
@@ -181,74 +168,56 @@ class ShardedImage:
             slices = nxt
         return slices
 
-    def run_resident_batch(self, items: Sequence[tuple[int, int]]) -> list[int]:
-        """Image a batch of **shard-resident** constraints (blocking).
+    def submit(self, items: Sequence[tuple[int, int]]) -> list[list[int]]:
+        """Deal a batch of **shard-resident** constraints to the shards.
 
         ``items`` is a list of ``(handle, constraint)`` pairs: the
         handle names the constraint in every worker's resident registry
-        (the caller must have ``retain``-ed it there first), and the
+        (the caller must have submitted its ``retain`` first), and the
         coordinator-side edge is used only for slice planning — no
         snapshot is shipped.  The batch's cofactor slices are dealt
-        round-robin into per-shard queues, each shard keeps up to
-        :data:`STEAL_WINDOW` single-slice ``expand_batch`` commands in
-        flight, and the coordinator collects from whichever worker
-        finishes first
-        (:meth:`~repro.shard.pool.ShardPool.wait_any`).  A shard whose
-        own queue drains **steals** the tail of the most-loaded peer's
-        queue, re-dispatched as a ``(handle, bits)`` spec with no BDD
-        transfer.  :attr:`steals` counts the re-dispatched slices.
-
-        The per-item result is the OR of its slice images; OR is
-        commutative and associative and BDDs are canonical, so the
-        result is identical whatever placement and completion order the
-        stealing produced.
-
-        Must be called with no other traffic pending on the pool: the
-        dispatcher owns every watched pipe until the batch completes.
+        round-robin and each shard dealt any gets **one**
+        ``expand_batch`` of ``(handle, bits)`` specs.  Returns the deal
+        for :meth:`join`: per shard, the item index of each slice.
         """
-        pool, mgr = self.pool, self.mgr
+        pool = self.pool
         num = pool.num_shards
-        steal_span = obs_span(
-            "steal_batch", items=len(items), shards=num, window=STEAL_WINDOW
-        )
-        steals_before = self.steals
-        queues: list[deque] = [deque() for _ in range(num)]
+        deal: list[list[int]] = [[] for _ in range(num)]
+        specs: list[list] = [[] for _ in range(num)]
         cursor = 0
         for i, (handle, constraint) in enumerate(items):
             for _, spec in self._slice_pairs(constraint):
-                queues[cursor % num].append((i, handle, spec))
+                deal[cursor % num].append(i)
+                specs[cursor % num].append((handle, spec))
                 cursor += 1
-        results = [FALSE] * len(items)
-        inflight: list[deque] = [deque() for _ in range(num)]
-
-        def top_up(shard: int) -> None:
-            while len(inflight[shard]) < STEAL_WINDOW:
-                if queues[shard]:
-                    i, handle, spec = queues[shard].popleft()
-                else:
-                    donor = max(range(num), key=lambda p: len(queues[p]))
-                    if not queues[donor]:
-                        return
-                    # Steal from the tail: the head slices are about to
-                    # be dispatched locally by the donor itself.
-                    i, handle, spec = queues[donor].pop()
-                    self.steals += 1
+        for shard in range(num):
+            if specs[shard]:
                 pool.submit(
-                    shard,
-                    ("expand_batch", self._plan_ids[shard], [(handle, spec)]),
+                    shard, ("expand_batch", self._plan_ids[shard], specs[shard])
                 )
-                inflight[shard].append(i)
+        return deal
 
-        with steal_span:
-            for shard in range(num):
-                top_up(shard)
-            while any(inflight):
-                busy = [shard for shard in range(num) if inflight[shard]]
-                for shard in pool.wait_any(busy):
-                    (snap,) = pool.collect(shard)
-                    i = inflight[shard].popleft()
-                    (img,) = load_nodes(mgr, snap)
-                    results[i] = mgr.apply_or(results[i], img)
-                    top_up(shard)
-            steal_span.set(slices=cursor, steals=self.steals - steals_before)
+    def join(self, deal: list[list[int]], count: int) -> list[int]:
+        """Collect the replies of :meth:`submit` and OR-join per item.
+
+        Each dealt shard's reply is collected in shard order; the caller
+        must have collected every reply submitted to a shard before its
+        ``expand_batch``.  Returns the ``count`` item images.
+        """
+        mgr = self.mgr
+        results = [FALSE] * count
+        for shard, owners in enumerate(deal):
+            if not owners:
+                continue
+            for i, snap in zip(owners, self.pool.collect(shard)):
+                (img,) = load_nodes(mgr, snap)
+                results[i] = mgr.apply_or(results[i], img)
         return results
+
+    def run_resident_batch(self, items: Sequence[tuple[int, int]]) -> list[int]:
+        """Image a batch of shard-resident constraints (blocking).
+
+        :meth:`submit` then :meth:`join`, with no other traffic pending
+        on the pool.
+        """
+        return self.join(self.submit(items), len(items))

@@ -185,10 +185,10 @@ class ShardPool:
         Returns the subset of ``shards`` whose pipes are readable, in
         shard order.  Only shards with pending replies are watched; if
         none of the given shards has pending traffic, raises
-        :class:`ShardError` (the caller's bookkeeping is off).  This is
-        the work-stealing dispatcher's primitive: instead of collecting
-        in submission order, collect from whichever worker finishes
-        first and route its next slice dynamically.
+        :class:`ShardError` (the caller's bookkeeping is off).  No solve
+        waits here: a batch collects its replies in submission order.
+        It is kept because ``perfbench/layers.py`` wraps it by name as a
+        shard-wait boundary.
         """
         watched = {
             self._conns[s]: s for s in shards if self._pending[s] > 0

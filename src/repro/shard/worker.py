@@ -213,7 +213,7 @@ class _WorkerState:
 
         Dropping the whole manager (instead of freeing registries one by
         one) guarantees no state leaks between jobs: node table,
-        computed table, variable order and policies all start fresh.
+        computed table and variable order all start fresh.
         Returns the number of variables afterwards (always 0 — the next
         job's ``vars`` command declares its own order).
         """

@@ -20,7 +20,6 @@ from repro.automata import equivalent
 from repro.bench import circuits
 from repro.eqn.compose import (
     conforming_component,
-    conjoin_solutions,
     plan_components,
     solve_compositional,
     subproblem,
@@ -152,17 +151,3 @@ class TestSolve:
             solve_equation(prob, method="monolithic", compose=True)
         with pytest.raises(EquationError):
             solve_equation(prob, method="partitioned", compose=True, trim=False)
-
-
-class TestConjoin:
-    def test_single_solution_is_identity(self) -> None:
-        prob = _twin_problem()
-        result = solve_equation(prob, method="partitioned")
-        assert conjoin_solutions([result.csf]) is result.csf
-
-    def test_conjoin_is_product_language(self) -> None:
-        prob = _twin_problem()
-        result = solve_equation(prob, method="partitioned")
-        squared = conjoin_solutions([result.csf, result.csf])
-        # L ∩ L = L, delivered through the generic automaton product.
-        assert equivalent(squared, result.csf)

@@ -3,10 +3,10 @@
 A shard worker is SIGKILLed during a sharded johnson12 solve
 (``shards=2``, ``bfs/8``) at the two places the coordinator talks to
 it: between batches (the next ``retain`` is sent into a dead pipe) and
-while the work-stealing dispatcher is blocked in
-:meth:`~repro.shard.pool.ShardPool.wait_any` (the dispatcher reads
-whatever the worker replied before it died, then fails on the missing
-reply or on its next top-up).  Either way the solve must fail fast with
+while the coordinator is blocked in
+:meth:`~repro.shard.pool.ShardPool.collect` on a batch's image replies
+(it reads whatever the worker replied before it died, then fails on
+the first missing reply).  Either way the solve must fail fast with
 :class:`~repro.shard.pool.ShardError` and leave no worker behind; the
 job server must fail the job and re-fork its warm pool for the next.
 A stopped-then-killed worker pins the reply-never-arrives path alone.
@@ -26,7 +26,7 @@ from repro.eqn.problem import build_latch_split_problem
 from repro.eqn.solver import solve_equation
 from repro.network.blif import write_blif
 from repro.serve import ServeApp
-from repro.shard import ShardError, ShardPool
+from repro.shard import ShardError, ShardPool, ShardedImage
 
 X_LATCHES = [f"j{k}" for k in range(1, 12, 2)]
 SOLVE = {"shards": 2, "frontier": "bfs", "batch": 8}
@@ -67,15 +67,25 @@ def test_worker_killed_between_batches() -> None:
     _assert_fails_fast(killer, progress=killer)
 
 
-def test_worker_killed_while_dispatcher_waits(monkeypatch) -> None:
+def test_worker_killed_while_collecting_images(monkeypatch) -> None:
     killer = Killer()
-    wait_any = ShardPool.wait_any
+    collect, join = ShardPool.collect, ShardedImage.join
+    joining = []
 
-    def killing_wait_any(pool, shards):
-        killer()
-        return wait_any(pool, shards)
+    def killing_collect(pool, shard):
+        if joining:  # a batch's P image replies are being collected
+            killer()
+        return collect(pool, shard)
 
-    monkeypatch.setattr(ShardPool, "wait_any", killing_wait_any)
+    def tracked_join(image, deal, count):
+        joining.append(True)
+        try:
+            return join(image, deal, count)
+        finally:
+            joining.pop()
+
+    monkeypatch.setattr(ShardPool, "collect", killing_collect)
+    monkeypatch.setattr(ShardedImage, "join", tracked_join)
     _assert_fails_fast(killer)
 
 

@@ -1,11 +1,10 @@
-"""The sharded image join: slices, work stealing and the OR join.
+"""The sharded image join: slices, the static deal and the OR join.
 
 The split join is placement-independent: OR is commutative and
-associative and BDDs are canonical, so however the work-stealing
-dispatcher re-routes cofactor slices, the joined image must be
-edge-identical to the in-process reference.  The stealing tests force
-steals deterministically by pinning the dispatcher's ``wait_any`` to
-one shard.
+associative and BDDs are canonical, so whichever shard a cofactor slice
+is dealt to, the joined image must be edge-identical to the in-process
+reference.  A batch is dealt with one ``expand_batch`` per shard that
+receives a slice, whatever the pool size.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdd import BddManager, dump_nodes
-from repro.shard import ShardPool, ShardedImage, plan
+from repro.shard import ShardPool, ShardedImage
 from repro.symb.image import image_partitioned
 
 N_VARS = 8
@@ -83,6 +82,8 @@ class TestShardedImage:
 
 
 class TestWorkStealing:
+    """Batches of shard-resident constraints under the static deal."""
+
     def _batch(self, pool, mgr, xs):
         items = []
         for psi in constraints_with_slices(mgr, xs):
@@ -106,34 +107,23 @@ class TestWorkStealing:
             for (_, psi), got in zip(items, results):
                 assert got == image_partitioned(mgr, parts, psi, xs[:4])
 
-    def test_forced_steals_produce_identical_images(self) -> None:
-        """Pin the dispatcher to shard 0: it drains its own queue, then
-        must steal shard 1's pending slices — and the OR-join must not
-        notice the re-placement."""
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_deal_sends_one_command_per_shard(self, shards) -> None:
+        """Every slice of the batch rides in its shard's one command, and
+        the OR-join does not depend on where the deal put it."""
         mgr, xs, ys = relation_manager()
         parts = self._parts(mgr, xs, ys)
-        with ShardPool(2, mgr.var_order()) as pool:
+        with ShardPool(shards, mgr.var_order()) as pool:
             img = ShardedImage(pool, mgr, parts, xs[:4], set(xs[:4]))
             items = self._batch(pool, mgr, xs)
-            # Always service the first busy shard; collect() still
-            # blocks on that shard's FIFO, so this only skews routing.
-            original = pool.wait_any, plan.STEAL_WINDOW
-            pool.wait_any = lambda shards: [shards[0]]
-            plan.STEAL_WINDOW = 1
-            try:
-                results = img.run_resident_batch(items)
-            finally:
-                pool.wait_any, plan.STEAL_WINDOW = original
-            assert img.steals > 0
+            slices = sum(len(img._slice_pairs(psi)) for _, psi in items)
+            assert slices > len(items) or shards == 1  # some ψ is sliced
+            before = pool.op_counts["expand_batch"]
+            results = img.run_resident_batch(items)
+            sent = pool.op_counts["expand_batch"] - before
+            assert sent == min(shards, slices)
             for (_, psi), got in zip(items, results):
                 assert got == image_partitioned(mgr, parts, psi, xs[:4])
-
-    def test_steal_counter_starts_at_zero(self) -> None:
-        mgr, xs, ys = relation_manager()
-        parts = make_parts(mgr, xs, ys, [(0, [0])])
-        with ShardPool(1, mgr.var_order()) as pool:
-            img = ShardedImage(pool, mgr, parts, xs[:4], set(xs[:4]))
-            assert img.steals == 0
 
 
 @given(st.data())

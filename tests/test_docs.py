@@ -200,7 +200,6 @@ def test_observability_docs_cover_the_surface() -> None:
         "scrape_configs",
         "repro_solves_total",
         "repro_cache_hits_total",
-        "repro_steals_total",
     ):
         assert token in operations, f"operations.md is missing {token!r}"
 
