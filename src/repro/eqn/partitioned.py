@@ -56,10 +56,20 @@ Subset states are **shard-resident**: when a frontier batch arrives
 exactly once and ``retain``-ed in every worker's resident registry;
 every P/Q image of the batch then names ψ by its coordinator-keyed
 handle, and the handles are ``release``-d when the batch completes.
-A batch has one wire order: its retains, P slices, Q images and
-releases are all submitted before any reply is collected, so the
-workers overlap their image computations across the whole batch
-instead of one ψ at a time.
+A batch's retains, P slices, Q images and releases are all submitted
+before any of its replies is collected, so the workers overlap their
+image computations across the whole batch instead of one ψ at a time.
+
+Under a FIFO frontier the driver also hands over the *next* batch
+(``expand_batch(batch, prefetch=next_batch)``, see
+:attr:`PartitionedOracle.prefetches`): the oracle submits batch n+1
+before it collects batch n's replies, so the workers image batch n+1
+while the coordinator assembles and applies batch n.  At most one
+batch is ahead.  Each pipe carries ``retain n, P n, Q n, release n,
+retain n+1, ...``, so a worker still holds at most one batch of ψ, and
+replies are joined in batch order: a completion-memo key an earlier
+batch in flight already missed is a hit, read from the memo at join
+time.
 """
 
 from __future__ import annotations
@@ -172,6 +182,11 @@ class PartitionedOracle:
         self._psi_handles: dict[int, int] = {}
         self._psi_serializations = 0
         self._resident_peak = 0
+        # The batch submitted ahead (prefetch), and per output the memo
+        # keys whose Q image is still in flight (each pinned once, from
+        # submit until its join moves the pin into the memo).
+        self._ahead: _Submitted | None = None
+        self._q_pending: list[set[int]] = [set() for _ in self.nonconf]
         # A caller-owned pool (the job server reuses one warm pool across
         # jobs, resetting it between solves) is borrowed, not owned:
         # ``close`` leaves it running for the next job.
@@ -242,6 +257,16 @@ class PartitionedOracle:
             self.q_plans = None
 
     # ------------------------------------------------------------------ #
+
+    @property
+    def prefetches(self) -> bool:
+        """Whether :meth:`expand_batch` submits ``prefetch=`` ahead.
+
+        True only when sharded: the workers image the next batch while
+        the coordinator applies this one.  In-process there is nothing
+        to overlap.
+        """
+        return self._pool is not None
 
     def live_roots(self) -> list[int]:
         """Every BDD the oracle reuses across expansions (GC roots).
@@ -349,6 +374,14 @@ class PartitionedOracle:
                 mgr.deref(key)
                 mgr.deref(value)
             memo.clear()
+        # A batch still in flight (after a cancel or CNC) holds a pin on
+        # each of its Q misses; its replies are drained by the pool's
+        # close, or by a borrowed pool's reset.
+        for pending in self._q_pending:
+            for key in pending:
+                mgr.deref(key)
+            pending.clear()
+        self._ahead = None
         if self._pool is not None:
             if self._owns_pool:
                 self._pool.close()
@@ -376,11 +409,17 @@ class PartitionedOracle:
         return self.expand_batch([psi])[0]
 
     def expand_batch(
-        self, psis: list[int]
+        self, psis: list[int], *, prefetch: list[int] | None = None
     ) -> list[tuple[list[SubsetEdge], int]]:
-        """Expand a frontier batch (the driver's batched oracle protocol)."""
+        """Expand a frontier batch (the driver's batched oracle protocol).
+
+        ``prefetch`` is the batch the caller will pass next.  A sharded
+        oracle (:attr:`prefetches`) submits it to the workers before it
+        joins ``psis``, which must then be the batch submitted ahead by
+        the previous call, if any; in-process it is ignored.
+        """
         if self._pool is not None:
-            return self._expand_batch_sharded(psis)
+            return self._expand_batch_sharded(psis, prefetch)
         with obs_span("expand_batch", size=len(psis)):
             return expand_batch_pinned(self.mgr, psis, self._expand_one)
 
@@ -400,26 +439,38 @@ class PartitionedOracle:
     # -- the sharded batched expansion ---------------------------------- #
 
     def _expand_batch_sharded(
-        self, psis: list[int]
+        self, psis: list[int], prefetch: list[int] | None
     ) -> list[tuple[list[SubsetEdge], int]]:
-        """Expand a batch on the shard pool with resident ψ handles.
+        """Join ``psis`` on the shard pool, with ``prefetch`` submitted first."""
+        batch = self._ahead
+        if batch is None:
+            batch = self._submit_batch(psis)
+        elif batch.psis != psis:
+            raise EquationError(
+                "expand_batch must be called with the batch submitted ahead"
+            )
+        self._ahead = self._submit_batch(prefetch) if prefetch else None
+        return self._join_batch(batch)
 
-        Wire discipline, one order per batch: submit the ``retain`` of
-        each new subset state, the dealt P slices
-        (:meth:`~repro.shard.plan.ShardedImage.submit`), every
-        deduplicated Q image and the ``release``; then collect every
-        reply in submission order.  No coordinator-side garbage
-        collection can run in here (none of the joins collect), so the
-        per-ψ intermediates are safe as plain locals.
+    def _submit_batch(self, psis: list[int]) -> "_Submitted":
+        """Send one batch's whole wire order to the shards.
+
+        In order: the ``retain`` of each new subset state, the dealt P
+        slices (:meth:`~repro.shard.plan.ShardedImage.submit`), every
+        deduplicated Q image and the ``release``.  Until
+        :meth:`_join_batch` the batch holds only memo values (pinned by
+        the memo), its own Q miss keys (pinned here) and the driver's
+        pinned, unexpanded ψ, so the driver may collect garbage while
+        it is in flight.
         """
         mgr = self.mgr
         pool = self._pool
         nshards = pool.num_shards
         n_out = len(self.nonconf)
+        batch = _Submitted(psis)
 
         # 1. Residency: each new ψ is serialized exactly once and
         #    retained in every worker's resident registry.
-        retained: list[int] = []
         with obs_span("psi_retain", batch=len(psis)) as retain_span:
             for psi in psis:
                 if psi in self._psi_handles:
@@ -430,21 +481,21 @@ class PartitionedOracle:
                 for k in range(nshards):
                     pool.submit(k, ("retain", handle, blob))
                 self._psi_handles[psi] = handle
-                retained.append(handle)
-            retain_span.set(serialized=len(retained))
+                batch.retained += 1
+            retain_span.set(serialized=batch.retained)
         self._resident_peak = max(self._resident_peak, len(self._psi_handles))
         handles = [self._psi_handles[psi] for psi in psis]
 
         # 2. P images: the batch's cofactor slices, one command per shard.
-        p_deal = self._p_sharded.submit(list(zip(handles, psis)))
+        batch.p_deal = self._p_sharded.submit(list(zip(handles, psis)))
 
         # 3. Q images, deduplicated through the completion memo: a batch
         #    submits one remote image per *new* cofactor class.
-        q_vals: list[list[int]] = [[FALSE] * n_out for _ in psis]
-        q_submitted: list[tuple[int, list[tuple[int, list[int]]]]] = []
+        batch.q_vals = [[FALSE] * n_out for _ in psis]
         if self.trim and n_out:
             for j in range(n_out):
                 memo = self._q_memo[j]
+                pending = self._q_pending[j]
                 misses: list[tuple[int, list[int]]] = []
                 miss_handles: list[int] = []
                 by_key: dict[int, list[int]] = {}
@@ -453,7 +504,7 @@ class PartitionedOracle:
                     hit = memo.get(key)
                     if hit is not None:
                         self.memo_hits += 1
-                        q_vals[i][j] = hit
+                        batch.q_vals[i][j] = hit
                         continue
                     group = by_key.get(key)
                     if group is not None:
@@ -462,7 +513,14 @@ class PartitionedOracle:
                         self.memo_hits += 1
                         group.append(i)
                         continue
+                    if key in pending:
+                        # An earlier batch still in flight images it;
+                        # its join, which comes first, memoizes it.
+                        self.memo_hits += 1
+                        batch.q_later.append((i, j, key))
+                        continue
                     self.memo_misses += 1
+                    pending.add(mgr.ref(key))
                     group = [i]
                     by_key[key] = group
                     misses.append((key, group))
@@ -470,7 +528,7 @@ class PartitionedOracle:
                 if misses:
                     shard, plan_id = self._q_remote[j]
                     pool.submit(shard, ("expand_batch", plan_id, miss_handles))
-                    q_submitted.append((j, misses))
+                    batch.q_submitted.append((j, misses))
 
         # 4. Release: every subset state is expanded exactly once, so
         #    its resident handle dies with this batch.  (The driver's
@@ -481,26 +539,45 @@ class PartitionedOracle:
             pool.submit(k, ("release", unique_handles))
         for psi in dict.fromkeys(psis):
             del self._psi_handles[psi]
+        return batch
 
-        # -- collect, in submission order ------------------------------ #
+    def _join_batch(
+        self, batch: "_Submitted"
+    ) -> list[tuple[list[SubsetEdge], int]]:
+        """Collect a submitted batch's replies and assemble its results.
+
+        Replies are collected in submission order.  No coordinator-side
+        garbage collection runs in here (none of the joins collect),
+        so the per-ψ intermediates are safe as plain locals.
+        """
+        mgr = self.mgr
+        pool = self._pool
+        nshards = pool.num_shards
+        psis, q_vals = batch.psis, batch.q_vals
         with obs_span("p_images", batch=len(psis)):
-            for _handle in retained:
+            for _ in range(batch.retained):
                 for k in range(nshards):
                     pool.collect(k)
-            p_results = self._p_sharded.join(p_deal, len(psis))
-        with obs_span("q_images", outputs=len(q_submitted)):
-            for j, misses in q_submitted:
+            p_results = self._p_sharded.join(batch.p_deal, len(psis))
+        with obs_span("q_images", outputs=len(batch.q_submitted)):
+            for j, misses in batch.q_submitted:
                 shard, _plan_id = self._q_remote[j]
                 snaps = pool.collect(shard)
+                memo, pending = self._q_memo[j], self._q_pending[j]
                 for (key, idxs), snap in zip(misses, snaps):
                     (q_j,) = load_nodes(mgr, snap)
-                    self._q_insert(j, key, q_j)
+                    # The key's in-flight pin becomes the memo's.
+                    pending.remove(key)
+                    memo[key] = mgr.ref(q_j)
                     for i in idxs:
                         q_vals[i][j] = q_j
+        for i, j, key in batch.q_later:
+            q_vals[i][j] = self._q_memo[j][key]
         for k in range(nshards):
             pool.collect(k)
 
         # -- assemble per-ψ results (GC-free) --------------------------- #
+        n_out = len(self.nonconf)
         results: list[tuple[list[SubsetEdge], int]] = []
         for i in range(len(psis)):
             q = None
@@ -510,3 +587,19 @@ class PartitionedOracle:
                     q = mgr.apply_or(q, q_vals[i][j])
             results.append(finish_expansion(self, p_results[i], q, split_by_vars))
         return results
+
+
+class _Submitted:
+    """A sharded batch between its submit and its join."""
+
+    __slots__ = ("psis", "retained", "p_deal", "q_vals", "q_submitted", "q_later")
+
+    def __init__(self, psis: list[int]) -> None:
+        self.psis = psis
+        self.retained = 0  # new ψ retained (one reply per shard each)
+        self.p_deal: list[list[int]] = []
+        self.q_vals: list[list[int]] = []
+        # (output, [(memo key, batch indices)]) per submitted Q command.
+        self.q_submitted: list[tuple[int, list[tuple[int, list[int]]]]] = []
+        # (batch index, output, memo key) imaged by an earlier batch.
+        self.q_later: list[tuple[int, int, int]] = []

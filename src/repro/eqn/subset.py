@@ -94,6 +94,17 @@ class TransitionOracle(Protocol):
         after the batch returns); both solver oracles do this.
         """
 
+    @property
+    def prefetches(self) -> bool:
+        """Whether ``expand_batch`` takes ``prefetch=`` (the next batch).
+
+        Optional (checked with ``getattr``).  Under ``bfs`` the driver
+        then calls ``expand_batch(batch, prefetch=next_batch)`` and
+        passes ``next_batch`` itself to the following call; the oracle
+        may start on it before it returns ``batch``'s results.  Only the
+        sharded partitioned oracle says yes.
+        """
+
     def live_roots(self) -> list[int]:
         """BDDs the oracle needs alive across garbage collections.
 
@@ -255,17 +266,19 @@ def _construction_snapshot(
     mgr: BddManager,
     aut: Automaton,
     ids: dict[int, int],
-    frontier: FrontierScheduler,
+    strategy: str,
+    pending: list[int],
     stats: SubsetStats,
     dca_id: int | None,
 ) -> dict:
     """Serialise the in-flight construction into one resumable dict.
 
     Everything the driver owns goes into the snapshot — discovered
-    subsets (with their ψ), automaton edges, the pending frontier in
-    push order, and the driver-side counters.  All BDDs travel as a
-    single :func:`~repro.bdd.io.dump_nodes` blob so shared structure is
-    stored once; references into the blob are root indices.  The
+    subsets (with their ψ), automaton edges, the ``pending`` frontier
+    in push order (a batch submitted ahead first), and the driver-side
+    counters.  All BDDs travel as a single
+    :func:`~repro.bdd.io.dump_nodes` blob so shared structure is stored
+    once; references into the blob are root indices.  The
     oracle's completion memo is deliberately *not* captured: it is a
     pure cache and repopulates lazily after a resume.
     """
@@ -290,13 +303,13 @@ def _construction_snapshot(
             roots.append(label)
     return {
         "format": CHECKPOINT_FORMAT,
-        "strategy": frontier.strategy,
+        "strategy": strategy,
         "variables": list(aut.variables),
         "states": states,
         "initial": aut.initial,
         "dca_id": dca_id,
         "edges": edges,
-        "frontier": [root_of_psi[psi] for psi in frontier.pending()],
+        "frontier": [root_of_psi[psi] for psi in pending],
         "stats": stats.construction(),
         "nodes": dump_nodes(mgr, roots),
     }
@@ -390,16 +403,27 @@ def subset_construct(
     oracle's atomic unit of work), so with ``batch_size > 1`` a
     ``max_seconds`` abort can overshoot by up to one batch of
     expansions — the price of pipelining; budget-critical CNC runs
-    should keep the default batch size.
+    should keep the default batch size.  Under ``bfs`` with an oracle
+    that ``prefetches`` (the sharded partitioned oracle), the next
+    batch is handed over as soon as the current one is taken:
+    ``expand_batch(batch, prefetch=next_batch)`` lets the workers
+    image it while this batch is applied.  Under a FIFO frontier the
+    split into batches changes neither the order of expansion nor the
+    result, so the KISS bytes stay those of the unpipelined run; but a
+    batch is then always in flight at the check, and a ``max_seconds``
+    abort can overshoot by up to two batches.  ``dfs`` and ``size``
+    pick the next batch from the current one's successors, so they
+    keep one batch in flight.
 
     Serving hooks (all optional, all observed at batch boundaries —
-    the only points where no oracle pipeline is in flight and the
-    manager holds no unpinned intermediates):
+    the points where the manager holds no unpinned intermediates; a
+    batch submitted ahead pins its own):
 
     ``progress``
         Called after every batch with a flat event dict (counters from
-        :class:`SubsetStats`, frontier length, live/peak node counts
-        and, when the oracle exposes them, memo and GC stats).
+        :class:`SubsetStats`, frontier length including a batch in
+        flight, live/peak node counts and, when the oracle exposes
+        them, memo and GC stats).
     ``cancel``
         Polled before every batch; returning true raises
         :class:`~repro.errors.SolveCancelled`, which unwinds through
@@ -411,8 +435,8 @@ def subset_construct(
         each on its own cadence — while the frontier is non-empty,
         ``checkpoint`` receives a resumable snapshot dict
         (:data:`CHECKPOINT_FORMAT`) capturing subsets, edges, frontier
-        and counters with all BDDs in one packed
-        :func:`~repro.bdd.io.dump_nodes` blob.  Either cadence may be
+        (a batch in flight at its front) and counters with all BDDs in
+        one packed :func:`~repro.bdd.io.dump_nodes` blob.  Either cadence may be
         zero (disabled); the wall clock restarts after every snapshot,
         however it was triggered.
     ``resume``
@@ -508,14 +532,19 @@ def subset_construct(
     # Oracles without the batch protocol cannot pin intermediates across
     # sibling expansions, so they are driven one ψ at a time.
     effective_batch = batch_size if expand_batch is not None else 1
+    prefetch = strategy == "bfs" and getattr(oracle, "prefetches", False)
+    ahead: list[int] = []  # the batch submitted ahead, taken but unexpanded
     last_checkpoint = time.monotonic()
-    while frontier:
+    while frontier or ahead:
         if cancel is not None and cancel():
             raise SolveCancelled("solve cancelled at batch boundary")
         budget.check_time()
         with obs_span("frontier_batch", batch=stats.batches + 1) as batch_span:
-            batch = frontier.take(effective_batch)
-            if expand_batch is not None:
+            batch = ahead or frontier.take(effective_batch)
+            if prefetch:
+                ahead = frontier.take(effective_batch)
+                results = expand_batch(batch, prefetch=ahead)
+            elif expand_batch is not None:
                 results = expand_batch(batch)
             else:
                 results = [oracle.expand(psi) for psi in batch]
@@ -555,11 +584,13 @@ def subset_construct(
             batch_span.set(
                 size=len(batch),
                 subsets=stats.subsets,
-                frontier=len(frontier),
+                frontier=len(frontier) + len(ahead),
             )
         if progress is not None:
-            progress(_progress_event(mgr, oracle, stats, frontier))
-        ckpt_due = checkpoint is not None and frontier and (
+            progress(
+                _progress_event(mgr, oracle, stats, len(frontier) + len(ahead))
+            )
+        ckpt_due = checkpoint is not None and (frontier or ahead) and (
             (checkpoint_every > 0 and stats.batches % checkpoint_every == 0)
             or (
                 checkpoint_seconds > 0
@@ -579,7 +610,13 @@ def subset_construct(
                         residency.mark_expanded(psi)
                 checkpoint(
                     _construction_snapshot(
-                        mgr, aut, ids, frontier, stats, dca_id
+                        mgr,
+                        aut,
+                        ids,
+                        strategy,
+                        [*ahead, *frontier.pending()],
+                        stats,
+                        dca_id,
                     )
                 )
             last_checkpoint = time.monotonic()
@@ -598,12 +635,12 @@ def _progress_event(
     mgr: BddManager,
     oracle: TransitionOracle,
     stats: SubsetStats,
-    frontier: FrontierScheduler,
+    pending: int,
 ) -> dict:
     """One per-batch progress event (the serve stream's payload)."""
     event = {
         **stats.construction(),
-        "frontier": len(frontier),
+        "frontier": pending,
         "live_nodes": len(mgr),
     }
     for key in ("memo_hits", "memo_misses"):

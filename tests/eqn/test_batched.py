@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.automata import equivalent
+from repro.automata.kiss import write_kiss
 from repro.bdd.manager import BddManager
 from repro.bench.suite import TABLE1_CASES, case_by_name
 from repro.errors import EquationError
@@ -211,3 +212,19 @@ def test_batches_counted() -> None:
     eight = solve_equation(prob, method="partitioned", frontier="bfs", batch=8)
     assert one.stats.batches == one.stats.subsets
     assert eight.stats.batches < one.stats.batches
+
+
+@pytest.mark.parametrize("case", TABLE1_CASES, ids=[c.name for c in TABLE1_CASES])
+def test_bfs_kiss_does_not_depend_on_the_batch_split(case) -> None:
+    """Under bfs, batch 1 and batch 8 write byte-identical KISS.
+
+    The FIFO order of expansion, and so the state numbering, does not
+    depend on where batches split; the sharded oracle's cross-batch
+    pipeline (which takes short batches ahead) relies on this.
+    """
+    prob = build_latch_split_problem(
+        case.network(), list(case.x_latches), max_nodes=case.max_nodes
+    )
+    one = solve_equation(prob, method="partitioned", frontier="bfs", batch=1)
+    eight = solve_equation(prob, method="partitioned", frontier="bfs", batch=8)
+    assert write_kiss(eight.csf) == write_kiss(one.csf)

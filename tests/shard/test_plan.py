@@ -146,3 +146,76 @@ def test_sharded_image_random_relations(data) -> None:
     with ShardPool(2, mgr.var_order()) as pool:
         img = ShardedImage(pool, mgr, parts, quantify, set(xs[:6]))
         assert img.run(psi) == expected
+
+
+def _wire_log(monkeypatch, frontier: str) -> list[tuple[str, int]]:
+    """Solve lfsr8 at ``frontier``/8 on 2 shards, logging pool traffic.
+
+    Each entry is ``(event, batch)``: ``("retain", b)`` when batch b's
+    first ``retain`` is submitted and ``("image", b)`` when the first
+    ``expand_batch`` reply of batch b is collected.  Batch b starts at
+    each run of ``retain`` submits; replies are matched to commands by
+    the per-shard FIFO order.
+    """
+    from collections import deque
+
+    from repro.bench.suite import case_by_name
+    from repro.eqn.problem import build_latch_split_problem
+    from repro.eqn.solver import solve_equation
+
+    submit, collect = ShardPool.submit, ShardPool.collect
+    queues: dict[int, deque] = {}
+    log: list[tuple[str, int]] = []
+    state = {"batch": 0, "last": None, "imaged": set()}
+
+    def logging_submit(pool, shard, msg):
+        op = msg[0]
+        if op == "retain" and state["last"] != "retain":
+            state["batch"] += 1
+            log.append(("retain", state["batch"]))
+        state["last"] = op
+        queues.setdefault(shard, deque()).append((op, state["batch"]))
+        return submit(pool, shard, msg)
+
+    def logging_collect(pool, shard):
+        op, batch = queues[shard].popleft()
+        if op == "expand_batch" and batch and batch not in state["imaged"]:
+            state["imaged"].add(batch)
+            log.append(("image", batch))
+        return collect(pool, shard)
+
+    monkeypatch.setattr(ShardPool, "submit", logging_submit)
+    monkeypatch.setattr(ShardPool, "collect", logging_collect)
+    case = case_by_name("lfsr8")
+    problem = build_latch_split_problem(case.network(), list(case.x_latches))
+    solve_equation(problem, shards=2, frontier=frontier, batch=8)
+    monkeypatch.undo()
+    return log
+
+
+def _retained_ahead(log: list[tuple[str, int]]) -> list[int]:
+    """Batches n whose successor's first retain precedes n's first image."""
+    at = {event: i for i, event in enumerate(log)}
+    batches = sorted(b for kind, b in log if kind == "retain")
+    return [
+        n for n in batches
+        if ("retain", n + 1) in at and at[("retain", n + 1)] < at[("image", n)]
+    ]
+
+
+def test_bfs_submits_the_next_batch_before_joining(monkeypatch) -> None:
+    """Under bfs, batch n+1 is on the wire before batch n's P replies."""
+    log = _wire_log(monkeypatch, "bfs")
+    ahead = _retained_ahead(log)
+    batches = sum(1 for kind, _ in log if kind == "retain")
+    assert batches > 2
+    # Every batch but ψ0's (the frontier is empty when it is taken) and
+    # the last has its successor submitted ahead.
+    assert ahead == list(range(2, batches))
+
+
+def test_dfs_keeps_one_batch_on_the_wire(monkeypatch) -> None:
+    """Under dfs the next batch depends on this one's results."""
+    log = _wire_log(monkeypatch, "dfs")
+    assert sum(1 for kind, _ in log if kind == "retain") > 2
+    assert _retained_ahead(log) == []
