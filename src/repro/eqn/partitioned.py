@@ -69,7 +69,10 @@ batch is ahead.  Each pipe carries ``retain n, P n, Q n, release n,
 retain n+1, ...``, so a worker still holds at most one batch of ψ, and
 replies are joined in batch order: a completion-memo key an earlier
 batch in flight already missed is a hit, read from the memo at join
-time.
+time.  Batch n's replies may still sit unread when batch n+1's retains
+go out; :meth:`ShardPool.submit <repro.shard.pool.ShardPool.submit>`
+reads them ahead whenever the pipe is full, so a large retain behind a
+large P reply cannot deadlock the coordinator and a worker.
 """
 
 from __future__ import annotations
@@ -413,10 +416,8 @@ class PartitionedOracle:
     ) -> list[tuple[list[SubsetEdge], int]]:
         """Expand a frontier batch (the driver's batched oracle protocol).
 
-        ``prefetch`` is the batch the caller will pass next.  A sharded
-        oracle (:attr:`prefetches`) submits it to the workers before it
-        joins ``psis``, which must then be the batch submitted ahead by
-        the previous call, if any; in-process it is ignored.
+        A sharded oracle (:attr:`prefetches`) submits ``prefetch`` to
+        the workers before it joins ``psis``; in-process it is ignored.
         """
         if self._pool is not None:
             return self._expand_batch_sharded(psis, prefetch)

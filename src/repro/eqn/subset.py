@@ -84,7 +84,7 @@ class TransitionOracle(Protocol):
         """Outgoing edges of ψ plus the DCA completion condition."""
 
     def expand_batch(
-        self, psis: list[int]
+        self, psis: list[int], *, prefetch: list[int] | None = None
     ) -> list[tuple[list[SubsetEdge], int]]:
         """Expand a whole frontier batch; one ``expand`` result per ψ.
 
@@ -92,17 +92,18 @@ class TransitionOracle(Protocol):
         every already-produced edge label and successor alive across the
         remaining expansions of the batch (the driver pins them only
         after the batch returns); both solver oracles do this.
+
+        ``prefetch`` is passed only to an oracle that :attr:`prefetches`.
+        It is the batch of the next call, whose ``psis`` must equal it;
+        the oracle may start on it before it returns these results.
         """
 
     @property
     def prefetches(self) -> bool:
-        """Whether ``expand_batch`` takes ``prefetch=`` (the next batch).
+        """Whether the driver passes ``prefetch=`` under ``bfs``.
 
-        Optional (checked with ``getattr``).  Under ``bfs`` the driver
-        then calls ``expand_batch(batch, prefetch=next_batch)`` and
-        passes ``next_batch`` itself to the following call; the oracle
-        may start on it before it returns ``batch``'s results.  Only the
-        sharded partitioned oracle says yes.
+        Optional (checked with ``getattr``); only the sharded
+        partitioned oracle says yes.
         """
 
     def live_roots(self) -> list[int]:

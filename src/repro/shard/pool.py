@@ -6,7 +6,10 @@ shard :class:`~repro.bdd.manager.BddManager`, and talks to them over
 pipes.  The pool is deliberately low-level — submit a command, collect a
 reply — so callers can pipeline: sending a command to every shard and
 *then* collecting the replies is what lets the workers compute
-concurrently.
+concurrently.  A send never waits on a worker that is itself waiting
+to hand back an earlier reply: when the pipe is full, the replies
+ready on it are read ahead into that shard's inbox, which
+:meth:`ShardPool.collect` serves first.
 
 The pool is a context manager; :meth:`close` (or ``__exit__``) shuts the
 workers down and reaps the processes.  Workers are daemonic, so an
@@ -16,9 +19,13 @@ abandoned pool can never outlive the coordinator.
 from __future__ import annotations
 
 import multiprocessing as mp
-from collections import Counter
+import os
+import select
+import struct
+from collections import Counter, deque
 from collections.abc import Sequence
 from multiprocessing.connection import wait as _conn_wait
+from multiprocessing.reduction import ForkingPickler
 
 from repro.errors import ReproError
 from repro.obs.trace import current_tracer
@@ -92,7 +99,10 @@ class ShardPool:
         }
         self._conns = []
         self._procs = []
+        # Replies submitted for and not yet collected, per shard; the
+        # inbox holds those already read off the pipe, oldest first.
         self._pending = [0] * num_shards
+        self._inbox: list[deque] = [deque() for _ in range(num_shards)]
         self._next_handle = 0
         self._closed = False
         #: Commands submitted so far, keyed by op name.  The transfer
@@ -127,18 +137,73 @@ class ShardPool:
         return self._next_handle
 
     def submit(self, shard: int, msg: tuple) -> None:
-        """Send a command to ``shard`` without waiting for the reply."""
+        """Send a command to ``shard`` without waiting for the reply.
+
+        The worker serves one command at a time and must finish sending
+        a reply before it reads on.  So while the pipe to the worker is
+        full, the replies the worker has ready are read into the shard's
+        inbox: a large command queued behind a large uncollected reply
+        cannot leave both processes waiting on each other.
+        """
         if self._closed:
             raise ShardError("ShardPool is closed")
         try:
-            self._conns[shard].send(msg)
+            self._send(shard, ForkingPickler.dumps(msg))
         except (OSError, BrokenPipeError) as exc:
             raise ShardError(f"shard {shard} is gone: {exc}") from exc
         self._pending[shard] += 1
         self.op_counts[msg[0]] += 1
 
+    def _send(self, shard: int, payload: memoryview) -> None:
+        """Write one message in ``Connection.send_bytes`` framing."""
+        conn = self._conns[shard]
+        if not hasattr(select, "poll"):  # pragma: no cover - non-POSIX
+            conn.send_bytes(payload)
+            return
+        n = len(payload)
+        if n > 0x7FFFFFFF:
+            header = struct.pack("!iQ", -1, n)
+        else:
+            header = struct.pack("!i", n)
+        fd = conn.fileno()
+        poller = select.poll()
+        poller.register(fd, select.POLLIN | select.POLLOUT)
+        os.set_blocking(fd, False)
+        try:
+            view = memoryview(header + payload)
+            while view:
+                try:
+                    view = view[os.write(fd, view):]
+                except BlockingIOError:
+                    for _fd, events in poller.poll():
+                        if events & ~select.POLLOUT:
+                            # A reply (or the worker's EOF) is waiting.
+                            os.set_blocking(fd, True)
+                            self._inbox[shard].append(self._recv(shard))
+                            os.set_blocking(fd, False)
+        finally:
+            os.set_blocking(fd, True)
+
+    def _recv(self, shard: int):
+        try:
+            return self._conns[shard].recv()
+        except (EOFError, OSError) as exc:
+            self._pending[shard] = 0
+            self._inbox[shard].clear()
+            raise ShardError(f"shard {shard} died mid-command: {exc}") from exc
+
+    def _drain(self, shard: int) -> None:
+        """Discard every reply still owed by ``shard``."""
+        self._pending[shard] -= len(self._inbox[shard])
+        self._inbox[shard].clear()
+        while self._pending[shard] > 0:
+            self._conns[shard].recv()
+            self._pending[shard] -= 1
+
     def collect(self, shard: int):
         """Receive one pending reply from ``shard`` (FIFO order).
+
+        A reply read ahead by :meth:`submit` is served from the inbox.
 
         When a tracer is installed (:func:`repro.obs.trace.install_tracer`)
         the worker's per-command timing stamp — the third reply element —
@@ -147,11 +212,8 @@ class ShardPool:
         """
         if self._pending[shard] <= 0:
             raise ShardError(f"shard {shard} has no pending reply")
-        try:
-            reply = self._conns[shard].recv()
-        except (EOFError, OSError) as exc:
-            self._pending[shard] = 0
-            raise ShardError(f"shard {shard} died mid-command: {exc}") from exc
+        inbox = self._inbox[shard]
+        reply = inbox.popleft() if inbox else self._recv(shard)
         self._pending[shard] -= 1
         status, payload = reply[0], reply[1]
         if len(reply) > 2 and reply[2] is not None:
@@ -195,6 +257,9 @@ class ShardPool:
         }
         if not watched:
             raise ShardError("wait_any: no watched shard has a pending reply")
+        queued = [s for s in watched.values() if self._inbox[s]]
+        if queued:
+            return sorted(queued)
         ready = _conn_wait(list(watched))
         return sorted(watched[conn] for conn in ready)
 
@@ -216,14 +281,10 @@ class ShardPool:
         if self._closed:
             raise ShardError("ShardPool is closed")
         for shard in range(self.num_shards):
-            while self._pending[shard] > 0:
-                try:
-                    self._conns[shard].recv()
-                except (EOFError, OSError) as exc:
-                    raise ShardError(
-                        f"shard {shard} died before reset: {exc}"
-                    ) from exc
-                self._pending[shard] -= 1
+            try:
+                self._drain(shard)
+            except (EOFError, OSError) as exc:
+                raise ShardError(f"shard {shard} died before reset: {exc}") from exc
         self.broadcast(("reset", dict(config)))
         self.broadcast(("vars", list(var_names)))
 
@@ -237,9 +298,7 @@ class ShardPool:
         for shard, conn in enumerate(self._conns):
             try:
                 # Drain pending replies so the shutdown ack is unambiguous.
-                while self._pending[shard] > 0:
-                    conn.recv()
-                    self._pending[shard] -= 1
+                self._drain(shard)
                 conn.send(("shutdown",))
                 conn.recv()
             except (EOFError, OSError, BrokenPipeError):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from repro.bdd import BddManager, dump_nodes
+from repro.bdd import FALSE, BddManager, dump_nodes, load_nodes
 from repro.shard import ShardError, ShardPool
 
 VARS = ["a", "b", "c", "d"]
@@ -83,3 +85,48 @@ def test_closed_pool_rejects_commands(mgr) -> None:
     pool.close()
     with pytest.raises(ShardError, match="closed"):
         pool.submit(0, ("stats",))
+
+
+def test_large_command_behind_an_uncollected_large_reply() -> None:
+    """A send into a full pipe reads the worker's ready replies ahead.
+
+    ``OR(a_i & b_i)`` with every ``a`` above every ``b`` has ~2^15
+    nodes, a snapshot of ~0.8 MB: both the ``dump`` reply and each
+    ``retain`` blob are larger than a socket buffer.  With nothing
+    collected in between, the worker blocks sending the dump while the
+    coordinator sends the retains; a blocking send would wait forever.
+    """
+    n = 14
+    names = [f"a{i}" for i in range(n)] + [f"b{i}" for i in range(n)]
+    big = BddManager()
+    big.add_vars(names)
+    f = FALSE
+    for i in range(n):
+        pair = big.apply_and(
+            big.var_node(big.var_index(f"a{i}")),
+            big.var_node(big.var_index(f"b{i}")),
+        )
+        f = big.apply_or(f, pair)
+    snap = dump_nodes(big, [f])
+    pool = ShardPool(1, names)
+
+    def queue() -> None:
+        pool.submit(0, ("load", 1, snap))
+        pool.submit(0, ("dump", 1))
+        for handle in (2, 3, 4):
+            pool.submit(0, ("retain", handle, snap))
+
+    sender = threading.Thread(target=queue, daemon=True)
+    try:
+        sender.start()
+        sender.join(timeout=30)
+        assert not sender.is_alive(), "submit blocked behind an uncollected reply"
+        replies = [pool.collect(0) for _ in range(5)]
+        assert load_nodes(big, replies[1]) == [f]
+        assert replies[2:] == [1, 1, 1]
+        assert pool.stats()[0]["resident"] == 3
+    finally:
+        if sender.is_alive():
+            for proc in pool._procs:
+                proc.terminate()
+        pool.close()
