@@ -18,7 +18,7 @@ try:  # src layout: let `python examples/<name>.py` run without installing
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bdd import BddManager, Function, sat_count
+from repro.bdd import BddManager, sat_count
 from repro.bench import circuits
 from repro.network import build_network_bdds
 from repro.symb import (
@@ -33,11 +33,13 @@ from repro.symb import (
 def main() -> None:
     # --- layer 1: the BDD engine -------------------------------------- #
     mgr = BddManager()
-    a, b, c = Function.vars(mgr, "a", "b", "c")
-    f = (a & ~b) | (b & c)
-    print(f"f = (a & !b) | (b & c): {f.size()} nodes, "
-          f"{f.sat_count(['a', 'b', 'c'])} of 8 minterms")
-    print(f"∃b.f depends on {sorted(f.exists('b').support())}")
+    va, vb, vc = mgr.add_vars(["a", "b", "c"])
+    a, b, c = (mgr.var_node(v) for v in (va, vb, vc))
+    f = mgr.apply_or(mgr.apply_diff(a, b), mgr.apply_and(b, c))
+    print(f"f = (a & !b) | (b & c): {mgr.size(f)} nodes, "
+          f"{sat_count(mgr, f, [va, vb, vc])} of 8 minterms")
+    no_b = mgr.exists(f, [vb])
+    print(f"∃b.f depends on {sorted(mgr.var_name(v) for v in mgr.support(no_b))}")
 
     # --- layer 2: a circuit as partitioned BDDs ----------------------- #
     net = circuits.johnson(5)

@@ -7,7 +7,6 @@ Public surface:
   (``ref``/``deref``/``protect``/``collect_garbage``), Boolean
   connectives, quantification and the fused relational product
   ``and_exists`` that powers partitioned image computation.
-* :class:`Function` — operator-overloaded wrapper for user code.
 * :mod:`repro.bdd.cube` — counting / enumeration / picking of cubes.
 * :mod:`repro.bdd.reorder` — cross-manager :func:`transfer` (the only
   way to see a function under another variable order: a manager's order
@@ -36,7 +35,6 @@ from repro.bdd.cube import (
     pick_minterm,
     sat_count,
 )
-from repro.bdd.function import Function
 from repro.bdd.io import (
     dump_function,
     dump_nodes,
@@ -54,7 +52,6 @@ __all__ = [
     "BackendFallbackWarning",
     "BddBackend",
     "BddManager",
-    "Function",
     "available_backends",
     "backend_available",
     "create_manager",

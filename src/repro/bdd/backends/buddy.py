@@ -56,7 +56,6 @@ from repro.errors import BddError, BddNodeLimit
 _OP_AND = 0
 _OP_XOR = 1
 _OP_OR = 2
-_OP_IMP = 5
 _OP_BIIMP = 6
 _OP_DIFF = 7
 
@@ -140,16 +139,11 @@ def _declare(lib: ctypes.CDLL) -> None:
         "bdd_apply": ([c_int, c_int, c_int], c_int),
         "bdd_ite": ([c_int, c_int, c_int], c_int),
         "bdd_restrict": ([c_int, c_int], c_int),
-        "bdd_constrain": ([c_int, c_int], c_int),
-        "bdd_compose": ([c_int, c_int, c_int], c_int),
-        "bdd_veccompose": ([c_int, c_void_p], c_int),
         "bdd_replace": ([c_int, c_void_p], c_int),
         "bdd_newpair": ([], c_void_p),
         "bdd_setpair": ([c_void_p, c_int, c_int], c_int),
-        "bdd_setbddpair": ([c_void_p, c_int, c_int], c_int),
         "bdd_freepair": ([c_void_p], None),
         "bdd_exist": ([c_int, c_int], c_int),
-        "bdd_forall": ([c_int, c_int], c_int),
         "bdd_appex": ([c_int, c_int, c_int, c_int], c_int),
         "bdd_makeset": ([int_p, c_int], c_int),
         "bdd_support": ([c_int], c_int),
@@ -447,9 +441,6 @@ class BuddyManager:
     def apply_iff(self, f: int, g: int) -> int:
         return self._own(self._lib.bdd_apply(f, g, _OP_BIIMP))
 
-    def apply_implies(self, f: int, g: int) -> int:
-        return self._own(self._lib.bdd_apply(f, g, _OP_IMP))
-
     def apply_diff(self, f: int, g: int) -> int:
         return self._own(self._lib.bdd_apply(f, g, _OP_DIFF))
 
@@ -457,7 +448,7 @@ class BuddyManager:
         return self._own(self._lib.bdd_ite(f, g, h))
 
     # ------------------------------------------------------------------ #
-    # Quantification and substitution
+    # Quantification, cofactors and renaming
     # ------------------------------------------------------------------ #
 
     def _makeset(self, variables: tuple[int, ...]) -> int:
@@ -483,21 +474,11 @@ class BuddyManager:
             return f
         return self._own(self._lib.bdd_exist(f, cube))
 
-    def forall(self, f: int, variables) -> int:
-        cube = self._cube_of(variables)
-        if cube == 1:
-            return f
-        return self._own(self._lib.bdd_forall(f, cube))
-
     def and_exists(self, f: int, g: int, variables) -> int:
         cube = self._cube_of(variables)
         if cube == 1:
             return self.apply_and(f, g)
         return self._own(self._lib.bdd_appex(f, g, _OP_AND, cube))
-
-    def restrict(self, f: int, var: int, value: bool | int) -> int:
-        lit = self.var_node(var) if value else self.nvar_node(var)
-        return self._own(self._lib.bdd_restrict(f, lit))
 
     def cofactor_cube(self, f: int, cube: int | Mapping[int, bool | int]) -> int:
         if not isinstance(cube, int):
@@ -505,31 +486,6 @@ class BuddyManager:
         if cube == 0:
             raise BddError("cofactor by the FALSE cube")
         return self._own(self._lib.bdd_restrict(f, cube))
-
-    def constrain(self, f: int, c: int) -> int:
-        if c == 0:
-            raise BddError("constrain by FALSE is undefined")
-        return self._own(self._lib.bdd_constrain(f, c))
-
-    def compose(self, f: int, var: int, g: int) -> int:
-        return self._own(self._lib.bdd_compose(f, g, var))
-
-    def vector_compose(self, f: int, substitution: Mapping[int, int]) -> int:
-        sub_vars = set(substitution)
-        for g in substitution.values():
-            if self.support(g) & sub_vars:
-                raise BddError(
-                    "vector_compose requires substitutions independent "
-                    "of substituted vars"
-                )
-        lib = self._lib
-        pair = lib.bdd_newpair()
-        try:
-            for var, g in substitution.items():
-                self._check(lib.bdd_setbddpair(pair, var, g))
-            return self._own(lib.bdd_veccompose(f, pair))
-        finally:
-            lib.bdd_freepair(pair)
 
     def rename_map(self, var_map) -> BuddyRenameMap:
         if isinstance(var_map, BuddyRenameMap):
@@ -704,9 +660,6 @@ class BuddyManager:
     @property
     def max_nodes(self) -> int | None:
         return self._max_nodes
-
-    def nodes_at_level(self, level: int) -> int:
-        return 0  # not tracked per level by the adapter
 
     def cache_hit_rate(self) -> float:
         return 0.0

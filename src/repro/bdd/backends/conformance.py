@@ -6,8 +6,8 @@ that is the whole premise of swapping a native kernel under the solver.
 This kit makes the property executable:
 
 1. :func:`program_strategy` draws a random **operation program** (a
-   little DAG of and/or/xor/ite/quantify/restrict/compose/constrain
-   steps over a shared operand pool, with garbage collections
+   little DAG of connective/ite/quantify/cube-cofactor steps over a
+   shared operand pool, with garbage collections
    interleaved at random points — the event most likely to shake loose
    lifetime or canonicity bugs);
 2. :func:`run_program` replays a program on one backend, returning the
@@ -63,16 +63,12 @@ OPS = (
     "or",
     "xor",
     "iff",
-    "implies",
     "diff",
     "not",
     "ite",
     "exists",
-    "forall",
     "andex",
-    "restrict",
-    "compose",
-    "constrain",
+    "cofactor",
 )
 
 #: Default variable names programs run over (small on purpose: narrow
@@ -87,16 +83,16 @@ class Step:
 
     Operand indices (``a``/``b``/``c``) address the growing operand
     pool modulo its current length, so every drawn program is valid on
-    every backend.  ``event`` interleaves a lifecycle operation: 0 = GC
-    after this step, anything else = nothing.
+    every backend.  ``qvars`` are the step's variables: ``exists`` and
+    ``andex`` quantify them, ``cofactor`` binds them.  ``event``
+    interleaves a lifecycle operation: 0 = GC after this step, anything
+    else = nothing.
     """
 
     op: str
     a: int = 0
     b: int = 0
     c: int = 0
-    var: int = 0
-    value: bool = False
     qvars: tuple[int, ...] = (0,)
     event: int = 99
 
@@ -124,8 +120,6 @@ def program_strategy(
         a=st.integers(min_value=0, max_value=255),
         b=st.integers(min_value=0, max_value=255),
         c=st.integers(min_value=0, max_value=255),
-        var=st.integers(min_value=0, max_value=nvars - 1),
-        value=st.booleans(),
         qvars=st.lists(
             st.integers(min_value=0, max_value=nvars - 1),
             min_size=1,
@@ -171,8 +165,6 @@ def run_program(mgr, program: Program) -> list[int]:
             r = mgr.apply_xor(f, g)
         elif op == "iff":
             r = mgr.apply_iff(f, g)
-        elif op == "implies":
-            r = mgr.apply_implies(f, g)
         elif op == "diff":
             r = mgr.apply_diff(f, g)
         elif op == "not":
@@ -181,22 +173,14 @@ def run_program(mgr, program: Program) -> list[int]:
             r = mgr.ite(f, g, h)
         elif op == "exists":
             r = mgr.exists(f, mgr.quant_set(qset))
-        elif op == "forall":
-            r = mgr.forall(f, qset)
         elif op == "andex":
             r = mgr.and_exists(f, g, mgr.quant_set(qset))
-        elif op == "restrict":
-            r = mgr.restrict(f, variables[step.var], step.value)
-        elif op == "compose":
-            # The composed-in function must not mention the composed
-            # variable on either backend; a literal-free substitute is
-            # the simplest function with that guarantee per canonicity.
-            sub = mgr.restrict(g, variables[step.var], step.value)
-            r = mgr.compose(f, variables[step.var], sub)
-        elif op == "constrain":
-            # Constraining by FALSE is undefined; FALSE is handle 0 on
-            # every backend (canonicity), so the guard replays equally.
-            r = mgr.constrain(f, g if g != 0 else 1)
+        elif op == "cofactor":
+            # The cube binds the step's variables, valued by the bits
+            # of ``b`` (a one-operand step leaves ``b`` free): the
+            # solver's cube image of one product state.
+            bits = {variables[i]: step.b >> k & 1 for k, i in enumerate(step.qvars)}
+            r = mgr.cofactor_cube(f, mgr.cube(bits))
         else:  # pragma: no cover - strategy only draws known ops
             raise ValueError(f"unknown conformance op {op!r}")
         pool.append(r)

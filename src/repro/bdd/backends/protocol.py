@@ -9,6 +9,15 @@ call, so an alternative kernel (a ctypes adapter to a native library, a
 remote manager, an instrumented wrapper) can drop in behind
 :func:`repro.bdd.backends.create_manager` without the solver knowing.
 
+The symbolic work of the solve is partitioned images (``quant_set``,
+``and_exists``, ``exists``), cube cofactors (``cofactor_cube``), the
+cofactor classes of a relation (``split_by_vars``) and the ``ns → cs``
+rename (``rename_map``, ``rename``); the rest of the surface builds,
+inspects, transfers and collects BDDs.  An operation nothing above the
+kernel calls is not part of the contract (``tests/bdd/test_backends.py``
+checks every member has a caller; ``check`` is the one exception, a
+test-only invariant check), so an adapter never has to implement one.
+
 The contract, in prose
 ----------------------
 
@@ -85,20 +94,14 @@ class BddBackend(Protocol):
     def apply_or(self, f: int, g: int) -> int: ...
     def apply_xor(self, f: int, g: int) -> int: ...
     def apply_iff(self, f: int, g: int) -> int: ...
-    def apply_implies(self, f: int, g: int) -> int: ...
     def apply_diff(self, f: int, g: int) -> int: ...
     def ite(self, f: int, g: int, h: int) -> int: ...
 
-    # -- quantification and substitution ----------------------------- #
+    # -- quantification, cofactors and renaming ---------------------- #
     def quant_set(self, variables: Iterable[int]) -> Any: ...
     def exists(self, f: int, variables: Any) -> int: ...
-    def forall(self, f: int, variables: Any) -> int: ...
     def and_exists(self, f: int, g: int, variables: Any) -> int: ...
-    def restrict(self, f: int, var: int, value: bool | int) -> int: ...
     def cofactor_cube(self, f: int, cube: int | Mapping[int, bool | int]) -> int: ...
-    def constrain(self, f: int, c: int) -> int: ...
-    def compose(self, f: int, var: int, g: int) -> int: ...
-    def vector_compose(self, f: int, substitution: Mapping[int, int]) -> int: ...
     def rename_map(self, var_map: Mapping[int, int]) -> Any: ...
     def rename(self, f: int, var_map: Any) -> int: ...
     def split_by_vars(self, f: int, split_vars: Iterable[int]) -> dict[int, int]: ...

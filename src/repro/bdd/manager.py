@@ -60,8 +60,7 @@ runs); repeated renames under one map should go through
 :meth:`~BddManager.rename_map` likewise.
 
 All manager methods consume and produce int edges, which keeps the inner
-loops fast; :class:`repro.bdd.function.Function` offers an
-operator-overloaded wrapper for user-facing code.
+loops fast.
 
 The manager optionally enforces a node budget (``max_nodes``, counted over
 *live* nodes), raising :class:`~repro.errors.BddNodeLimit` when exceeded.
@@ -120,17 +119,15 @@ _EDGE_MASK = (1 << _EDGE_SHIFT) - 1
 # operators store their edge arguments in sorted order so both
 # orientations hit the same entry, and complement-edge normalisation lets
 # all four polarities of XOR, both AND/OR orientations, etc. share
-# entries.  Key layouts (``S`` = 38):
+# entries.  Tags 5 and 8 are unused.  Key layouts (``S`` = 38):
 #
 # =========  ====================================================
 # AND, XOR   ``((f << S | g) << 4) | tag``            (f < g)
 # ITE        ``(((f << S | g) << S | h) << 4) | tag``
 # EXISTS     ``((f << S | sid) << 4) | tag``
 # ANDEX      ``(((f << S | g) << S | sid) << 4) | tag``  (f < g)
-# COMPOSE    ``(((f << S | g) << S | var) << 4) | tag``
 # RENAME     ``((f << S | map_id) << 4) | tag``
 # RESTRICT   ``(((f << S | var) << 1 | val) << 4) | tag``
-# CONSTRAIN  ``((f << S | c) << 4) | tag``
 # COFACTOR   ``((f << S | cube) << 4) | tag``
 # =========  ====================================================
 _OP_AND = 0
@@ -138,10 +135,8 @@ _OP_XOR = 1
 _OP_ITE = 2
 _OP_EXISTS = 3
 _OP_ANDEX = 4
-_OP_COMPOSE = 5
 _OP_RENAME = 6
 _OP_RESTRICT = 7
-_OP_CONSTRAIN = 8
 _OP_COFACTOR = 9
 
 
@@ -176,7 +171,7 @@ class QuantSet:
     move; the variable *indices* held here do not).
 
     Obtain instances through :meth:`BddManager.quant_set`; pass them
-    anywhere :meth:`~BddManager.exists`, :meth:`~BddManager.forall` or
+    anywhere :meth:`~BddManager.exists` or
     :meth:`~BddManager.and_exists` accepts a variable collection.
     """
 
@@ -436,10 +431,6 @@ class BddManager:
         """Current level (position in the order) of variable ``var``."""
         return self._var2level[var]
 
-    def var_at_level(self, level: int) -> int:
-        """Variable index currently sitting at ``level``."""
-        return self._level2var[level]
-
     def var_order(self) -> list[str]:
         """Variable names from the top of the order to the bottom."""
         return [self._var_names[v] for v in self._level2var]
@@ -586,10 +577,6 @@ class BddManager:
     def apply_iff(self, f: int, g: int) -> int:
         """Biconditional (XNOR) — used to form ``ns_k ≡ T_k`` partitions."""
         return self.apply_xor(f, g) ^ 1
-
-    def apply_implies(self, f: int, g: int) -> int:
-        """Implication ``f → g``."""
-        return self.apply_and(f, g ^ 1) ^ 1
 
     def apply_diff(self, f: int, g: int) -> int:
         """Difference ``f ∧ ¬g``."""
@@ -1192,10 +1179,6 @@ class BddManager:
             return f
         return self._exists_core(f, levels, sids, 0)
 
-    def forall(self, f: int, variables: Iterable[int] | QuantSet) -> int:
-        """Universal quantification of ``variables`` (indices) from ``f``."""
-        return self.exists(f ^ 1, variables) ^ 1
-
     def and_exists(
         self, f: int, g: int, variables: Iterable[int] | QuantSet
     ) -> int:
@@ -1212,7 +1195,7 @@ class BddManager:
         return self._andex_core(f, g, levels, sids, 0)
 
     # ------------------------------------------------------------------ #
-    # Cofactor, composition, renaming
+    # Cofactor and renaming
     # ------------------------------------------------------------------ #
 
     def restrict(self, f: int, var: int, value: bool | int) -> int:
@@ -1220,7 +1203,10 @@ class BddManager:
 
         Iterative (explicit stack): safe at any BDD depth.  Cofactoring
         commutes with negation, so both polarities of every sub-DAG
-        share one cache entry (the sign is stripped per frame).
+        share one cache entry (the sign is stripped per frame).  Not part
+        of the backend contract: the solver cofactors by cubes
+        (:meth:`cofactor_cube`), and this separately coded walk is the
+        reference the tests check that operation against.
         """
         val = 1 if value else 0
         target = self._var2level[var]
@@ -1278,147 +1264,6 @@ class BddManager:
         if cube == FALSE:
             raise BddError("cofactor by the FALSE cube")
         return self._cofactor_core(f, cube)
-
-    def constrain(self, f: int, c: int) -> int:
-        """Generalised cofactor (Coudert-Madre constrain operator).
-
-        Returns a function that agrees with ``f`` everywhere ``c`` holds
-        (``constrain(f,c) ∧ c == f ∧ c``) and is typically smaller than
-        ``f`` — the classic image-computation simplification: the
-        transition parts can be constrained by the current frontier.
-        ``c`` must not be FALSE.  Iterative; safe at any depth.
-        """
-        if c == FALSE:
-            raise BddError("constrain by the FALSE function")
-        if c == TRUE or f < 2:
-            return f
-        computed = self._computed
-        counters = self._counters
-        var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
-        var2level = self._var2level
-        level2var = self._level2var
-        stack: list[tuple] = [(0, f, c)]
-        rstack: list[int] = []
-        while stack:
-            fr = stack.pop()
-            tag = fr[0]
-            if tag == 0:
-                f = fr[1]
-                c = fr[2]
-                if c == TRUE or f < 2:
-                    rstack.append(f)
-                    continue
-                if f == c:
-                    rstack.append(TRUE)
-                    continue
-                if f == c ^ 1:
-                    rstack.append(FALSE)
-                    continue
-                # Constrain commutes with negation of f (it composes f
-                # with a mapping that depends only on c).
-                sign = f & 1
-                f ^= sign
-                key = (f << _EDGE_SHIFT | c) << 4 | _OP_CONSTRAIN
-                r = computed.get(key)
-                if r is not None:
-                    counters[0] += 1
-                    rstack.append(r ^ sign)
-                    continue
-                lf = var2level[var_arr[f]]
-                lc = var2level[var_arr[c]]
-                top = lf if lf < lc else lc
-                if lf == top:
-                    f0, f1 = lo_arr[f], hi_arr[f]
-                else:
-                    f0 = f1 = f
-                if lc == top:
-                    c0, c1 = lo_arr[c], hi_arr[c]
-                else:
-                    c0 = c1 = c
-                if c0 == FALSE:
-                    stack.append((2, key, sign))
-                    stack.append((0, f1, c1))
-                elif c1 == FALSE:
-                    stack.append((2, key, sign))
-                    stack.append((0, f0, c0))
-                else:
-                    stack.append((1, key, level2var[top], sign))
-                    stack.append((0, f1, c1))
-                    stack.append((0, f0, c0))
-            elif tag == 1:
-                hi = rstack.pop()
-                lo = rstack.pop()
-                r = self._mk(fr[2], lo, hi)
-                computed[fr[1]] = r
-                rstack.append(r ^ fr[3])
-            else:
-                r = rstack.pop()
-                computed[fr[1]] = r
-                rstack.append(r ^ fr[2])
-        return rstack[0]
-
-    def compose(self, f: int, var: int, g: int) -> int:
-        """Substitute function ``g`` for variable ``var`` in ``f``.
-
-        Iterative walk of ``f`` down to ``var``'s level; the recombination
-        runs through :meth:`ite` (itself iterative), so composition is
-        safe at any depth.
-        """
-        target = self._var2level[var]
-        computed = self._computed
-        counters = self._counters
-        var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
-        var2level = self._var2level
-        stack: list[tuple] = [(0, f)]
-        rstack: list[int] = []
-        while stack:
-            fr = stack.pop()
-            if fr[0] == 0:
-                f = fr[1]
-                if f < 2 or var2level[var_arr[f]] > target:
-                    rstack.append(f)
-                    continue
-                sign = f & 1
-                f ^= sign
-                key = ((f << _EDGE_SHIFT | g) << _EDGE_SHIFT | var) << 4 | _OP_COMPOSE
-                r = computed.get(key)
-                if r is not None:
-                    counters[0] += 1
-                    rstack.append(r ^ sign)
-                    continue
-                if var_arr[f] == var:
-                    r = self.ite(g, hi_arr[f], lo_arr[f])
-                    computed[key] = r
-                    rstack.append(r ^ sign)
-                    continue
-                stack.append((1, key, var_arr[f], sign))
-                stack.append((0, hi_arr[f]))
-                stack.append((0, lo_arr[f]))
-            else:
-                c1 = rstack.pop()
-                c0 = rstack.pop()
-                r = self.ite(self.var_node(fr[2]), c1, c0)
-                computed[fr[1]] = r
-                rstack.append(r ^ fr[3])
-        return rstack[0]
-
-    def vector_compose(self, f: int, substitution: Mapping[int, int]) -> int:
-        """Simultaneously substitute ``substitution[var]`` for each var.
-
-        Implemented by introducing the substitutions bottom-up, which is
-        correct because each single :meth:`compose` removes its variable.
-        Simultaneity holds when the substituted functions do not mention
-        the substituted variables; that is asserted.
-        """
-        sub_vars = set(substitution)
-        for g in substitution.values():
-            if self.support(g) & sub_vars:
-                raise BddError(
-                    "vector_compose requires substitutions independent of substituted vars"
-                )
-        for var in sorted(sub_vars, key=lambda v: self._var2level[v], reverse=True):
-            f = self.compose(f, var, substitution[var])
-        return f
 
     def rename_map(self, var_map: Mapping[int, int] | RenameMap) -> RenameMap:
         """Intern a rename map for repeated use (the rename counterpart of
@@ -1834,10 +1679,6 @@ class BddManager:
             ],
             "subtable_count": len(self._subtables),
         }
-
-    def nodes_at_level(self, level: int) -> int:
-        """Number of live nodes at ``level`` (free with per-level subtables)."""
-        return len(self._subtables[self._level2var[level]])
 
     def cache_hit_rate(self) -> float:
         """Computed-table hit rate over all lookups so far (0.0 when idle)."""

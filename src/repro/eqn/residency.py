@@ -212,10 +212,6 @@ class ResidencyManager:
         """Current resident-ψ node estimate."""
         return self._resident_nodes
 
-    @property
-    def evicted_count(self) -> int:
-        return len(self._evicted)
-
     # -- dedup against evicted states ----------------------------------- #
 
     def lookup(self, psi: int) -> int | None:

@@ -271,16 +271,6 @@ class Network:
         )
 
 
-def buffer_expr(signal: str) -> Expr:
-    """A buffer (identity) expression for ``signal``."""
-    return Var(signal)
-
-
-def const_expr(value: bool) -> Expr:
-    """A constant expression."""
-    return Const(bool(value))
-
-
 def flatten_expr(net: Network, signal: str, stop: Iterable[str]) -> Expr:
     """Expression of ``signal`` flattened down to the ``stop`` signals.
 

@@ -8,7 +8,9 @@ extra skips and stays bit-identical to the pre-backend behaviour.
 
 from __future__ import annotations
 
+import ast
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +32,8 @@ from repro.bdd.backends.protocol import (
     generic_load_nodes,
     missing_ops,
 )
-from repro.bdd.manager import BddManager
-from repro.errors import BddError
-from tests.bdd.conformance import (
+import repro
+from repro.bdd.backends.conformance import (
     check_literal_ite,
     check_rename_map,
     check_split_classes,
@@ -44,6 +45,43 @@ from tests.bdd.conformance import (
     run_program,
     split_case_strategy,
 )
+from repro.bdd.manager import BddManager
+from repro.errors import BddError
+
+#: Files that implement the contract rather than call it.
+_IMPLEMENTATIONS = frozenset(
+    {
+        "bdd/manager.py",
+        "bdd/backends/protocol.py",
+        "bdd/backends/buddy.py",
+        "bdd/backends/conformance.py",
+    }
+)
+
+#: Surface members with no caller in the package, each with its reason.
+_UNCALLED = {"check": "a test-only invariant check"}
+
+
+def _names_the_package_uses() -> set[str]:
+    """Attribute names read anywhere in ``repro`` outside the
+    implementations: ``x.name`` and ``getattr(x, "name", ...)``."""
+    root = Path(repro.__file__).parent
+    used: set[str] = set()
+    for path in root.rglob("*.py"):
+        if path.relative_to(root).as_posix() in _IMPLEMENTATIONS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                used.add(node.args[1].value)
+    return used
 
 
 class TestRegistry:
@@ -137,11 +175,22 @@ class TestProtocolSurface:
     def test_surface_lists_the_solver_contract(self) -> None:
         for op in (
             "apply_and", "ite", "exists", "and_exists", "rename",
-            "vector_compose", "ref", "deref", "collect_garbage",
+            "cofactor_cube", "ref", "deref", "collect_garbage",
             "dump_nodes", "load_nodes", "check",
             "split_by_vars", "backend_name",
         ):
             assert op in PROTOCOL_SURFACE
+
+    def test_every_member_has_a_caller(self) -> None:
+        """The contract is what the layers above the kernel call: a
+        member nothing in the package calls is dead weight every
+        adapter would have to implement."""
+        used = _names_the_package_uses()
+        uncalled = [
+            name for name in PROTOCOL_SURFACE
+            if name not in used and name not in _UNCALLED
+        ]
+        assert uncalled == []
 
     def test_missing_ops_reports_gaps(self) -> None:
         class Partial:
@@ -219,8 +268,8 @@ class _IterativeRoutes(BddManager):
 
     Canonicity makes every answer edge-identical to the recursive
     kernels', so the kit's checks hold unchanged; what changes is the
-    code that computes the replayed programs' xor, iff, exists and
-    forall steps and the literal-ite check's quantified branches.
+    code that computes the replayed programs' xor, iff and exists steps
+    and the literal-ite check's quantified branches.
     """
 
     def __init__(self) -> None:

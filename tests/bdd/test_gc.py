@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 
-from repro.bdd import FALSE, TRUE, BddManager, Function
+from repro.bdd import FALSE, TRUE, BddManager
 from repro.bdd import manager as manager_mod
 from tests.strategies import (
     DEFAULT_VARS,
@@ -382,13 +382,6 @@ class TestComplementEdges:
         mgr = fresh()
         assert mgr.apply_not(FALSE) == TRUE
         assert mgr.apply_not(TRUE) == FALSE
-
-    def test_function_wrapper_double_negation(self) -> None:
-        mgr = BddManager()
-        a, b = Function.vars(mgr, "a", "b")
-        f = (a & ~b) | (~a & b)
-        assert ~~f == f
-        assert (~f & f).is_false
 
 
 @given(expressions())

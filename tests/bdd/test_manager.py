@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bdd import FALSE, TRUE, BddManager, Function
+from repro.bdd import FALSE, TRUE, BddManager
 from repro.errors import BddError, BddNodeLimit
 from tests.strategies import DEFAULT_VARS, bdd_minterms
 
@@ -129,12 +129,6 @@ class TestConnectives:
         a, b = mgr.var_node(0), mgr.var_node(1)
         assert mgr.apply_iff(a, b) == mgr.apply_not(mgr.apply_xor(a, b))
 
-    def test_implies(self, mgr: BddManager) -> None:
-        a, b = mgr.var_node(0), mgr.var_node(1)
-        f = mgr.apply_implies(a, b)
-        assert mgr.eval(f, {"a": 0, "b": 0, "c": 0})
-        assert not mgr.eval(f, {"a": 1, "b": 0, "c": 0})
-
     def test_diff(self, mgr: BddManager) -> None:
         a, b = mgr.var_node(0), mgr.var_node(1)
         assert mgr.apply_diff(a, b) == mgr.apply_and(a, mgr.apply_not(b))
@@ -176,25 +170,6 @@ class TestCofactorsComposition:
         a, b, c = (mgr.var_node(i) for i in range(3))
         f = mgr.apply_and(mgr.apply_or(a, b), c)
         assert mgr.cofactor_cube(f, {0: 0, 2: 1}) == b
-
-    def test_compose_substitutes_function(self, mgr: BddManager) -> None:
-        a, b, c = (mgr.var_node(i) for i in range(3))
-        f = mgr.apply_xor(a, b)
-        g = mgr.apply_and(b, c)
-        composed = mgr.compose(f, 0, g)  # f[a := b & c]
-        assert composed == mgr.apply_xor(mgr.apply_and(b, c), b)
-
-    def test_vector_compose_simultaneous(self, mgr: BddManager) -> None:
-        a, b, c = (mgr.var_node(i) for i in range(3))
-        f = mgr.apply_xor(a, b)
-        # a := c, b := !c simultaneously => xor(c, !c) = TRUE
-        result = mgr.vector_compose(f, {0: c, 1: mgr.apply_not(c)})
-        assert result == TRUE
-
-    def test_vector_compose_rejects_overlap(self, mgr: BddManager) -> None:
-        a, b = mgr.var_node(0), mgr.var_node(1)
-        with pytest.raises(BddError):
-            mgr.vector_compose(mgr.apply_and(a, b), {0: b, 1: a})
 
 
 class TestNodeBudget:
@@ -260,50 +235,6 @@ class TestInspection:
         f = mgr.apply_and(a, b)
         mgr.clear_caches()
         assert mgr.apply_and(a, b) == f
-
-
-class TestFunctionWrapper:
-    def test_operator_laws(self, mgr: BddManager) -> None:
-        a = Function(mgr, mgr.var_node(0))
-        b = Function(mgr, mgr.var_node(1))
-        assert (a & b) == (b & a)
-        assert (a | ~a).is_true
-        assert (a & ~a).is_false
-        assert (a ^ b) == ((a & ~b) | (~a & b))
-
-    def test_iff_implies(self, mgr: BddManager) -> None:
-        a = Function(mgr, mgr.var_node(0))
-        b = Function(mgr, mgr.var_node(1))
-        assert a.iff(b) == ~(a ^ b)
-        assert a.implies(b) == (~a | b)
-
-    def test_ite(self, mgr: BddManager) -> None:
-        a, b, c = (Function(mgr, mgr.var_node(i)) for i in range(3))
-        assert a.ite(b, c) == ((a & b) | (~a & c))
-
-    def test_cross_manager_rejected(self) -> None:
-        m1, m2 = BddManager(), BddManager()
-        a = Function.var(m1, "a")
-        b = Function.var(m2, "b")
-        with pytest.raises(BddError):
-            _ = a & b
-
-    def test_no_truth_value(self, mgr: BddManager) -> None:
-        a = Function(mgr, mgr.var_node(0))
-        with pytest.raises(BddError):
-            bool(a)
-
-    def test_var_declares_on_demand(self) -> None:
-        m = BddManager()
-        x = Function.var(m, "x")
-        y = Function.var(m, "x")
-        assert x == y
-
-    def test_restrict_and_support(self, mgr: BddManager) -> None:
-        a, b = Function(mgr, mgr.var_node(0)), Function(mgr, mgr.var_node(1))
-        f = a ^ b
-        assert f.support() == {"a", "b"}
-        assert f.restrict({"a": 1}) == ~b
 
 
 # ----------------------------------------------------------------------
